@@ -13,7 +13,6 @@ far above 1). The largest bounded r estimates the AC multiplicity at x.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,55 +206,59 @@ class FloquetResult:
     log2_scale: int
 
 
-def floquet_multiplicity(spec, x, eps=1e-6, ambiguity_factor=10.0):
-    """Elliptic-pair count of the period monodromy at real x.
+def floquet_grid(spec, xs, eps=1e-6, ambiguity_factor=10.0):
+    """Elliptic-pair counts of the period monodromy over a vector of real x.
 
     Eigenvalues of the one-period transfer product come in (lambda,
     1/lambda) pairs; those on the unit circle (within ``eps``) mark open
     channels, so r_flo = count/2. An odd count, or a modulus within the
-    ambiguity band of the circle, raises the band-edge flag.
+    ambiguity band of the circle, raises the band-edge flag. Returns arrays
+    (r_flo, band_edge, eigenvalue mantissas, exp2 ledger).
     """
     period = getattr(spec, "period", None)
     if period is None:
         raise InvalidInputError("Floquet oracle needs a periodic model")
-    mono, exp2 = recurrence.cocycle_product(spec, float(x), period + 1)
+    mono, exp2 = recurrence.cocycle_products(spec, np.asarray(xs, dtype=float), period + 1)
     lam = np.linalg.eigvals(mono)
     # |true eigenvalue| = |lam| * 2^exp2, recovered through logs so the
     # ledger never has to be materialized
     with np.errstate(divide="ignore"):
-        log_mod = np.log(np.abs(lam)) + exp2 * math.log(2.0)
+        log_mod = np.log(np.abs(lam)) + exp2[:, None] * math.log(2.0)
     dist = np.abs(np.expm1(log_mod))  # exactly | |lambda| - 1 |
-    on_circle = dist < eps
-    ambiguous = np.any((dist >= eps) & (dist < ambiguity_factor * eps))
-    count = int(np.sum(on_circle))
+    ambiguous = np.any((dist >= eps) & (dist < ambiguity_factor * eps), axis=1)
+    count = np.sum(dist < eps, axis=1)
+    return count // 2, (count % 2 == 1) | ambiguous, lam, exp2
+
+
+def floquet_multiplicity(spec, x, eps=1e-6, ambiguity_factor=10.0):
+    """Floquet verdict at one real x (see :func:`floquet_grid`)."""
+    r_flo, edge, lam, exp2 = floquet_grid(spec, [float(x)], eps, ambiguity_factor)
     return FloquetResult(
         x=float(x),
-        r_flo=count // 2,
-        band_edge=bool(count % 2 == 1 or ambiguous),
-        eigenvalues=lam,
-        log2_scale=int(exp2),
+        r_flo=int(r_flo[0]),
+        band_edge=bool(edge[0]),
+        eigenvalues=lam[0],
+        log2_scale=int(exp2[0]),
     )
 
 
 def floquet_band_edges(spec, lo, hi, coarse=2048, eps=1e-6, refine_tol=1e-9):
     """Multiplicity-transition energies of a periodic family in [lo, hi].
 
-    Coarse scan then bisection on each transition interval.
+    Coarse scan then bisection, run on all transition intervals together.
     """
     xs = np.linspace(float(lo), float(hi), int(coarse))
-    mult = np.array([floquet_multiplicity(spec, x, eps).r_flo for x in xs])
-    edges = []
-    for i in np.nonzero(np.diff(mult))[0]:
-        a, b = xs[i], xs[i + 1]
-        ra = mult[i]
-        while b - a > refine_tol:
-            mid = 0.5 * (a + b)
-            if floquet_multiplicity(spec, mid, eps).r_flo == ra:
-                a = mid
-            else:
-                b = mid
-        edges.append(0.5 * (a + b))
-    return edges
+    mult = floquet_grid(spec, xs, eps)[0]
+    cut = np.nonzero(np.diff(mult))[0]
+    a, b, ra = xs[cut], xs[cut + 1], mult[cut]
+    live = b - a > refine_tol
+    while np.any(live):
+        mid = 0.5 * (a[live] + b[live])
+        same = floquet_grid(spec, mid, eps)[0] == ra[live]
+        a[live] = np.where(same, mid, a[live])
+        b[live] = np.where(same, b[live], mid)
+        live = b - a > refine_tol
+    return (0.5 * (a + b)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +299,9 @@ def _chunk_records(spec, xs, params):
         ranks = weyl.im_m_boundary_grid(
             spec, xs, params.y_ladder, params.tau_rel, params.rank_tol
         )
-    periodic = getattr(spec, "period", None) is not None
+    r_flo = band_edge = None
+    if getattr(spec, "period", None) is not None and params.with_floquet:
+        r_flo, band_edge, _, _ = floquet_grid(spec, xs, params.floquet_eps)
     for j, x in enumerate(xs):
         prof = profiles[j]
         r_ces, low_conf = classify_multiplicity(prof, params.slope_threshold)
@@ -313,14 +318,13 @@ def _chunk_records(spec, xs, params):
             rec.r_rank = br.rank
             rec.trace_growth = br.trace_growth
             rec.flags.extend(br.flags())
-        if periodic and params.with_floquet:
-            flo = floquet_multiplicity(spec, x, params.floquet_eps)
-            rec.r_flo = flo.r_flo
-            if flo.band_edge:
+        if r_flo is not None:
+            rec.r_flo = int(r_flo[j])
+            if band_edge[j]:
                 rec.flags.append("band-edge")
-            rec.flags.append("ces=flo" if flo.r_flo == r_ces else "ces!=flo")
+            rec.flags.append("ces=flo" if rec.r_flo == r_ces else "ces!=flo")
             if rec.r_rank is not None:
-                rec.flags.append("rank=flo" if rec.r_rank == flo.r_flo else "rank!=flo")
+                rec.flags.append("rank=flo" if rec.r_rank == rec.r_flo else "rank!=flo")
         records.append(rec)
     return records
 
@@ -348,27 +352,17 @@ def _chunk_safe(spec, xs, params):
         return records
 
 
-def scan_energy_grid(spec, x_grid, params=None, threads=1):
+def scan_energy_grid(spec, x_grid, params=None):
     """Classify every energy on the grid; deterministic order, errors kept.
 
-    Grid points are independent; with threads > 1 the grid is split into
-    contiguous chunks merged back in index order, so results do not depend
-    on the thread count.
+    The whole grid runs as one batch: each step costs mostly numpy call
+    overhead, so one wide batch beats splitting the grid over threads.
     """
     params = params or ScanParams()
     xs = np.asarray(x_grid, dtype=float)
     if xs.size == 0:
         return []
-    threads = max(1, int(threads))
-    if threads == 1 or xs.size < 2 * threads:
-        return _chunk_safe(spec, xs, params)
-    chunks = np.array_split(xs, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: _chunk_safe(spec, c, params), chunks))
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+    return _chunk_safe(spec, xs, params)
 
 
 def agreement_summary(records, edges=None, exclusion=0.05):
@@ -441,7 +435,7 @@ def _classify_phase(spec, xs, params):
     return r_plus, r_minus, det
 
 
-def constancy_experiment(spec, phases, x_grid, params=None, threads=1):
+def constancy_experiment(spec, phases, x_grid, params=None):
     """Compare whole-line multiplicity classifications across phases.
 
     The whole-line AC multiplicity at x is estimated as r_plus + r_minus
@@ -468,11 +462,7 @@ def constancy_experiment(spec, phases, x_grid, params=None, threads=1):
             determinate=det,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, phases))
-    else:
-        results = [one(p) for p in phases]
+    results = [one(p) for p in phases]
 
     pairwise = {}
     l = spec.dim

@@ -6,6 +6,10 @@
 One config file per run; outputs are a task CSV plus report.txt with the
 fully resolved configuration embedded for provenance. Exit codes: 0 ok,
 2 config/schema error, 3 model validation failure, 4 non-convergence.
+
+``--threads`` (and ``run_config(threads=...)``) is accepted and ignored:
+every task runs in one thread, with the energy grid as one wide batch,
+which measured faster than splitting it over threads.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def _write_report(path, cfg, body):
     Path(path).write_text("\n".join(text), encoding="utf-8")
 
 
-def _task_validate(cfg, spec, out_dir, threads):
+def _task_validate(cfg, spec, out_dir):
     window = int(cfg.params.get("window", 100))
     report = models.validate_model(spec, window)
     body = "validation:\n" + report.summary()
@@ -92,7 +96,7 @@ def _task_validate(cfg, spec, out_dir, threads):
     return EXIT_OK
 
 
-def _task_probe(cfg, spec, out_dir, threads):
+def _task_probe(cfg, spec, out_dir):
     x = float(cfg.params.get("x", 0.0))
     y = float(cfg.params.get("y", 0.1))
     tol = float(cfg.params.get("m_tol", 1e-10))
@@ -122,7 +126,7 @@ def _task_probe(cfg, spec, out_dir, threads):
     return EXIT_OK
 
 
-def _task_jl_sweep(cfg, spec, out_dir, threads):
+def _task_jl_sweep(cfg, spec, out_dir):
     rng = np.random.default_rng(cfg.seed)
     n = int(cfg.params.get("n_points", 100))
     x_lo, x_hi = (float(v) for v in cfg.params.get("x_range", [-3.0, 3.0]))
@@ -156,10 +160,10 @@ def _task_jl_sweep(cfg, spec, out_dir, threads):
     return EXIT_OK
 
 
-def _task_scan(cfg, spec, out_dir, threads):
+def _task_scan(cfg, spec, out_dir):
     xs = cfg.x_grid()
     params = cfg.scan_params()
-    records = classify.scan_energy_grid(spec, xs, params, threads=threads)
+    records = classify.scan_energy_grid(spec, xs, params)
     emit_csv(records, out_dir / cfg.output["csv"], spec.dim)
     edges = []
     if getattr(spec, "period", None) is not None and xs.size:
@@ -172,7 +176,7 @@ def _task_scan(cfg, spec, out_dir, threads):
     return EXIT_OK
 
 
-def _task_constancy(cfg, spec, out_dir, threads):
+def _task_constancy(cfg, spec, out_dir):
     params = cfg.scan_params()
     xs = cfg.x_grid()
     phases = cfg.params.get("phases")
@@ -181,7 +185,7 @@ def _task_constancy(cfg, spec, out_dir, threads):
         rng = np.random.default_rng(cfg.seed)
         phases = [rng.uniform(0.0, 1.0, size=max(1, getattr(spec, "torus_dim", 1))).tolist()
                   for _ in range(count)]
-    report = classify.constancy_experiment(spec, phases, xs, params, threads=threads)
+    report = classify.constancy_experiment(spec, phases, xs, params)
     cols = ["x"]
     for i in range(len(phases)):
         cols += [f"r_plus_p{i}", f"r_minus_p{i}", f"mult_p{i}", f"determinate_p{i}"]
@@ -211,6 +215,7 @@ _TASKS = {
 
 
 def run_config(config_path, *, threads=1, out_dir=None, force_task=None) -> int:
+    """Run one config and return the exit code; ``threads`` is ignored."""
     try:
         cfg = config_mod.load_config(config_path)
     except ConfigError as exc:
@@ -227,7 +232,7 @@ def run_config(config_path, *, threads=1, out_dir=None, force_task=None) -> int:
     try:
         if task != "validate":
             models.validate_model(spec, int(cfg.params.get("window", 100)))
-        return _TASKS[task](cfg, spec, target, threads)
+        return _TASKS[task](cfg, spec, target)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -218,16 +218,19 @@ def transfer_step(d_n, d_prev, v_n, z):
     only appears through the propagated vector); it is accepted so callers
     can pair the step with :func:`lift_pair`.
     """
+    return _transfer_steps(d_n, v_n, np.array([_as_z(z)]))[0]
+
+
+def _transfer_steps(d_n, v_n, zs):
+    """:func:`transfer_step` at every energy of ``zs``, shape (N, 2l, 2l)."""
     d_n = np.asarray(d_n, dtype=float)
     v_n = np.asarray(v_n, dtype=float)
     l = d_n.shape[0]
-    z = _as_z(z)
     d_inv = matblock.invert(d_n)
-    dtype = complex if isinstance(z, complex) else float
-    out = np.zeros((2 * l, 2 * l), dtype=dtype)
-    out[:l, :l] = d_inv @ (z * np.eye(l) - v_n)
-    out[:l, l:] = -d_inv
-    out[l:, :l] = d_n
+    out = np.zeros((zs.size, 2 * l, 2 * l), dtype=zs.dtype)
+    out[:, :l, :l] = d_inv @ (zs[:, None, None] * np.eye(l) - v_n)
+    out[:, :l, l:] = -d_inv
+    out[:, l:, :l] = d_n
     return out
 
 
@@ -244,21 +247,33 @@ def cocycle_product(spec, z, n):
     Returns (mantissa matrix, exp2); the product is rescaled by powers of
     two whenever its Frobenius norm exceeds 1e100.
     """
+    acc, exp2 = cocycle_products(spec, np.array([_as_z(z)]), n)
+    return acc[0], int(exp2[0])
+
+
+def cocycle_products(spec, zs, n):
+    """:func:`cocycle_product` for a vector of energies as one stacked product.
+
+    Returns mantissas of shape (N, 2l, 2l) and the int64 exp2 ledger (N,);
+    each product is rescaled on its own, by the same rule.
+    """
     n = int(n)
     if n < 0:
         raise InvalidInputError("cocycle index must be >= 0")
+    zs = np.asarray(zs)
+    zs = zs.astype(complex if np.iscomplexobj(zs) else float)
     l = spec.dim
-    z = _as_z(z)
-    dtype = complex if isinstance(z, complex) else float
-    acc = np.eye(2 * l, dtype=dtype)
-    exp2 = 0
+    acc = np.tile(np.eye(2 * l, dtype=zs.dtype), (zs.size, 1, 1))
+    exp2 = np.zeros(zs.size, dtype=np.int64)
     for k in range(1, n):
         d_k, v_k = spec.coefficient_at(k)
-        acc = transfer_step(d_k, None, v_k, z) @ acc
-        nrm = float(np.sqrt(np.sum(np.abs(acc) ** 2)))
-        if nrm > RESCALE_HIGH:
-            shift = int(math.ceil(math.log2(nrm)))
-            acc = acc * np.ldexp(1.0, -shift)
+        acc = _transfer_steps(d_k, v_k, zs) @ acc
+        nrm = np.sqrt(np.sum(np.abs(acc) ** 2, axis=(1, 2)))
+        hot = nrm > RESCALE_HIGH
+        if np.any(hot):
+            shift = np.zeros(zs.size, dtype=np.int64)
+            shift[hot] = np.ceil(np.log2(nrm[hot]))
+            acc = acc * np.ldexp(1.0, -shift)[:, None, None]
             exp2 += shift
     return acc, exp2
 

@@ -73,42 +73,88 @@ def _require_upper(z):
     return z
 
 
-def _riccati_sweep(spec, z, depth, collect_to=0):
+# Upper-triangle components of a complex-symmetric block for l <= 2.
+_SYM_INDEX = {1: ((0, 0),), 2: ((0, 0), (0, 1), (1, 1))}
+
+
+def _coefficient_tape(spec, prepare):
+    """n -> prepare(D_n, V_n), evaluated once per residue for periodic families."""
+    period = getattr(spec, "period", None)
+    if period is None:
+        return lambda n: prepare(*spec.coefficient_at(n))
+    table = [prepare(*spec.coefficient_at(r)) for r in range(period)]
+    return lambda n: table[n % period]
+
+
+def _sandwich_weights(d):
+    """W with (D M D)_c = sum_k W[c, k] m_k on the symmetric components of M,
+    or None when W is the identity (D = I costs no arithmetic)."""
+    idx = _SYM_INDEX[d.shape[0]]
+    w = np.array([
+        [d[i, a] * d[b, j] + (d[i, b] * d[a, j] if a != b else 0.0) for a, b in idx]
+        for i, j in idx
+    ])
+    return None if np.array_equal(w, np.eye(len(idx))) else w.astype(complex)
+
+
+def _sym_blocks(comps, l):
+    out = np.empty((comps[0].size, l, l), dtype=complex)
+    for (i, j), m in zip(_SYM_INDEX[l], comps):
+        out[:, i, j] = m
+        out[:, j, i] = m
+    return out
+
+
+def _riccati_descent(spec, z, depth, collect_to=0):
     """Descend M_n = ((V_n - z) - D_n M_{n+1} D_n)^-1 from a zero seed.
 
-    Returns M_1 and, when ``collect_to`` > 0, the chain M_1..M_collect_to.
+    ``z`` is a flat array of complex energies. Returns M_1 with shape
+    (z.size, l, l) and, when ``collect_to`` > 0, the chain M_1..M_collect_to
+    (index n holds M_n). For l <= 2 M stays complex symmetric and is carried
+    as its upper-triangle components, inverted through the determinant;
+    larger l uses stacked matmul and ``matblock.batched_inv``.
     """
+    z = np.asarray(z, dtype=complex)
     l = spec.dim
-    eye = np.eye(l)
-    m = np.zeros((l, l), dtype=complex)
     chain = [None] * (collect_to + 1) if collect_to else None
+    if l > 2:
+        step = _coefficient_tape(spec, lambda d, v: (d, v))
+        zz = z[:, None, None] * np.eye(l)
+        m = np.zeros((z.size, l, l), dtype=complex)
+        for n in range(depth, 0, -1):
+            d_n, v_n = step(n)
+            m = matblock.batched_inv((v_n - zz) - d_n @ m @ d_n)
+            if chain is not None and n <= collect_to:
+                chain[n] = m
+        return m, chain
+
+    idx = _SYM_INDEX[l]
+    step = _coefficient_tape(
+        spec,
+        lambda d, v: (_sandwich_weights(d), tuple(float(v[i, j]) for i, j in idx)),
+    )
+    comps = tuple(np.zeros(z.size, dtype=complex) for _ in idx)
     for n in range(depth, 0, -1):
-        d_n, v_n = spec.coefficient_at(n)
-        m = np.linalg.inv((v_n - z * eye) - d_n @ m @ d_n)
+        w, v_n = step(n)
+        p = comps if w is None else w @ np.stack(comps)
+        if l == 1:
+            comps = (1.0 / ((v_n[0] - z) - p[0]),)
+        else:
+            a = (v_n[0] - z) - p[0]
+            b = v_n[1] - p[1]
+            c = (v_n[2] - z) - p[2]
+            det = a * c - b * b
+            comps = (c / det, -b / det, a / det)
         if chain is not None and n <= collect_to:
-            chain[n] = m
-    return m, chain
+            chain[n] = _sym_blocks(comps, l)
+    return _sym_blocks(comps, l), chain
 
 
 def m_riccati(spec, z, tol=1e-10, max_depth=2**18, initial_depth=64):
     """m-function by the descending corner recursion with depth doubling."""
     z = _require_upper(z)
-    depth = int(initial_depth)
-    prev = None
-    while depth <= max_depth:
-        m, _ = _riccati_sweep(spec, z, depth)
-        if prev is not None:
-            delta = matblock.frobenius_norm(m - prev)
-            if delta < tol:
-                return WeylM(z, m, "riccati", depth, float(delta))
-        prev = m
-        depth *= 2
-    delta = matblock.frobenius_norm(m - prev) if prev is not None else math.inf
-    raise ConvergenceError(
-        f"riccati recursion not Cauchy at depth {max_depth} for z = {z}",
-        last_delta=float(delta),
-        depth=max_depth,
-    )
+    m, depths, deltas = m_riccati_rungs(spec, np.array([[z]]), tol, max_depth, initial_depth)
+    return WeylM(z, m[0, 0], "riccati", int(depths[0]), float(deltas[0]))
 
 
 def _banded_corner_block(spec, z, n_blocks):
@@ -218,8 +264,8 @@ def jost_chain(spec, z, n_max, tol=1e-12, max_depth=2**18):
         depth *= 2
     prev = None
     while depth <= max_depth:
-        m1, chain = _riccati_sweep(spec, z, depth, collect_to=max(n_max, 1))
-        probe = chain[max(n_max, 1)]
+        m1, chain = _riccati_descent(spec, np.array([z]), depth, collect_to=max(n_max, 1))
+        m1, probe = m1[0], chain[max(n_max, 1)][0]
         if prev is not None:
             delta = max(
                 matblock.frobenius_norm(m1 - prev[0]),
@@ -240,7 +286,7 @@ def jost_chain(spec, z, n_max, tol=1e-12, max_depth=2**18):
     blocks[0] = np.eye(l)
     for k in range(1, n_max + 1):
         d_prev = spec.coefficient_at(k - 1)[0]
-        blocks[k] = -chain[k] @ d_prev @ blocks[k - 1]
+        blocks[k] = -chain[k][0] @ d_prev @ blocks[k - 1]
     return blocks, WeylM(z, m1, "riccati", depth, float(delta))
 
 
@@ -294,25 +340,24 @@ def herglotz_identity_residual(spec, z, n_terms=None, **kw) -> float:
     return herglotz_identity_check(spec, z, n_terms=n_terms, **kw).residual
 
 
-def green_block(spec, p, q, z, m_weyl=None, tol=1e-10):
+def green_block(spec, p, q, z, tol=1e-12):
     """G(p,q;z) = -phi_p D0^-1 F_q^t for p <= q (transposed branch above).
 
-    Assembled from the Dirichlet/Neumann tracks and the Jost combination
-    F = psi - phi M D0 at the same energy.
+    phi is the Dirichlet track and F the square-summable Jost solution from
+    :func:`jost_chain`, which stays accurate for large indices where the
+    combination psi - phi M D0 would cancel exponentially.
     """
     p, q = int(p), int(q)
     if p < 0 or q < 0:
         raise InvalidInputError("indices must be >= 0")
     z = _require_upper(z)
-    if m_weyl is None:
-        m_weyl = m_riccati(spec, z, tol=tol)
-    hi = max(p, q, 1) + 1
-    phi, psi = recurrence.dirichlet_neumann(spec, z, hi)
-    f_track = recurrence.jost_assemble(phi, psi, m_weyl.m)
+    hi = max(p, q, 1)
+    phi, _ = recurrence.dirichlet_neumann(spec, z, hi + 1)
+    f_blocks, _ = jost_chain(spec, z, hi, tol=tol)
     d0_inv = matblock.invert(spec.coefficient_at(0)[0])
     if p <= q:
-        return -phi.block(p) @ d0_inv @ f_track.block(q).T
-    return -f_track.block(p) @ d0_inv @ phi.block(q).T
+        return -phi.block(p) @ d0_inv @ f_blocks[q].T
+    return -f_blocks[p] @ d0_inv @ phi.block(q).T
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +375,14 @@ class BoundaryRank:
     stabilized_rung: int | None
     trace_growth: float
     indeterminate: bool
+    depths: tuple = ()  # converged descent depth of each rung
+    last_deltas: tuple = ()  # final Cauchy delta of each rung
 
     def flags(self):
         return [] if not self.indeterminate else ["rank-indeterminate"]
 
 
-def _ladder_verdict(x, y_ladder, eig_list, tau_rel, rel_change=0.2):
+def _ladder_verdict(x, y_ladder, eig_list, tau_rel, depths=(), last_deltas=(), rel_change=0.2):
     # An eigenvalue is retained at rung k when it clears the relative cut
     # AND persists (< 20% move) from the previous rung; eigenvalues heading
     # to zero with y shrink by ~ y_k/y_{k-1} per rung and drop out even
@@ -370,6 +417,8 @@ def _ladder_verdict(x, y_ladder, eig_list, tau_rel, rel_change=0.2):
         stabilized_rung=stabilized,
         trace_growth=-slope,
         indeterminate=stabilized is None,
+        depths=tuple(depths),
+        last_deltas=tuple(last_deltas),
     )
 
 
@@ -386,54 +435,98 @@ def im_m_boundary(spec, x, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
     y_ladder = tuple(float(y) for y in y_ladder)
     if any(b >= a for a, b in zip(y_ladder, y_ladder[1:])) or y_ladder[-1] <= 0:
         raise InvalidInputError("y ladder must be strictly decreasing and positive")
-    eig_list = []
-    for y in y_ladder:
-        m = m_riccati(spec, complex(x, y), tol=tol)
-        eig_list.append(np.linalg.eigvalsh(m.m.imag))
-    return _ladder_verdict(x, y_ladder, eig_list, tau_rel)
+    rungs = [m_riccati(spec, complex(x, y), tol=tol) for y in y_ladder]
+    return _ladder_verdict(
+        x,
+        y_ladder,
+        [np.linalg.eigvalsh(m.m.imag) for m in rungs],
+        tau_rel,
+        [m.depth for m in rungs],
+        [m.last_delta for m in rungs],
+    )
 
 
 # Batched ladder over an energy grid (shared by the scan engine).
 
 
+def m_riccati_rungs(spec, z, tol=1e-8, max_depth=2**17, initial_depth=64):
+    """Riccati descent over a (rungs x energies) grid of z with depth doubling.
+
+    Each doubling runs one descent over every rung that is not yet Cauchy.
+    A rung stops at the first depth where the max over its energies of
+    |M - M_prev|_F is below ``tol``, the same depth it reaches on its own.
+    Returns (m of shape (rungs, energies, l, l), depths, last_deltas).
+    Raises ConvergenceError as soon as a rung's delta is not finite, or
+    when a rung is still not Cauchy at ``max_depth``.
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag < MIN_IM_Z):
+        raise DomainError(f"need y >= {MIN_IM_Z}")
+    rungs, size = z.shape
+    l = spec.dim
+    out = np.empty((rungs, size, l, l), dtype=complex)
+    depths = np.zeros(rungs, dtype=int)
+    deltas = np.full(rungs, np.nan)
+    active = np.arange(rungs)
+    last = np.full(rungs, math.inf)  # latest delta of each active rung
+    prev = None
+    depth = int(initial_depth)
+    while depth <= max_depth and active.size:
+        m, _ = _riccati_descent(spec, z[active].ravel(), depth)
+        m = m.reshape(active.size, size, l, l)
+        if prev is not None:
+            norms = np.sqrt(np.sum(np.abs(m - prev) ** 2, axis=(2, 3)))
+            delta = np.max(norms, axis=1, initial=0.0)
+            bad = ~np.isfinite(delta)
+            if np.any(bad):
+                raise ConvergenceError(
+                    f"riccati descent not finite at depth {depth} "
+                    f"for y = {z[active[bad], 0].imag.tolist()}",
+                    last_delta=float(delta[bad][0]),
+                    depth=depth,
+                )
+            done = delta < tol
+            out[active[done]] = m[done]
+            depths[active[done]] = depth
+            deltas[active[done]] = delta[done]
+            active, m, last = active[~done], m[~done], delta[~done]
+        prev = m
+        depth *= 2
+    if active.size:
+        raise ConvergenceError(
+            f"riccati descent not Cauchy at depth {max_depth} "
+            f"for y = {z[active, 0].imag.tolist()}",
+            last_delta=float(np.max(last)),
+            depth=max_depth,
+        )
+    return out, depths, deltas
+
+
 def m_riccati_grid(spec, xs, y, tol=1e-8, max_depth=2**17, initial_depth=64):
-    """Vectorized riccati descent at z = x_j + iy over a whole grid."""
+    """Vectorized riccati descent at z = x_j + iy over a whole grid.
+
+    One-rung form of :func:`m_riccati_rungs`; returns (m, depth, delta).
+    """
     xs = np.asarray(xs, dtype=float)
     if y < MIN_IM_Z:
         raise DomainError(f"need y >= {MIN_IM_Z}")
-    l = spec.dim
-    z = (xs + 1j * y)[:, None, None]
-    eye = np.eye(l)
-    depth = int(initial_depth)
-    prev = None
-    while depth <= max_depth:
-        m = np.zeros((xs.size, l, l), dtype=complex)
-        for n in range(depth, 0, -1):
-            d_n, v_n = spec.coefficient_at(n)
-            core = (v_n - z * eye) - d_n @ m @ d_n
-            m = matblock.batched_inv(core)
-        if prev is not None:
-            delta = float(np.max(np.sqrt(np.sum(np.abs(m - prev) ** 2, axis=(1, 2)))))
-            if delta < tol:
-                return m, depth, delta
-        prev = m
-        depth *= 2
-    raise ConvergenceError(
-        f"batched riccati not Cauchy at depth {max_depth} (y = {y})",
-        last_delta=None,
-        depth=max_depth,
+    m, depths, deltas = m_riccati_rungs(
+        spec, (xs + 1j * y)[None, :], tol, max_depth, initial_depth
     )
+    return m[0], int(depths[0]), float(deltas[0])
 
 
 def im_m_boundary_grid(spec, xs, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
+    """:func:`im_m_boundary` over a grid, all rungs in one fused descent."""
     xs = np.asarray(xs, dtype=float)
     y_ladder = tuple(float(y) for y in y_ladder)
-    eigs = np.empty((len(y_ladder), xs.size, spec.dim))
-    for i, y in enumerate(y_ladder):
-        m, _, _ = m_riccati_grid(spec, xs, y, tol=tol)
-        eigs[i] = np.linalg.eigvalsh(m.imag)
+    z = xs[None, :] + 1j * np.asarray(y_ladder)[:, None]
+    m, depths, deltas = m_riccati_rungs(spec, z, tol=tol)
+    eigs = np.linalg.eigvalsh(m.imag)
+    depths = tuple(int(d) for d in depths)
+    deltas = tuple(float(d) for d in deltas)
     return [
-        _ladder_verdict(xs[j], y_ladder, [eigs[i, j] for i in range(len(y_ladder))], tau_rel)
+        _ladder_verdict(xs[j], y_ladder, list(eigs[:, j]), tau_rel, depths, deltas)
         for j in range(xs.size)
     ]
 

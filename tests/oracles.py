@@ -118,3 +118,29 @@ def green_sum_direct(spec, z, m, n, track_a, track_b):
     w_m = track_a.block(m - 1).T @ d_m @ track_b.block(m) - track_a.block(m).T @ d_m @ track_b.block(m - 1)
     w_n1 = track_a.block(n).T @ d_n @ track_b.block(n + 1) - track_a.block(n + 1).T @ d_n @ track_b.block(n)
     return float(np.sqrt(np.sum(np.abs(total - (w_n1 - w_m)) ** 2)))
+
+
+def riccati_grid_direct(spec, xs, y, tol=1e-8, max_depth=2**17, initial_depth=64):
+    """Per-rung Riccati descent with full-block inverses, depth doubling.
+
+    Returns (m, depth, delta) like ``weyl.m_riccati_grid``: every step
+    inverts the whole l x l blocks with numpy, no componentwise forms.
+    """
+    xs = np.asarray(xs, dtype=float)
+    l = spec.dim
+    z = (xs + 1j * y)[:, None, None]
+    eye = np.eye(l)
+    depth = initial_depth
+    prev = None
+    while depth <= max_depth:
+        m = np.zeros((xs.size, l, l), dtype=complex)
+        for n in range(depth, 0, -1):
+            d_n, v_n = spec.coefficient_at(n)
+            m = np.linalg.inv((v_n - z * eye) - d_n @ m @ d_n)
+        if prev is not None:
+            delta = float(np.max(np.sqrt(np.sum(np.abs(m - prev) ** 2, axis=(1, 2)))))
+            if delta < tol:
+                return m, depth, delta
+        prev = m
+        depth *= 2
+    raise AssertionError("reference descent not Cauchy")

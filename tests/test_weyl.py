@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from jacobispec import matblock, models, recurrence, weyl
-from jacobispec.errors import DomainError
+from jacobispec.errors import ConvergenceError, DomainError
 
-from oracles import dense_halfline_matrix
+from oracles import dense_halfline_matrix, riccati_grid_direct
 
 
 def m_free_exact(z):
@@ -99,28 +99,29 @@ def test_green_corner_equals_m(free1, random_bounded2):
     for spec in (free1, random_bounded2):
         z = 0.25 + 0.15j
         m_val = weyl.m_riccati(spec, z, tol=1e-12)
-        g11 = weyl.green_block(spec, 1, 1, z, m_weyl=m_val)
+        g11 = weyl.green_block(spec, 1, 1, z)
         assert fro(g11 - m_val.m) <= 1e-10 * max(1.0, fro(m_val.m))
 
 
 def test_green_symmetry(random_bounded2):
     z = -0.5 + 0.2j
-    m_val = weyl.m_riccati(random_bounded2, z, tol=1e-12)
     rng = np.random.default_rng(18)
     for _ in range(6):
         p, q = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-        gpq = weyl.green_block(random_bounded2, p, q, z, m_weyl=m_val)
-        gqp = weyl.green_block(random_bounded2, q, p, z, m_weyl=m_val)
+        gpq = weyl.green_block(random_bounded2, p, q, z)
+        gqp = weyl.green_block(random_bounded2, q, p, z)
         assert fro(gpq - gqp.T) <= 1e-9 * max(1.0, fro(gpq))
 
 
 def test_green_reproduces_resolvent_action(random_bounded2):
     z = 0.35 + 0.2j
     l = random_bounded2.dim
-    m_val = weyl.m_riccati(random_bounded2, z, tol=1e-12)
     n_blocks = 400
     big = dense_halfline_matrix(random_bounded2, n_blocks)
     inv = np.linalg.inv(big - z * np.eye(n_blocks * l))
+    blocks = {
+        (p, q): weyl.green_block(random_bounded2, p, q, z) for p in (1, 2, 5, 9) for q in range(1, 14)
+    }
     rng = np.random.default_rng(19)
     for _ in range(5):
         u = np.zeros(n_blocks * l, dtype=complex)
@@ -131,21 +132,33 @@ def test_green_reproduces_resolvent_action(random_bounded2):
         for p in (1, 2, 5, 9):
             got = np.zeros(l, dtype=complex)
             for q in range(1, 14):
-                got += weyl.green_block(random_bounded2, p, q, z, m_weyl=m_val) @ u[(q - 1) * l : q * l]
+                got += blocks[p, q] @ u[(q - 1) * l : q * l]
             assert np.linalg.norm(got - want[(p - 1) * l : p * l]) <= 1e-8
 
 
 def test_green_column_decay_matches_dense(free1):
     z = 0.3 + 0.4j
-    m_val = weyl.m_riccati(free1, z, tol=1e-12)
     n_blocks = 300
     big = dense_halfline_matrix(free1, n_blocks)
     inv = np.linalg.inv(big - z * np.eye(n_blocks))
-    col = [abs(weyl.green_block(free1, 1, q, z, m_weyl=m_val)[0, 0]) for q in range(1, 20)]
+    col = [abs(weyl.green_block(free1, 1, q, z)[0, 0]) for q in range(1, 20)]
     dense_col = [abs(inv[0, q - 1]) for q in range(1, 20)]
     assert np.allclose(col, dense_col, rtol=1e-8)
     ratios = [col[i + 1] / col[i] for i in range(5, 18)]
     assert max(ratios) < 1.0  # geometric decay along the row
+
+
+def test_green_far_column_matches_dense_solve(free1):
+    # G(1, q) for q deep in the decaying tail, where assembling the Jost
+    # solution as psi - phi M D0 loses digits exponentially in q
+    z = 0.5 + 0.05j
+    n_blocks = 1400
+    e1 = np.zeros(n_blocks, dtype=complex)
+    e1[0] = 1.0
+    col = np.linalg.solve(dense_halfline_matrix(free1, n_blocks) - z * np.eye(n_blocks), e1)
+    for q in (40, 160, 320):
+        got = weyl.green_block(free1, 1, q, z)[0, 0]
+        assert abs(got - col[q - 1]) <= 1e-12 * abs(col[q - 1])
 
 
 def test_jost_chain_matches_direct_assembly(random_bounded2):
@@ -201,6 +214,61 @@ def test_riccati_grid_matches_single(random_bounded2):
     for j, x in enumerate(xs):
         single = weyl.m_riccati(random_bounded2, complex(x, 0.05), tol=1e-10)
         assert fro(m_grid[j] - single.m) <= 1e-8
+
+
+def random_periodic3(seed=7, period=3):
+    """Validated random l = 3 periodic model (matmul path of the descent)."""
+    rng = np.random.default_rng(seed)
+    ds, vs = [], []
+    for _ in range(period):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        d = q @ np.diag(rng.uniform(0.7, 1.4, size=3)) @ q.T
+        v = rng.uniform(-0.8, 0.8, size=(3, 3))
+        ds.append((d + d.T) / 2)
+        vs.append((v + v.T) / 2)
+    return models.PeriodicSpec(tuple(ds), tuple(vs))
+
+
+@pytest.mark.parametrize("name", ["free1", "diag01", "random_bounded2", "periodic3"])
+def test_fused_ladder_matches_per_rung_descents(name, request):
+    spec = random_periodic3() if name == "periodic3" else request.getfixturevalue(name)
+    xs = np.linspace(-3.2, 3.2, 9)
+    ladder = (0.1, 0.05, 0.03)
+    fused = weyl.im_m_boundary_grid(spec, xs, ladder)
+    eigs = []
+    for i, y in enumerate(ladder):
+        m, depth, delta = weyl.m_riccati_grid(spec, xs, y)
+        m_ref, depth_ref, _ = riccati_grid_direct(spec, xs, y)
+        assert depth == depth_ref
+        assert np.max(np.abs(m - m_ref)) <= 1e-12
+        # rung data kept on every verdict is what the one-rung call returns
+        assert all(r.depths[i] == depth and r.last_deltas[i] == delta for r in fused)
+        eigs.append(np.linalg.eigvalsh(m_ref.imag))
+    for j, got in enumerate(fused):
+        ref = weyl._ladder_verdict(xs[j], ladder, [e[j] for e in eigs], 1e-3)
+        assert (got.ranks, got.rank) == (ref.ranks, ref.rank)
+        assert np.max(np.abs(np.array(got.eigenvalues) - np.array(ref.eigenvalues))) <= 1e-12
+
+
+class _PoisonedSpec:
+    """Duck-typed l = 2 family with a NaN potential at one index."""
+
+    dim = 2
+
+    def coefficient_at(self, n):
+        v = np.full((2, 2), np.nan) if n == 5 else np.diag([0.0, 1.0])
+        return np.eye(2), v
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_rung_raises_at_first_comparison():
+    xs = np.linspace(-1.0, 1.0, 4)
+    with pytest.raises(ConvergenceError) as exc:
+        weyl.m_riccati_grid(_PoisonedSpec(), xs, 0.1)
+    assert exc.value.depth == 128
+    with pytest.raises(ConvergenceError) as exc:
+        weyl.im_m_boundary_grid(_PoisonedSpec(), xs, (0.1, 0.03))
+    assert exc.value.depth == 128
 
 
 def test_resolvent_cauchy_once_converged(random_bounded2):
