@@ -18,47 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matblock, models, recurrence, scaling, weyl
-from .errors import InvalidInputError
+from .errors import InvalidInputError, JacobiSpecError
 
 DEFAULT_L_GRID = tuple(2**k for k in range(8, 17))
 OVERFLOW_LOG2 = 830.0  # log2 of ~1e250; C_r beyond this is flagged unbounded
-# Sliding blocks are renormalized once they leave 2^+-120, checked every 8
-# steps; this keeps every intermediate of the closed-form singular values
-# finite for per-step growth factors up to ~1e4.
-_RESCALE_LOG2 = 120
-_RESCALE_EVERY = 8
-
-
-def _coefficient_cursor(spec):
-    """Per-step (D_n, D_n^-1, V_n) with caching for periodic families."""
-    period = getattr(spec, "period", None)
-    if period is not None:
-        cache = {}
-        for r in range(period):
-            d, v = spec.coefficient_at(r)
-            cache[r] = (d, np.linalg.inv(d), v)
-        return lambda n: cache[n % period]
-
-    memo = {}
-
-    def cursor(n):
-        got = memo.get(n)
-        if got is None:
-            d, v = spec.coefficient_at(n)
-            got = (d, np.linalg.inv(d), v)
-            if len(memo) < 4:
-                memo[n] = got
-        return got
-
-    return cursor
 
 
 def _cesaro_sums(spec, xs, l_grid):
     """log2 of C_r(L) on the grid, streamed over a whole energy batch.
 
-    Returns (log2_c, max_log2) with log2_c of shape (len(l_grid), B, l);
-    the trailing axis is ordered by descending singular index (column j
-    holds s_{j+1}), so C_r lives in column l - r.
+    Returns log2_c of shape (len(l_grid), B, l); the trailing axis is
+    ordered by descending singular index (column j holds s_{j+1}), so C_r
+    lives in column l - r.
     """
     xs = np.asarray(xs, dtype=float)
     batch = xs.size
@@ -66,56 +37,38 @@ def _cesaro_sums(spec, xs, l_grid):
     l_grid = tuple(int(v) for v in l_grid)
     if not l_grid or any(b <= a for a, b in zip(l_grid, l_grid[1:])) or l_grid[0] < 2:
         raise InvalidInputError("cutoff grid must be increasing integers >= 2")
-    cursor = _coefficient_cursor(spec)
     eye = np.eye(l)
     prev = np.zeros((2 * batch, l, l))
     prev[batch:] = eye
     cur = np.zeros_like(prev)
     cur[:batch] = eye
-    exp2 = np.zeros(2 * batch, dtype=np.int64)
+    ledger = np.zeros(2 * batch, dtype=np.int64)
     acc_m = np.zeros((batch, l))
     acc_e = np.zeros((batch, l), dtype=np.int64)
     # raw mantissa-scale sums since the last fold; folded into the scaled
     # accumulator only at rescale events and checkpoints
     buf = np.zeros((2 * batch, l))
-    x2 = np.concatenate([xs, xs])[:, None, None]
     out = np.empty((len(l_grid), batch, l))
     ck = 0
-    l_max = l_grid[-1]
 
     def fold():
         nonlocal acc_m, acc_e
-        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[:batch], 2 * exp2[:batch, None])
-        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[batch:], 2 * exp2[batch:, None])
+        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[:batch], 2 * ledger[:batch, None])
+        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[batch:], 2 * ledger[batch:, None])
         buf[:] = 0.0
 
-    for n in range(1, l_max + 1):
-        buf += matblock.batched_singular_sq(cur)
+    steps = recurrence.forward(spec, np.concatenate([xs, xs]), prev, cur, 1, ledger)
+    for n, blocks, exp2 in steps:
+        if exp2 is not ledger:
+            fold()
+            ledger = exp2
+        buf += matblock.batched_singular_sq(blocks)
         if n == l_grid[ck]:
             fold()
             out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
             ck += 1
             if ck == len(l_grid):
-                break
-        d_n, d_inv, v_n = cursor(n)
-        d_prev = cursor(n - 1)[0]
-        nxt = d_inv @ (x2 * cur - v_n @ cur - d_prev @ prev)
-        prev, cur = cur, nxt
-        if n % _RESCALE_EVERY == 0:
-            pair = np.maximum(
-                np.max(np.abs(cur.reshape(2 * batch, -1)), axis=1),
-                np.max(np.abs(prev.reshape(2 * batch, -1)), axis=1),
-            )
-            hot = (pair > 2.0**_RESCALE_LOG2) | ((pair > 0) & (pair < 2.0**-_RESCALE_LOG2))
-            if np.any(hot):
-                fold()
-                _, e = np.frexp(pair)
-                shift = np.where(hot, e, 0).astype(np.int64)
-                factor = np.ldexp(1.0, -shift)[:, None, None]
-                cur = cur * factor
-                prev = prev * factor
-                exp2 = exp2 + shift
-    return out
+                return out
 
 
 @dataclass
@@ -165,8 +118,7 @@ def _fit_profiles(xs, log2_c, l_grid, dim):
 
 def cesaro_profile(spec, x, l_grid=DEFAULT_L_GRID):
     """Cesaro growth profile of one energy (see module docstring)."""
-    log2_c = _cesaro_sums(spec, np.array([float(x)]), l_grid)
-    return _fit_profiles([x], log2_c, l_grid, spec.dim)[0]
+    return cesaro_profiles_grid(spec, [x], l_grid)[0]
 
 
 def cesaro_profiles_grid(spec, xs, l_grid=DEFAULT_L_GRID):
@@ -329,16 +281,21 @@ def _chunk_records(spec, xs, params):
     return records
 
 
+# Numeric failures at an energy become error rows; anything else is a
+# programming error and propagates.
+_POINT_FAILURES = (JacobiSpecError, np.linalg.LinAlgError, FloatingPointError)
+
+
 def _chunk_safe(spec, xs, params):
     try:
         return _chunk_records(spec, xs, params)
-    except Exception:
+    except _POINT_FAILURES:
         # isolate the failing energies; a bad point must not sink the scan
         records = []
         for x in xs:
             try:
                 records.extend(_chunk_records(spec, np.array([x]), params))
-            except Exception as exc:  # noqa: BLE001 - recorded, not raised
+            except _POINT_FAILURES as exc:
                 records.append(
                     ScanRecord(
                         x=float(x),

@@ -431,6 +431,15 @@ def coefficient_at(spec, n: int):
     return spec.coefficient_at(n)
 
 
+def coefficient_tape(spec, prepare):
+    """n -> prepare(D_n, V_n), evaluated once per residue for periodic families."""
+    period = getattr(spec, "period", None)
+    if period is None:
+        return lambda n: prepare(*spec.coefficient_at(n))
+    table = [prepare(*spec.coefficient_at(r)) for r in range(period)]
+    return lambda n: table[n % period]
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis validation and the limit-point sufficient condition.
 

@@ -4,26 +4,28 @@ The eigenvalue recurrence
 
     D_n B_{n+1} + D_{n-1} B_{n-1} + (V_n - z) B_n = 0
 
-is propagated block-by-block. Outside the AC region solutions grow
-exponentially, so a track stores each block as a float mantissa plus a
-power-of-two exponent: whenever the running pair's Frobenius norm leaves
-[1e-100, 1e100] both sliding blocks are rescaled by a power of two and the
-shift is recorded. Norms and singular values are exact in this (mantissa,
-exponent) representation; plain-float accessors raise TrackOverflowError
-once a value no longer fits.
+is stepped by one batched kernel, :func:`forward`, which every track and
+every Cesaro sweep runs on. Outside the AC region solutions grow
+exponentially, so blocks are kept as a float mantissa plus a power-of-two
+exponent: every 8 steps (at absolute indices n = 0 mod 8) the sliding pair
+is checked, and once its largest entry leaves [2^-120, 2^120] both blocks
+are shifted by a power of two and the shift is recorded. Norms and
+singular values are exact in this (mantissa, exponent) representation;
+plain-float accessors raise TrackOverflowError once a value no longer fits.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import matblock, scaling
+from . import matblock, models, scaling
 from .errors import DomainError, InvalidInputError, SingularBlockError, TrackOverflowError
 
-RESCALE_HIGH = 1e100
-RESCALE_LOW = 1e-100
+# Largest entries are kept within 2^+-120, checked every 8 steps; this keeps
+# every intermediate of the closed-form singular values finite for per-step
+# growth factors up to ~1e4.
+_RESCALE_LOG2 = 120
+_RESCALE_EVERY = 8
 
 
 def _as_z(z):
@@ -131,73 +133,102 @@ class SolutionTrack:
         b_prev = np.ldexp(1.0, max(shift, -1074)) * self.blocks[-2]
         blocks, exp2 = _propagate(
             self.spec,
-            self.z,
+            np.array([self.z]),
             self.n_max,
             n_new,
-            b_prev,
-            self.blocks[-1].copy(),
-            e_last,
+            b_prev[None],
+            self.blocks[-1][None],
+            np.array([e_last], dtype=np.int64),
         )
-        full_blocks = np.concatenate((self.blocks[:-1], blocks), axis=0)
-        full_exp = np.concatenate((self.exp2[:-1], exp2))
+        full_blocks = np.concatenate((self.blocks[:-1], blocks[:, 0]), axis=0)
+        full_exp = np.concatenate((self.exp2[:-1], exp2[:, 0]))
         return SolutionTrack(self.spec, self.z, full_blocks, full_exp, kind=self.kind)
 
 
-def _propagate(spec, z, n_start, n_stop, b_prev, b_cur, exp_cur):
-    """Run the recurrence from index n_start up to n_stop inclusive.
+def _with_inverse(d, v):
+    try:
+        return d, np.linalg.inv(d), v
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlockError("a D_n block is singular, recurrence stops") from exc
 
-    ``b_prev``/``b_cur`` are blocks n_start-1 and n_start at common scale
-    2**exp_cur. Returns blocks[n_start..n_stop] and their exponents.
+
+def _pow2_shift(mags):
+    """Exponents that bring magnitudes back into [2^-120, 2^120].
+
+    Returns the int64 frexp exponent of every positive entry of ``mags``
+    outside that range (0 for the others), or None when all are inside.
+    """
+    hot = (mags > 2.0**_RESCALE_LOG2) | ((mags > 0) & (mags < 2.0**-_RESCALE_LOG2))
+    if not np.any(hot):
+        return None
+    _, e = np.frexp(mags)
+    return np.where(hot, e, 0).astype(np.int64)
+
+
+def forward(spec, zs, b_prev, b_cur, n_start, exp2):
+    """Step the recurrence forward for a batch of energies.
+
+    ``zs`` holds N energies; ``b_prev``/``b_cur`` are the (N, l, l) blocks
+    n_start - 1 and n_start, entry j at scale 2**exp2[j] (int64 ledger).
+    Yields (n, B_n mantissas, ledger) for n = n_start, n_start + 1, ...
+    without end; a step is only taken when the next item is requested.
+    B_{n+1} = D_n^-1 (z B_n - V_n B_n - D_{n-1} B_{n-1}); after the step
+    from an index n = 0 mod 8 the pair is shifted by :func:`_pow2_shift` of
+    its largest entry. The ledger array is replaced, never mutated, at each
+    shift, so a caller detects a rescale by identity.
+    """
+    tape = models.coefficient_tape(spec, _with_inverse)
+    zz = np.asarray(zs)[:, None, None]
+    d_prev = tape(n_start - 1)[0]
+    n = n_start
+    while True:
+        yield n, b_cur, exp2
+        d_n, d_inv, v_n = tape(n)
+        b_prev, b_cur = b_cur, d_inv @ (zz * b_cur - v_n @ b_cur - d_prev @ b_prev)
+        if n % _RESCALE_EVERY == 0:
+            pair = np.abs(np.concatenate((b_prev, b_cur), axis=1)).reshape(len(b_cur), -1)
+            shift = _pow2_shift(pair.max(axis=1))
+            if shift is not None:
+                factor = np.ldexp(1.0, -shift)[:, None, None]
+                b_cur = b_cur * factor
+                b_prev = b_prev * factor
+                exp2 = exp2 + shift
+        d_prev = d_n
+        n += 1
+
+
+def _propagate(spec, zs, n_start, n_stop, b_prev, b_cur, exp2):
+    """Blocks n_start..n_stop of every batch entry from :func:`forward`.
+
+    Returns mantissas of shape (count, N, l, l) and exponents (count, N).
     """
     count = n_stop - n_start + 1
     blocks = np.empty((count,) + b_cur.shape, dtype=b_cur.dtype)
-    exp2 = np.empty(count, dtype=np.int64)
-    blocks[0] = b_cur
-    exp2[0] = exp_cur
-    eye = np.eye(spec.dim, dtype=b_cur.dtype)
-    d_prev = spec.coefficient_at(n_start - 1)[0] if n_start >= 1 else None
-    for i, n in enumerate(range(n_start, n_stop)):
-        d_n, v_n = spec.coefficient_at(n)
-        if d_prev is None:
-            d_prev = spec.coefficient_at(n - 1)[0]
-        rhs = (z * eye - v_n) @ b_cur - d_prev @ b_prev
-        try:
-            b_next = np.linalg.solve(d_n, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBlockError(f"D_{n} is singular, recurrence stops") from exc
-        nrm = math.sqrt(float(np.sum(np.abs(b_next) ** 2)))
-        if nrm > RESCALE_HIGH or (0.0 < nrm < RESCALE_LOW and float(np.max(np.abs(b_cur))) < RESCALE_LOW):
-            shift = int(math.ceil(math.log2(nrm)))
-            factor = np.ldexp(1.0, -shift)
-            b_next = b_next * factor
-            b_cur = b_cur * factor
-            exp_cur += shift
-        b_prev = b_cur
-        b_cur = b_next
-        d_prev = d_n
-        blocks[i + 1] = b_cur
-        exp2[i + 1] = exp_cur
-    return blocks, exp2
-
-
-def _build_track(spec, z, n_max, b0, b1, kind):
-    z = _as_z(z)
-    dtype = complex if isinstance(z, complex) else float
-    b0 = np.asarray(b0, dtype=dtype)
-    b1 = np.asarray(b1, dtype=dtype)
-    blocks, exp2 = _propagate(spec, z, 1, n_max, b0, b1, 0)
-    full = np.concatenate((b0[None], blocks), axis=0)
-    exps = np.concatenate(([np.int64(0)], exp2))
-    return SolutionTrack(spec, z, full, exps, kind=kind)
+    exps = np.empty((count, b_cur.shape[0]), dtype=np.int64)
+    steps = forward(spec, zs, b_prev, b_cur, n_start, exp2)
+    for i, (_, b, e) in zip(range(count), steps):
+        blocks[i] = b
+        exps[i] = e
+    return blocks, exps
 
 
 def dirichlet_neumann(spec, z, n_max):
     """Dirichlet (0, I) and Neumann (I, 0) matrix solutions up to index n_max."""
     if n_max < 2:
         raise InvalidInputError("need n_max >= 2")
+    z = _as_z(z)
     l = spec.dim
-    phi = _build_track(spec, z, n_max, np.zeros((l, l)), np.eye(l), kind="dirichlet")
-    psi = _build_track(spec, z, n_max, np.eye(l), np.zeros((l, l)), kind="neumann")
+    b0 = np.zeros((2, l, l), dtype=complex if isinstance(z, complex) else float)
+    b1 = np.zeros_like(b0)
+    b0[1] = b1[0] = np.eye(l)
+    exp2 = np.zeros(2, dtype=np.int64)
+    blocks, exps = _propagate(spec, np.full(2, z), 1, n_max, b0, b1, exp2)
+    blocks = np.concatenate((b0[None], blocks))
+    exps = np.concatenate((exp2[None], exps))
+    phi, psi = (
+        SolutionTrack(spec, z, blocks[:, k], exps[:, k], kind=kind)
+        for k, kind in enumerate(("dirichlet", "neumann"))
+    )
     return phi, psi
 
 
@@ -244,8 +275,8 @@ def lift_pair(u_n, u_prev, d_prev):
 def cocycle_product(spec, z, n):
     """A_n = alpha_{n-1} ... alpha_1 (A_0 = A_1 = I), with exponent ledger.
 
-    Returns (mantissa matrix, exp2); the product is rescaled by powers of
-    two whenever its Frobenius norm exceeds 1e100.
+    Returns (mantissa matrix, exp2); the product is shifted by a power of
+    two (:func:`_pow2_shift`) whenever its largest entry leaves 2^+-120.
     """
     acc, exp2 = cocycle_products(spec, np.array([_as_z(z)]), n)
     return acc[0], int(exp2[0])
@@ -268,11 +299,8 @@ def cocycle_products(spec, zs, n):
     for k in range(1, n):
         d_k, v_k = spec.coefficient_at(k)
         acc = _transfer_steps(d_k, v_k, zs) @ acc
-        nrm = np.sqrt(np.sum(np.abs(acc) ** 2, axis=(1, 2)))
-        hot = nrm > RESCALE_HIGH
-        if np.any(hot):
-            shift = np.zeros(zs.size, dtype=np.int64)
-            shift[hot] = np.ceil(np.log2(nrm[hot]))
+        shift = _pow2_shift(np.max(np.abs(acc), axis=(1, 2)))
+        if shift is not None:
             acc = acc * np.ldexp(1.0, -shift)[:, None, None]
             exp2 += shift
     return acc, exp2

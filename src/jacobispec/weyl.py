@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import matblock, recurrence, truncnorm
+from . import matblock, models, recurrence, truncnorm
 from .errors import ConvergenceError, DomainError, InvalidInputError
 
 MIN_IM_Z = 1e-8
@@ -39,6 +39,7 @@ class WeylM:
     method: str
     depth: int
     last_delta: float
+    bumped: bool = False  # Im z was raised to the domain floor or past a solve breakdown
 
     def __post_init__(self):
         sym = matblock.frobenius_norm(self.m - self.m.T)
@@ -77,15 +78,6 @@ def _require_upper(z):
 _SYM_INDEX = {1: ((0, 0),), 2: ((0, 0), (0, 1), (1, 1))}
 
 
-def _coefficient_tape(spec, prepare):
-    """n -> prepare(D_n, V_n), evaluated once per residue for periodic families."""
-    period = getattr(spec, "period", None)
-    if period is None:
-        return lambda n: prepare(*spec.coefficient_at(n))
-    table = [prepare(*spec.coefficient_at(r)) for r in range(period)]
-    return lambda n: table[n % period]
-
-
 def _sandwich_weights(d):
     """W with (D M D)_c = sum_k W[c, k] m_k on the symmetric components of M,
     or None when W is the identity (D = I costs no arithmetic)."""
@@ -118,7 +110,7 @@ def _riccati_descent(spec, z, depth, collect_to=0):
     l = spec.dim
     chain = [None] * (collect_to + 1) if collect_to else None
     if l > 2:
-        step = _coefficient_tape(spec, lambda d, v: (d, v))
+        step = models.coefficient_tape(spec, lambda d, v: (d, v))
         zz = z[:, None, None] * np.eye(l)
         m = np.zeros((z.size, l, l), dtype=complex)
         for n in range(depth, 0, -1):
@@ -129,7 +121,7 @@ def _riccati_descent(spec, z, depth, collect_to=0):
         return m, chain
 
     idx = _SYM_INDEX[l]
-    step = _coefficient_tape(
+    step = models.coefficient_tape(
         spec,
         lambda d, v: (_sandwich_weights(d), tuple(float(v[i, j]) for i, j in idx)),
     )
@@ -222,9 +214,7 @@ def m_resolvent(spec, z, n_blocks=None, tol=1e-10, max_blocks=2**17, initial_blo
         if n_blocks < 8:
             raise InvalidInputError("need at least 8 blocks")
         m, hit_guard = _corner_block_guarded(spec, z, n_blocks)
-        out = WeylM(z, m, "resolvent", n_blocks, float("nan"))
-        out.bumped = bumped or hit_guard
-        return out
+        return WeylM(z, m, "resolvent", n_blocks, float("nan"), bumped or hit_guard)
     n = int(initial_blocks)
     prev = None
     while n <= max_blocks:
@@ -233,9 +223,7 @@ def m_resolvent(spec, z, n_blocks=None, tol=1e-10, max_blocks=2**17, initial_blo
         if prev is not None:
             delta = matblock.frobenius_norm(m - prev)
             if delta < tol:
-                out = WeylM(z, m, "resolvent", n, float(delta))
-                out.bumped = bumped
-                return out
+                return WeylM(z, m, "resolvent", n, float(delta), bumped)
         prev = m
         n *= 2
     delta = matblock.frobenius_norm(m - prev) if prev is not None else math.inf
@@ -430,20 +418,11 @@ def im_m_boundary(spec, x, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
     consecutive rungs, retained eigenvalues moving < 20%). A ladder that
     never stabilizes yields rank None and ``indeterminate``. The trace
     growth exponent g (tr Im M ~ y^-g as y drops) doubles as a
-    singular-support indicator.
+    singular-support indicator. Batch-of-one form of
+    :func:`im_m_boundary_grid`, so each rung's descent depth is capped at
+    the grid's 2^17 (``m_riccati`` alone goes to 2^18).
     """
-    y_ladder = tuple(float(y) for y in y_ladder)
-    if any(b >= a for a, b in zip(y_ladder, y_ladder[1:])) or y_ladder[-1] <= 0:
-        raise InvalidInputError("y ladder must be strictly decreasing and positive")
-    rungs = [m_riccati(spec, complex(x, y), tol=tol) for y in y_ladder]
-    return _ladder_verdict(
-        x,
-        y_ladder,
-        [np.linalg.eigvalsh(m.m.imag) for m in rungs],
-        tau_rel,
-        [m.depth for m in rungs],
-        [m.last_delta for m in rungs],
-    )
+    return im_m_boundary_grid(spec, [x], y_ladder, tau_rel, tol)[0]
 
 
 # Batched ladder over an energy grid (shared by the scan engine).
@@ -471,27 +450,30 @@ def m_riccati_rungs(spec, z, tol=1e-8, max_depth=2**17, initial_depth=64):
     last = np.full(rungs, math.inf)  # latest delta of each active rung
     prev = None
     depth = int(initial_depth)
-    while depth <= max_depth and active.size:
-        m, _ = _riccati_descent(spec, z[active].ravel(), depth)
-        m = m.reshape(active.size, size, l, l)
-        if prev is not None:
-            norms = np.sqrt(np.sum(np.abs(m - prev) ** 2, axis=(2, 3)))
-            delta = np.max(norms, axis=1, initial=0.0)
-            bad = ~np.isfinite(delta)
-            if np.any(bad):
-                raise ConvergenceError(
-                    f"riccati descent not finite at depth {depth} "
-                    f"for y = {z[active[bad], 0].imag.tolist()}",
-                    last_delta=float(delta[bad][0]),
-                    depth=depth,
-                )
-            done = delta < tol
-            out[active[done]] = m[done]
-            depths[active[done]] = depth
-            deltas[active[done]] = delta[done]
-            active, m, last = active[~done], m[~done], delta[~done]
-        prev = m
-        depth *= 2
+    # a non-finite coefficient surfaces as the ConvergenceError below, not as
+    # numpy warnings on the way there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while depth <= max_depth and active.size:
+            m, _ = _riccati_descent(spec, z[active].ravel(), depth)
+            m = m.reshape(active.size, size, l, l)
+            if prev is not None:
+                norms = np.sqrt(np.sum(np.abs(m - prev) ** 2, axis=(2, 3)))
+                delta = np.max(norms, axis=1, initial=0.0)
+                bad = ~np.isfinite(delta)
+                if np.any(bad):
+                    raise ConvergenceError(
+                        f"riccati descent not finite at depth {depth} "
+                        f"for y = {z[active[bad], 0].imag.tolist()}",
+                        last_delta=float(delta[bad][0]),
+                        depth=depth,
+                    )
+                done = delta < tol
+                out[active[done]] = m[done]
+                depths[active[done]] = depth
+                deltas[active[done]] = delta[done]
+                active, m, last = active[~done], m[~done], delta[~done]
+            prev = m
+            depth *= 2
     if active.size:
         raise ConvergenceError(
             f"riccati descent not Cauchy at depth {max_depth} "
@@ -516,15 +498,36 @@ def m_riccati_grid(spec, xs, y, tol=1e-8, max_depth=2**17, initial_depth=64):
     return m[0], int(depths[0]), float(deltas[0])
 
 
+def _check_rungs(m, eigs, xs, y_ladder, depths, deltas):
+    """The WeylM guards, vectorised: raise on the first (rung, energy) whose
+    M lost Herglotz positivity or (l >= 3) symmetry."""
+    checks = [(eigs[..., 0] < -HERGLOTZ_EIG_TOL, "Im M lost positivity")]
+    if m.shape[-1] >= 3:  # for l <= 2 the descent carries M as symmetric components
+        defect = np.sqrt(np.sum(np.abs(m - np.swapaxes(m, -1, -2)) ** 2, axis=(-2, -1)))
+        scale = np.maximum(np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1))), 1e-300)
+        checks.append((defect > SYMMETRY_REL_TOL * scale, "m-function lost symmetry"))
+    for bad, what in checks:
+        if np.any(bad):
+            k, j = np.argwhere(bad)[0]
+            raise ConvergenceError(
+                f"{what} at x = {xs[j]}, y = {y_ladder[k]}",
+                last_delta=deltas[k],
+                depth=depths[k],
+            )
+
+
 def im_m_boundary_grid(spec, xs, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
     """:func:`im_m_boundary` over a grid, all rungs in one fused descent."""
     xs = np.asarray(xs, dtype=float)
     y_ladder = tuple(float(y) for y in y_ladder)
+    if any(b >= a for a, b in zip(y_ladder, y_ladder[1:])) or y_ladder[-1] <= 0:
+        raise InvalidInputError("y ladder must be strictly decreasing and positive")
     z = xs[None, :] + 1j * np.asarray(y_ladder)[:, None]
     m, depths, deltas = m_riccati_rungs(spec, z, tol=tol)
     eigs = np.linalg.eigvalsh(m.imag)
     depths = tuple(int(d) for d in depths)
     deltas = tuple(float(d) for d in deltas)
+    _check_rungs(m, eigs, xs, y_ladder, depths, deltas)
     return [
         _ladder_verdict(xs[j], y_ladder, list(eigs[:, j]), tau_rel, depths, deltas)
         for j in range(xs.size)

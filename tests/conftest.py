@@ -41,6 +41,20 @@ def random_bounded2():
 
 
 @pytest.fixture(scope="session")
+def periodic3():
+    """Validated random period-3 l = 3 model (the general-l code paths)."""
+    rng = np.random.default_rng(7)
+    ds, vs = [], []
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        d = q @ np.diag(rng.uniform(0.7, 1.4, size=3)) @ q.T
+        v = rng.uniform(-0.8, 0.8, size=(3, 3))
+        ds.append((d + d.T) / 2)
+        vs.append((v + v.T) / 2)
+    return models.PeriodicSpec(tuple(ds), tuple(vs))
+
+
+@pytest.fixture(scope="session")
 def golden_amo():
     """l = 1 cosine sampling with amplitude 0.5 along the golden rotation."""
     alpha = (np.sqrt(5.0) - 1.0) / 2.0

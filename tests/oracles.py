@@ -5,6 +5,8 @@ hand-rolled cyclic Jacobi sweep, recurrences are recomputed with plain
 floats, truncated sums are naive loops.
 """
 
+import math
+
 import numpy as np
 
 
@@ -144,3 +146,92 @@ def riccati_grid_direct(spec, xs, y, tol=1e-8, max_depth=2**17, initial_depth=64
         prev = m
         depth *= 2
     raise AssertionError("reference descent not Cauchy")
+
+
+def propagate_reference(spec, z, n_max, b0, b1):
+    """Track blocks 0..n_max as (mantissas, exp2), one energy at a time.
+
+    ``np.linalg.solve`` at every step; the pair is rescaled by a power of
+    two whenever the new block's Frobenius norm leaves [1e-100, 1e100].
+    """
+    blocks = np.empty((n_max + 1,) + np.shape(b0), dtype=complex if complex(z).imag else float)
+    exp2 = np.zeros(n_max + 1, dtype=np.int64)
+    blocks[0], blocks[1] = b0, b1
+    b_prev, b_cur = blocks[0].copy(), blocks[1].copy()
+    eye = np.eye(spec.dim)
+    exp_cur = 0
+    for n in range(1, n_max):
+        d_n, v_n = spec.coefficient_at(n)
+        d_prev = spec.coefficient_at(n - 1)[0]
+        b_next = np.linalg.solve(d_n, (z * eye - v_n) @ b_cur - d_prev @ b_prev)
+        nrm = np.sqrt(np.sum(np.abs(b_next) ** 2))
+        if nrm > 1e100 or (0.0 < nrm < 1e-100 and np.max(np.abs(b_cur)) < 1e-100):
+            shift = int(np.ceil(np.log2(nrm)))
+            b_next = b_next * np.ldexp(1.0, -shift)
+            b_cur = b_cur * np.ldexp(1.0, -shift)
+            exp_cur += shift
+        b_prev, b_cur = b_cur, b_next
+        blocks[n + 1] = b_cur
+        exp2[n + 1] = exp_cur
+    return blocks, exp2
+
+
+def cesaro_sums_reference(spec, xs, l_grid):
+    """log2 C_r(L) like ``classify._cesaro_sums``, by a loop of its own.
+
+    Same arithmetic as the production sweep (precomputed D^-1, max-abs
+    2^+-120 rescale every 8 steps, the same scaled sums), written as one
+    hand-rolled loop so the shared stepper can be checked against it bit
+    for bit.
+    """
+    from jacobispec import matblock, scaling
+
+    xs = np.asarray(xs, dtype=float)
+    batch, l = xs.size, spec.dim
+
+    def coeff(n):
+        d, v = spec.coefficient_at(n)
+        return d, np.linalg.inv(d), v
+
+    prev = np.zeros((2 * batch, l, l))
+    prev[batch:] = np.eye(l)
+    cur = np.zeros_like(prev)
+    cur[:batch] = np.eye(l)
+    exp2 = np.zeros(2 * batch, dtype=np.int64)
+    acc_m = np.zeros((batch, l))
+    acc_e = np.zeros((batch, l), dtype=np.int64)
+    buf = np.zeros((2 * batch, l))
+    x2 = np.concatenate([xs, xs])[:, None, None]
+    out = np.empty((len(l_grid), batch, l))
+
+    def fold():
+        nonlocal acc_m, acc_e
+        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[:batch], 2 * exp2[:batch, None])
+        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[batch:], 2 * exp2[batch:, None])
+        buf[:] = 0.0
+
+    ck = 0
+    for n in range(1, l_grid[-1] + 1):
+        buf += matblock.batched_singular_sq(cur)
+        if n == l_grid[ck]:
+            fold()
+            out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
+            ck += 1
+            if ck == len(l_grid):
+                break
+        _, d_inv, v_n = coeff(n)
+        d_prev = coeff(n - 1)[0]
+        prev, cur = cur, d_inv @ (x2 * cur - v_n @ cur - d_prev @ prev)
+        if n % 8 == 0:
+            pair = np.maximum(
+                np.max(np.abs(cur.reshape(2 * batch, -1)), axis=1),
+                np.max(np.abs(prev.reshape(2 * batch, -1)), axis=1),
+            )
+            hot = (pair > 2.0**120) | ((pair > 0) & (pair < 2.0**-120))
+            if np.any(hot):
+                fold()
+                shift = np.where(hot, np.frexp(pair)[1], 0).astype(np.int64)
+                factor = np.ldexp(1.0, -shift)[:, None, None]
+                cur, prev = cur * factor, prev * factor
+                exp2 = exp2 + shift
+    return out

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from jacobispec import classify, models, recurrence
-from jacobispec.errors import InvalidInputError
+from jacobispec.errors import ConvergenceError, InvalidInputError
 
-from oracles import direct_recurrence
+from oracles import cesaro_sums_reference, direct_recurrence
 
 
 def test_cesaro_free_in_band_flat(free1):
@@ -44,10 +44,9 @@ def test_cesaro_matches_direct_recursion(diag01):
 
 
 def test_classify_multiplicity_rules(diag01):
-    prof = classify.cesaro_profile(diag01, -1.5)
+    prof, prof2 = classify.cesaro_profiles_grid(diag01, [-1.5, 0.5])
     r, low = classify.classify_multiplicity(prof)
     assert r == 1
-    prof2 = classify.cesaro_profile(diag01, 0.5)
     assert classify.classify_multiplicity(prof2)[0] == 2
     # threshold monotonicity
     r_tight = classify.classify_multiplicity(prof, slope_threshold=0.05)[0]
@@ -132,9 +131,9 @@ def test_scan_survives_poisoned_point(free1, monkeypatch):
 
     def sabotaged(spec, xs, l_grid):
         if np.any(np.isclose(xs, 0.5)) and len(np.atleast_1d(xs)) == 1:
-            raise RuntimeError("synthetic failure")
+            raise ConvergenceError("synthetic failure")
         if np.any(np.isclose(xs, 0.5)):
-            raise RuntimeError("chunk failure")
+            raise ConvergenceError("chunk failure")
         return original(spec, xs, l_grid)
 
     monkeypatch.setattr(classify, "cesaro_profiles_grid", sabotaged)
@@ -142,6 +141,26 @@ def test_scan_survives_poisoned_point(free1, monkeypatch):
     assert len(records) == 3
     assert records[1].error != "" and "error" in records[1].flags
     assert records[0].error == "" and records[2].error == ""
+
+
+def test_scan_raises_programming_errors(free1, monkeypatch):
+    def broken(spec, xs, l_grid):
+        raise TypeError("not a numeric failure")
+
+    monkeypatch.setattr(classify, "cesaro_profiles_grid", broken)
+    params = classify.ScanParams(l_grid=(64, 128), with_rank=False)
+    with pytest.raises(TypeError):
+        classify.scan_energy_grid(free1, [0.0, 0.5], params)
+
+
+@pytest.mark.parametrize("name, reflected", [("diag01", False), ("golden_amo", False), ("golden_amo", True)])
+def test_cesaro_sums_match_reference_loop(name, reflected, request):
+    spec = request.getfixturevalue(name)
+    spec = models.reflect(spec) if reflected else spec
+    xs = np.linspace(-3.5, 3.5, 29)  # in-band and gap energies alike
+    l_grid = (16, 48, 160, 512)
+    got = classify._cesaro_sums(spec, xs, l_grid)
+    assert np.array_equal(got, cesaro_sums_reference(spec, xs, l_grid))
 
 
 def test_constancy_disguised_periodic():

@@ -4,7 +4,7 @@ import pytest
 from jacobispec import matblock, recurrence, weyl
 from jacobispec.errors import DomainError, InvalidInputError
 
-from oracles import green_sum_direct
+from oracles import green_sum_direct, propagate_reference
 
 
 def fro(a):
@@ -253,3 +253,28 @@ def test_extension_across_rescale_boundary_is_exact(free1):
     fresh, _ = recurrence.dirichlet_neumann(free1, 3.0, 800)
     assert np.array_equal(longer.exp2, fresh.exp2)
     assert np.array_equal(longer.blocks, fresh.blocks)
+
+
+@pytest.mark.parametrize("name", ["random_bounded2", "periodic3"])
+@pytest.mark.parametrize("z", [0.37, 2.9, 0.3 + 0.4j, -1.1 + 0.05j])
+def test_tracks_match_reference_propagation(name, z, request):
+    # batch-of-two kernel (D^-1 @, max-abs rescale) against the per-track
+    # solve loop with its Frobenius rescale rule
+    spec = request.getfixturevalue(name)
+    l = spec.dim
+    phi, psi = recurrence.dirichlet_neumann(spec, z, 200)
+    zero, eye = np.zeros((l, l)), np.eye(l)
+    for track, b0, b1 in ((phi, zero, eye), (psi, eye, zero)):
+        ref, ref_exp = propagate_reference(spec, z, 200, b0, b1)
+        got = track.blocks * np.ldexp(1.0, track.exp2 - ref_exp)[:, None, None]
+        err = np.sqrt(np.sum(np.abs(got - ref) ** 2, axis=(1, 2)))
+        assert np.all(err <= 1e-12 * np.sqrt(np.sum(np.abs(ref) ** 2, axis=(1, 2))))
+
+
+def test_rescaled_log_norms_match_reference(free1):
+    phi, _ = recurrence.dirichlet_neumann(free1, 3.0, 900)
+    ref, ref_exp = propagate_reference(free1, 3.0, 900, np.zeros((1, 1)), np.eye(1))
+    assert min(phi.exp2[-1], ref_exp[-1]) > 900  # many rescales on both sides
+    got = np.log2(np.abs(phi.blocks[1:, 0, 0])) + phi.exp2[1:]
+    want = np.log2(np.abs(ref[1:, 0, 0])) + ref_exp[1:]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from jacobispec import matblock, models, recurrence, weyl
-from jacobispec.errors import ConvergenceError, DomainError
+from jacobispec import matblock, recurrence, weyl
+from jacobispec.errors import ConvergenceError, DomainError, InvalidInputError
 
 from oracles import dense_halfline_matrix, riccati_grid_direct
 
@@ -208,6 +210,30 @@ def test_jl_constants_formulas(free1):
     assert k2 == pytest.approx(22.0)
 
 
+@pytest.mark.parametrize(
+    "name, spoil, what",
+    [
+        ("diag01", np.conj, "Im M lost positivity"),
+        ("periodic3", lambda m: m + np.triu(np.full((3, 3), 1e-3), 1), "m-function lost symmetry"),
+    ],
+    ids=["herglotz", "symmetry"],
+)
+def test_boundary_grid_guards_name_the_point(name, spoil, what, request, monkeypatch):
+    spec = request.getfixturevalue(name)
+    with pytest.raises(InvalidInputError):
+        weyl.im_m_boundary_grid(spec, [0.5], (0.01, 0.1))
+    real = weyl.m_riccati_rungs
+
+    def spoiled(spec, z, **kw):
+        m, depths, deltas = real(spec, z, **kw)
+        m[1, 2] = spoil(m[1, 2])  # second rung, third energy
+        return m, depths, deltas
+
+    monkeypatch.setattr(weyl, "m_riccati_rungs", spoiled)
+    with pytest.raises(ConvergenceError, match=f"{what} at x = 1.25, y = 0.05"):
+        weyl.im_m_boundary_grid(spec, [-1.5, 0.5, 1.25], (0.1, 0.05))
+
+
 def test_riccati_grid_matches_single(random_bounded2):
     xs = np.array([-1.0, 0.0, 2.2])
     m_grid, _, _ = weyl.m_riccati_grid(random_bounded2, xs, 0.05, tol=1e-10)
@@ -216,22 +242,9 @@ def test_riccati_grid_matches_single(random_bounded2):
         assert fro(m_grid[j] - single.m) <= 1e-8
 
 
-def random_periodic3(seed=7, period=3):
-    """Validated random l = 3 periodic model (matmul path of the descent)."""
-    rng = np.random.default_rng(seed)
-    ds, vs = [], []
-    for _ in range(period):
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        d = q @ np.diag(rng.uniform(0.7, 1.4, size=3)) @ q.T
-        v = rng.uniform(-0.8, 0.8, size=(3, 3))
-        ds.append((d + d.T) / 2)
-        vs.append((v + v.T) / 2)
-    return models.PeriodicSpec(tuple(ds), tuple(vs))
-
-
 @pytest.mark.parametrize("name", ["free1", "diag01", "random_bounded2", "periodic3"])
 def test_fused_ladder_matches_per_rung_descents(name, request):
-    spec = random_periodic3() if name == "periodic3" else request.getfixturevalue(name)
+    spec = request.getfixturevalue(name)
     xs = np.linspace(-3.2, 3.2, 9)
     ladder = (0.1, 0.05, 0.03)
     fused = weyl.im_m_boundary_grid(spec, xs, ladder)
@@ -260,15 +273,16 @@ class _PoisonedSpec:
         return np.eye(2), v
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_rung_raises_at_first_comparison():
     xs = np.linspace(-1.0, 1.0, 4)
-    with pytest.raises(ConvergenceError) as exc:
-        weyl.m_riccati_grid(_PoisonedSpec(), xs, 0.1)
-    assert exc.value.depth == 128
-    with pytest.raises(ConvergenceError) as exc:
-        weyl.im_m_boundary_grid(_PoisonedSpec(), xs, (0.1, 0.03))
-    assert exc.value.depth == 128
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the error comes alone
+        with pytest.raises(ConvergenceError) as exc:
+            weyl.m_riccati_grid(_PoisonedSpec(), xs, 0.1)
+        assert exc.value.depth == 128
+        with pytest.raises(ConvergenceError) as exc:
+            weyl.im_m_boundary_grid(_PoisonedSpec(), xs, (0.1, 0.03))
+        assert exc.value.depth == 128
 
 
 def test_resolvent_cauchy_once_converged(random_bounded2):
@@ -316,6 +330,7 @@ def test_resolvent_breakdown_guard_bumps_and_flags(free1, monkeypatch):
             raise np.linalg.LinAlgError("forced pivot breakdown")
         return real(spec, z, n_blocks)
 
+    assert weyl.m_resolvent(free1, 0.5 + 0.1j, n_blocks=128).bumped is False
     monkeypatch.setattr(weyl, "_banded_corner_block", flaky)
     out = weyl.m_resolvent(free1, 0.5 + 0.1j, n_blocks=128)
     assert out.bumped is True
