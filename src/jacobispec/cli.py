@@ -5,7 +5,9 @@
 
 One config file per run; outputs are a task CSV plus report.txt with the
 fully resolved configuration embedded for provenance. Exit codes: 0 ok,
-2 config/schema error, 3 model validation failure, 4 non-convergence.
+2 config/schema error, 3 model validation failure, 4 non-convergence,
+5 a scan wrote error rows (the CSV and report are still written; the
+report counts the error rows by exception type).
 
 ``--threads`` (and ``run_config(threads=...)``) is accepted and ignored:
 every task runs in one thread, with the energy grid as one wide batch,
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,7 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_CONVERGENCE = 4
+EXIT_ROWS_FAILED = 5
 
 
 def _fmt(value) -> str:
@@ -139,8 +143,7 @@ def _task_jl_sweep(cfg, spec, out_dir):
     lines = [",".join(cols)]
     holds = 0
     skipped = 0
-    for x, y in zip(xs, ys):
-        rep = weyl.jl_bounds(spec, x, y, slack=slack)
+    for rep in weyl.jl_bounds_grid(spec, xs, ys, slack=slack):
         if rep.verdict:
             holds += 1
         if rep.verdict is None:
@@ -172,8 +175,14 @@ def _task_scan(cfg, spec, out_dir):
     body = "scan summary:\n" + "\n".join(f"  {k} = {v}" for k, v in sorted(stats.items()))
     if edges:
         body += "\nband edges: " + ", ".join(f"{e:.6f}" for e in edges)
+    # error strings read "<exception type>: <message>"
+    errors = Counter(rec.error.split(":", 1)[0] for rec in records if rec.error)
+    if errors:
+        body += f"\nerror rows: {sum(errors.values())} (" + ", ".join(
+            f"{name}: {count}" for name, count in sorted(errors.items())
+        ) + ")"
     _write_report(out_dir / cfg.output["report"], cfg, body)
-    return EXIT_OK
+    return EXIT_ROWS_FAILED if errors else EXIT_OK
 
 
 def _task_constancy(cfg, spec, out_dir):

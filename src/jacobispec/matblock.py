@@ -134,21 +134,5 @@ def batched_singular_sq(blocks: np.ndarray) -> np.ndarray:
 
 
 def batched_inv(blocks: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of blocks; closed form for l <= 2."""
-    blocks = np.asarray(blocks)
-    l = blocks.shape[-1]
-    if l == 1:
-        return 1.0 / blocks
-    if l == 2:
-        a = blocks[..., 0, 0]
-        b = blocks[..., 0, 1]
-        c = blocks[..., 1, 0]
-        d = blocks[..., 1, 1]
-        det = a * d - b * c
-        out = np.empty_like(blocks)
-        out[..., 0, 0] = d / det
-        out[..., 0, 1] = -b / det
-        out[..., 1, 0] = -c / det
-        out[..., 1, 1] = a / det
-        return out
+    """Inverses of a stack of blocks; LinAlgError if any block is singular."""
     return np.linalg.inv(blocks)

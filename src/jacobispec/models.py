@@ -431,6 +431,24 @@ def coefficient_at(spec, n: int):
     return spec.coefficient_at(n)
 
 
+def coefficient_arrays(spec, n0: int, n1: int):
+    """(D, V) for n0 <= n < n1 as two (n1 - n0, l, l) arrays.
+
+    Periodic families index their residue table; any other model stacks
+    ``coefficient_at`` one index at a time.
+    """
+    n0, n1 = int(n0), int(n1)
+    if n1 <= n0:
+        raise InvalidInputError(f"empty coefficient range {n0}..{n1}")
+    period = getattr(spec, "period", None)
+    if period is None:
+        ds, vs = zip(*(spec.coefficient_at(n) for n in range(n0, n1)))
+        return np.array(ds), np.array(vs)
+    ds, vs = zip(*(spec.coefficient_at(r) for r in range(period)))
+    idx = np.arange(n0, n1) % period
+    return np.array(ds)[idx], np.array(vs)[idx]
+
+
 def coefficient_tape(spec, prepare):
     """n -> prepare(D_n, V_n), evaluated once per residue for periodic families."""
     period = getattr(spec, "period", None)

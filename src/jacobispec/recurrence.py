@@ -125,24 +125,7 @@ class SolutionTrack:
 
     def extended(self, n_new):
         """A longer track continuing this one (self is left untouched)."""
-        n_new = int(n_new)
-        if n_new <= self.n_max:
-            return self
-        e_last = int(self.exp2[-1])
-        shift = int(self.exp2[-2]) - e_last
-        b_prev = np.ldexp(1.0, max(shift, -1074)) * self.blocks[-2]
-        blocks, exp2 = _propagate(
-            self.spec,
-            np.array([self.z]),
-            self.n_max,
-            n_new,
-            b_prev[None],
-            self.blocks[-1][None],
-            np.array([e_last], dtype=np.int64),
-        )
-        full_blocks = np.concatenate((self.blocks[:-1], blocks[:, 0]), axis=0)
-        full_exp = np.concatenate((self.exp2[:-1], exp2[:, 0]))
-        return SolutionTrack(self.spec, self.z, full_blocks, full_exp, kind=self.kind)
+        return extend_tracks([self], n_new)[0]
 
 
 def _with_inverse(d, v):
@@ -212,24 +195,62 @@ def _propagate(spec, zs, n_start, n_stop, b_prev, b_cur, exp2):
     return blocks, exps
 
 
-def dirichlet_neumann(spec, z, n_max):
-    """Dirichlet (0, I) and Neumann (I, 0) matrix solutions up to index n_max."""
+def extend_tracks(tracks, n_new):
+    """Tracks continued to block n_new, all in one kernel run.
+
+    The tracks share one spec and one length; each keeps its own energy,
+    kind and exponent ledger, and comes out bit for bit as a fresh run to
+    n_new would. Tracks that already reach n_new are returned as they are.
+    """
+    n_new = int(n_new)
+    n_max = tracks[0].n_max
+    if n_new <= n_max:
+        return list(tracks)
+    e_last = np.array([t.exp2[-1] for t in tracks])
+    shift = np.array([t.exp2[-2] for t in tracks]) - e_last
+    b_prev = np.stack([t.blocks[-2] for t in tracks])
+    b_prev = np.ldexp(1.0, np.maximum(shift, -1074))[:, None, None] * b_prev
+    b_cur = np.stack([t.blocks[-1] for t in tracks])
+    zs = np.array([t.z for t in tracks])
+    blocks, exps = _propagate(tracks[0].spec, zs, n_max, n_new, b_prev, b_cur, e_last)
+    return [
+        SolutionTrack(t.spec, t.z, np.concatenate((t.blocks[:-1], blocks[:, k])),
+                      np.concatenate((t.exp2[:-1], exps[:, k])), kind=t.kind)
+        for k, t in enumerate(tracks)
+    ]
+
+
+def dirichlet_neumann_grid(spec, zs, n_max):
+    """Dirichlet (0, I) and Neumann (I, 0) solutions up to n_max at every z.
+
+    Returns a list of (phi, psi), one pair per energy of ``zs``; all 2N
+    tracks run as one batch of the kernel. A batch holding any non-real
+    energy runs in complex arithmetic.
+    """
     if n_max < 2:
         raise InvalidInputError("need n_max >= 2")
-    z = _as_z(z)
+    zs = [_as_z(z) for z in zs]
     l = spec.dim
-    b0 = np.zeros((2, l, l), dtype=complex if isinstance(z, complex) else float)
+    dtype = complex if any(isinstance(z, complex) for z in zs) else float
+    b0 = np.zeros((2 * len(zs), l, l), dtype=dtype)
     b1 = np.zeros_like(b0)
-    b0[1] = b1[0] = np.eye(l)
-    exp2 = np.zeros(2, dtype=np.int64)
-    blocks, exps = _propagate(spec, np.full(2, z), 1, n_max, b0, b1, exp2)
+    b0[1::2] = b1[0::2] = np.eye(l)  # entry 2j is phi_j, entry 2j + 1 is psi_j
+    exp2 = np.zeros(2 * len(zs), dtype=np.int64)
+    blocks, exps = _propagate(spec, np.repeat(np.array(zs, dtype=dtype), 2), 1, n_max, b0, b1, exp2)
     blocks = np.concatenate((b0[None], blocks))
     exps = np.concatenate((exp2[None], exps))
-    phi, psi = (
-        SolutionTrack(spec, z, blocks[:, k], exps[:, k], kind=kind)
-        for k, kind in enumerate(("dirichlet", "neumann"))
-    )
-    return phi, psi
+    return [
+        tuple(
+            SolutionTrack(spec, z, blocks[:, 2 * j + k], exps[:, 2 * j + k], kind=kind)
+            for k, kind in enumerate(("dirichlet", "neumann"))
+        )
+        for j, z in enumerate(zs)
+    ]
+
+
+def dirichlet_neumann(spec, z, n_max):
+    """Dirichlet (0, I) and Neumann (I, 0) matrix solutions up to index n_max."""
+    return dirichlet_neumann_grid(spec, [z], n_max)[0]
 
 
 def track_from_blocks(spec, z, blocks, kind="generic"):

@@ -84,8 +84,12 @@ def cumulative(terms_mant, terms_exp):
         seg_e = te[a]
         seg_cum = np.cumsum(tm[a:b], axis=0)
         # fold the running total into this segment's scale (or keep the
-        # prior scale when it dominates, so nothing overflows)
-        ref_e = np.maximum(prior_e, seg_e)
+        # prior scale when it dominates, so nothing overflows); as in add(),
+        # a zero sum has no scale, since taking its exponent could push the
+        # other sum into subnormals
+        ref_e = np.where(
+            prior_m == 0, seg_e, np.where(seg_cum[-1] == 0, prior_e, np.maximum(prior_e, seg_e))
+        )
         pm = np.ldexp(prior_m, np.clip(prior_e - ref_e, -_MAX_FLOAT_EXP - 100, 0).astype(np.int64))
         shift = np.clip(seg_e - ref_e, -_MAX_FLOAT_EXP - 100, 0).astype(np.int64)
         out_m[a:b] = pm + np.ldexp(seg_cum, shift)

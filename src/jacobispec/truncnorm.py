@@ -20,6 +20,7 @@ from . import matblock, recurrence, scaling
 from .errors import InvalidInputError, TargetUnreachableError, TrackTooShortError
 
 MAX_TRACK_BLOCKS = 2**24
+INITIAL_TRACK_BLOCKS = 256
 
 
 def _split_l(track, l_value):
@@ -84,15 +85,17 @@ class SolveLResult:
         return self.phi, self.psi
 
 
-def solve_l_of_y(spec, x, y, *, tol=1e-10, initial_blocks=256,
+def solve_l_of_y(spec, x, y, *, tol=1e-10, initial_blocks=INITIAL_TRACK_BLOCKS,
                  max_blocks=MAX_TRACK_BLOCKS, tracks=None):
     """Find L >= 1 with 2 y ||D0^-1||_F ||psi||_L ||phi||_L = 1.
 
-    Dirichlet/Neumann tracks at real ``x`` are grown by doubling until the
-    integer-L product crosses the target, then the unit interval is solved
-    as a quadratic in the fractional part (affine times affine equals a
-    constant), with a Newton polish. Raises TargetUnreachableError if the
-    product cannot reach the target within ``max_blocks`` blocks.
+    Dirichlet/Neumann tracks at real ``x`` (``tracks``, or a fresh pair of
+    ``initial_blocks`` blocks) are grown by doubling, both in one kernel
+    run, until the integer-L product crosses the target, then the unit
+    interval is solved as a quadratic in the fractional part (affine times
+    affine equals a constant), with a Newton polish. Raises
+    TargetUnreachableError if the product cannot reach the target within
+    ``max_blocks`` blocks.
     """
     y = float(y)
     if y <= 0:
@@ -127,8 +130,7 @@ def solve_l_of_y(spec, x, y, *, tol=1e-10, initial_blocks=256,
                 attained=attained,
                 max_length=max_blocks,
             )
-        phi = phi.extended(min(2 * phi.n_max, max_blocks))
-        psi = psi.extended(min(2 * psi.n_max, max_blocks))
+        phi, psi = recurrence.extend_tracks((phi, psi), min(2 * phi.n_max, max_blocks))
 
     if m_idx == 0:
         # only possible if the target is non-positive at L = 1, i.e. huge y;

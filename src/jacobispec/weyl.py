@@ -156,13 +156,9 @@ def _banded_corner_block(spec, z, n_blocks):
     bw = 2 * l - 1
     ab = np.zeros((2 * bw + 1, dim), dtype=complex)
     eye = np.eye(l)
-    vs = np.empty((n_blocks, l, l), dtype=complex)
-    ds = np.empty((max(n_blocks - 1, 0), l, l))
-    for k in range(n_blocks):
-        d_k, v_k = spec.coefficient_at(k + 1)
-        vs[k] = v_k - z * eye
-        if k < n_blocks - 1:
-            ds[k] = d_k
+    d, v = models.coefficient_arrays(spec, 1, n_blocks + 1)
+    vs = v - z * eye
+    ds = d[:-1].astype(complex)
     rows_l = np.arange(l)
     # scatter each block diagonal into LAPACK's diag-ordered band storage
     def scatter(blocks, block_row0, block_col0):
@@ -173,8 +169,8 @@ def _banded_corner_block(spec, z, n_blocks):
 
     scatter(vs, 0, 0)
     if n_blocks > 1:
-        scatter(ds.astype(complex), 0, 1)  # D_n couples block n to n+1
-        scatter(ds.astype(complex), 1, 0)
+        scatter(ds, 0, 1)  # D_n couples block n to n+1
+        scatter(ds, 1, 0)
     rhs = np.zeros((dim, l), dtype=complex)
     rhs[:l, :] = eye
     sol = scipy.linalg.solve_banded((bw, bw), ab, rhs)
@@ -568,20 +564,49 @@ def jl_constants(spec):
     return b, k1, k2
 
 
-def jl_bounds(spec, x, y, *, m_tol=1e-9, slack=1e-9, tracks=None):
+# Points whose Dirichlet/Neumann tracks are built in one kernel run; bounds
+# the track memory of a long sweep.
+JL_TRACK_CHUNK = 64
+
+
+def jl_bounds(spec, x, y, *, m_tol=1e-9, slack=1e-9):
     """Evaluate k1 * ratio <= ||M||_F <= k2 * ratio * condition_term at (x, y).
 
     ratio = ||psi||_L / ||phi||_L and condition_term = ||phi||_L^2 /
     s_l[phi]_L^2 at the matched cutoff L(y); ||M||_F comes from the
     resolvent route. A vanishing truncated smallest singular value marks
-    the report ``condition-overflow`` and skips the verdict.
+    the report ``condition-overflow`` and skips the verdict. Batch-of-one
+    form of :func:`jl_bounds_grid`.
     """
-    x = float(x)
-    y = float(y)
+    return jl_bounds_grid(spec, [x], [y], m_tol=m_tol, slack=slack)[0]
+
+
+def jl_bounds_grid(spec, xs, ys, *, m_tol=1e-9, slack=1e-9):
+    """:func:`jl_bounds` at every point (xs[j], ys[j]), in order.
+
+    The starting tracks of up to ``JL_TRACK_CHUNK`` points come from one
+    kernel run; each point then solves its own cutoff (extending its
+    tracks when needed) and its own resolvent.
+    """
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
+    if len(xs) != len(ys):
+        raise InvalidInputError("need one y per x")
+    _, k1, k2 = jl_constants(spec)
+    reports = []
+    for a in range(0, len(xs), JL_TRACK_CHUNK):
+        pairs = recurrence.dirichlet_neumann_grid(
+            spec, xs[a : a + JL_TRACK_CHUNK], truncnorm.INITIAL_TRACK_BLOCKS
+        )
+        for x, y, pair in zip(xs[a:], ys[a:], pairs):
+            reports.append(_jl_report(spec, x, y, pair, k1, k2, m_tol, slack))
+    return reports
+
+
+def _jl_report(spec, x, y, tracks, k1, k2, m_tol, slack):
     solve = truncnorm.solve_l_of_y(spec, x, y, tracks=tracks)
     l_cut = solve.l_value
     l = spec.dim
-    _, k1, k2 = jl_constants(spec)
     norm_phi = truncnorm.truncated_norm(solve.phi, l_cut)
     norm_psi = truncnorm.truncated_norm(solve.psi, l_cut)
     ratio = norm_psi / norm_phi

@@ -235,3 +235,40 @@ def cesaro_sums_reference(spec, xs, l_grid):
                 cur, prev = cur * factor, prev * factor
                 exp2 = exp2 + shift
     return out
+
+
+def banded_corner_block_reference(spec, z, n_blocks):
+    """``weyl._banded_corner_block`` with the coefficients read block by block.
+
+    The same band storage and LAPACK solve, filled by one ``coefficient_at``
+    call and two assignments per block.
+    """
+    import scipy.linalg
+
+    l = spec.dim
+    dim = n_blocks * l
+    bw = 2 * l - 1
+    ab = np.zeros((2 * bw + 1, dim), dtype=complex)
+    eye = np.eye(l)
+    vs = np.empty((n_blocks, l, l), dtype=complex)
+    ds = np.empty((max(n_blocks - 1, 0), l, l))
+    for k in range(n_blocks):
+        d_k, v_k = spec.coefficient_at(k + 1)
+        vs[k] = v_k - z * eye
+        if k < n_blocks - 1:
+            ds[k] = d_k
+    rows_l = np.arange(l)
+
+    def scatter(blocks, block_row0, block_col0):
+        count = blocks.shape[0]
+        i = (np.arange(count)[:, None, None] + block_row0) * l + rows_l[None, :, None]
+        j = (np.arange(count)[:, None, None] + block_col0) * l + rows_l[None, None, :]
+        ab[bw + i - j, j] = blocks
+
+    scatter(vs, 0, 0)
+    if n_blocks > 1:
+        scatter(ds.astype(complex), 0, 1)
+        scatter(ds.astype(complex), 1, 0)
+    rhs = np.zeros((dim, l), dtype=complex)
+    rhs[:l, :] = eye
+    return scipy.linalg.solve_banded((bw, bw), ab, rhs)[:l, :]

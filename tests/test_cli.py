@@ -276,3 +276,31 @@ def test_scan_without_grid_is_config_error(tmp_path):
         {"model": FREE1, "task": "scan", "output": {"dir": str(tmp_path / "out")}},
     )
     assert cli.main(["run", str(cfg)]) == 2
+
+
+def test_scan_with_error_rows_exits_nonzero(tmp_path, monkeypatch):
+    from jacobispec import classify
+    from jacobispec.errors import ConvergenceError
+
+    original = classify.cesaro_profiles_grid
+
+    def sabotaged(spec, xs, l_grid):
+        if np.any(np.isclose(xs, 0.5)):
+            raise ConvergenceError("synthetic failure")
+        return original(spec, xs, l_grid)
+
+    monkeypatch.setattr(classify, "cesaro_profiles_grid", sabotaged)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, "scan.yaml",
+        {
+            "model": FREE1,
+            "task": "scan",
+            "params": {"x_grid": [0.0, 0.5, 1.0], "l_grid": [64, 128], "with_rank": False},
+            "output": {"dir": str(out)},
+        },
+    )
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_ROWS_FAILED == 5
+    rows = (out / "scan.csv").read_text().strip().splitlines()[1:]
+    assert [row.endswith("error") for row in rows] == [False, True, False]
+    assert "error rows: 1 (ConvergenceError: 1)" in (out / "report.txt").read_text()

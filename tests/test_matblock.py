@@ -155,3 +155,9 @@ def test_batched_inv_matches_dense():
         blocks = rng.normal(size=(20, l, l)) + 3 * np.eye(l)
         inv = matblock.batched_inv(blocks)
         assert np.allclose(inv @ blocks, np.broadcast_to(np.eye(l), blocks.shape), atol=1e-10)
+
+
+def test_batched_inv_raises_on_singular_block():
+    blocks = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], 3 * np.eye(2)])
+    with pytest.raises(np.linalg.LinAlgError):
+        matblock.batched_inv(blocks)

@@ -194,3 +194,24 @@ def test_reflect_explicit_with_left_extension():
     no_left = models.ExplicitSpec(pairs)
     with pytest.raises(InvalidInputError):
         models.reflect(no_left)
+
+
+def test_coefficient_arrays_match_stacked_lookups(random_bounded2, golden_amo):
+    pairs = ((np.eye(2), np.zeros((2, 2))), (2 * np.eye(2), np.diag([1.0, -1.0])))
+    left = ((3 * np.eye(2), 0.25 * np.eye(2)),)
+    cases = [
+        (random_bounded2, -11, 30),
+        (models.ExplicitSpec(pairs, extension="wrap", left=left), -4, 9),
+        (models.ExplicitSpec(pairs, extension="constant"), 0, 7),
+        (golden_amo, -5, 40),
+        (models.reflect(random_bounded2), -3, 20),
+        (models.reflect(golden_amo), 0, 25),
+    ]
+    for spec, n0, n1 in cases:
+        d, v = models.coefficient_arrays(spec, n0, n1)
+        assert d.shape == v.shape == (n1 - n0, spec.dim, spec.dim)
+        for k, n in enumerate(range(n0, n1)):
+            d_n, v_n = spec.coefficient_at(n)
+            assert np.array_equal(d[k], d_n) and np.array_equal(v[k], v_n)
+    with pytest.raises(InvalidInputError):
+        models.coefficient_arrays(random_bounded2, 5, 5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jacobispec import matblock, recurrence, weyl
+from jacobispec import matblock, recurrence, truncnorm, weyl
 from jacobispec.errors import DomainError, InvalidInputError
 
 from oracles import green_sum_direct, propagate_reference
@@ -278,3 +278,39 @@ def test_rescaled_log_norms_match_reference(free1):
     got = np.log2(np.abs(phi.blocks[1:, 0, 0])) + phi.exp2[1:]
     want = np.log2(np.abs(ref[1:, 0, 0])) + ref_exp[1:]
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
+
+
+def _same_track(a, b):
+    assert (a.z, a.kind) == (b.z, b.kind)
+    assert np.array_equal(a.blocks, b.blocks) and np.array_equal(a.exp2, b.exp2)
+    assert np.array_equal(a.cum_fro2_m, b.cum_fro2_m)
+    assert np.array_equal(a.cum_fro2_e, b.cum_fro2_e)
+
+
+@pytest.mark.parametrize("name", ["random_bounded2", "periodic3"])
+def test_track_grid_matches_batch_of_one(name, request):
+    spec = request.getfixturevalue(name)
+    for zs in ([0.37, 2.9, -3.5, 0.0], [0.3 + 0.4j, -1.1 + 0.05j]):
+        grid = recurrence.dirichlet_neumann_grid(spec, zs, 300)
+        assert len(grid) == len(zs)
+        for z, pair in zip(zs, grid):
+            for got, want in zip(pair, recurrence.dirichlet_neumann(spec, z, 300)):
+                _same_track(got, want)
+
+
+def test_pair_extension_is_one_exact_run(free1):
+    # at x = 3 a rescale shifts the last block (265) of the short tracks but
+    # not the one before it; at x = 0.3, y = 0.002 the cutoff (L = 488.8)
+    # needs the tracks doubled from 256 to 512 blocks
+    for x, n_short in ((3.0, 265), (0.3, 256)):
+        phi, psi = recurrence.dirichlet_neumann(free1, x, n_short)
+        assert (phi.exp2[-1] != phi.exp2[-2]) == (x == 3.0)
+        both = recurrence.extend_tracks((phi, psi), 512)
+        fresh = recurrence.dirichlet_neumann(free1, x, 512)
+        for got, alone, new in zip(both, (phi.extended(512), psi.extended(512)), fresh):
+            _same_track(got, alone)
+            _same_track(got, new)
+    solve = truncnorm.solve_l_of_y(free1, 0.3, 0.002)
+    assert solve.l_value > 256 and solve.phi.n_max == 512
+    for got, new in zip(solve.tracks, fresh):
+        _same_track(got, new)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from jacobispec import matblock, recurrence, weyl
 from jacobispec.errors import ConvergenceError, DomainError, InvalidInputError
 
-from oracles import dense_halfline_matrix, riccati_grid_direct
+from oracles import banded_corner_block_reference, dense_halfline_matrix, riccati_grid_direct
 
 
 def m_free_exact(z):
@@ -336,3 +338,59 @@ def test_resolvent_breakdown_guard_bumps_and_flags(free1, monkeypatch):
     assert out.bumped is True
     # pinned truncation, so only ballpark agreement with the limit value
     assert abs(out.m[0, 0] - m_free_exact(0.5 + 0.1j)) <= 1e-4
+
+
+@pytest.mark.parametrize("name", ["random_bounded2", "golden_amo"])
+def test_banded_corner_block_matches_reference_loop(name, request):
+    spec = request.getfixturevalue(name)
+    for z in (0.37 + 0.05j, -1.4 + 0.002j):
+        for n_blocks in (8, 64, 257):
+            got = weyl._banded_corner_block(spec, z, n_blocks)
+            assert np.array_equal(got, banded_corner_block_reference(spec, z, n_blocks))
+
+
+def _same_report(a, b):
+    for f in dataclasses.fields(weyl.JLBoundReport):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(u, float) and math.isnan(u):
+            assert isinstance(v, float) and math.isnan(v), f.name
+        else:
+            assert u == v, f.name
+
+
+# (x, y) pairs per model; the last one needs its tracks extended past 256
+# blocks (cutoff L = 345.6 on free2, 267.8 on random_bounded2)
+_JL_POINTS = {
+    "free2": ([0.3, -1.2, 2.5, 3.1, 0.0, -2.2, 0.3], [0.05, 0.02, 0.1, 0.03, 0.5, 0.01, 0.001]),
+    "random_bounded2": (
+        [-1.0, 0.4, 1.0, 2.8, -0.5, 0.0, 0.4], [0.05, 0.02, 0.1, 0.03, 0.005, 0.2, 0.001]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["free2", "random_bounded2"])
+def test_jl_bounds_grid_matches_single_points(name, request, monkeypatch):
+    spec = request.getfixturevalue(name)
+    xs, ys = _JL_POINTS[name]
+    monkeypatch.setattr(weyl, "JL_TRACK_CHUNK", 3)  # 7 points run as 3 + 3 + 1
+    grid = weyl.jl_bounds_grid(spec, xs, ys)
+    assert len(grid) == len(xs)
+    assert grid[-1].l_cutoff > 256
+    for x, y, got in zip(xs, ys, grid):
+        _same_report(got, weyl.jl_bounds(spec, x, y))
+
+
+def test_jl_bounds_grid_condition_overflow_matches_single(free1, monkeypatch):
+    from jacobispec import truncnorm as tn
+
+    real = tn.truncated_singular
+
+    def starved(track, k, l_value):
+        return 0.0 if k == track.dim else real(track, k, l_value)
+
+    monkeypatch.setattr(weyl.truncnorm, "truncated_singular", starved)
+    xs, ys = [0.3, 1.1, -0.4], [0.1, 0.05, 0.2]
+    grid = weyl.jl_bounds_grid(free1, xs, ys)
+    for x, y, got in zip(xs, ys, grid):
+        assert got.status == "condition-overflow" and got.verdict is None
+        _same_report(got, weyl.jl_bounds(free1, x, y))
