@@ -22,7 +22,6 @@ from .models import (
     DynamicalSpec,
     ExplicitSpec,
     PeriodicSpec,
-    coefficient_at,
     free_model,
     limit_point_partial_sum,
     reflect,

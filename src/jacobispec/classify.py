@@ -83,11 +83,6 @@ class CesaroProfile:
     intercepts: np.ndarray
     overflow: np.ndarray  # (l,) bool
 
-    def c_values(self):
-        """C_r(L) as plain floats (inf where they left float range)."""
-        with np.errstate(over="ignore"):
-            return np.exp2(np.minimum(self.log2_c, 1024.0))
-
 
 def _fit_profiles(xs, log2_c, l_grid, dim):
     logs = np.log2(np.asarray(l_grid, dtype=float))
@@ -407,12 +402,12 @@ def constancy_experiment(spec, phases, x_grid, params=None):
         raise InvalidInputError("constancy experiment needs a dynamical model")
     params = params or ScanParams()
     xs = np.asarray(x_grid, dtype=float)
+    phases = [tuple(float(t) for t in np.atleast_1d(p)) for p in phases]
 
     def one(phase):
-        phased = spec.with_phase(np.atleast_1d(phase))
-        r_plus, r_minus, det = _classify_phase(phased, xs, params)
+        r_plus, r_minus, det = _classify_phase(spec.with_phase(phase), xs, params)
         return PhaseClassification(
-            phase=tuple(np.atleast_1d(phase)),
+            phase=phase,
             r_plus=r_plus,
             r_minus=r_minus,
             full_multiplicity=r_plus + r_minus,
@@ -448,6 +443,5 @@ def constancy_experiment(spec, phases, x_grid, params=None):
                 "sym_diff_by_even": by_even,
             }
     return ConstancyReport(
-        x_grid=xs, phases=[tuple(np.atleast_1d(p)) for p in phases],
-        classifications=results, pairwise=pairwise,
+        x_grid=xs, phases=phases, classifications=results, pairwise=pairwise,
     )

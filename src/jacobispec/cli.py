@@ -4,7 +4,11 @@
     jacobispec validate <config.yaml> [--out DIR]
 
 One config file per run; outputs are a task CSV plus report.txt with the
-fully resolved configuration embedded for provenance. Exit codes: 0 ok,
+fully resolved configuration embedded for provenance. Each task reads its
+parameters from ``RunConfig.params``, already checked, coerced and
+defaulted from ``config.TASK_PARAMS``; the model section is checked by
+``models.spec_from_config``. Malformed input of either kind is a config
+error with one ``config error:`` line on stderr. Exit codes: 0 ok,
 2 config/schema error, 3 model validation failure, 4 non-convergence,
 5 a scan wrote error rows (the CSV and report are still written; the
 report counts the error rows by exception type).
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +31,6 @@ import yaml
 
 from . import classify, config as config_mod, models, weyl
 from .errors import (
-    ConfigError,
     ConvergenceError,
     JacobiSpecError,
     ModelValidationError,
@@ -53,25 +57,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path, cols, rows):
+    """Header row, then one line per row with every value through ``_fmt``."""
+    lines = [",".join(cols)] + [",".join(_fmt(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def emit_csv(records, path, dim):
     """Write scan records: header row, one record per line, 17 digits."""
     cols = ["x", "r_ces"] + [f"slope_r{r}" for r in range(1, dim + 1)] + [
         "r_rank", "trace_growth", "r_flo", "flags",
     ]
-    lines = [",".join(cols)]
-    for rec in records:
-        slopes = list(rec.slopes) + [float("nan")] * (dim - len(rec.slopes))
-        row = [
-            _fmt(rec.x),
-            _fmt(rec.r_ces),
-            *[_fmt(s) for s in slopes],
-            _fmt(rec.r_rank),
-            _fmt(rec.trace_growth),
-            _fmt(rec.r_flo),
-            _fmt(rec.flags),
-        ]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [
+        [rec.x, rec.r_ces, *rec.slopes, *[float("nan")] * (dim - len(rec.slopes)),
+         rec.r_rank, rec.trace_growth, rec.r_flo, rec.flags]
+        for rec in records
+    ]
+    _write_csv(path, cols, rows)
 
 
 def _write_report(path, cfg, body):
@@ -80,7 +82,7 @@ def _write_report(path, cfg, body):
         "=================",
         "",
         "resolved config:",
-        yaml.safe_dump(cfg.resolved, sort_keys=True, default_flow_style=None).rstrip(),
+        yaml.safe_dump(asdict(cfg), sort_keys=True, default_flow_style=None).rstrip(),
         "",
         body,
         "",
@@ -89,7 +91,7 @@ def _write_report(path, cfg, body):
 
 
 def _task_validate(cfg, spec, out_dir):
-    window = int(cfg.params.get("window", 100))
+    window = cfg.params["window"]
     report = models.validate_model(spec, window)
     body = "validation:\n" + report.summary()
     if hasattr(spec, "rationality_report"):
@@ -101,25 +103,21 @@ def _task_validate(cfg, spec, out_dir):
 
 
 def _task_probe(cfg, spec, out_dir):
-    x = float(cfg.params.get("x", 0.0))
-    y = float(cfg.params.get("y", 0.1))
-    tol = float(cfg.params.get("m_tol", 1e-10))
+    x, y, tol = cfg.params["x"], cfg.params["y"], cfg.params["m_tol"]
     z = complex(x, y)
     ric = weyl.m_riccati(spec, z, tol=tol)
     res = weyl.m_resolvent(spec, z, tol=tol)
-    l = spec.dim
+    entries = [(i, j) for i in range(spec.dim) for j in range(spec.dim)]
     cols = ["x", "y", "method", "depth"]
-    for i in range(l):
-        for j in range(l):
-            cols += [f"m_re_{i + 1}{j + 1}", f"m_im_{i + 1}{j + 1}"]
-    lines = [",".join(cols)]
+    for i, j in entries:
+        cols += [f"m_re_{i + 1}{j + 1}", f"m_im_{i + 1}{j + 1}"]
+    rows = []
     for tag, m in (("riccati", ric), ("resolvent", res)):
-        row = [_fmt(x), _fmt(y), tag, _fmt(m.depth)]
-        for i in range(l):
-            for j in range(l):
-                row += [_fmt(float(m.m[i, j].real)), _fmt(float(m.m[i, j].imag))]
-        lines.append(",".join(row))
-    (out_dir / cfg.output["csv"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        row = [x, y, tag, m.depth]
+        for i, j in entries:
+            row += [float(m.m[i, j].real), float(m.m[i, j].imag)]
+        rows.append(row)
+    _write_csv(out_dir / cfg.output["csv"], cols, rows)
     gap = float(np.sqrt(np.sum(np.abs(ric.m - res.m) ** 2)))
     body = (
         f"probe at z = {x:.17g} + {y:.17g}i (m_tol = {tol:g})\n"
@@ -131,30 +129,24 @@ def _task_probe(cfg, spec, out_dir):
 
 
 def _task_jl_sweep(cfg, spec, out_dir):
+    p = cfg.params
     rng = np.random.default_rng(cfg.seed)
-    n = int(cfg.params.get("n_points", 100))
-    x_lo, x_hi = (float(v) for v in cfg.params.get("x_range", [-3.0, 3.0]))
-    y_lo, y_hi = (float(v) for v in cfg.params.get("y_range", [1e-2, 1.0]))
-    slack = float(cfg.params.get("slack", 1e-9))
+    n = p["n_points"]
+    (x_lo, x_hi), (y_lo, y_hi) = p["x_range"], p["y_range"]
     xs = rng.uniform(x_lo, x_hi, n)
     ys = np.exp(rng.uniform(np.log(y_lo), np.log(y_hi), n))
+    reports = weyl.jl_bounds_grid(spec, xs, ys, slack=p["slack"])
     cols = ["x", "y", "L", "ratio", "condition_term", "k1", "k2",
             "m_norm", "lower", "upper", "verdict", "status"]
-    lines = [",".join(cols)]
-    holds = 0
-    skipped = 0
-    for rep in weyl.jl_bounds_grid(spec, xs, ys, slack=slack):
-        if rep.verdict:
-            holds += 1
-        if rep.verdict is None:
-            skipped += 1
-        lines.append(",".join([
-            _fmt(rep.x), _fmt(rep.y), _fmt(rep.l_cutoff), _fmt(rep.ratio),
-            _fmt(rep.condition_term), _fmt(rep.k1), _fmt(rep.k2),
-            _fmt(rep.m_norm), _fmt(rep.extras.get("lower")),
-            _fmt(rep.extras.get("upper")), _fmt(rep.verdict), rep.status,
-        ]))
-    (out_dir / cfg.output["csv"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [
+        [rep.x, rep.y, rep.l_cutoff, rep.ratio, rep.condition_term, rep.k1, rep.k2,
+         rep.m_norm, rep.extras.get("lower"), rep.extras.get("upper"), rep.verdict,
+         rep.status]
+        for rep in reports
+    ]
+    _write_csv(out_dir / cfg.output["csv"], cols, rows)
+    holds = sum(1 for rep in reports if rep.verdict)
+    skipped = sum(1 for rep in reports if rep.verdict is None)
     body = (
         f"bound sweep: {holds}/{n} points satisfied both bounds "
         f"({skipped} skipped as condition-overflow)"
@@ -170,7 +162,9 @@ def _task_scan(cfg, spec, out_dir):
     emit_csv(records, out_dir / cfg.output["csv"], spec.dim)
     edges = []
     if getattr(spec, "period", None) is not None and xs.size:
-        edges = classify.floquet_band_edges(spec, float(np.min(xs)), float(np.max(xs)))
+        edges = classify.floquet_band_edges(
+            spec, float(np.min(xs)), float(np.max(xs)), eps=params.floquet_eps
+        )
     stats = classify.agreement_summary(records, edges, params.edge_exclusion)
     body = "scan summary:\n" + "\n".join(f"  {k} = {v}" for k, v in sorted(stats.items()))
     if edges:
@@ -186,28 +180,24 @@ def _task_scan(cfg, spec, out_dir):
 
 
 def _task_constancy(cfg, spec, out_dir):
-    params = cfg.scan_params()
     xs = cfg.x_grid()
-    phases = cfg.params.get("phases")
+    phases = cfg.params["phases"]
     if not phases:
-        count = int(cfg.params.get("n_random_phases", 2))
         rng = np.random.default_rng(cfg.seed)
         phases = [rng.uniform(0.0, 1.0, size=max(1, getattr(spec, "torus_dim", 1))).tolist()
-                  for _ in range(count)]
-    report = classify.constancy_experiment(spec, phases, xs, params)
+                  for _ in range(cfg.params["n_random_phases"])]
+    report = classify.constancy_experiment(spec, phases, xs, cfg.scan_params())
     cols = ["x"]
     for i in range(len(phases)):
         cols += [f"r_plus_p{i}", f"r_minus_p{i}", f"mult_p{i}", f"determinate_p{i}"]
-    lines = [",".join(cols)]
+    rows = []
     for j, x in enumerate(xs):
-        row = [_fmt(float(x))]
+        row = [float(x)]
         for cls in report.classifications:
-            row += [
-                _fmt(int(cls.r_plus[j])), _fmt(int(cls.r_minus[j])),
-                _fmt(int(cls.full_multiplicity[j])), _fmt(bool(cls.determinate[j])),
-            ]
-        lines.append(",".join(row))
-    (out_dir / cfg.output["csv"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            row += [int(cls.r_plus[j]), int(cls.r_minus[j]),
+                    int(cls.full_multiplicity[j]), bool(cls.determinate[j])]
+        rows.append(row)
+    _write_csv(out_dir / cfg.output["csv"], cols, rows)
     body = "constancy experiment:\n" + report.summary()
     body += f"\nphases: {report.phases}"
     _write_report(out_dir / cfg.output["report"], cfg, body)
@@ -227,10 +217,6 @@ def run_config(config_path, *, threads=1, out_dir=None, force_task=None) -> int:
     """Run one config and return the exit code; ``threads`` is ignored."""
     try:
         cfg = config_mod.load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         spec = models.spec_from_config(cfg.model)
     except JacobiSpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -240,11 +226,8 @@ def run_config(config_path, *, threads=1, out_dir=None, force_task=None) -> int:
     task = force_task or cfg.task
     try:
         if task != "validate":
-            models.validate_model(spec, int(cfg.params.get("window", 100)))
+            models.validate_model(spec, cfg.params["window"])
         return _TASKS[task](cfg, spec, target)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ModelValidationError as exc:
         print(f"model validation failed: {exc}", file=sys.stderr)
         if exc.report is not None:

@@ -1,43 +1,98 @@
-"""Run configuration: a strict YAML schema with every numeric default
-overridable. Unknown keys are rejected at every level so typos fail fast.
+"""Run configuration: a strict YAML schema.
+
+Unknown keys are rejected at every level so typos fail fast. The params
+section is checked against ``TASK_PARAMS``, the one table of every
+parameter each task reads and its default: a key the declared task does not
+read is an error, each value is coerced to its default's type, and the
+resolved values (defaults filled in) are ``RunConfig.params``, which the
+tasks read and the report embeds. The model section is checked by its
+reader, :func:`jacobispec.models.spec_from_config`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+import numpy as np
 import yaml
 
-from . import classify, weyl
+from . import classify
 from .errors import ConfigError
 
-TASKS = ("validate", "probe", "jl-sweep", "scan", "constancy")
+_SCAN = {f.name: f.default for f in fields(classify.ScanParams)}
+
+TASK_PARAMS = {
+    "validate": {"window": 100},
+    "probe": {"window": 100, "x": 0.0, "y": 0.1, "m_tol": 1e-10},
+    "jl-sweep": {"window": 100, "n_points": 100, "x_range": [-3.0, 3.0],
+                 "y_range": [1e-2, 1.0], "slack": 1e-9},
+    # x_grid has no default: a scan or constancy run needs one
+    "scan": {"window": 100, "x_grid": None, **_SCAN},
+    # phases None: draw n_random_phases phases from the seed
+    "constancy": {"window": 100, "x_grid": None, "l_grid": _SCAN["l_grid"],
+                  "slope_threshold": _SCAN["slope_threshold"], "phases": None,
+                  "n_random_phases": 2},
+}
+TASKS = tuple(TASK_PARAMS)
 
 _TOP_KEYS = {"model", "task", "params", "output", "seed"}
-_MODEL_KEYS = {
-    "kind", "dim", "pairs", "left", "extension", "ds", "vs",
-    "alpha", "omega", "f_d", "f_v", "base",
-}
-_MAP_KEYS = {"kind", "matrix", "constant", "terms", "breaks", "matrices"}
-_TERM_KEYS = {"freq", "amplitude", "phase"}
 _OUTPUT_KEYS = {"dir", "csv", "report"}
-_PARAM_KEYS = {
-    "window",
-    "x", "y", "m_tol",
-    "n_points", "x_range", "y_range", "slack",
-    "x_grid", "l_grid", "slope_threshold", "y_ladder", "tau_rel",
-    "rank_tol", "floquet_eps", "edge_exclusion", "with_rank", "with_floquet",
-    "phases", "n_random_phases",
+_POSITIVE = {
+    "window", "n_points", "y_range", "slack", "m_tol", "l_grid", "slope_threshold",
+    "y_ladder", "tau_rel", "rank_tol", "floquet_eps", "edge_exclusion",
 }
-_GRID_KEYS = {"start", "stop", "count"}
 
 
 def _reject_unknown(section, mapping, allowed):
     if not isinstance(mapping, dict):
-        raise ConfigError(f"section '{section}' must be a mapping")
-    unknown = set(mapping) - allowed
+        raise ConfigError(f"{section} must be a mapping")
+    unknown = set(mapping) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
+
+
+def _x_grid(g):
+    if isinstance(g, list):
+        return [float(v) for v in g]
+    if not isinstance(g, dict) or set(g) != {"start", "stop", "count"} or int(g["count"]) < 0:
+        raise ConfigError("task needs params.x_grid: a list, or {start, stop, count >= 0}")
+    return {"start": float(g["start"]), "stop": float(g["stop"]), "count": int(g["count"])}
+
+
+# parameters with a shape of their own: value -> resolved value
+_SHAPED = {
+    "x_grid": _x_grid,
+    "phases": lambda v: v and [[float(t) for t in np.atleast_1d(p)] for p in v],
+}
+
+
+def _coerce(name, value, default):
+    """``value`` read as the type of ``default``; sequences become lists."""
+    try:
+        if name in _SHAPED:
+            return _SHAPED[name](value)
+        if isinstance(default, bool) and not isinstance(value, bool):
+            raise TypeError("expected true or false")
+        if isinstance(default, (list, tuple)):
+            if not isinstance(value, (list, tuple)) or not value:
+                raise TypeError("expected a non-empty list")
+            return [type(default[0])(v) for v in value]
+        return type(default)(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} = {value!r} is malformed: {exc}") from exc
+
+
+def _resolve_params(task, given):
+    table = TASK_PARAMS[task]
+    _reject_unknown(f"params of task {task}", given, table)
+    params = {key: _coerce(key, given.get(key, default), default) for key, default in table.items()}
+    for key in ("x_range", "y_range"):
+        if key in params and len(params[key]) != 2:
+            raise ConfigError(f"params.{key} must be two numbers")
+    for key in _POSITIVE & params.keys():
+        if np.any(np.asarray(params[key]) <= 0):
+            raise ConfigError(f"params.{key} must be positive")
+    return params
 
 
 @dataclass
@@ -47,52 +102,15 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
     seed: int = 0
-    resolved: dict = field(default_factory=dict)
 
     def scan_params(self) -> classify.ScanParams:
-        p = self.params
-        kw = {}
-        if "l_grid" in p:
-            kw["l_grid"] = tuple(int(v) for v in p["l_grid"])
-        if "slope_threshold" in p:
-            kw["slope_threshold"] = float(p["slope_threshold"])
-        if "y_ladder" in p:
-            kw["y_ladder"] = tuple(float(v) for v in p["y_ladder"])
-        for key in ("tau_rel", "rank_tol", "floquet_eps", "edge_exclusion"):
-            if key in p:
-                kw[key] = float(p[key])
-        for key in ("with_rank", "with_floquet"):
-            if key in p:
-                kw[key] = bool(p[key])
-        return classify.ScanParams(**kw)
+        return classify.ScanParams(**{k: v for k, v in self.params.items() if k in _SCAN})
 
-    def x_grid(self):
-        import numpy as np
-
-        g = self.params.get("x_grid")
-        if g is None:
-            raise ConfigError("task needs params.x_grid")
+    def x_grid(self) -> np.ndarray:
+        g = self.params["x_grid"]
         if isinstance(g, dict):
-            _reject_unknown("params.x_grid", g, _GRID_KEYS)
-            missing = _GRID_KEYS - set(g)
-            if missing:
-                raise ConfigError(f"params.x_grid missing {sorted(missing)}")
-            return np.linspace(float(g["start"]), float(g["stop"]), int(g["count"]))
-        if isinstance(g, list):
-            return np.asarray([float(v) for v in g])
-        raise ConfigError("params.x_grid must be a list or {start, stop, count}")
-
-
-def _validate_model_section(model: dict):
-    _reject_unknown("model", model, _MODEL_KEYS)
-    kind = model.get("kind")
-    if kind not in ("free", "explicit", "periodic", "dynamical", "reflected"):
-        raise ConfigError(f"unknown model.kind {kind!r}")
-    for key in ("f_d", "f_v"):
-        if key in model:
-            _reject_unknown(f"model.{key}", model[key], _MAP_KEYS)
-            for term in model[key].get("terms", []) or []:
-                _reject_unknown(f"model.{key}.terms[]", term, _TERM_KEYS)
+            return np.linspace(g["start"], g["stop"], g["count"])
+        return np.asarray(g)
 
 
 def load_config(path) -> RunConfig:
@@ -109,75 +127,24 @@ def load_config(path) -> RunConfig:
 def parse_config(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    _reject_unknown("<root>", raw, _TOP_KEYS)
+    _reject_unknown("the config root", raw, _TOP_KEYS)
     for required in ("model", "task"):
         if required not in raw:
             raise ConfigError(f"config needs a '{required}' section")
     task = raw["task"]
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-    _validate_model_section(raw["model"])
-    params = raw.get("params") or {}
-    _reject_unknown("params", params, _PARAM_KEYS)
+    params = _resolve_params(task, raw.get("params") or {})
     output = raw.get("output") or {}
     _reject_unknown("output", output, _OUTPUT_KEYS)
-    seed = int(raw.get("seed", 0))
-    for key in ("slope_threshold", "tau_rel", "rank_tol", "floquet_eps",
-                "edge_exclusion", "m_tol", "slack"):
-        if key in params and float(params[key]) <= 0:
-            raise ConfigError(f"params.{key} must be positive")
-    resolved = {
-        "model": raw["model"],
-        "task": task,
-        "params": _with_defaults(task, params),
-        "output": {
-            "dir": output.get("dir", "out"),
-            "csv": output.get("csv", f"{task.replace('-', '_')}.csv"),
-            "report": output.get("report", "report.txt"),
-        },
-        "seed": seed,
-    }
     return RunConfig(
         model=raw["model"],
         task=task,
         params=params,
-        output=resolved["output"],
-        seed=seed,
-        resolved=resolved,
+        output={
+            "dir": output.get("dir", "out"),
+            "csv": output.get("csv", f"{task.replace('-', '_')}.csv"),
+            "report": output.get("report", "report.txt"),
+        },
+        seed=_coerce("seed", raw.get("seed", 0), 0),
     )
-
-
-def _with_defaults(task, params):
-    scan_defaults = {
-        "l_grid": list(classify.DEFAULT_L_GRID),
-        "slope_threshold": 0.2,
-        "y_ladder": list(weyl.DEFAULT_Y_LADDER),
-        "tau_rel": 1e-3,
-        "rank_tol": 1e-8,
-        "floquet_eps": 1e-6,
-        "edge_exclusion": 0.05,
-        "with_rank": True,
-        "with_floquet": True,
-    }
-    out = {}
-    if task == "validate":
-        out["window"] = int(params.get("window", 100))
-    elif task == "probe":
-        out["x"] = params.get("x", 0.0)
-        out["y"] = params.get("y", 0.1)
-        out["m_tol"] = params.get("m_tol", 1e-10)
-    elif task == "jl-sweep":
-        out["n_points"] = int(params.get("n_points", 100))
-        out["x_range"] = list(params.get("x_range", [-3.0, 3.0]))
-        out["y_range"] = list(params.get("y_range", [1e-2, 1.0]))
-        out["slack"] = params.get("slack", 1e-9)
-    elif task in ("scan", "constancy"):
-        for key, val in scan_defaults.items():
-            out[key] = params.get(key, val)
-        out["x_grid"] = params.get("x_grid")
-        if task == "constancy":
-            out["phases"] = params.get("phases")
-            out["n_random_phases"] = params.get("n_random_phases", 0)
-    for key, val in params.items():
-        out.setdefault(key, val)
-    return out

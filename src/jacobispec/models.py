@@ -147,19 +147,45 @@ class PiecewiseArcMap(SamplingMap):
         }
 
 
-def sampling_map_from_config(cfg: dict) -> SamplingMap:
-    kind = cfg.get("kind")
+# Config sections are checked by their readers: kind -> (required, optional keys).
+_MAP_SCHEMA = {
+    "constant": (("matrix",), ()),
+    "cosine": (("constant",), ("terms",)),
+    "arcs": (("breaks", "matrices"), ()),
+}
+_MODEL_SCHEMA = {
+    "free": ((), ("dim",)),
+    "explicit": (("pairs",), ("extension", "left")),
+    "periodic": (("ds", "vs"), ()),
+    "dynamical": (("alpha", "omega", "f_d", "f_v"), ()),
+    "reflected": (("base",), ()),
+}
+
+
+def _checked_kind(section, cfg, schema):
+    """``cfg["kind"]``, once ``cfg`` has every key its kind needs and no other."""
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    if kind not in schema:
+        raise InvalidInputError(f"unknown {section} kind {kind!r}")
+    required, optional = schema[kind]
+    if not set(required) <= cfg.keys() <= {"kind", *required, *optional}:
+        raise InvalidInputError(f"{section} of kind {kind} takes {list(required)} and "
+                                f"optionally {list(optional)}, got {sorted(cfg)}")
+    return kind
+
+
+def sampling_map_from_config(cfg: dict, *, section: str = "sampling map") -> SamplingMap:
+    kind = _checked_kind(section, cfg, _MAP_SCHEMA)
     if kind == "constant":
-        return ConstantMap(np.array(cfg["matrix"]))
+        return ConstantMap(cfg["matrix"])
     if kind == "cosine":
-        terms = tuple(
-            (tuple(t["freq"]), np.array(t["amplitude"]), float(t.get("phase", 0.0)))
-            for t in cfg.get("terms", [])
-        )
-        return CosinePolynomialMap(np.array(cfg["constant"]), terms)
-    if kind == "arcs":
-        return PiecewiseArcMap(tuple(cfg["breaks"]), tuple(np.array(m) for m in cfg["matrices"]))
-    raise InvalidInputError(f"unknown sampling map kind {kind!r}")
+        terms = cfg.get("terms", [])
+        if not all(isinstance(t, dict) and {"freq", "amplitude"} <= t.keys()
+                   <= {"freq", "amplitude", "phase"} for t in terms):
+            raise InvalidInputError(f"each {section} term takes freq, amplitude and optionally phase")
+        terms = tuple((t["freq"], t["amplitude"], t.get("phase", 0.0)) for t in terms)
+        return CosinePolynomialMap(cfg["constant"], terms)
+    return PiecewiseArcMap(cfg["breaks"], cfg["matrices"])
 
 
 # ---------------------------------------------------------------------------
@@ -399,36 +425,30 @@ def reflect(spec):
 
 def free_model(l: int = 1):
     """D = I, V = 0: the constant-coefficient reference family."""
+    if l < 1:
+        raise InvalidInputError("model dimension must be >= 1")
     return PeriodicSpec((np.eye(l),), (np.zeros((l, l)),))
 
 
-def spec_from_config(cfg: dict):
-    kind = cfg.get("kind")
-    if kind == "free":
-        return free_model(int(cfg.get("dim", 1)))
-    if kind == "explicit":
-        pairs = tuple((np.array(d), np.array(v)) for d, v in cfg["pairs"])
-        left = tuple((np.array(d), np.array(v)) for d, v in cfg.get("left", []))
-        return ExplicitSpec(pairs, cfg.get("extension", "wrap"), left)
-    if kind == "periodic":
-        return PeriodicSpec(
-            tuple(np.array(d) for d in cfg["ds"]), tuple(np.array(v) for v in cfg["vs"])
-        )
-    if kind == "dynamical":
-        return DynamicalSpec(
-            tuple(cfg["alpha"]),
-            tuple(cfg["omega"]),
-            sampling_map_from_config(cfg["f_d"]),
-            sampling_map_from_config(cfg["f_v"]),
-        )
+def spec_from_config(cfg: dict, *, section: str = "model"):
+    """The model a config section describes; malformed input raises InvalidInputError."""
+    kind = _checked_kind(section, cfg, _MODEL_SCHEMA)
     if kind == "reflected":
-        return ReflectedSpec(spec_from_config(cfg["base"]))
-    raise InvalidInputError(f"unknown model kind {kind!r}")
-
-
-def coefficient_at(spec, n: int):
-    """(D_n, V_n) for any supported model object."""
-    return spec.coefficient_at(n)
+        return ReflectedSpec(spec_from_config(cfg["base"], section=f"{section}.base"))
+    try:
+        if kind == "free":
+            return free_model(int(cfg.get("dim", 1)))
+        if kind == "explicit":
+            pairs, left = cfg["pairs"], cfg.get("left", [])
+            if not all(isinstance(p, list) and len(p) == 2 for p in [*pairs, *left]):
+                raise InvalidInputError(f"{section}: pairs and left must be lists of [D, V] pairs")
+            return ExplicitSpec(pairs, cfg.get("extension", "wrap"), left)
+        if kind == "periodic":
+            return PeriodicSpec(cfg["ds"], cfg["vs"])
+        f_d, f_v = (sampling_map_from_config(cfg[k], section=f"{section}.{k}") for k in ("f_d", "f_v"))
+        return DynamicalSpec(cfg["alpha"], cfg["omega"], f_d, f_v)
+    except (TypeError, ValueError) as exc:  # a value that is not numbers of the right shape
+        raise InvalidInputError(f"{section} ({kind}): {exc}") from exc
 
 
 def coefficient_arrays(spec, n0: int, n1: int):
@@ -497,28 +517,20 @@ def validate_model(spec, window: int = 100, *, min_singular: float = MIN_SINGULA
     if window < 1:
         raise InvalidInputError("validation window must be >= 1")
     two_sided = getattr(spec, "supports_negative", False)
-    indices = range(-window, window + 1) if two_sided else range(0, window + 1)
-    min_sl = np.inf
-    max_s1 = 0.0
-    max_defect = 0.0
-    offenders = []
-    for n in indices:
-        d, v = spec.coefficient_at(n)
-        s = np.linalg.svd(d, compute_uv=False)
-        defect = max(
-            matblock.frobenius_norm(d - d.T), matblock.frobenius_norm(v - v.T)
-        )
-        bad = s[-1] < min_singular or defect > symmetry_tol
-        if bad:
-            offenders.append(int(n))
-        min_sl = min(min_sl, float(s[-1]))
-        max_s1 = max(max_s1, float(s[0]))
-        max_defect = max(max_defect, float(defect))
+    lo = -window if two_sided else 0
+    ds, vs = coefficient_arrays(spec, lo, window + 1)
+    s = np.linalg.svd(ds, compute_uv=False)
+    defect = np.maximum(
+        np.linalg.norm(ds - ds.transpose(0, 2, 1), axis=(1, 2)),
+        np.linalg.norm(vs - vs.transpose(0, 2, 1), axis=(1, 2)),
+    )
+    bad = (s[:, -1] < min_singular) | (defect > symmetry_tol)
+    offenders = (np.flatnonzero(bad) + lo).tolist()
     report = ValidationReport(
         window=window,
-        min_s_l=float(min_sl),
-        max_s_1=float(max_s1),
-        max_symmetry_defect=float(max_defect),
+        min_s_l=float(np.min(s[:, -1])),
+        max_s_1=float(np.max(s[:, 0])),
+        max_symmetry_defect=float(np.max(defect)),
         offenders=offenders,
         passed=not offenders,
         two_sided=two_sided,
@@ -545,10 +557,8 @@ def limit_point_partial_sum(spec, n_terms: int, *, tail_fraction: float = 0.05):
     """
     if n_terms < 1:
         raise InvalidInputError("n_terms must be >= 1")
-    terms = np.empty(n_terms + 1)
-    for k in range(n_terms + 1):
-        d, _ = spec.coefficient_at(k)
-        terms[k] = 1.0 / float(np.linalg.svd(d, compute_uv=False)[0])
+    ds, _ = coefficient_arrays(spec, 0, n_terms + 1)
+    terms = 1.0 / np.linalg.svd(ds, compute_uv=False)[:, 0]
     total = float(np.sum(terms))
     half = float(np.sum(terms[: (n_terms + 1) // 2]))
     tail_share = (total - half) / total if total > 0 else 0.0

@@ -90,10 +90,6 @@ class SolutionTrack:
             raise TrackOverflowError(f"singular values at {n} exceed float range")
         return self.sv_mant[n] * np.ldexp(1.0, max(e, -1074))
 
-    def singular_values_scaled(self, n):
-        n = self._check(n)
-        return self.sv_mant[n], int(self.exp2[n])
-
     def frobenius_norm_at(self, n):
         return float(np.sqrt(np.sum(self.singular_values_at(n) ** 2)))
 

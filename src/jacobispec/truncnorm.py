@@ -85,7 +85,7 @@ class SolveLResult:
         return self.phi, self.psi
 
 
-def solve_l_of_y(spec, x, y, *, tol=1e-10, initial_blocks=INITIAL_TRACK_BLOCKS,
+def solve_l_of_y(spec, x, y, *, initial_blocks=INITIAL_TRACK_BLOCKS,
                  max_blocks=MAX_TRACK_BLOCKS, tracks=None):
     """Find L >= 1 with 2 y ||D0^-1||_F ||psi||_L ||phi||_L = 1.
 

@@ -272,3 +272,31 @@ def banded_corner_block_reference(spec, z, n_blocks):
     rhs = np.zeros((dim, l), dtype=complex)
     rhs[:l, :] = eye
     return scipy.linalg.solve_banded((bw, bw), ab, rhs)[:l, :]
+
+
+def validate_model_reference(spec, window, min_singular=1e-12, symmetry_tol=1e-10):
+    """The per-index hypothesis scan: (min s_l, max s_1, max defect, offenders)."""
+    two_sided = getattr(spec, "supports_negative", False)
+    indices = range(-window, window + 1) if two_sided else range(0, window + 1)
+    min_sl, max_s1, max_defect, offenders = np.inf, 0.0, 0.0, []
+    for n in indices:
+        d, v = spec.coefficient_at(n)
+        s = np.linalg.svd(d, compute_uv=False)
+        defect = max(
+            float(np.sqrt(np.sum(np.abs(d - d.T) ** 2))),
+            float(np.sqrt(np.sum(np.abs(v - v.T) ** 2))),
+        )
+        if s[-1] < min_singular or defect > symmetry_tol:
+            offenders.append(int(n))
+        min_sl = min(min_sl, float(s[-1]))
+        max_s1 = max(max_s1, float(s[0]))
+        max_defect = max(max_defect, defect)
+    return min_sl, max_s1, max_defect, offenders
+
+
+def limit_point_sum_reference(spec, n_terms):
+    """sum_{k <= n_terms} 1/s_1[D_k], one SVD per index."""
+    terms = np.empty(n_terms + 1)
+    for k in range(n_terms + 1):
+        terms[k] = 1.0 / float(np.linalg.svd(spec.coefficient_at(k)[0], compute_uv=False)[0])
+    return float(np.sum(terms))

@@ -183,11 +183,13 @@ def test_constancy_disguised_periodic():
 def test_constancy_same_phase_exact(golden_amo):
     xs = np.linspace(-2.4, 2.4, 13)
     params = classify.ScanParams(l_grid=(256, 512, 1024))
-    rep = classify.constancy_experiment(golden_amo, [[0.3], [0.3]], xs, params)
+    rep = classify.constancy_experiment(golden_amo, np.array([[0.3], [0.3]]), xs, params)
     stats = rep.pairwise[(0, 1)]
     assert stats["agreement"] == 1.0
     a, b = rep.classifications
     assert np.array_equal(a.full_multiplicity, b.full_multiplicity)
+    # phases come back as plain floats, so reports print them as numbers
+    assert repr(rep.phases) == "[(0.3,), (0.3,)]" and repr(a.phase) == "(0.3,)"
 
 
 def test_constancy_needs_two_phases(golden_amo):

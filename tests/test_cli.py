@@ -304,3 +304,121 @@ def test_scan_with_error_rows_exits_nonzero(tmp_path, monkeypatch):
     rows = (out / "scan.csv").read_text().strip().splitlines()[1:]
     assert [row.endswith("error") for row in rows] == [False, True, False]
     assert "error rows: 1 (ConvergenceError: 1)" in (out / "report.txt").read_text()
+
+
+GOLDEN_AMO = {
+    "kind": "dynamical",
+    "alpha": [0.6180339887498949],
+    "omega": [0.0],
+    "f_d": {"kind": "constant", "matrix": [[1.0]]},
+    "f_v": {
+        "kind": "cosine",
+        "constant": [[0.0]],
+        "terms": [{"freq": [1], "amplitude": [[0.5]], "phase": 0.0}],
+    },
+}
+PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
+
+
+@pytest.mark.parametrize("model, task, params, seed", [
+    ({"kind": "periodic"}, "validate", {}, 0),
+    ({"kind": "free", "dim": 0}, "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_d={"kind": "constant"}), "validate", {}, 0),
+    ({"kind": "explicit", "pairs": [[[[1.0]]]]}, "validate", {}, 0),
+    ({"kind": "periodic", "ds": [[[1.0, 0.0], [0.0]]], "vs": [[[0.0]]]}, "validate", {}, 0),
+    (dict(PERIODIC1, alpha=[0.1]), "validate", {}, 0),
+    ({"kind": "reflected", "base": dict(PERIODIC1, bogus=1)}, "validate", {}, 0),
+    ({"kind": "reflected", "base": {"kind": "periodic", "ds": [[[1.0]]]}}, "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_v={"kind": "cosine", "constant": [[0.0]], "terms": [{"freq": [1]}]}),
+     "validate", {}, 0),
+    (FREE1, "jl-sweep", {"x_range": [1.0]}, 0),
+    (FREE1, "jl-sweep", {"n_points": "two"}, 0),
+    (FREE1, "jl-sweep", {"m_tol": 1e-8}, 0),
+    (FREE1, "validate", {}, "two"),
+    (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "y_ladder": [0.1, 0.01]}, 0),
+    (FREE1, "scan", {"x_grid": [0.0], "with_rank": "yes"}, 0),
+], ids=[
+    "periodic-without-ds", "free-dimension-zero", "constant-map-without-matrix", "pair-without-v", "ragged-block",
+    "alpha-on-periodic", "unknown-key-in-reflected-base", "reflected-base-without-vs",
+    "cosine-term-without-amplitude", "one-number-range", "n-points-not-a-number",
+    "m-tol-in-jl-sweep", "seed-not-a-number", "y-ladder-in-constancy", "with-rank-not-a-bool",
+])
+def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task, params, seed):
+    cfg = write_config(
+        tmp_path, "bad.yaml",
+        {"model": model, "task": task, "params": params, "seed": seed,
+         "output": {"dir": str(tmp_path / "out")}},
+    )
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_lists_resolved_defaults(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        {
+            "model": GOLDEN_AMO,
+            "task": "constancy",
+            "params": {"x_grid": [-1.0, 0.5], "l_grid": [64, 128]},
+            "output": {"dir": str(out)},
+            "seed": 5,
+        },
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    report = (out / "report.txt").read_text()
+    assert "window: 100" in report
+    assert "n_random_phases: 2" in report
+    assert "y_ladder" not in report  # constancy does not read it
+    phases = report.rsplit("\nphases: ", 1)[-1]
+    assert phases.startswith("[(0.") and "float64" not in phases
+    # PyYAML reads 1e-3 (no dot) as a string; the report shows the number used
+    path = tmp_path / "jl.yaml"
+    path.write_text(
+        "model: {kind: free, dim: 1}\ntask: jl-sweep\n"
+        f"params: {{n_points: 2, slack: 1e-3}}\noutput: {{dir: {tmp_path / 'jl'}}}\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["run", str(path)]) == 0
+    assert "slack: 0.001" in (tmp_path / "jl" / "report.txt").read_text()
+
+
+def test_scan_band_edges_use_configured_eps(tmp_path, monkeypatch):
+    from jacobispec import classify
+
+    seen = []
+    original = classify.floquet_band_edges
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("eps"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "floquet_band_edges", spy)
+    cfg = write_config(
+        tmp_path, "scan.yaml",
+        {
+            "model": FREE1,
+            "task": "scan",
+            "params": {"x_grid": [0.0, 1.0], "l_grid": [64, 128], "with_rank": False,
+                       "floquet_eps": 1e-7},
+            "output": {"dir": str(tmp_path / "out")},
+        },
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    assert seen == [1e-7]
+
+
+def test_readme_configs_parse():
+    import re
+    from pathlib import Path
+
+    from jacobispec import config, models
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        cfg = config.parse_config(yaml.safe_load(block))
+        models.spec_from_config(cfg.model)

@@ -4,6 +4,9 @@ import pytest
 from jacobispec import models
 from jacobispec.errors import InvalidInputError, ModelValidationError
 
+from oracles import limit_point_sum_reference, validate_model_reference
+
+
 def test_free_model_coefficients(free1):
     d, v = free1.coefficient_at(17)
     assert np.allclose(d, np.eye(1)) and np.allclose(v, np.zeros((1, 1)))
@@ -102,6 +105,42 @@ def test_validate_extremes_match_direct_scan(random_bounded2):
 def test_validate_passes_on_all_fixtures(free2, diag01, random_bounded2, golden_amo):
     for spec in (free2, diag01, random_bounded2, golden_amo):
         assert models.validate_model(spec, 64).passed
+
+
+def test_validate_matches_per_index_reference(random_bounded2, golden_amo):
+    rng = np.random.default_rng(5)
+
+    def near_symmetric():
+        a = rng.normal(size=(2, 2))
+        return a + a.T + 1e-13 * rng.normal(size=(2, 2))
+
+    # asymmetric within the constructor's tolerance, so the defects are nonzero
+    pairs = tuple((near_symmetric() + 3 * np.eye(2), near_symmetric()) for _ in range(5))
+    left = tuple((near_symmetric() + 3 * np.eye(2), near_symmetric()) for _ in range(3))
+    explicit = models.ExplicitSpec(pairs, extension="constant", left=left)
+    for spec, window in [
+        (random_bounded2, 40), (explicit, 17), (golden_amo, 33),
+        (models.reflect(random_bounded2), 21), (models.reflect(golden_amo), 12),
+    ]:
+        report = models.validate_model(spec, window)
+        min_sl, max_s1, max_defect, offenders = validate_model_reference(spec, window)
+        assert (report.min_s_l, report.max_s_1, report.max_symmetry_defect) == (
+            min_sl, max_s1, max_defect
+        )
+        assert report.offenders == offenders == []
+        total, _ = models.limit_point_partial_sum(spec, window)
+        assert total == limit_point_sum_reference(spec, window)
+    one, zero = np.eye(1), np.zeros((1, 1))
+    singular = models.ExplicitSpec(
+        ((one, zero), (zero, one), (2 * one, zero)), extension="wrap", left=((one, zero), (zero, one))
+    )
+    with pytest.raises(ModelValidationError) as err:
+        models.validate_model(singular, 10)
+    report = err.value.report
+    assert (report.min_s_l, report.max_s_1, report.max_symmetry_defect, report.offenders) == (
+        validate_model_reference(singular, 10)
+    )
+    assert report.offenders == [-10, -8, -6, -4, -2, 1, 4, 7, 10]
 
 
 def test_limit_point_free_model(free1):
