@@ -24,51 +24,61 @@ DEFAULT_L_GRID = tuple(2**k for k in range(8, 17))
 OVERFLOW_LOG2 = 830.0  # log2 of ~1e250; C_r beyond this is flagged unbounded
 
 
+def _members(spec):
+    """A model, or a sequence of member models, as a tuple of members."""
+    return tuple(spec) if isinstance(spec, (list, tuple)) else (spec,)
+
+
 def _cesaro_sums(spec, xs, l_grid):
     """log2 of C_r(L) on the grid, streamed over a whole energy batch.
 
-    Returns log2_c of shape (len(l_grid), B, l); the trailing axis is
-    ordered by descending singular index (column j holds s_{j+1}), so C_r
-    lives in column l - r.
+    ``spec`` is one model or a sequence of G member models of one
+    dimension, all stepped as one batch of the forward kernel. Returns
+    log2_c of shape (len(l_grid), G * B, l), member-major; the trailing
+    axis is ordered by descending singular index (column j holds s_{j+1}),
+    so C_r lives in column l - r.
     """
+    members = _members(spec)
     xs = np.asarray(xs, dtype=float)
-    batch = xs.size
-    l = spec.dim
+    g, batch, l = len(members), xs.size, members[0].dim
     l_grid = tuple(int(v) for v in l_grid)
-    if not l_grid or any(b <= a for a, b in zip(l_grid, l_grid[1:])) or l_grid[0] < 2:
-        raise InvalidInputError("cutoff grid must be increasing integers >= 2")
+    if len(l_grid) < 2 or any(b <= a for a, b in zip(l_grid, l_grid[1:])) or l_grid[0] < 2:
+        raise InvalidInputError("cutoff grid must be at least two increasing integers >= 2")
     eye = np.eye(l)
-    prev = np.zeros((2 * batch, l, l))
-    prev[batch:] = eye
+    prev = np.zeros((g, 2 * batch, l, l))
+    prev[:, batch:] = eye
     cur = np.zeros_like(prev)
-    cur[:batch] = eye
-    ledger = np.zeros(2 * batch, dtype=np.int64)
-    acc_m = np.zeros((batch, l))
-    acc_e = np.zeros((batch, l), dtype=np.int64)
-    # raw mantissa-scale sums since the last fold; folded into the scaled
-    # accumulator only at rescale events and checkpoints
-    buf = np.zeros((2 * batch, l))
-    out = np.empty((len(l_grid), batch, l))
+    cur[:, :batch] = eye
+    ledger = np.zeros(g * 2 * batch, dtype=np.int64)
+    acc_m = np.zeros((g, batch, l))
+    acc_e = np.zeros((g, batch, l), dtype=np.int64)
+    # raw mantissa-scale sums since the last fold; a member's buffer is
+    # folded into its scaled accumulator when one of its own entries
+    # rescales and at each checkpoint, so every member comes out bit for
+    # bit as its own sweep would
+    buf = np.zeros((g, 2 * batch, l))
+    out = np.empty((len(l_grid), g, batch, l))
     ck = 0
 
-    def fold():
-        nonlocal acc_m, acc_e
-        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[:batch], 2 * ledger[:batch, None])
-        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[batch:], 2 * ledger[batch:, None])
-        buf[:] = 0.0
+    def fold(sel):
+        e2 = 2 * ledger.reshape(g, 2 * batch, 1)[sel]
+        m, e = scaling.add(acc_m[sel], acc_e[sel], buf[sel, :batch], e2[:, :batch])
+        acc_m[sel], acc_e[sel] = scaling.add(m, e, buf[sel, batch:], e2[:, batch:])
+        buf[sel] = 0.0
 
-    steps = recurrence.forward(spec, np.concatenate([xs, xs]), prev, cur, 1, ledger)
+    zs = np.tile(np.concatenate([xs, xs]), g)
+    steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger)
     for n, blocks, exp2 in steps:
         if exp2 is not ledger:
-            fold()
+            fold(np.any((exp2 != ledger).reshape(g, -1), axis=1))
             ledger = exp2
-        buf += matblock.batched_singular_sq(blocks)
+        buf += matblock.batched_singular_sq(blocks).reshape(buf.shape)
         if n == l_grid[ck]:
-            fold()
+            fold(slice(None))
             out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
             ck += 1
             if ck == len(l_grid):
-                return out
+                return out.reshape(len(l_grid), g * batch, l)
 
 
 @dataclass
@@ -117,9 +127,15 @@ def cesaro_profile(spec, x, l_grid=DEFAULT_L_GRID):
 
 
 def cesaro_profiles_grid(spec, xs, l_grid=DEFAULT_L_GRID):
+    """Cesaro growth profiles at every energy of ``xs``, from one sweep.
+
+    ``spec`` may be a sequence of member models; the profiles then come
+    back member-major, member g's profile at xs[j] at g * len(xs) + j.
+    """
+    members = _members(spec)
     xs = np.asarray(xs, dtype=float)
-    log2_c = _cesaro_sums(spec, xs, l_grid)
-    return _fit_profiles(xs, log2_c, l_grid, spec.dim)
+    log2_c = _cesaro_sums(members, xs, l_grid)
+    return _fit_profiles(np.tile(xs, len(members)), log2_c, l_grid, members[0].dim)
 
 
 def classify_multiplicity(profile, slope_threshold=0.2):
@@ -372,27 +388,13 @@ class ConstancyReport:
         return "\n".join(lines)
 
 
-def _classify_phase(spec, xs, params):
-    right = cesaro_profiles_grid(spec, xs, params.l_grid)
-    left = cesaro_profiles_grid(models.reflect(spec), xs, params.l_grid)
-    r_plus = np.empty(xs.size, dtype=int)
-    r_minus = np.empty(xs.size, dtype=int)
-    det = np.empty(xs.size, dtype=bool)
-    for j in range(xs.size):
-        rp, lcp = classify_multiplicity(right[j], params.slope_threshold)
-        rm, lcm = classify_multiplicity(left[j], params.slope_threshold)
-        r_plus[j] = rp
-        r_minus[j] = rm
-        det[j] = not (lcp or lcm)
-    return r_plus, r_minus, det
-
-
 def constancy_experiment(spec, phases, x_grid, params=None):
     """Compare whole-line multiplicity classifications across phases.
 
     The whole-line AC multiplicity at x is estimated as r_plus + r_minus
     (right plus reflected-left half-line Cesaro multiplicities), which is
-    even exactly when the two half-lines agree. For each phase pair the
+    even exactly when the two half-lines agree. Every phase and both
+    half-lines run as members of one Cesaro sweep. For each phase pair the
     report carries the agreement fraction over jointly determinate points
     and the symmetric-difference fraction of each even-multiplicity set.
     """
@@ -403,18 +405,22 @@ def constancy_experiment(spec, phases, x_grid, params=None):
     params = params or ScanParams()
     xs = np.asarray(x_grid, dtype=float)
     phases = [tuple(float(t) for t in np.atleast_1d(p)) for p in phases]
-
-    def one(phase):
-        r_plus, r_minus, det = _classify_phase(spec.with_phase(phase), xs, params)
-        return PhaseClassification(
+    right = [spec.with_phase(phase) for phase in phases]
+    members = [m for s in right for m in (s, models.reflect(s))]
+    profiles = cesaro_profiles_grid(members, xs, params.l_grid)
+    # (phase, side, energy) -> (r, low confidence)
+    verdicts = np.array([classify_multiplicity(p, params.slope_threshold) for p in profiles],
+                        dtype=int).reshape(len(phases), 2, xs.size, 2)
+    results = [
+        PhaseClassification(
             phase=phase,
-            r_plus=r_plus,
-            r_minus=r_minus,
-            full_multiplicity=r_plus + r_minus,
-            determinate=det,
+            r_plus=r[0, :, 0],
+            r_minus=r[1, :, 0],
+            full_multiplicity=r[0, :, 0] + r[1, :, 0],
+            determinate=r[0, :, 1] + r[1, :, 1] == 0,
         )
-
-    results = [one(p) for p in phases]
+        for phase, r in zip(phases, verdicts)
+    ]
 
     pairwise = {}
     l = spec.dim

@@ -92,6 +92,11 @@ def _resolve_params(task, given):
     for key in _POSITIVE & params.keys():
         if np.any(np.asarray(params[key]) <= 0):
             raise ConfigError(f"params.{key} must be positive")
+    if "l_grid" in params and (len(params["l_grid"]) < 2 or min(params["l_grid"]) < 2
+                               or np.any(np.diff(params["l_grid"]) <= 0)):
+        raise ConfigError("params.l_grid must be at least two increasing integers >= 2")
+    if "y_ladder" in params and np.any(np.diff(params["y_ladder"]) >= 0):
+        raise ConfigError("params.y_ladder must be strictly decreasing")
     return params
 
 

@@ -2,6 +2,8 @@
 
 A model is anything with ``dim`` and ``coefficient_at(n) -> (D_n, V_n)`` for
 integer n (negative indices where the family supports a left half-line).
+The built-in families also give ``coefficient_arrays(n0, n1)``, the blocks of
+a whole index range computed without a per-index loop.
 All coefficient blocks are real symmetric; D_n must be invertible; these
 hypotheses are checked by :func:`validate_model`.
 """
@@ -36,12 +38,16 @@ def _sym_block(a, name="block"):
 
 
 class SamplingMap:
-    """Maps a torus point (d-vector in [0,1)) to a real symmetric block."""
+    """Maps torus points (d-vectors in [0,1)) to real symmetric blocks."""
 
     dim: int
 
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
+    def sample(self, theta: np.ndarray) -> np.ndarray:
+        """The blocks at an (n, d) array of points, as an (n, l, l) array."""
         raise NotImplementedError
+
+    def __call__(self, theta) -> np.ndarray:
+        return self.sample(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -58,8 +64,8 @@ class ConstantMap(SamplingMap):
     def dim(self):
         return self.matrix.shape[0]
 
-    def __call__(self, theta):
-        return self.matrix
+    def sample(self, theta):
+        return np.repeat(self.matrix[None], len(theta), axis=0)
 
     def to_config(self):
         return {"kind": "constant", "matrix": self.matrix.tolist()}
@@ -88,12 +94,12 @@ class CosinePolynomialMap(SamplingMap):
     def dim(self):
         return self.constant.shape[0]
 
-    def __call__(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = self.constant.copy()
+    def sample(self, theta):
+        out = np.repeat(self.constant[None], len(theta), axis=0)
         for freq, amp, phase in self.terms:
-            arg = float(np.dot(freq, theta)) + phase
-            out = out + amp * np.cos(2.0 * np.pi * arg)
+            # k . theta summed column by column, the same at every batch size
+            arg = sum(k * theta[:, i] for i, k in enumerate(freq)) + phase
+            out = out + amp * np.cos(2.0 * np.pi * arg)[:, None, None]
         return out
 
     def to_config(self):
@@ -134,10 +140,9 @@ class PiecewiseArcMap(SamplingMap):
     def dim(self):
         return self.matrices[0].shape[0]
 
-    def __call__(self, theta):
-        t = float(np.atleast_1d(theta)[0]) % 1.0
-        idx = int(np.searchsorted(self.breaks, t, side="right"))
-        return self.matrices[min(idx, len(self.matrices) - 1)]
+    def sample(self, theta):
+        idx = np.searchsorted(self.breaks, theta[:, 0] % 1.0, side="right")
+        return np.array(self.matrices)[np.minimum(idx, len(self.matrices) - 1)]
 
     def to_config(self):
         return {
@@ -189,7 +194,15 @@ def sampling_map_from_config(cfg: dict, *, section: str = "sampling map") -> Sam
 
 
 # ---------------------------------------------------------------------------
-# Operator families.
+# Operator families. Each computes ``coefficient_arrays(n0, n1)`` for a whole
+# index range; ``coefficient_at`` is the batch of one.
+
+
+def _coefficient_at(spec, n: int):
+    """(D_n, V_n): ``spec.coefficient_arrays`` for a batch of one."""
+    n = int(n)
+    d, v = spec.coefficient_arrays(n, n + 1)
+    return d[0], v[0]
 
 
 @dataclass(frozen=True)
@@ -214,28 +227,25 @@ class ExplicitSpec:
         left = tuple((_sym_block(d, "D"), _sym_block(v, "V")) for d, v in self.left)
         object.__setattr__(self, "pairs", cooked)
         object.__setattr__(self, "left", left)
+        # the right list, then the left one; coefficient_arrays indexes into it
+        object.__setattr__(self, "_table", tuple(np.array(t) for t in zip(*cooked + left)))
 
     @property
     def dim(self):
         return self.pairs[0][0].shape[0]
 
-    def coefficient_at(self, n: int):
-        n = int(n)
-        if n >= 0:
-            seq = self.pairs
-            idx = n
-        else:
-            if not self.left:
-                raise InvalidInputError(
-                    "explicit model has no declared left extension for n < 0"
-                )
-            seq = self.left
-            idx = -n - 1
-        if idx < len(seq):
-            return seq[idx]
-        if self.extension == "constant":
-            return seq[-1]
-        return seq[idx % len(seq)]
+    coefficient_at = _coefficient_at
+
+    def coefficient_arrays(self, n0: int, n1: int):
+        n = np.arange(n0, n1)
+        if n0 < 0 and not self.left:
+            raise InvalidInputError("explicit model has no declared left extension for n < 0")
+        right = n >= 0
+        idx = np.where(right, n, -n - 1)
+        size = np.where(right, len(self.pairs), len(self.left))
+        idx = np.minimum(idx, size - 1) if self.extension == "constant" else idx % size
+        idx = idx + np.where(right, 0, len(self.pairs))
+        return tuple(t[idx] for t in self._table)
 
     @property
     def supports_negative(self):
@@ -266,6 +276,7 @@ class PeriodicSpec:
             raise InvalidInputError("periodic model needs equal-length D and V lists")
         object.__setattr__(self, "ds", ds)
         object.__setattr__(self, "vs", vs)
+        object.__setattr__(self, "_table", (np.array(ds), np.array(vs)))
 
     @property
     def period(self):
@@ -275,9 +286,11 @@ class PeriodicSpec:
     def dim(self):
         return self.ds[0].shape[0]
 
-    def coefficient_at(self, n: int):
-        idx = int(n) % self.period
-        return self.ds[idx], self.vs[idx]
+    coefficient_at = _coefficient_at
+
+    def coefficient_arrays(self, n0: int, n1: int):
+        idx = np.arange(n0, n1) % self.period
+        return tuple(t[idx] for t in self._table)
 
     supports_negative = True
 
@@ -328,19 +341,33 @@ class DynamicalSpec:
     def dim(self):
         return self.f_v.dim
 
-    def phase_at(self, n: int) -> np.ndarray:
-        """T^n omega, with the n*alpha reduction done in exact arithmetic."""
-        n = int(n)
-        out = np.empty(self.torus_dim)
+    def phases(self, n0: int, n1: int) -> np.ndarray:
+        """T^n omega for n0 <= n < n1, an (n1 - n0, torus_dim) array.
+
+        alpha_i = p/q with q a power of two: for q <= 2^64, n*p mod q is
+        exact in uint64 wraparound, as q divides 2^64; a larger q falls back
+        to Python ints. Dividing by q is exact, so no phase drifts.
+        """
+        n = np.arange(n0, n1, dtype=np.int64).astype(np.uint64)
+        out = np.empty((n.size, self.torus_dim))
         for i, (w, af) in enumerate(zip(self.omega, self._alpha_frac)):
             p, q = af.numerator, af.denominator
-            step = ((n * p) % q) / q
-            out[i] = (w + step) % 1.0
+            if q <= 2**64:
+                r = (n * np.uint64(p)) & np.uint64(q - 1)
+            else:
+                r = np.array([k * p % q for k in range(n0, n1)], dtype=float)
+            out[:, i] = (w + r / float(q)) % 1.0
         return out
 
-    def coefficient_at(self, n: int):
-        theta = self.phase_at(n)
-        return self.f_d(theta), self.f_v(theta)
+    def phase_at(self, n: int) -> np.ndarray:
+        """T^n omega (see :meth:`phases`)."""
+        return self.phases(int(n), int(n) + 1)[0]
+
+    coefficient_at = _coefficient_at
+
+    def coefficient_arrays(self, n0: int, n1: int):
+        theta = self.phases(n0, n1)
+        return self.f_d.sample(theta), self.f_v.sample(theta)
 
     def shifted(self, m: int) -> "DynamicalSpec":
         """The same family seen from phase T^m omega."""
@@ -400,11 +427,12 @@ class ReflectedSpec:
     def dim(self):
         return self.base.dim
 
-    def coefficient_at(self, n: int):
-        n = int(n)
-        d = self.base.coefficient_at(-n - 1)[0]
-        v = self.base.coefficient_at(-n)[1]
-        return d, v
+    coefficient_at = _coefficient_at
+
+    def coefficient_arrays(self, n0: int, n1: int):
+        # one read of the base over [-n1, -n0], sliced and reversed
+        d, v = coefficient_arrays(self.base, -n1, -n0 + 1)
+        return d[-2::-1], v[:0:-1]
 
     @property
     def supports_negative(self):
@@ -454,28 +482,36 @@ def spec_from_config(cfg: dict, *, section: str = "model"):
 def coefficient_arrays(spec, n0: int, n1: int):
     """(D, V) for n0 <= n < n1 as two (n1 - n0, l, l) arrays.
 
-    Periodic families index their residue table; any other model stacks
-    ``coefficient_at`` one index at a time.
+    The built-in families compute them without a per-index loop; any other
+    model stacks ``coefficient_at`` one index at a time.
     """
     n0, n1 = int(n0), int(n1)
     if n1 <= n0:
         raise InvalidInputError(f"empty coefficient range {n0}..{n1}")
-    period = getattr(spec, "period", None)
-    if period is None:
-        ds, vs = zip(*(spec.coefficient_at(n) for n in range(n0, n1)))
-        return np.array(ds), np.array(vs)
-    ds, vs = zip(*(spec.coefficient_at(r) for r in range(period)))
-    idx = np.arange(n0, n1) % period
-    return np.array(ds)[idx], np.array(vs)[idx]
+    if hasattr(spec, "coefficient_arrays"):
+        return spec.coefficient_arrays(n0, n1)
+    ds, vs = zip(*(spec.coefficient_at(n) for n in range(n0, n1)))
+    return np.array(ds), np.array(vs)
 
 
 def coefficient_tape(spec, prepare):
-    """n -> prepare(D_n, V_n), evaluated once per residue for periodic families."""
+    """n -> prepare(D_n, V_n), evaluated once per residue for periodic families.
+
+    Other families read :func:`coefficient_arrays` 256 indices at a time.
+    """
     period = getattr(spec, "period", None)
-    if period is None:
-        return lambda n: prepare(*spec.coefficient_at(n))
-    table = [prepare(*spec.coefficient_at(r)) for r in range(period)]
-    return lambda n: table[n % period]
+    if period is not None:
+        table = [prepare(d, v) for d, v in zip(*coefficient_arrays(spec, 0, period))]
+        return lambda n: table[n % period]
+    held = [None, None, None]  # chunk start, D, V
+
+    def tape(n):
+        start = n - n % 256
+        if held[0] != start:
+            held[:] = start, *coefficient_arrays(spec, start, start + 256)
+        return prepare(held[1][n - start], held[2][n - start])
+
+    return tape
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from .errors import DomainError, InvalidInputError, SingularBlockError, TrackOve
 # growth factors up to ~1e4.
 _RESCALE_LOG2 = 120
 _RESCALE_EVERY = 8
+# coefficient steps the forward kernel reads at once
+_CHUNK = 256
 
 
 def _as_z(z):
@@ -124,11 +126,16 @@ class SolutionTrack:
         return extend_tracks([self], n_new)[0]
 
 
-def _with_inverse(d, v):
+def _inverses(d):
+    """D^-1 of a stack of blocks, cut short before the first singular one."""
     try:
-        return d, np.linalg.inv(d), v
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError("a D_n block is singular, recurrence stops") from exc
+        return np.linalg.inv(d)
+    except np.linalg.LinAlgError:
+        for k, block in enumerate(d):
+            try:
+                np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                return np.linalg.inv(d[:k])
 
 
 def _pow2_shift(mags):
@@ -144,36 +151,51 @@ def _pow2_shift(mags):
     return np.where(hot, e, 0).astype(np.int64)
 
 
-def forward(spec, zs, b_prev, b_cur, n_start, exp2):
+def forward(specs, zs, b_prev, b_cur, n_start, exp2):
     """Step the recurrence forward for a batch of energies.
 
     ``zs`` holds N energies; ``b_prev``/``b_cur`` are the (N, l, l) blocks
     n_start - 1 and n_start, entry j at scale 2**exp2[j] (int64 ledger).
+    ``specs`` is a tuple of G member models of one dimension: the batch
+    splits into G equal contiguous groups, and group g steps with the
+    coefficients of specs[g].
     Yields (n, B_n mantissas, ledger) for n = n_start, n_start + 1, ...
     without end; a step is only taken when the next item is requested.
-    B_{n+1} = D_n^-1 (z B_n - V_n B_n - D_{n-1} B_{n-1}); after the step
-    from an index n = 0 mod 8 the pair is shifted by :func:`_pow2_shift` of
-    its largest entry. The ledger array is replaced, never mutated, at each
-    shift, so a caller detects a rescale by identity.
+    B_{n+1} = D_n^-1 (z B_n - V_n B_n - D_{n-1} B_{n-1}), each product an
+    elementwise multiply for l = 1. Coefficients are read in chunks of up
+    to _CHUNK steps through :func:`models.coefficient_arrays`, D^-1 from one
+    stacked inverse; a singular D_n raises SingularBlockError at the step
+    that needs D_n^-1. After the step from an index n = 0 mod 8 the pair is
+    shifted by :func:`_pow2_shift` of its largest entry. The ledger array is
+    replaced, never mutated, at each shift, so a caller detects a rescale
+    by identity.
     """
-    tape = models.coefficient_tape(spec, _with_inverse)
-    zz = np.asarray(zs)[:, None, None]
-    d_prev = tape(n_start - 1)[0]
-    n = n_start
+    l = b_cur.shape[-1]
+    mul = np.multiply if l == 1 else np.matmul
+    zz = np.asarray(zs).reshape(len(specs), -1, 1, 1)
+    b_prev, b_cur = (b.reshape(zz.shape[:2] + (l, l)) for b in (b_prev, b_cur))
+    n, size = n_start, 8
     while True:
-        yield n, b_cur, exp2
-        d_n, d_inv, v_n = tape(n)
-        b_prev, b_cur = b_cur, d_inv @ (zz * b_cur - v_n @ b_cur - d_prev @ b_prev)
-        if n % _RESCALE_EVERY == 0:
-            pair = np.abs(np.concatenate((b_prev, b_cur), axis=1)).reshape(len(b_cur), -1)
-            shift = _pow2_shift(pair.max(axis=1))
-            if shift is not None:
-                factor = np.ldexp(1.0, -shift)[:, None, None]
-                b_cur = b_cur * factor
-                b_prev = b_prev * factor
-                exp2 = exp2 + shift
-        d_prev = d_n
-        n += 1
+        # chunks double up to _CHUNK, so a short run reads little ahead
+        size = min(2 * size, _CHUNK)
+        # (steps, G, 1, l, l): each member's blocks broadcast over its group
+        d, v = (np.stack(arrays, axis=1)[:, :, None] for arrays in zip(*(
+            models.coefficient_arrays(spec, n - 1, n + size) for spec in specs)))
+        d_inv = _inverses(d[1:])
+        for k in range(size):
+            yield n, b_cur.reshape(-1, l, l), exp2
+            if k == len(d_inv):
+                raise SingularBlockError(f"D_{n} is singular, recurrence stops")
+            b_prev, b_cur = b_cur, mul(d_inv[k], zz * b_cur - mul(v[k + 1], b_cur) - mul(d[k], b_prev))
+            if n % _RESCALE_EVERY == 0:
+                pair = np.abs(np.concatenate((b_prev, b_cur), axis=2)).reshape(len(exp2), -1)
+                shift = _pow2_shift(pair.max(axis=1))
+                if shift is not None:
+                    factor = np.ldexp(1.0, -shift).reshape(zz.shape)
+                    b_cur = b_cur * factor
+                    b_prev = b_prev * factor
+                    exp2 = exp2 + shift
+            n += 1
 
 
 def _propagate(spec, zs, n_start, n_stop, b_prev, b_cur, exp2):
@@ -184,7 +206,7 @@ def _propagate(spec, zs, n_start, n_stop, b_prev, b_cur, exp2):
     count = n_stop - n_start + 1
     blocks = np.empty((count,) + b_cur.shape, dtype=b_cur.dtype)
     exps = np.empty((count, b_cur.shape[0]), dtype=np.int64)
-    steps = forward(spec, zs, b_prev, b_cur, n_start, exp2)
+    steps = forward((spec,), zs, b_prev, b_cur, n_start, exp2)
     for i, (_, b, e) in zip(range(count), steps):
         blocks[i] = b
         exps[i] = e
@@ -313,8 +335,8 @@ def cocycle_products(spec, zs, n):
     l = spec.dim
     acc = np.tile(np.eye(2 * l, dtype=zs.dtype), (zs.size, 1, 1))
     exp2 = np.zeros(zs.size, dtype=np.int64)
-    for k in range(1, n):
-        d_k, v_k = spec.coefficient_at(k)
+    coeffs = zip(*models.coefficient_arrays(spec, 1, n)) if n > 1 else ()
+    for d_k, v_k in coeffs:
         acc = _transfer_steps(d_k, v_k, zs) @ acc
         shift = _pow2_shift(np.max(np.abs(acc), axis=(1, 2)))
         if shift is not None:

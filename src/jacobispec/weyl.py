@@ -268,9 +268,9 @@ def jost_chain(spec, z, n_max, tol=1e-12, max_depth=2**18):
     l = spec.dim
     blocks = np.empty((n_max + 1, l, l), dtype=complex)
     blocks[0] = np.eye(l)
+    ds = models.coefficient_arrays(spec, 0, max(n_max, 1))[0]
     for k in range(1, n_max + 1):
-        d_prev = spec.coefficient_at(k - 1)[0]
-        blocks[k] = -chain[k][0] @ d_prev @ blocks[k - 1]
+        blocks[k] = -chain[k][0] @ ds[k - 1] @ blocks[k - 1]
     return blocks, WeylM(z, m1, "riccati", depth, float(delta))
 
 

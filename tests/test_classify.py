@@ -195,3 +195,62 @@ def test_constancy_same_phase_exact(golden_amo):
 def test_constancy_needs_two_phases(golden_amo):
     with pytest.raises(InvalidInputError):
         classify.constancy_experiment(golden_amo, [[0.1]], np.array([0.0]))
+
+
+def _member_sets(golden_amo, diag01, random_bounded2):
+    amo = [golden_amo.with_phase((0.1,)), golden_amo.with_phase((0.6,))]
+    # V = 5 puts every energy below its band, so only that member ever rescales
+    gap = models.PeriodicSpec((np.eye(1),), (5.0 * np.eye(1),))
+    return {
+        "amo-phases": ([m for s in amo for m in (s, models.reflect(s))], np.linspace(-2.75, 2.75, 23)),
+        "diag01-rand8": ([diag01, random_bounded2], np.linspace(-3.5, 3.5, 29)),
+        "one-rescales": ([models.free_model(1), gap], np.linspace(-1.5, 1.5, 7)),
+    }
+
+
+@pytest.mark.parametrize("name", ["amo-phases", "diag01-rand8", "one-rescales"])
+def test_member_sweep_matches_own_sweeps(name, golden_amo, diag01, random_bounded2):
+    members, xs = _member_sets(golden_amo, diag01, random_bounded2)[name]
+    l_grid = (16, 48, 160, 512)
+    got = classify._cesaro_sums(members, xs, l_grid)
+    assert got.shape == (len(l_grid), len(members) * xs.size, members[0].dim)
+    for g, spec in enumerate(members):
+        own = classify._cesaro_sums(spec, xs, l_grid)
+        assert np.array_equal(got[:, g * xs.size:(g + 1) * xs.size], own)
+    if name == "one-rescales":
+        # the free member stays bounded, the gap member leaves 2^120 by far
+        assert np.max(got[:, : xs.size]) < 10 and np.min(got[-1, xs.size:]) > 1000
+    profiles = classify.cesaro_profiles_grid(members, xs, l_grid)
+    assert [p.x for p in profiles] == list(np.tile(xs, len(members)))
+
+
+def test_chunk_size_does_not_change_results(monkeypatch, golden_amo, random_bounded2):
+    def run():
+        phi, psi = recurrence.dirichlet_neumann(random_bounded2, 0.3 + 0.01j, 40)
+        return (recurrence.dirichlet_neumann_grid(random_bounded2, [0.37, 2.9], 300),
+                recurrence.extend_tracks((phi, psi), 301),
+                classify._cesaro_sums([golden_amo, models.reflect(golden_amo)],
+                                      np.linspace(-3, 3, 13), (16, 48, 160, 512)))
+
+    want = run()
+    monkeypatch.setattr(recurrence, "_CHUNK", 3)
+    got = run()
+    tracks = [t for pair in want[0] for t in pair] + list(want[1])
+    for a, b in zip(tracks, [t for pair in got[0] for t in pair] + list(got[1])):
+        assert np.array_equal(a.blocks, b.blocks) and np.array_equal(a.exp2, b.exp2)
+    assert np.array_equal(got[2], want[2])
+
+
+def test_constancy_reads_no_per_index_coefficients(monkeypatch, golden_amo):
+    calls = []
+    for cls in (models.ExplicitSpec, models.PeriodicSpec, models.DynamicalSpec, models.ReflectedSpec):
+        original = cls.coefficient_at
+
+        def counted(self, n, original=original):
+            calls.append(n)
+            return original(self, n)
+
+        monkeypatch.setattr(cls, "coefficient_at", counted)
+    params = classify.ScanParams(l_grid=(64, 128))
+    rep = classify.constancy_experiment(golden_amo, [[0.1], [0.6]], np.linspace(-2, 2, 5), params)
+    assert len(rep.classifications) == 2 and calls == []

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,73 @@ def test_coefficient_arrays_match_stacked_lookups(random_bounded2, golden_amo):
             assert np.array_equal(d[k], d_n) and np.array_equal(v[k], v_n)
     with pytest.raises(InvalidInputError):
         models.coefficient_arrays(random_bounded2, 5, 5)
+
+
+def _phase_reference(spec, n):
+    """T^n omega by Python-int arithmetic on the exact rotation numbers."""
+    out = []
+    for w, a in zip(spec.omega, spec.alpha):
+        p, q = Fraction(a).numerator, Fraction(a).denominator
+        out.append((w + ((n * p) % q) / q) % 1.0)
+    return np.array(out)
+
+
+def _families():
+    """One model of every built-in family and sampling map, with its reflection."""
+    golden = (np.sqrt(5) - 1) / 2
+    cos2 = models.CosinePolynomialMap(
+        np.diag([0.5, -0.25]),
+        (((1, -2), np.array([[0.7, 0.1], [0.1, 0.0]]), 0.125),
+         ((3, 1), np.eye(2), 0.0),
+         ((0, 5), np.array([[0.0, 0.2], [0.2, 0.3]]), -0.4)),
+    )
+    arcs = models.PiecewiseArcMap((0.3, 0.55, 1.0), (np.eye(1), 2 * np.eye(1), 0.5 * np.eye(1)))
+    pairs = ((np.eye(2), np.zeros((2, 2))), (2 * np.eye(2), np.diag([1.0, -1.0])),
+             (np.diag([1.0, 3.0]), np.ones((2, 2))))
+    left = ((3 * np.eye(2), 0.25 * np.eye(2)), (np.diag([2.0, 1.0]), np.eye(2)))
+    specs = [
+        models.DynamicalSpec((golden, np.sqrt(2) - 1), (0.1, 0.9),
+                             models.ConstantMap(np.diag([1.0, 2.0])), cos2),
+        models.DynamicalSpec((golden,), (0.3,), models.ConstantMap(np.eye(1)), arcs),
+        # a denominator above 2^64 takes the Python-int path
+        models.DynamicalSpec((golden * 2.0**-20, 0.25), (0.2, 0.7),
+                             models.ConstantMap(np.eye(2)), cos2),
+        models.ExplicitSpec(pairs, extension="wrap", left=left),
+        models.ExplicitSpec(pairs, extension="constant", left=left),
+        models.ExplicitSpec(pairs, extension="constant"),
+    ]
+    return specs + [models.reflect(s) for s in specs if s.supports_negative]
+
+
+@pytest.mark.parametrize("n0, n1", [(0, 300), (-257, 40), (1, 4097),
+                                    (2**40 - 7, 2**40 + 9), (-2**40 - 9, -2**40 + 7)])
+def test_coefficient_arrays_exact_for_every_family(n0, n1):
+    for spec in _families():
+        if n0 < 0 and not spec.supports_negative:
+            continue
+        d, v = models.coefficient_arrays(spec, n0, n1)
+        assert d.shape == v.shape == (n1 - n0, spec.dim, spec.dim)
+        for k in range(0, n1 - n0, max(1, (n1 - n0) // 64)):
+            d_n, v_n = spec.coefficient_at(n0 + k)
+            assert np.array_equal(d[k], d_n) and np.array_equal(v[k], v_n)
+        # reading a sub-range gives the same blocks
+        mid = (n0 + n1) // 2
+        d2, v2 = models.coefficient_arrays(spec, mid - 3, mid + 5)
+        assert np.array_equal(d2, d[mid - 3 - n0: mid + 5 - n0])
+        assert np.array_equal(v2, v[mid - 3 - n0: mid + 5 - n0])
+        if isinstance(spec, models.DynamicalSpec):
+            # the uint64 orbit against exact integer arithmetic, wraparound included
+            theta = spec.phases(n0, n1)
+            for k in (0, 1, n1 - n0 - 1):
+                assert np.array_equal(theta[k], _phase_reference(spec, n0 + k))
+
+
+def test_coefficient_arrays_of_a_duck_typed_model():
+    class Ramp:
+        dim = 1
+
+        def coefficient_at(self, n):
+            return np.eye(1), float(n) * np.eye(1)
+
+    d, v = models.coefficient_arrays(Ramp(), -2, 3)
+    assert np.array_equal(v[:, 0, 0], [-2.0, -1.0, 0.0, 1.0, 2.0]) and np.all(d == 1.0)

@@ -314,3 +314,19 @@ def test_pair_extension_is_one_exact_run(free1):
     assert solve.l_value > 256 and solve.phi.n_max == 512
     for got, new in zip(solve.tracks, fresh):
         _same_track(got, new)
+
+
+def test_singular_block_raises_at_the_step_that_needs_it():
+    from jacobispec import models
+    from jacobispec.errors import SingularBlockError
+
+    # D_n = 0 from n = 300 on; the chunk read at n = 241 reaches D_300
+    # before any step needs its inverse
+    pairs = ((np.eye(1), np.zeros((1, 1))),) * 300 + ((np.zeros((1, 1)), np.zeros((1, 1))),)
+    spec = models.ExplicitSpec(pairs, extension="constant")
+    for n_max in (200, 280, 300):
+        phi, _ = recurrence.dirichlet_neumann(spec, 0.5, n_max)
+        assert phi.n_max == n_max
+    for n_max in (301, 400):
+        with pytest.raises(SingularBlockError):
+            recurrence.dirichlet_neumann(spec, 0.5, n_max)
