@@ -184,7 +184,7 @@ def _task_constancy(cfg, spec, out_dir):
     phases = cfg.params["phases"]
     if not phases:
         rng = np.random.default_rng(cfg.seed)
-        phases = [rng.uniform(0.0, 1.0, size=max(1, getattr(spec, "torus_dim", 1))).tolist()
+        phases = [rng.uniform(0.0, 1.0, size=spec.torus_dim).tolist()
                   for _ in range(cfg.params["n_random_phases"])]
     report = classify.constancy_experiment(spec, phases, xs, cfg.scan_params())
     cols = ["x"]
@@ -218,12 +218,14 @@ def run_config(config_path, *, threads=1, out_dir=None, force_task=None) -> int:
     try:
         cfg = config_mod.load_config(config_path)
         spec = models.spec_from_config(cfg.model)
+        task = force_task or cfg.task
+        if task == "constancy":
+            config_mod.check_constancy_model(cfg.params, spec)
     except JacobiSpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     target = Path(out_dir) if out_dir else Path(cfg.output["dir"])
     target.mkdir(parents=True, exist_ok=True)
-    task = force_task or cfg.task
     try:
         if task != "validate":
             models.validate_model(spec, cfg.params["window"])

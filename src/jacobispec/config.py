@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
-from . import classify
+from . import classify, weyl
 from .errors import ConfigError
 
 _SCAN = {f.name: f.default for f in fields(classify.ScanParams)}
@@ -38,9 +38,10 @@ TASKS = tuple(TASK_PARAMS)
 _TOP_KEYS = {"model", "task", "params", "output", "seed"}
 _OUTPUT_KEYS = {"dir", "csv", "report"}
 _POSITIVE = {
-    "window", "n_points", "y_range", "slack", "m_tol", "l_grid", "slope_threshold",
-    "y_ladder", "tau_rel", "rank_tol", "floquet_eps", "edge_exclusion",
+    "window", "n_points", "slack", "m_tol", "l_grid", "slope_threshold",
+    "tau_rel", "rank_tol", "floquet_eps", "edge_exclusion",
 }
+_IM_Z = {"y", "y_range", "y_ladder"}  # imaginary parts: each >= weyl.MIN_IM_Z
 
 
 def _reject_unknown(section, mapping, allowed):
@@ -87,17 +88,29 @@ def _resolve_params(task, given):
     _reject_unknown(f"params of task {task}", given, table)
     params = {key: _coerce(key, given.get(key, default), default) for key, default in table.items()}
     for key in ("x_range", "y_range"):
-        if key in params and len(params[key]) != 2:
-            raise ConfigError(f"params.{key} must be two numbers")
+        if key in params and (len(params[key]) != 2 or params[key][1] < params[key][0]):
+            raise ConfigError(f"params.{key} must be two numbers, low then high")
     for key in _POSITIVE & params.keys():
         if np.any(np.asarray(params[key]) <= 0):
             raise ConfigError(f"params.{key} must be positive")
+    for key in _IM_Z & params.keys():
+        if np.any(np.asarray(params[key]) < weyl.MIN_IM_Z):
+            raise ConfigError(f"params.{key} must be >= {weyl.MIN_IM_Z}")
     if "l_grid" in params and (len(params["l_grid"]) < 2 or min(params["l_grid"]) < 2
                                or np.any(np.diff(params["l_grid"]) <= 0)):
         raise ConfigError("params.l_grid must be at least two increasing integers >= 2")
     if "y_ladder" in params and np.any(np.diff(params["y_ladder"]) >= 0):
         raise ConfigError("params.y_ladder must be strictly decreasing")
+    if task == "constancy" and len(params["phases"] or [None] * params["n_random_phases"]) < 2:
+        raise ConfigError("constancy needs at least two phases")
     return params
+
+
+def check_constancy_model(params, spec):
+    """Constancy compares phases of a dynamical model, each a point of its torus."""
+    dim = getattr(spec, "torus_dim", None)
+    if dim is None or any(len(phase) != dim for phase in params["phases"] or ()):
+        raise ConfigError("constancy needs a dynamical model and phases of its torus dimension")
 
 
 @dataclass

@@ -3,7 +3,8 @@
 A model is anything with ``dim`` and ``coefficient_at(n) -> (D_n, V_n)`` for
 integer n (negative indices where the family supports a left half-line).
 The built-in families also give ``coefficient_arrays(n0, n1)``, the blocks of
-a whole index range computed without a per-index loop.
+a whole index range computed without a per-index loop; every multi-index read
+in the package goes through :func:`coefficient_arrays`.
 All coefficient blocks are real symmetric; D_n must be invertible; these
 hypotheses are checked by :func:`validate_model`.
 """
@@ -492,26 +493,6 @@ def coefficient_arrays(spec, n0: int, n1: int):
         return spec.coefficient_arrays(n0, n1)
     ds, vs = zip(*(spec.coefficient_at(n) for n in range(n0, n1)))
     return np.array(ds), np.array(vs)
-
-
-def coefficient_tape(spec, prepare):
-    """n -> prepare(D_n, V_n), evaluated once per residue for periodic families.
-
-    Other families read :func:`coefficient_arrays` 256 indices at a time.
-    """
-    period = getattr(spec, "period", None)
-    if period is not None:
-        table = [prepare(d, v) for d, v in zip(*coefficient_arrays(spec, 0, period))]
-        return lambda n: table[n % period]
-    held = [None, None, None]  # chunk start, D, V
-
-    def tape(n):
-        start = n - n % 256
-        if held[0] != start:
-            held[:] = start, *coefficient_arrays(spec, start, start + 256)
-        return prepare(held[1][n - start], held[2][n - start])
-
-    return tape
 
 
 # ---------------------------------------------------------------------------

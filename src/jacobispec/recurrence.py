@@ -104,8 +104,7 @@ class SolutionTrack:
         n = self._check(n)
         if not 1 <= n <= self.n_max - 1:
             raise InvalidInputError("residual needs an interior index")
-        d_n, v_n = self.spec.coefficient_at(n)
-        d_prev, _ = self.spec.coefficient_at(n - 1)
+        (d_prev, d_n), (_, v_n) = models.coefficient_arrays(self.spec, n - 1, n + 1)
         e_ref = int(max(self.exp2[n - 1 : n + 2]))
         parts = []
         for k in (n - 1, n, n + 1):
@@ -382,16 +381,15 @@ def green_formula_residual(track_a, track_b, m, n, spec=None, *, action="eigen",
         raise InvalidInputError("operator action needs blocks m-1 .. n+1 on both tracks")
     l = track_a.dim
     total = np.zeros((l, l), dtype=complex)
+    if action == "operator":
+        ds, vs = models.coefficient_arrays(spec, m - 1, n + 1)  # index k - m + 1 holds k
+    z = _as_z(z_ref) if z_ref is not None else track_a.z
     for k in range(m, n + 1):
-        a_k = track_a.block(k)
-        b_k = track_b.block(k)
+        a_k, b_k = track_a.block(k), track_b.block(k)
         if action == "eigen":
-            z = _as_z(z_ref) if z_ref is not None else track_a.z
-            hb = z * b_k
-            ha = z * a_k
+            hb, ha = z * b_k, z * a_k
         else:
-            d_k, v_k = spec.coefficient_at(k)
-            d_km1 = spec.coefficient_at(k - 1)[0]
+            d_km1, d_k, v_k = ds[k - m], ds[k - m + 1], vs[k - m + 1]
             hb = d_km1 @ track_b.block(k - 1) + d_k @ track_b.block(k + 1) + v_k @ b_k
             ha = d_km1 @ track_a.block(k - 1) + d_k @ track_a.block(k + 1) + v_k @ a_k
         total = total + (a_k.T @ hb - ha.T @ b_k)

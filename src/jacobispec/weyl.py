@@ -10,7 +10,9 @@ Two independent routes compute the same l-by-l Herglotz matrix M(z):
   truncation of the half-line operator, via LAPACK banded LU.
 
 Both equal the Green block G(1,1;z) in exact arithmetic; their agreement
-is the package's primary cross-check.
+is the package's primary cross-check. The descent reads coefficients in
+chunks through ``models.coefficient_arrays``. One guard checks each
+``WeylM`` and every rung of the rank ladder: M finite, Herglotz, symmetric.
 """
 
 from __future__ import annotations
@@ -42,21 +44,7 @@ class WeylM:
     bumped: bool = False  # Im z was raised to the domain floor or past a solve breakdown
 
     def __post_init__(self):
-        sym = matblock.frobenius_norm(self.m - self.m.T)
-        scale = max(matblock.frobenius_norm(self.m), 1e-300)
-        if sym > SYMMETRY_REL_TOL * scale:
-            raise ConvergenceError(
-                f"m-function lost symmetry (defect {sym / scale:.3e})",
-                last_delta=self.last_delta,
-                depth=self.depth,
-            )
-        min_eig = float(np.linalg.eigvalsh(self.m.imag)[0])
-        if min_eig < -HERGLOTZ_EIG_TOL:
-            raise ConvergenceError(
-                f"Im M lost positivity (min eigenvalue {min_eig:.3e})",
-                last_delta=self.last_delta,
-                depth=self.depth,
-            )
+        _im_m_eigenvalues(self.m[None], np.array([self.z]), (self.depth,), (self.last_delta,))
 
     @property
     def frobenius_norm(self):
@@ -79,14 +67,15 @@ _SYM_INDEX = {1: ((0, 0),), 2: ((0, 0), (0, 1), (1, 1))}
 
 
 def _sandwich_weights(d):
-    """W with (D M D)_c = sum_k W[c, k] m_k on the symmetric components of M,
-    or None when W is the identity (D = I costs no arithmetic)."""
-    idx = _SYM_INDEX[d.shape[0]]
-    w = np.array([
-        [d[i, a] * d[b, j] + (d[i, b] * d[a, j] if a != b else 0.0) for a, b in idx]
+    """For a stack of D: W[k] with (D_k M D_k)_c = sum_j W[k, c, j] m_j on the
+    symmetric components of M, and the steps where W[k] = I (a D = I step
+    costs no arithmetic)."""
+    idx = _SYM_INDEX[d.shape[-1]]
+    w = np.moveaxis(np.array([
+        [d[:, i, a] * d[:, b, j] + (d[:, i, b] * d[:, a, j] if a != b else 0.0) for a, b in idx]
         for i, j in idx
-    ])
-    return None if np.array_equal(w, np.eye(len(idx))) else w.astype(complex)
+    ]), -1, 0)
+    return w.astype(complex, order="C"), np.all(w == np.eye(len(idx)), axis=(1, 2)).tolist()
 
 
 def _sym_blocks(comps, l):
@@ -97,48 +86,58 @@ def _sym_blocks(comps, l):
     return out
 
 
+# coefficient steps the descent reads at once
+_CHUNK = 256
+
+
+def _descending_chunks(spec, depth):
+    """(n_low, D, V) for n = depth .. 1 in descending chunks; [k] holds n_low + k."""
+    for top in range(depth, 0, -_CHUNK):
+        low = max(top - _CHUNK, 0) + 1
+        yield (low, *models.coefficient_arrays(spec, low, top + 1))
+
+
 def _riccati_descent(spec, z, depth, collect_to=0):
     """Descend M_n = ((V_n - z) - D_n M_{n+1} D_n)^-1 from a zero seed.
 
     ``z`` is a flat array of complex energies. Returns M_1 with shape
     (z.size, l, l) and, when ``collect_to`` > 0, the chain M_1..M_collect_to
-    (index n holds M_n). For l <= 2 M stays complex symmetric and is carried
-    as its upper-triangle components, inverted through the determinant;
-    larger l uses stacked matmul and ``matblock.batched_inv``.
+    (index n holds M_n). Coefficients are read in descending chunks through
+    :func:`models.coefficient_arrays`. For l <= 2 M stays complex symmetric
+    and is carried as its upper-triangle components, inverted through the
+    determinant; larger l uses stacked matmul and ``matblock.batched_inv``.
     """
     z = np.asarray(z, dtype=complex)
     l = spec.dim
     chain = [None] * (collect_to + 1) if collect_to else None
     if l > 2:
-        step = models.coefficient_tape(spec, lambda d, v: (d, v))
         zz = z[:, None, None] * np.eye(l)
         m = np.zeros((z.size, l, l), dtype=complex)
-        for n in range(depth, 0, -1):
-            d_n, v_n = step(n)
-            m = matblock.batched_inv((v_n - zz) - d_n @ m @ d_n)
-            if chain is not None and n <= collect_to:
-                chain[n] = m
+        for low, d, v in _descending_chunks(spec, depth):
+            for k in range(len(d) - 1, -1, -1):
+                m = matblock.batched_inv((v[k] - zz) - d[k] @ m @ d[k])
+                if low + k <= collect_to:
+                    chain[low + k] = m
         return m, chain
 
     idx = _SYM_INDEX[l]
-    step = models.coefficient_tape(
-        spec,
-        lambda d, v: (_sandwich_weights(d), tuple(float(v[i, j]) for i, j in idx)),
-    )
     comps = tuple(np.zeros(z.size, dtype=complex) for _ in idx)
-    for n in range(depth, 0, -1):
-        w, v_n = step(n)
-        p = comps if w is None else w @ np.stack(comps)
-        if l == 1:
-            comps = (1.0 / ((v_n[0] - z) - p[0]),)
-        else:
-            a = (v_n[0] - z) - p[0]
-            b = v_n[1] - p[1]
-            c = (v_n[2] - z) - p[2]
-            det = a * c - b * b
-            comps = (c / det, -b / det, a / det)
-        if chain is not None and n <= collect_to:
-            chain[n] = _sym_blocks(comps, l)
+    for low, d, v in _descending_chunks(spec, depth):
+        w, plain = _sandwich_weights(d)
+        v = np.stack([v[:, i, j] for i, j in idx], axis=1).tolist()  # Python floats
+        for k in range(len(d) - 1, -1, -1):
+            p = comps if plain[k] else w[k] @ np.stack(comps)
+            v_n = v[k]
+            if l == 1:
+                comps = (1.0 / ((v_n[0] - z) - p[0]),)
+            else:
+                a = (v_n[0] - z) - p[0]
+                b = v_n[1] - p[1]
+                c = (v_n[2] - z) - p[2]
+                det = a * c - b * b
+                comps = (c / det, -b / det, a / det)
+            if low + k <= collect_to:
+                chain[low + k] = _sym_blocks(comps, l)
     return _sym_blocks(comps, l), chain
 
 
@@ -486,30 +485,34 @@ def m_riccati_grid(spec, xs, y, tol=1e-8, max_depth=2**17, initial_depth=64):
     One-rung form of :func:`m_riccati_rungs`; returns (m, depth, delta).
     """
     xs = np.asarray(xs, dtype=float)
-    if y < MIN_IM_Z:
-        raise DomainError(f"need y >= {MIN_IM_Z}")
     m, depths, deltas = m_riccati_rungs(
         spec, (xs + 1j * y)[None, :], tol, max_depth, initial_depth
     )
     return m[0], int(depths[0]), float(deltas[0])
 
 
-def _check_rungs(m, eigs, xs, y_ladder, depths, deltas):
-    """The WeylM guards, vectorised: raise on the first (rung, energy) whose
-    M lost Herglotz positivity or (l >= 3) symmetry."""
-    checks = [(eigs[..., 0] < -HERGLOTZ_EIG_TOL, "Im M lost positivity")]
-    if m.shape[-1] >= 3:  # for l <= 2 the descent carries M as symmetric components
-        defect = np.sqrt(np.sum(np.abs(m - np.swapaxes(m, -1, -2)) ** 2, axis=(-2, -1)))
-        scale = np.maximum(np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1))), 1e-300)
-        checks.append((defect > SYMMETRY_REL_TOL * scale, "m-function lost symmetry"))
-    for bad, what in checks:
+def _im_m_eigenvalues(m, z, depths, deltas):
+    """Eigenvalues of Im M (ascending) for a stack of M of shape z.shape + (l, l).
+
+    Raises ConvergenceError, naming the point and attaching the depth and
+    delta of its first-axis index, at the first M that is not finite, else
+    at the first that lost Herglotz positivity, else symmetry.
+    """
+    finite = np.all(np.isfinite(m), axis=(-2, -1))
+    m = np.where(finite[..., None, None], m, 0.0)
+    eigs = np.linalg.eigvalsh(m.imag)
+    defect = np.sqrt(np.sum(np.abs(m - np.swapaxes(m, -1, -2)) ** 2, axis=(-2, -1)))
+    scale = np.maximum(np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1))), 1e-300)
+    for what, bad in (
+        ("M is not finite", ~finite),
+        ("Im M lost positivity", eigs[..., 0] < -HERGLOTZ_EIG_TOL),
+        ("m-function lost symmetry", defect > SYMMETRY_REL_TOL * scale),
+    ):
         if np.any(bad):
-            k, j = np.argwhere(bad)[0]
-            raise ConvergenceError(
-                f"{what} at x = {xs[j]}, y = {y_ladder[k]}",
-                last_delta=deltas[k],
-                depth=depths[k],
-            )
+            at = tuple(np.argwhere(bad)[0])
+            raise ConvergenceError(f"{what} at x = {z[at].real}, y = {z[at].imag}",
+                                   last_delta=deltas[at[0]], depth=depths[at[0]])
+    return eigs
 
 
 def im_m_boundary_grid(spec, xs, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
@@ -520,10 +523,9 @@ def im_m_boundary_grid(spec, xs, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e
         raise InvalidInputError("y ladder must be strictly decreasing and positive")
     z = xs[None, :] + 1j * np.asarray(y_ladder)[:, None]
     m, depths, deltas = m_riccati_rungs(spec, z, tol=tol)
-    eigs = np.linalg.eigvalsh(m.imag)
     depths = tuple(int(d) for d in depths)
     deltas = tuple(float(d) for d in deltas)
-    _check_rungs(m, eigs, xs, y_ladder, depths, deltas)
+    eigs = _im_m_eigenvalues(m, z, depths, deltas)
     return [
         _ladder_verdict(xs[j], y_ladder, list(eigs[:, j]), tau_rel, depths, deltas)
         for j in range(xs.size)

@@ -339,12 +339,23 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     (FREE1, "scan", {"x_grid": [0.0], "with_rank": "yes"}, 0),
     (FREE1, "scan", {"x_grid": [0.0, 1.0], "l_grid": [64], "with_rank": False}, 0),
     (FREE1, "scan", {"x_grid": [0.0], "l_grid": [64, 128], "y_ladder": [0.01, 0.1]}, 0),
+    (FREE1, "jl-sweep", {"x_range": [1.0, -1.0]}, 0),
+    (FREE1, "jl-sweep", {"y_range": [0.5, 0.1]}, 0),
+    (FREE1, "scan", {"x_grid": [0.0], "l_grid": [64, 128], "y_ladder": [0.1, 1e-9]}, 0),
+    (FREE1, "probe", {"y": 0.0}, 0),
+    (FREE1, "probe", {"y": 1e-9}, 0),
+    (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "phases": [[0.1]]}, 0),
+    (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "n_random_phases": 1}, 0),
+    (PERIODIC1, "constancy", {"x_grid": [0.0]}, 0),
+    (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "phases": [[0.1, 0.2], [0.3, 0.4]]}, 0),
 ], ids=[
     "periodic-without-ds", "free-dimension-zero", "constant-map-without-matrix", "pair-without-v", "ragged-block",
     "alpha-on-periodic", "unknown-key-in-reflected-base", "reflected-base-without-vs",
     "cosine-term-without-amplitude", "one-number-range", "n-points-not-a-number",
     "m-tol-in-jl-sweep", "seed-not-a-number", "y-ladder-in-constancy", "with-rank-not-a-bool",
-    "one-cutoff-l-grid", "increasing-y-ladder",
+    "one-cutoff-l-grid", "increasing-y-ladder", "decreasing-x-range", "decreasing-y-range",
+    "y-ladder-below-min-im-z", "probe-on-real-axis", "probe-below-min-im-z", "one-phase",
+    "one-random-phase", "constancy-on-periodic", "phases-of-wrong-dimension",
 ])
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task, params, seed):
     cfg = write_config(

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jacobispec import matblock, recurrence, weyl
+from jacobispec import matblock, models, recurrence, weyl
 from jacobispec.errors import ConvergenceError, DomainError, InvalidInputError
 
 from oracles import banded_corner_block_reference, dense_halfline_matrix, riccati_grid_direct
@@ -217,8 +217,10 @@ def test_jl_constants_formulas(free1):
     [
         ("diag01", np.conj, "Im M lost positivity"),
         ("periodic3", lambda m: m + np.triu(np.full((3, 3), 1e-3), 1), "m-function lost symmetry"),
+        ("diag01", lambda m: m + np.triu(np.full((2, 2), 1e-3), 1), "m-function lost symmetry"),
+        ("diag01", lambda m: np.full_like(m, np.nan), "M is not finite"),
     ],
-    ids=["herglotz", "symmetry"],
+    ids=["herglotz", "symmetry", "symmetry-l2", "not-finite"],
 )
 def test_boundary_grid_guards_name_the_point(name, spoil, what, request, monkeypatch):
     spec = request.getfixturevalue(name)
@@ -234,6 +236,38 @@ def test_boundary_grid_guards_name_the_point(name, spoil, what, request, monkeyp
     monkeypatch.setattr(weyl, "m_riccati_rungs", spoiled)
     with pytest.raises(ConvergenceError, match=f"{what} at x = 1.25, y = 0.05"):
         weyl.im_m_boundary_grid(spec, [-1.5, 0.5, 1.25], (0.1, 0.05))
+
+
+def test_weylm_guard_rejects_non_finite_m():
+    with pytest.raises(ConvergenceError, match="M is not finite at x = 0.3, y = 0.1"):
+        weyl.WeylM(0.3 + 0.1j, np.full((2, 2), np.nan), "riccati", 64, 0.0)
+
+
+def _explicit_wrap_alternating():
+    """l = 2 explicit wrap model whose D alternates between I and a general block."""
+    d = np.array([[1.2, 0.3], [0.3, 0.9]])
+    v = np.array([[0.5, 0.1], [0.1, -0.4]])
+    return models.ExplicitSpec(
+        [[np.eye(2), np.diag([0.0, 1.0])], [d, v], [np.eye(2), np.diag([0.3, -0.2])], [d, -v]]
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["diag01", "random_bounded2", "periodic3", "golden_amo", "reflected_amo", "wrap"]
+)
+def test_descent_chunk_boundaries_do_not_change_results(name, request, monkeypatch):
+    if name == "reflected_amo":
+        spec = models.reflect(request.getfixturevalue("golden_amo"))
+    elif name == "wrap":
+        spec = _explicit_wrap_alternating()
+    else:
+        spec = request.getfixturevalue(name)
+    z = np.linspace(-2.9, 3.1, 5) + 0.05j
+    want = weyl._riccati_descent(spec, z, 100, collect_to=40)
+    monkeypatch.setattr(weyl, "_CHUNK", 3)
+    got = weyl._riccati_descent(spec, z, 100, collect_to=40)
+    assert np.array_equal(got[0], want[0])
+    assert all(np.array_equal(a, b) for a, b in zip(got[1][1:], want[1][1:]))
 
 
 def test_riccati_grid_matches_single(random_bounded2):
