@@ -44,6 +44,8 @@ def _cesaro_sums(spec, xs, l_grid):
     l_grid = tuple(int(v) for v in l_grid)
     if len(l_grid) < 2 or any(b <= a for a, b in zip(l_grid, l_grid[1:])) or l_grid[0] < 2:
         raise InvalidInputError("cutoff grid must be at least two increasing integers >= 2")
+    if batch == 0:
+        return np.empty((len(l_grid), 0, l))
     eye = np.eye(l)
     prev = np.zeros((g, 2 * batch, l, l))
     prev[:, batch:] = eye

@@ -95,39 +95,63 @@ def is_symmetric(a, tol: float = 1e-12) -> bool:
 # These avoid per-block Python overhead in the classifier's inner loops.
 
 
+def _modulus_sq(x):
+    """|x|^2 elementwise, as x * x for real input."""
+    if x.dtype.kind == "c":
+        x = np.abs(x)
+    return x * x
+
+
 def batched_singular_sq(blocks: np.ndarray) -> np.ndarray:
     """Squared singular values of a stack of blocks, sorted descending.
 
     Closed forms for l = 1 and l = 2 (via trace/determinant of A* A, with
     the small value recovered stably from the determinant); eigvalsh of
-    A* A for larger l.
+    A* A for larger l. Any strides are accepted, e.g. a moveaxis view.
     """
     blocks = np.asarray(blocks)
     l = blocks.shape[-1]
     if l == 1:
-        return np.abs(blocks[..., 0, 0])[..., None] ** 2
+        return _modulus_sq(blocks[..., 0, 0])[..., None]
     if l == 2:
-        amax = np.max(np.abs(blocks), axis=(-2, -1))
-        if np.any(amax > 1e70) or np.any((amax > 0) & (amax < 1e-70)):
-            # renormalize by an exact power of two so det products stay finite
-            _, e = np.frexp(amax)
-            factor = np.ldexp(1.0, -e)
-            scaled = blocks * factor[..., None, None]
-            return batched_singular_sq(scaled) * np.ldexp(np.ones_like(amax), 2 * e)[..., None]
-        a = blocks[..., 0, 0]
-        b = blocks[..., 0, 1]
-        c = blocks[..., 1, 0]
-        d = blocks[..., 1, 1]
-        t = (np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2).real
-        det2 = np.abs(a * d - b * c) ** 2
+        sq = _modulus_sq(blocks)
+        t = sq[..., 0, 0] + sq[..., 0, 1]
+        t += sq[..., 1, 0]
+        t += sq[..., 1, 1]
+        # amax^2 <= t <= 4 amax^2, so a t well inside (0, inf) rules out
+        # both zero blocks and the renormalisation (entries beyond ~1e154
+        # reach it through an overflowing t, with numpy's overflow warning)
+        safe_t = t
+        if not 1e-138 <= t.min(initial=1.0) <= t.max(initial=1.0) <= 1e139:
+            amax = np.abs(blocks).max(axis=(-2, -1))
+            if np.any((amax > 1e70) & (amax < np.inf)) or np.any((amax > 0) & (amax < 1e-70)):
+                # renormalize by an exact power of two so det products stay
+                # finite; a block with an inf entry has no scale to take out
+                _, e = np.frexp(amax)
+                factor = np.ldexp(1.0, -e)
+                scaled = blocks * factor[..., None, None]
+                return batched_singular_sq(scaled) * np.ldexp(np.ones_like(amax), 2 * e)[..., None]
+            safe_t = np.where(t > 0.0, t, 1.0)
+        det = blocks[..., 0, 0] * blocks[..., 1, 1]
+        det -= blocks[..., 0, 1] * blocks[..., 1, 0]
         # s^2 solve via q = det2 / t^2 in [0, 1/4], formed without t*t so
         # mantissas near 1e150 cannot overflow the intermediate
-        safe_t = np.where(t > 0.0, t, 1.0)
-        q = np.clip((det2 / safe_t) / safe_t, 0.0, 0.25)
-        root = 1.0 + np.sqrt(1.0 - 4.0 * q)
-        s1 = t * root / 2.0
-        s2 = t * (2.0 * q / root)
-        return np.stack([s1, s2], axis=-1)
+        q = _modulus_sq(det)
+        q /= safe_t
+        q /= safe_t
+        # q >= 0 already (a ratio of squares), so only the upper clip acts
+        np.minimum(q, 0.25, out=q)
+        root = q * 4.0
+        np.subtract(1.0, root, out=root)
+        np.sqrt(root, out=root)
+        root += 1.0
+        out = np.empty(t.shape + (2,))
+        np.multiply(t, root, out=out[..., 0])
+        out[..., 0] /= 2.0
+        q *= 2.0
+        q /= root
+        np.multiply(t, q, out=out[..., 1])
+        return out
     gram = np.einsum("...ji,...jk->...ik", blocks.conj(), blocks)
     w = np.linalg.eigvalsh(gram)
     return np.clip(w[..., ::-1], 0.0, None)

@@ -5,13 +5,18 @@ The eigenvalue recurrence
     D_n B_{n+1} + D_{n-1} B_{n-1} + (V_n - z) B_n = 0
 
 is stepped by one batched kernel, :func:`forward`, which every track and
-every Cesaro sweep runs on. Outside the AC region solutions grow
-exponentially, so blocks are kept as a float mantissa plus a power-of-two
-exponent: every 8 steps (at absolute indices n = 0 mod 8) the sliding pair
-is checked, and once its largest entry leaves [2^-120, 2^120] both blocks
-are shifted by a power of two and the shift is recorded. Norms and
-singular values are exact in this (mantissa, exponent) representation;
-plain-float accessors raise TrackOverflowError once a value no longer fits.
+every Cesaro sweep runs on. The kernel holds a batch of N blocks
+component-major, as one (l, l, N) array whose [i, j] row carries entry
+(i, j) of every block: for l <= 2 a block product is then a few
+elementwise operations on length-N rows instead of N small matmuls. Each
+B_n is handed out as an (N, l, l) view of that array. Outside the AC
+region solutions grow exponentially, so blocks are kept as a float
+mantissa plus a power-of-two exponent: every 8 steps (at absolute indices
+n = 0 mod 8) the sliding pair is checked, and once its largest entry
+leaves [2^-120, 2^120] both blocks are shifted by a power of two and the
+shift is recorded. Norms and singular values are exact in this
+(mantissa, exponent) representation; plain-float accessors raise
+TrackOverflowError once a value no longer fits.
 """
 
 from __future__ import annotations
@@ -52,14 +57,17 @@ class SolutionTrack:
         self.overflow_scaled = bool(np.any(exp2 != 0))
         sv_sq = matblock.batched_singular_sq(blocks)
         self.sv_mant = np.sqrt(sv_sq)
-        fro2 = np.sum(sv_sq, axis=1)
-        # truncation sums start at n = 1; index m holds sum over 1..m
-        tm = np.concatenate(([0.0], fro2[1:]))
-        te = np.concatenate(([np.int64(0)], 2 * exp2[1:]))
-        self.cum_fro2_m, self.cum_fro2_e = scaling.cumulative(tm, te)
-        tm_k = np.concatenate((np.zeros((1, sv_sq.shape[1])), sv_sq[1:]), axis=0)
-        te_k = np.repeat(te[:, None], sv_sq.shape[1], axis=1)
-        self.cum_sv2_m, self.cum_sv2_e = scaling.cumulative(tm_k, te_k)
+        l = sv_sq.shape[1]
+        # one pass over the shared 2 * exp2 ledger: columns 0..l-1 hold the
+        # squared singular values, column l their sum (the squared Frobenius
+        # norm); truncation sums start at n = 1, index m holds sum over 1..m
+        tm = np.concatenate((sv_sq, np.sum(sv_sq, axis=1, keepdims=True)), axis=1)
+        tm[0] = 0.0
+        te = np.repeat(2 * exp2[:, None], l + 1, axis=1)
+        te[0] = 0
+        cum_m, cum_e = scaling.cumulative(tm, te)
+        self.cum_sv2_m, self.cum_sv2_e = cum_m[:, :l], cum_e[:, :l]
+        self.cum_fro2_m, self.cum_fro2_e = cum_m[:, l], cum_e[:, l]
 
     @property
     def dim(self):
@@ -150,6 +158,22 @@ def _pow2_shift(mags):
     return np.where(hot, e, 0).astype(np.int64)
 
 
+def _product(m, b):
+    """M B for a component-major stack ``b`` of shape (l, l, G, B).
+
+    ``m`` carries M by columns: m[j] is column j of every member's M, of
+    shape (l, 1, G, 1). For l <= 2 the product is the written-out sum
+    M[:, 0] B[0] + M[:, 1] B[1], in the summation order of a matmul;
+    larger l runs one stacked matmul.
+    """
+    if len(m) > 2:
+        return (m[:, :, 0].transpose(2, 3, 1, 0) @ b.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+    out = m[0] * b[0]
+    if len(m) == 2:
+        out += m[1] * b[1]
+    return out
+
+
 def forward(specs, zs, b_prev, b_cur, n_start, exp2):
     """Step the recurrence forward for a batch of energies.
 
@@ -160,38 +184,53 @@ def forward(specs, zs, b_prev, b_cur, n_start, exp2):
     coefficients of specs[g].
     Yields (n, B_n mantissas, ledger) for n = n_start, n_start + 1, ...
     without end; a step is only taken when the next item is requested.
-    B_{n+1} = D_n^-1 (z B_n - V_n B_n - D_{n-1} B_{n-1}), each product an
-    elementwise multiply for l = 1. Coefficients are read in chunks of up
-    to _CHUNK steps through :func:`models.coefficient_arrays`, D^-1 from one
-    stacked inverse; a singular D_n raises SingularBlockError at the step
-    that needs D_n^-1. After the step from an index n = 0 mod 8 the pair is
-    shifted by :func:`_pow2_shift` of its largest entry. The ledger array is
-    replaced, never mutated, at each shift, so a caller detects a rescale
-    by identity.
+    B_{n+1} = D_n^-1 (z B_n - V_n B_n - D_{n-1} B_{n-1}), carried in the
+    component-major layout of the module docstring and yielded as an
+    (N, l, l) view; a yielded block is never written to again. Coefficients
+    are read in chunks of up to _CHUNK steps through
+    :func:`models.coefficient_arrays`, D^-1 from one stacked inverse; a
+    singular D_n raises SingularBlockError at the step that needs D_n^-1.
+    At an index where every member has D = I the products with D_{n-1} and
+    D_n^-1 are skipped (exact, as 1.0 * x = x). After the step from an
+    index n = 0 mod 8 the pair is shifted by :func:`_pow2_shift` of its
+    largest entry, and TrackOverflowError is raised if an entry is no
+    longer finite (growth beyond float range within 8 steps, or NaN). The
+    ledger array is replaced, never mutated, at each shift, so a caller
+    detects a rescale by identity.
     """
-    l = b_cur.shape[-1]
-    mul = np.multiply if l == 1 else np.matmul
-    zz = np.asarray(zs).reshape(len(specs), -1, 1, 1)
-    b_prev, b_cur = (b.reshape(zz.shape[:2] + (l, l)) for b in (b_prev, b_cur))
+    g, l = len(specs), b_cur.shape[-1]
+    zz = np.asarray(zs).reshape(g, -1)
+    b_prev, b_cur = (np.ascontiguousarray(b.transpose(1, 2, 0)).reshape(l, l, *zz.shape)
+                     for b in (b_prev, b_cur))
     n, size = n_start, 8
     while True:
         # chunks double up to _CHUNK, so a short run reads little ahead
         size = min(2 * size, _CHUNK)
-        # (steps, G, 1, l, l): each member's blocks broadcast over its group
-        d, v = (np.stack(arrays, axis=1)[:, :, None] for arrays in zip(*(
+        d, v = (np.stack(arrays, axis=1) for arrays in zip(*(
             models.coefficient_arrays(spec, n - 1, n + size) for spec in specs)))
         d_inv = _inverses(d[1:])
+        plain = np.all(d == np.eye(l), axis=(1, 2, 3)).tolist()
+        # (steps, l, l, 1, G, 1): [k, j, i] is entry (i, j) of every member
+        d, d_inv, v = (np.ascontiguousarray(a.transpose(0, 3, 2, 1))[:, :, :, None, :, None]
+                       for a in (d, d_inv, v))
         for k in range(size):
-            yield n, b_cur.reshape(-1, l, l), exp2
+            yield n, b_cur.reshape(l, l, -1).transpose(2, 0, 1), exp2
             if k == len(d_inv):
                 raise SingularBlockError(f"D_{n} is singular, recurrence stops")
-            b_prev, b_cur = b_cur, mul(d_inv[k], zz * b_cur - mul(v[k + 1], b_cur) - mul(d[k], b_prev))
+            t = zz * b_cur
+            t -= _product(v[k + 1], b_cur)
+            t -= b_prev if plain[k] else _product(d[k], b_prev)
+            b_prev, b_cur = b_cur, t if plain[k + 1] else _product(d_inv[k], t)
             if n % _RESCALE_EVERY == 0:
-                pair = np.abs(np.concatenate((b_prev, b_cur), axis=2)).reshape(len(exp2), -1)
-                shift = _pow2_shift(pair.max(axis=1))
+                pair = np.abs(np.concatenate((b_prev, b_cur)).reshape(2 * l * l, -1))
+                mags = pair.max(axis=0)
+                if not np.isfinite(mags).all():
+                    raise TrackOverflowError(f"blocks left float range before index {n + 1}")
+                shift = _pow2_shift(mags)
                 if shift is not None:
                     factor = np.ldexp(1.0, -shift).reshape(zz.shape)
-                    b_cur = b_cur * factor
+                    # B_{n+1} is not handed out yet, B_n is: only B_n gets a new array
+                    b_cur *= factor
                     b_prev = b_prev * factor
                     exp2 = exp2 + shift
             n += 1

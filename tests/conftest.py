@@ -41,6 +41,16 @@ def random_bounded2():
 
 
 @pytest.fixture(scope="session")
+def wrap_alternating():
+    """l = 2 explicit wrap model whose D alternates between I and a general block."""
+    d = np.array([[1.2, 0.3], [0.3, 0.9]])
+    v = np.array([[0.5, 0.1], [0.1, -0.4]])
+    return models.ExplicitSpec(
+        [[np.eye(2), np.diag([0.0, 1.0])], [d, v], [np.eye(2), np.diag([0.3, -0.2])], [d, -v]]
+    )
+
+
+@pytest.fixture(scope="session")
 def periodic3():
     """Validated random period-3 l = 3 model (the general-l code paths)."""
     rng = np.random.default_rng(7)

@@ -176,15 +176,43 @@ def propagate_reference(spec, z, n_max, b0, b1):
     return blocks, exp2
 
 
+def batched_singular_sq_reference(blocks):
+    """Squared singular values of a stack of 2x2 blocks, descending.
+
+    The trace/determinant closed form as ``matblock.batched_singular_sq``
+    first wrote it: abs()**2 terms, np.clip and np.stack, with the same
+    power-of-two renormalisation outside 1e+-70. The production form must
+    reproduce it bit for bit.
+    """
+    blocks = np.asarray(blocks)
+    amax = np.max(np.abs(blocks), axis=(-2, -1))
+    if np.any(amax > 1e70) or np.any((amax > 0) & (amax < 1e-70)):
+        _, e = np.frexp(amax)
+        scaled = blocks * np.ldexp(1.0, -e)[..., None, None]
+        return batched_singular_sq_reference(scaled) * np.ldexp(np.ones_like(amax), 2 * e)[..., None]
+    a = blocks[..., 0, 0]
+    b = blocks[..., 0, 1]
+    c = blocks[..., 1, 0]
+    d = blocks[..., 1, 1]
+    t = (np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2).real
+    det2 = np.abs(a * d - b * c) ** 2
+    safe_t = np.where(t > 0.0, t, 1.0)
+    q = np.clip((det2 / safe_t) / safe_t, 0.0, 0.25)
+    root = 1.0 + np.sqrt(1.0 - 4.0 * q)
+    return np.stack([t * root / 2.0, t * (2.0 * q / root)], axis=-1)
+
+
 def cesaro_sums_reference(spec, xs, l_grid):
     """log2 C_r(L) like ``classify._cesaro_sums``, by a loop of its own.
 
-    Same arithmetic as the production sweep (precomputed D^-1, max-abs
-    2^+-120 rescale every 8 steps, the same scaled sums), written as one
-    hand-rolled loop so the shared stepper can be checked against it bit
-    for bit.
+    For l <= 2. Same arithmetic as the production sweep (precomputed
+    D^-1, max-abs 2^+-120 rescale every 8 steps, the same scaled sums),
+    written as one hand-rolled loop with stacked matmuls and the reference
+    singular values, so the shared stepper can be checked against it: bit
+    for bit where D = I, to rounding where the matmuls' sums may round
+    differently from the stepper's written-out products.
     """
-    from jacobispec import matblock, scaling
+    from jacobispec import scaling
 
     xs = np.asarray(xs, dtype=float)
     batch, l = xs.size, spec.dim
@@ -212,7 +240,7 @@ def cesaro_sums_reference(spec, xs, l_grid):
 
     ck = 0
     for n in range(1, l_grid[-1] + 1):
-        buf += matblock.batched_singular_sq(cur)
+        buf += np.abs(cur[:, :, 0]) ** 2 if l == 1 else batched_singular_sq_reference(cur)
         if n == l_grid[ck]:
             fold()
             out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)

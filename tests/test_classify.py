@@ -143,6 +143,16 @@ def test_scan_survives_poisoned_point(free1, monkeypatch):
     assert records[0].error == "" and records[2].error == ""
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_energy_beyond_float_range_is_an_error_row(diag01):
+    # at x = 1e200 the blocks overflow within the 8 steps between rescale
+    # checks; the kernel raises at the next check instead of summing inf
+    params = classify.ScanParams(l_grid=(64, 128), with_rank=False)
+    records = classify.scan_energy_grid(diag01, [0.5, 1e200], params)
+    assert records[0].error == "" and records[0].r_ces == 2
+    assert records[1].error.startswith("TrackOverflowError") and "error" in records[1].flags
+
+
 def test_scan_raises_programming_errors(free1, monkeypatch):
     def broken(spec, xs, l_grid):
         raise TypeError("not a numeric failure")
@@ -161,6 +171,35 @@ def test_cesaro_sums_match_reference_loop(name, reflected, request):
     l_grid = (16, 48, 160, 512)
     got = classify._cesaro_sums(spec, xs, l_grid)
     assert np.array_equal(got, cesaro_sums_reference(spec, xs, l_grid))
+
+
+@pytest.mark.parametrize("name", ["random_bounded2", "wrap_alternating"])
+def test_general_d_sums_match_reference_loop(name, request):
+    # with D != I the kernel's written-out products and the reference's
+    # stacked matmuls may round differently: the s_1 column agrees to 1e-12
+    # and every verdict is the same, while the s_2 column may move where
+    # s_2 / s_1 falls below machine epsilon and s_2 is rounding noise
+    spec = request.getfixturevalue(name)
+    xs = np.linspace(-3.5, 3.5, 29)
+    l_grid = (16, 48, 160, 512)
+    got = classify._cesaro_sums(spec, xs, l_grid)
+    want = cesaro_sums_reference(spec, xs, l_grid)
+    assert np.max(np.abs(got[..., 0] - want[..., 0])) <= 1e-12
+    verdicts = [[classify.classify_multiplicity(p) for p in classify._fit_profiles(xs, c, l_grid, 2)]
+                for c in (got, want)]
+    assert verdicts[0] == verdicts[1]
+
+
+def test_empty_energy_batch_takes_no_step(monkeypatch, golden_amo, diag01):
+    def no_step(*args):
+        raise AssertionError("stepped an empty batch")
+
+    monkeypatch.setattr(recurrence, "forward", no_step)
+    for spec, l in ((golden_amo, 1), ([diag01, diag01], 2)):
+        assert classify._cesaro_sums(spec, [], (64, 128)).shape == (2, 0, l)
+    assert classify.cesaro_profiles_grid(golden_amo, [], (64, 128)) == []
+    with pytest.raises(InvalidInputError):
+        classify._cesaro_sums(golden_amo, [], (64,))
 
 
 def test_constancy_disguised_periodic():

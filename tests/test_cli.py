@@ -13,6 +13,17 @@ def write_config(tmp_path, name, payload):
 
 
 FREE1 = {"kind": "free", "dim": 1}
+GOLDEN_AMO = {
+    "kind": "dynamical",
+    "alpha": [0.6180339887498949],
+    "omega": [0.0],
+    "f_d": {"kind": "constant", "matrix": [[1.0]]},
+    "f_v": {
+        "kind": "cosine",
+        "constant": [[0.0]],
+        "terms": [{"freq": [1], "amplitude": [[0.5]], "phase": 0.0}],
+    },
+}
 
 
 def test_validate_task_reports_extremes(tmp_path):
@@ -163,17 +174,7 @@ def test_constancy_task_with_explicit_phases(tmp_path):
     cfg = write_config(
         tmp_path, "c.yaml",
         {
-            "model": {
-                "kind": "dynamical",
-                "alpha": [0.6180339887498949],
-                "omega": [0.0],
-                "f_d": {"kind": "constant", "matrix": [[1.0]]},
-                "f_v": {
-                    "kind": "cosine",
-                    "constant": [[0.0]],
-                    "terms": [{"freq": [1], "amplitude": [[0.5]], "phase": 0.0}],
-                },
-            },
+            "model": GOLDEN_AMO,
             "task": "constancy",
             "params": {
                 "x_grid": {"start": -2.4, "stop": 2.4, "count": 7},
@@ -191,6 +192,23 @@ def test_constancy_task_with_explicit_phases(tmp_path):
     )
     assert len(lines) == 8
     assert "agreement" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("task", ["scan", "constancy"])
+def test_empty_grid_writes_header_only_csv(tmp_path, task):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, "empty.yaml",
+        {
+            "model": GOLDEN_AMO,
+            "task": task,
+            "params": {"x_grid": [], "l_grid": [64, 128]},
+            "output": {"dir": str(out)},
+        },
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    lines = (out / f"{task}.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("x,")
 
 
 def test_out_flag_overrides_dir(tmp_path):

@@ -4,7 +4,12 @@ import pytest
 from jacobispec import matblock
 from jacobispec.errors import DomainError, InvalidInputError, SingularBlockError
 
-from oracles import jacobi_eigvalsh, operator_norm_lower_bound, singular_values_oracle
+from oracles import (
+    batched_singular_sq_reference,
+    jacobi_eigvalsh,
+    operator_norm_lower_bound,
+    singular_values_oracle,
+)
 
 
 def random_block(rng, l, complex_=True):
@@ -147,6 +152,33 @@ def test_batched_singular_sq_huge_mantissas_stay_finite():
     blocks = rng.normal(size=(8, 2, 2)) * 1e150
     got = matblock.batched_singular_sq(blocks)
     assert np.all(np.isfinite(got))
+
+
+def test_batched_singular_sq_matches_previous_formula():
+    rng = np.random.default_rng(11)
+    real = rng.normal(size=(64, 2, 2))
+    real[:4] = 0.0  # zero blocks take the t = 0 branch
+    real[4:8] *= 1e75  # above the 1e70 guard
+    real[8:12] *= 1e-75  # below the 1e-70 guard
+    real[12, 0, 1] = 1e-75  # one tiny entry in an otherwise zero block
+    real[13, 1, 1] = 1e150  # one huge entry next to normal ones
+    stacks = [real, real + 1j * rng.normal(size=real.shape) * np.abs(real).max(axis=(1, 2))[:, None, None]]
+    # a component-major (2, 2, N) array seen as (N, 2, 2), as the forward kernel yields it
+    stacks.append(np.ascontiguousarray(real.transpose(1, 2, 0)).transpose(2, 0, 1))
+    stacks.append(real[4:8])  # every block renormalised
+    for blocks in stacks:
+        want = batched_singular_sq_reference(blocks)
+        before = blocks.copy()
+        assert np.array_equal(matblock.batched_singular_sq(blocks), want)
+        assert np.array_equal(blocks, before)  # the input is never written to
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_singular_sq_infinite_entry_does_not_recurse():
+    blocks = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[1e80, 0.0], [0.0, 1.0]]])
+    got = matblock.batched_singular_sq(blocks)
+    assert not np.all(np.isfinite(got[0]))
+    assert np.array_equal(got[1], matblock.batched_singular_sq(blocks[1:])[0])
 
 
 def test_batched_inv_matches_dense():

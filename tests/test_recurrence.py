@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jacobispec import matblock, recurrence, truncnorm, weyl
+from jacobispec import matblock, recurrence, scaling, truncnorm, weyl
 from jacobispec.errors import DomainError, InvalidInputError
 
 from oracles import green_sum_direct, propagate_reference
@@ -330,3 +330,50 @@ def test_singular_block_raises_at_the_step_that_needs_it():
     for n_max in (301, 400):
         with pytest.raises(SingularBlockError):
             recurrence.dirichlet_neumann(spec, 0.5, n_max)
+
+
+@pytest.mark.parametrize("names", [("free1",), ("diag01",), ("random_bounded2",), ("periodic3",),
+                                   ("diag01", "random_bounded2")])
+def test_forward_never_writes_a_yielded_block_or_ledger(names, request):
+    # the kernel updates temporaries in place; none of them may be a block
+    # or a ledger it has already handed out
+    specs = tuple(request.getfixturevalue(name) for name in names)
+    l = specs[0].dim
+    zs = np.tile([3.5, -2.9, 0.4, 0.3 + 0.2j], len(specs))
+    b_prev = np.zeros((zs.size, l, l), dtype=complex)
+    b_cur = np.zeros_like(b_prev)
+    b_prev[1::2] = b_cur[0::2] = np.eye(l)
+    start = np.zeros(zs.size, dtype=np.int64)
+    steps = recurrence.forward(specs, zs, b_prev, b_cur, 1, start)
+    kept, ledgers = [], {}
+    for n, blocks, exp2 in steps:
+        kept.append((blocks, blocks.copy()))
+        ledgers.setdefault(id(exp2), (exp2, exp2.copy()))
+        if n == 320:
+            break
+    for _ in zip(range(200), steps):  # step on past more rescales
+        pass
+    assert len(ledgers) > 3  # rescales replaced the ledger
+    assert not np.any(start)
+    for got, copy in list(ledgers.values()) + kept:
+        assert np.array_equal(got, copy)
+
+
+@pytest.mark.parametrize("name", ["free1", "random_bounded2", "periodic3"])
+def test_truncation_sums_match_two_cumulative_passes(name, request):
+    # the Frobenius and the per-singular-value sums share one cumulative
+    # pass; column by column it is the same arithmetic as a pass of its own
+    spec = request.getfixturevalue(name)
+    l = spec.dim
+    tracks = [t for z in (0.37, 3.2, 0.3 + 0.4j) for t in recurrence.dirichlet_neumann(spec, z, 700)]
+    assert any(t.overflow_scaled for t in tracks)
+    for track in tracks:
+        sv_sq = matblock.batched_singular_sq(track.blocks)
+        te = np.concatenate(([np.int64(0)], 2 * track.exp2[1:]))
+        fro2 = np.concatenate(([0.0], np.sum(sv_sq, axis=1)[1:]))
+        fro_m, fro_e = scaling.cumulative(fro2, te)
+        sv2 = np.concatenate((np.zeros((1, l)), sv_sq[1:]))
+        sv_m, sv_e = scaling.cumulative(sv2, np.repeat(te[:, None], l, axis=1))
+        for got, want in ((track.cum_fro2_m, fro_m), (track.cum_fro2_e, fro_e),
+                          (track.cum_sv2_m, sv_m), (track.cum_sv2_e, sv_e)):
+            assert got.shape == want.shape and np.array_equal(got, want)

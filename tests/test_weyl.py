@@ -243,15 +243,6 @@ def test_weylm_guard_rejects_non_finite_m():
         weyl.WeylM(0.3 + 0.1j, np.full((2, 2), np.nan), "riccati", 64, 0.0)
 
 
-def _explicit_wrap_alternating():
-    """l = 2 explicit wrap model whose D alternates between I and a general block."""
-    d = np.array([[1.2, 0.3], [0.3, 0.9]])
-    v = np.array([[0.5, 0.1], [0.1, -0.4]])
-    return models.ExplicitSpec(
-        [[np.eye(2), np.diag([0.0, 1.0])], [d, v], [np.eye(2), np.diag([0.3, -0.2])], [d, -v]]
-    )
-
-
 @pytest.mark.parametrize(
     "name", ["diag01", "random_bounded2", "periodic3", "golden_amo", "reflected_amo", "wrap"]
 )
@@ -259,7 +250,7 @@ def test_descent_chunk_boundaries_do_not_change_results(name, request, monkeypat
     if name == "reflected_amo":
         spec = models.reflect(request.getfixturevalue("golden_amo"))
     elif name == "wrap":
-        spec = _explicit_wrap_alternating()
+        spec = request.getfixturevalue("wrap_alternating")
     else:
         spec = request.getfixturevalue(name)
     z = np.linspace(-2.9, 3.1, 5) + 0.05j
