@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matblock, models, recurrence, scaling, weyl
-from .errors import InvalidInputError, JacobiSpecError
+from .errors import InvalidInputError, JacobiSpecError, TrackOverflowError
 
 DEFAULT_L_GRID = tuple(2**k for k in range(8, 17))
 OVERFLOW_LOG2 = 830.0  # log2 of ~1e250; C_r beyond this is flagged unbounded
@@ -77,6 +77,9 @@ def _cesaro_sums(spec, xs, l_grid):
         buf += matblock.batched_singular_sq(blocks).reshape(buf.shape)
         if n == l_grid[ck]:
             fold(slice(None))
+            if not np.isfinite(acc_m).all():
+                # blocks left float range between the kernel's rescale checks
+                raise TrackOverflowError(f"Cesaro sums left float range by L = {n}")
             out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
             ck += 1
             if ck == len(l_grid):

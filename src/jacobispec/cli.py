@@ -82,7 +82,8 @@ def _write_report(path, cfg, body):
         "=================",
         "",
         "resolved config:",
-        yaml.safe_dump(asdict(cfg), sort_keys=True, default_flow_style=None).rstrip(),
+        yaml.dump(asdict(cfg), Dumper=config_mod.YAML_DUMPER, sort_keys=True,
+                  default_flow_style=None).rstrip(),
         "",
         body,
         "",

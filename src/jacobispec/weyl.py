@@ -7,7 +7,14 @@ Two independent routes compute the same l-by-l Herglotz matrix M(z):
   M_n = ((V_n - z) - D_n M_{n+1} D_n)^-1 seeded with a Dirichlet wall
   (M = 0) at a doubling depth, stopped by a Cauchy test on M_1;
 * ``m_resolvent``: the (1,1) block of the inverse of the banded
-  truncation of the half-line operator, via LAPACK banded LU.
+  truncation of the half-line operator, via LAPACK banded LU. Its grid
+  form doubles the truncation of many points at once: the truncations of
+  one doubling sit block-diagonally, uncoupled, in one band matrix, so
+  one LAPACK call solves them all, and each corner comes out bit for bit
+  as its own solve would give it. A stack holds at most
+  ``_STACK_BLOCKS`` blocks: its band, right-hand side and solution grow
+  with points times truncation, and uncapped stacks of a whole sweep
+  chunk at its deepest doubling cost several MB of peak memory.
 
 Both equal the Green block G(1,1;z) in exact arithmetic; their agreement
 is the package's primary cross-check. The descent reads coefficients in
@@ -148,46 +155,67 @@ def m_riccati(spec, z, tol=1e-10, max_depth=2**18, initial_depth=64):
     return WeylM(z, m[0, 0], "riccati", int(depths[0]), float(deltas[0]))
 
 
-def _banded_corner_block(spec, z, n_blocks):
-    """(1,1) block of (T_N - z)^-1 for the N-block half-line truncation."""
+# Blocks one stacked banded solve holds at most (a point deeper than this is
+# solved alone). Uncapped, the benchmark's jl-sweep (rand8, 8 points per
+# config) raised peak RSS by 7.3 MB over per-point solves; capped, by 0.5 MB.
+_STACK_BLOCKS = 2048
+
+
+def _banded_corner_block(spec, zs, n_blocks):
+    """(1,1) blocks of (T_N - z)^-1 for the N-block half-line truncation.
+
+    The truncations at the P energies ``zs`` sit block-diagonally in one
+    band matrix, with no coupling entries between them, and one LAPACK
+    banded solve gives every corner; returns shape (P, l, l). The systems
+    do not couple, so each corner is the one its own solve would give.
+    """
+    zs = np.asarray(zs, dtype=complex).ravel()
     l = spec.dim
-    dim = n_blocks * l
     bw = 2 * l - 1
-    ab = np.zeros((2 * bw + 1, dim), dtype=complex)
-    eye = np.eye(l)
+    ab = np.zeros((2 * bw + 1, zs.size * n_blocks * l), dtype=complex)
     d, v = models.coefficient_arrays(spec, 1, n_blocks + 1)
-    vs = v - z * eye
-    ds = d[:-1].astype(complex)
-    rows_l = np.arange(l)
-    # scatter each block diagonal into LAPACK's diag-ordered band storage
-    def scatter(blocks, block_row0, block_col0):
-        count = blocks.shape[0]
-        i = (np.arange(count)[:, None, None] + block_row0) * l + rows_l[None, :, None]
-        j = (np.arange(count)[:, None, None] + block_col0) * l + rows_l[None, None, :]
-        ab[bw + i - j, j] = blocks
+    diag = v[None] - zs[:, None, None, None] * np.eye(l)
+    # D_n couples block n to n + 1; the last block of each system couples to none
+    lower = np.zeros((n_blocks, l, l))
+    lower[:-1] = d[:-1]
+    upper = np.roll(lower, 1, axis=0)
+    # LAPACK's diag-ordered band storage: entry (row, col) at ab[bw + row - col, col];
+    # band[r, p, n, j] is column j of block n of system p
+    band = ab.reshape(2 * bw + 1, zs.size, n_blocks, l)
+    for i in range(l):
+        for j in range(l):
+            band[bw + i - j, :, :, j] = diag[:, :, i, j]
+            band[bw + l + i - j, :, :, j] = lower[:, i, j]
+            band[bw - l + i - j, :, :, j] = upper[:, i, j]
+    rhs = np.zeros((zs.size, n_blocks * l, l), dtype=complex)
+    rhs[:, :l, :] = np.eye(l)
+    sol = scipy.linalg.solve_banded((bw, bw), ab, rhs.reshape(-1, l))
+    return sol.reshape(zs.size, n_blocks * l, l)[:, :l, :]
 
-    scatter(vs, 0, 0)
-    if n_blocks > 1:
-        scatter(ds, 0, 1)  # D_n couples block n to n+1
-        scatter(ds, 1, 0)
-    rhs = np.zeros((dim, l), dtype=complex)
-    rhs[:l, :] = eye
-    sol = scipy.linalg.solve_banded((bw, bw), ab, rhs)
-    return sol[:l, :]
 
-
-def _corner_block_guarded(spec, z, n_blocks):
-    """Banded solve with the near-real breakdown guard.
+def _corner_block_guarded(spec, zs, n_blocks):
+    """Stacked banded solve with the near-real breakdown guard.
 
     A pivot breakdown cannot happen for Im z > 0, but if the banded LU
-    ever reports singularity the solve is retried once with Im z bumped
-    by the domain floor; callers see the bump through the flag.
+    ever reports singularity, a stack is retried one point at a time and a
+    single point once with Im z bumped by the domain floor; callers see the
+    bump through the per-point flags. Returns (corners, flags).
     """
     try:
-        return _banded_corner_block(spec, z, n_blocks), False
+        return _banded_corner_block(spec, zs, n_blocks), [False] * len(zs)
     except np.linalg.LinAlgError:
-        bumped = complex(z.real, z.imag + MIN_IM_Z)
-        return _banded_corner_block(spec, bumped, n_blocks), True
+        if len(zs) > 1:
+            parts = [_corner_block_guarded(spec, [z], n_blocks) for z in zs]
+            return np.concatenate([m for m, _ in parts]), [flag for _, (flag,) in parts]
+        z = zs[0]
+        return _banded_corner_block(spec, [complex(z.real, z.imag + MIN_IM_Z)], n_blocks), [True]
+
+
+def _corner_blocks(spec, zs, n_blocks):
+    """Corner blocks at every z, solved in stacks of at most ``_STACK_BLOCKS`` blocks."""
+    per = max(_STACK_BLOCKS // n_blocks, 1)
+    parts = [_corner_block_guarded(spec, zs[a : a + per], n_blocks) for a in range(0, len(zs), per)]
+    return np.concatenate([m for m, _ in parts]), [f for _, flags in parts for f in flags]
 
 
 def m_resolvent(spec, z, n_blocks=None, tol=1e-10, max_blocks=2**17, initial_blocks=64):
@@ -196,37 +224,56 @@ def m_resolvent(spec, z, n_blocks=None, tol=1e-10, max_blocks=2**17, initial_blo
     Independent oracle for :func:`m_riccati`: same limit, different
     algorithm (LAPACK banded LU with pivoting instead of the hand-rolled
     descending recursion). Truncation size doubles until Cauchy unless
-    ``n_blocks`` pins it.
+    ``n_blocks`` pins it. Batch-of-one form of :func:`m_resolvent_grid`.
     """
-    z = complex(z)
-    bumped = False
-    if 0 < z.imag < MIN_IM_Z:
-        z = complex(z.real, MIN_IM_Z)
-        bumped = True
-    z = _require_upper(z)
+    return m_resolvent_grid(spec, [z], n_blocks, tol, max_blocks, initial_blocks)[0]
+
+
+def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10, max_blocks=2**17, initial_blocks=64):
+    """:func:`m_resolvent` at every z of ``zs``; a list of ``WeylM``, in order.
+
+    Each doubling solves every point that is not yet Cauchy, stacked; a
+    point stops at the first truncation where |M - M_prev|_F < ``tol``, the
+    one it reaches on its own. Raises ConvergenceError for the first point
+    still not Cauchy at ``max_blocks``.
+    """
+    zs = [complex(z) for z in zs]
+    bumped = [0 < z.imag < MIN_IM_Z for z in zs]
+    zs = [_require_upper(complex(z.real, MIN_IM_Z) if b else z) for z, b in zip(zs, bumped)]
     if n_blocks is not None:
         n_blocks = int(n_blocks)
         if n_blocks < 8:
             raise InvalidInputError("need at least 8 blocks")
-        m, hit_guard = _corner_block_guarded(spec, z, n_blocks)
-        return WeylM(z, m, "resolvent", n_blocks, float("nan"), bumped or hit_guard)
+        ms, hit_guard = _corner_blocks(spec, zs, n_blocks)
+        return [WeylM(z, m, "resolvent", n_blocks, float("nan"), b or h)
+                for z, m, b, h in zip(zs, ms, bumped, hit_guard)]
+    out = [None] * len(zs)
+    prev = [None] * len(zs)
+    last = [math.inf] * len(zs)  # latest delta of each point
+    active = list(range(len(zs)))
     n = int(initial_blocks)
-    prev = None
-    while n <= max_blocks:
-        m, hit_guard = _corner_block_guarded(spec, z, n)
-        bumped = bumped or hit_guard
-        if prev is not None:
-            delta = matblock.frobenius_norm(m - prev)
-            if delta < tol:
-                return WeylM(z, m, "resolvent", n, float(delta), bumped)
-        prev = m
+    while n <= max_blocks and active:
+        ms, hit_guard = _corner_blocks(spec, [zs[k] for k in active], n)
+        still = []
+        for k, m, hit in zip(active, ms, hit_guard):
+            bumped[k] = bumped[k] or hit
+            if prev[k] is not None:
+                last[k] = matblock.frobenius_norm(m - prev[k])
+                if last[k] < tol:
+                    out[k] = WeylM(zs[k], m, "resolvent", n, float(last[k]), bumped[k])
+                    continue
+            prev[k] = m
+            still.append(k)
+        active = still
         n *= 2
-    delta = matblock.frobenius_norm(m - prev) if prev is not None else math.inf
-    raise ConvergenceError(
-        f"resolvent truncation not Cauchy at {max_blocks} blocks for z = {z}",
-        last_delta=float(delta),
-        depth=max_blocks,
-    )
+    if active:
+        k = active[0]
+        raise ConvergenceError(
+            f"resolvent truncation not Cauchy at {max_blocks} blocks for z = {zs[k]}",
+            last_delta=float(last[k]),
+            depth=max_blocks,
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +634,8 @@ def jl_bounds_grid(spec, xs, ys, *, m_tol=1e-9, slack=1e-9):
     """:func:`jl_bounds` at every point (xs[j], ys[j]), in order.
 
     The starting tracks of up to ``JL_TRACK_CHUNK`` points come from one
-    kernel run; each point then solves its own cutoff (extending its
-    tracks when needed) and its own resolvent.
+    kernel run and their M from one :func:`m_resolvent_grid`; each point
+    then solves its own cutoff (extending its tracks when needed).
     """
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
@@ -597,15 +644,15 @@ def jl_bounds_grid(spec, xs, ys, *, m_tol=1e-9, slack=1e-9):
     _, k1, k2 = jl_constants(spec)
     reports = []
     for a in range(0, len(xs), JL_TRACK_CHUNK):
-        pairs = recurrence.dirichlet_neumann_grid(
-            spec, xs[a : a + JL_TRACK_CHUNK], truncnorm.INITIAL_TRACK_BLOCKS
-        )
-        for x, y, pair in zip(xs[a:], ys[a:], pairs):
-            reports.append(_jl_report(spec, x, y, pair, k1, k2, m_tol, slack))
+        cx, cy = xs[a : a + JL_TRACK_CHUNK], ys[a : a + JL_TRACK_CHUNK]
+        pairs = recurrence.dirichlet_neumann_grid(spec, cx, truncnorm.INITIAL_TRACK_BLOCKS)
+        ms = m_resolvent_grid(spec, [complex(x, y) for x, y in zip(cx, cy)], tol=m_tol)
+        for x, y, pair, m_val in zip(cx, cy, pairs, ms):
+            reports.append(_jl_report(spec, x, y, pair, m_val, k1, k2, slack))
     return reports
 
 
-def _jl_report(spec, x, y, tracks, k1, k2, m_tol, slack):
+def _jl_report(spec, x, y, tracks, m_val, k1, k2, slack):
     solve = truncnorm.solve_l_of_y(spec, x, y, tracks=tracks)
     l_cut = solve.l_value
     l = spec.dim
@@ -613,7 +660,6 @@ def _jl_report(spec, x, y, tracks, k1, k2, m_tol, slack):
     norm_psi = truncnorm.truncated_norm(solve.psi, l_cut)
     ratio = norm_psi / norm_phi
     s_l_phi = truncnorm.truncated_singular(solve.phi, l, l_cut)
-    m_val = m_resolvent(spec, complex(x, y), tol=m_tol)
     report = JLBoundReport(
         x=x,
         y=y,

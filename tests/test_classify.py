@@ -153,6 +153,18 @@ def test_energy_beyond_float_range_is_an_error_row(diag01):
     assert records[1].error.startswith("TrackOverflowError") and "error" in records[1].flags
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sums_beyond_float_range_before_first_rescale_check_are_an_error_row(diag01):
+    # with L <= 8 the checkpoints come before the kernel's first rescale
+    # check (after the step from n = 8); the sums there are no longer finite
+    params = classify.ScanParams(l_grid=(4, 8), with_rank=False)
+    records = classify.scan_energy_grid(diag01, [0.5, 1e200], params)
+    assert records[1].error.startswith("TrackOverflowError") and records[1].r_ces == -1
+    alone = classify.scan_energy_grid(diag01, [0.5], params)[0]
+    assert records[0].r_ces == alone.r_ces == 2
+    assert records[0].slopes == alone.slopes and records[0].flags == alone.flags
+
+
 def test_scan_raises_programming_errors(free1, monkeypatch):
     def broken(spec, xs, l_grid):
         raise TypeError("not a numeric failure")

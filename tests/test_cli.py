@@ -1,9 +1,42 @@
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
-from jacobispec import cli
+from jacobispec import cli, config
 from jacobispec.classify import ScanRecord
+
+
+def _parsed(path, loader):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.load(fh, Loader=loader)
+    except yaml.YAMLError as exc:
+        return type(exc)
+
+
+@pytest.fixture(autouse=True)
+def yaml_io_matches_pure_python(monkeypatch):
+    """Every config a test runs parses to the same data under the loader
+    ``load_config`` uses as under PyYAML's pure-Python ``SafeLoader``, and
+    every report embeds the config byte for byte as ``yaml.safe_dump`` would."""
+    load, write = config.load_config, cli._write_report
+
+    def checked_load(path):
+        if Path(path).exists():
+            assert _parsed(path, config.YAML_LOADER) == _parsed(path, yaml.SafeLoader)
+        return load(path)
+
+    def checked_write(path, cfg, body):
+        write(path, cfg, body)
+        dump = yaml.safe_dump(asdict(cfg), sort_keys=True, default_flow_style=None).rstrip()
+        head = "jacobispec report\n=================\n\nresolved config:\n"
+        assert Path(path).read_text(encoding="utf-8").startswith(f"{head}{dump}\n\n")
+
+    monkeypatch.setattr(config, "load_config", checked_load)
+    monkeypatch.setattr(cli, "_write_report", checked_write)
 
 
 def write_config(tmp_path, name, payload):
@@ -384,6 +417,15 @@ def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task
     assert cli.main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unparsable_yaml_is_one_line_config_error(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("model: [kind, free\ntask: validate\n", encoding="utf-8")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config is not valid YAML: ")
     assert not (tmp_path / "out").exists()
 
 

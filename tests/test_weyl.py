@@ -365,13 +365,86 @@ def test_resolvent_breakdown_guard_bumps_and_flags(free1, monkeypatch):
     assert abs(out.m[0, 0] - m_free_exact(0.5 + 0.1j)) <= 1e-4
 
 
-@pytest.mark.parametrize("name", ["random_bounded2", "golden_amo"])
+@pytest.mark.parametrize("name", ["random_bounded2", "golden_amo", "periodic3"])
 def test_banded_corner_block_matches_reference_loop(name, request):
+    # golden_amo (l = 1) goes through LAPACK's tridiagonal solver, the others
+    # through the general banded LU; a stack of systems gives each corner
+    # bit for bit as its own solve
     spec = request.getfixturevalue(name)
-    for z in (0.37 + 0.05j, -1.4 + 0.002j):
-        for n_blocks in (8, 64, 257):
-            got = weyl._banded_corner_block(spec, z, n_blocks)
-            assert np.array_equal(got, banded_corner_block_reference(spec, z, n_blocks))
+    zs = [0.37 + 0.05j, -1.4 + 0.002j, 2.6 + 0.8j, 0.1 + 1e-8j]
+    for n_blocks in (8, 64, 257):
+        refs = [banded_corner_block_reference(spec, z, n_blocks) for z in zs]
+        for count in range(1, len(zs) + 1):
+            got = weyl._banded_corner_block(spec, zs[:count], n_blocks)
+            assert got.shape == (count, spec.dim, spec.dim)
+            for k in range(count):
+                assert np.array_equal(got[k], refs[k])
+
+
+def _same_weyl_m(a, b):
+    for f in dataclasses.fields(weyl.WeylM):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(u, np.ndarray):
+            assert np.array_equal(u, v), f.name
+        elif isinstance(u, float) and math.isnan(u):
+            assert math.isnan(v), f.name
+        else:
+            assert u == v, f.name
+
+
+# in-band and far energies; 4.5 + 5e-9j, off the spectrum, sits below the domain floor
+_RESOLVENT_ZS = [0.37 + 0.05j, -1.4 + 0.02j, 2.6 + 0.8j, 4.5 + 5e-9j, 0.9 + 0.004j, -0.3 + 0.3j]
+
+
+@pytest.mark.parametrize("n_blocks", [None, 96])
+def test_resolvent_grid_matches_single_points(random_bounded2, monkeypatch, n_blocks):
+    import scipy.linalg
+
+    stacks = []  # (points, blocks) of every banded solve
+    real = scipy.linalg.solve_banded
+
+    def spy(l_and_u, ab, b, **kw):
+        l = b.shape[1]  # each point's right-hand side is I on its first block
+        stacks.append((int(np.count_nonzero(np.any(b != 0, axis=1))) // l, b.shape[0] // l))
+        return real(l_and_u, ab, b, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", spy)
+    grid = weyl.m_resolvent_grid(random_bounded2, _RESOLVENT_ZS, n_blocks, tol=1e-9)
+    monkeypatch.undo()
+    assert any(points > 1 for points, _ in stacks)
+    for points, blocks in stacks:
+        # a stack holds at most _STACK_BLOCKS blocks, unless it is one point
+        assert points == 1 or blocks <= weyl._STACK_BLOCKS
+    if n_blocks is None:
+        assert len({m.depth for m in grid}) > 1  # points leave the doubling one by one
+    assert grid[3].bumped and grid[3].z == 4.5 + 1e-8j
+    for z, got in zip(_RESOLVENT_ZS, grid):
+        _same_weyl_m(got, weyl.m_resolvent(random_bounded2, z, n_blocks, tol=1e-9))
+
+
+@pytest.mark.parametrize("n_blocks", [None, 96])
+def test_resolvent_breakdown_in_a_stack_bumps_only_its_point(random_bounded2, monkeypatch, n_blocks):
+    zs = _RESOLVENT_ZS[:3]
+    real = weyl._banded_corner_block
+
+    def breaks_at_second_point(spec, stack, n):
+        # any stack holding zs[1] breaks down; with Im z bumped it solves
+        if zs[1] in [complex(z) for z in stack]:
+            raise np.linalg.LinAlgError("forced pivot breakdown")
+        return real(spec, stack, n)
+
+    monkeypatch.setattr(weyl, "_banded_corner_block", breaks_at_second_point)
+    grid = weyl.m_resolvent_grid(random_bounded2, zs, n_blocks, tol=1e-9)
+    assert [got.bumped for got in grid] == [False, True, False]
+    for z, got in zip(zs, grid):
+        _same_weyl_m(got, weyl.m_resolvent(random_bounded2, z, n_blocks, tol=1e-9))
+
+
+def test_resolvent_grid_names_first_point_not_cauchy(random_bounded2):
+    zs = [0.5 + 0.5j, 0.3 + 1e-4j, 0.6 + 1e-4j]
+    with pytest.raises(ConvergenceError) as exc:
+        weyl.m_resolvent_grid(random_bounded2, zs, tol=1e-9, max_blocks=256)
+    assert exc.value.depth == 256 and f"z = {zs[1]}" in str(exc.value)
 
 
 def _same_report(a, b):
