@@ -303,26 +303,17 @@ _POINT_FAILURES = (JacobiSpecError, np.linalg.LinAlgError, FloatingPointError)
 
 
 def _chunk_safe(spec, xs, params):
+    """Records of ``xs``; after a numeric failure each half is rerun, so a
+    bad energy costs at most 2 log2(len(xs)) reruns and becomes its own
+    error row while the rest of the scan survives."""
     try:
         return _chunk_records(spec, xs, params)
-    except _POINT_FAILURES:
-        # isolate the failing energies; a bad point must not sink the scan
-        records = []
-        for x in xs:
-            try:
-                records.extend(_chunk_records(spec, np.array([x]), params))
-            except _POINT_FAILURES as exc:
-                records.append(
-                    ScanRecord(
-                        x=float(x),
-                        r_ces=-1,
-                        slopes=(),
-                        low_confidence=True,
-                        flags=["error"],
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-        return records
+    except _POINT_FAILURES as exc:
+        if len(xs) > 1:
+            half = len(xs) // 2
+            return _chunk_safe(spec, xs[:half], params) + _chunk_safe(spec, xs[half:], params)
+        return [ScanRecord(x=float(xs[0]), r_ces=-1, slopes=(), low_confidence=True,
+                           flags=["error"], error=f"{type(exc).__name__}: {exc}")]
 
 
 def scan_energy_grid(spec, x_grid, params=None):

@@ -85,17 +85,16 @@ class SolveLResult:
         return self.phi, self.psi
 
 
-def solve_l_of_y(spec, x, y, *, initial_blocks=INITIAL_TRACK_BLOCKS,
-                 max_blocks=MAX_TRACK_BLOCKS, tracks=None):
+def solve_l_of_y(spec, x, y, *, tracks=None):
     """Find L >= 1 with 2 y ||D0^-1||_F ||psi||_L ||phi||_L = 1.
 
     Dirichlet/Neumann tracks at real ``x`` (``tracks``, or a fresh pair of
-    ``initial_blocks`` blocks) are grown by doubling, both in one kernel
-    run, until the integer-L product crosses the target, then the unit
-    interval is solved as a quadratic in the fractional part (affine times
-    affine equals a constant), with a Newton polish. Raises
+    ``INITIAL_TRACK_BLOCKS`` blocks) are grown by doubling, both in one
+    kernel run, until the integer-L product crosses the target, then the
+    unit interval is solved as a quadratic in the fractional part (affine
+    times affine equals a constant), with a Newton polish. Raises
     TargetUnreachableError if the product cannot reach the target within
-    ``max_blocks`` blocks.
+    ``MAX_TRACK_BLOCKS`` blocks.
     """
     y = float(y)
     if y <= 0:
@@ -108,7 +107,7 @@ def solve_l_of_y(spec, x, y, *, initial_blocks=INITIAL_TRACK_BLOCKS,
     if tracks is not None:
         phi, psi = tracks
     else:
-        phi, psi = recurrence.dirichlet_neumann(spec, x, initial_blocks)
+        phi, psi = recurrence.dirichlet_neumann(spec, x, INITIAL_TRACK_BLOCKS)
 
     def product_log2():
         return scaling.log2(phi.cum_fro2_m, phi.cum_fro2_e) + scaling.log2(
@@ -122,15 +121,15 @@ def solve_l_of_y(spec, x, y, *, initial_blocks=INITIAL_TRACK_BLOCKS,
         if hit.size and hit[0] <= phi.n_max - 1:
             m_idx = int(hit[0])
             break
-        if phi.n_max >= max_blocks:
+        if phi.n_max >= MAX_TRACK_BLOCKS:
             attained = 2.0 * y * d0_inv_norm * math.sqrt(2.0 ** float(prod[-2]))
             raise TargetUnreachableError(
-                f"cutoff equation unreachable within {max_blocks} blocks "
+                f"cutoff equation unreachable within {MAX_TRACK_BLOCKS} blocks "
                 f"(attained f = {attained:.6g})",
                 attained=attained,
-                max_length=max_blocks,
+                max_length=MAX_TRACK_BLOCKS,
             )
-        phi, psi = recurrence.extend_tracks((phi, psi), min(2 * phi.n_max, max_blocks))
+        phi, psi = recurrence.extend_tracks((phi, psi), min(2 * phi.n_max, MAX_TRACK_BLOCKS))
 
     if m_idx == 0:
         # only possible if the target is non-positive at L = 1, i.e. huge y;

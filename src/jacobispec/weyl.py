@@ -5,13 +5,12 @@ Two independent routes compute the same l-by-l Herglotz matrix M(z):
 
 * ``m_riccati``: the descending corner-resolvent recursion
   M_n = ((V_n - z) - D_n M_{n+1} D_n)^-1 seeded with a Dirichlet wall
-  (M = 0) at a doubling depth, stopped by a Cauchy test on M_1;
+  (M = 0) at the truncation depth;
 * ``m_resolvent``: the (1,1) block of the inverse of the banded
-  truncation of the half-line operator, via LAPACK banded LU. Its grid
-  form doubles the truncation of many points at once: the truncations of
-  one doubling sit block-diagonally, uncoupled, in one band matrix, so
-  one LAPACK call solves them all, and each corner comes out bit for bit
-  as its own solve would give it. A stack holds at most
+  truncation of the half-line operator, via LAPACK banded LU. The
+  truncations of many points sit block-diagonally, uncoupled, in one band
+  matrix, so one LAPACK call solves them all, and each corner comes out
+  bit for bit as its own solve would give it. A stack holds at most
   ``_STACK_BLOCKS`` blocks: its band, right-hand side and solution grow
   with points times truncation, and uncapped stacks of a whole sweep
   chunk at its deepest doubling cost several MB of peak memory.
@@ -20,6 +19,18 @@ Both equal the Green block G(1,1;z) in exact arithmetic; their agreement
 is the package's primary cross-check. The descent reads coefficients in
 chunks through ``models.coefficient_arrays``. One guard checks each
 ``WeylM`` and every rung of the rank ladder: M finite, Herglotz, symmetric.
+
+Unless a truncation is pinned, every route stops by one rule,
+:func:`_until_cauchy`: the depth (descent steps or resolvent blocks)
+starts at ``INITIAL_DEPTH`` (for ``jost_chain``, its first doubling
+that reaches 4 n_max) and doubles up to ``RICCATI_MAX_DEPTH``
+(``m_riccati``, ``jost_chain``), ``LADDER_MAX_DEPTH`` (rank ladder) or
+``RESOLVENT_MAX_DEPTH``. The points solved together form groups (a rung
+of the ladder, one resolvent point, the Jost chain's M_1 and probe
+block); a group stops at the first doubling where the largest
+|M - M_prev|_F over its blocks is below ``tol``. A delta that is not
+finite, or a group still not Cauchy at the cap, raises ConvergenceError
+with the depth and the group's last delta.
 """
 
 from __future__ import annotations
@@ -37,6 +48,10 @@ MIN_IM_Z = 1e-8
 DEFAULT_Y_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 SYMMETRY_REL_TOL = 1e-8
 HERGLOTZ_EIG_TOL = 1e-10
+INITIAL_DEPTH = 64
+RICCATI_MAX_DEPTH = 2**18
+LADDER_MAX_DEPTH = 2**17
+RESOLVENT_MAX_DEPTH = 2**17
 
 
 @dataclass
@@ -148,11 +163,46 @@ def _riccati_descent(spec, z, depth, collect_to=0):
     return _sym_blocks(comps, l), chain
 
 
-def m_riccati(spec, z, tol=1e-10, max_depth=2**18, initial_depth=64):
-    """m-function by the descending corner recursion with depth doubling."""
-    z = _require_upper(z)
-    m, depths, deltas = m_riccati_rungs(spec, np.array([[z]]), tol, max_depth, initial_depth)
-    return WeylM(z, m[0, 0], "riccati", int(depths[0]), float(deltas[0]))
+def _until_cauchy(solve, groups, tol, depth, max_depth, name):
+    """The module's doubling rule over ``groups`` groups, named ``name(g)``.
+
+    ``solve(active, depth)`` gives the watched blocks of the groups in
+    ``active``, shape (len(active), k, l, l). Returns (blocks, depth,
+    delta) per group, its blocks as ``solve`` returned them.
+    """
+    out = [None] * groups
+    active, prev, last = list(range(groups)), None, None
+    # a non-finite coefficient surfaces as the ConvergenceError below, not as
+    # numpy warnings on the way there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while depth <= max_depth and active:
+            m = solve(active, depth)
+            keep = np.ones(len(active), dtype=bool)
+            if prev is not None:
+                norms = np.sqrt(np.sum(np.abs(m - prev) ** 2, axis=(2, 3)))
+                delta = np.max(norms, axis=1, initial=0.0)
+                bad = np.flatnonzero(~np.isfinite(delta))
+                if bad.size:
+                    raise ConvergenceError(f"{name(active[bad[0]])} not finite at depth {depth}",
+                                           last_delta=float(delta[bad[0]]), depth=depth)
+                done = delta < tol
+                for i in np.flatnonzero(done):
+                    out[active[i]] = (m[i], depth, float(delta[i]))
+                active = [g for g, stop in zip(active, done) if not stop]
+                keep, last = ~done, delta[~done]
+            # the copy keeps each block's memory order, so |M - M_prev|_F sums
+            # its entries in the order matblock.frobenius_norm would
+            prev = m[keep]
+            depth *= 2
+    if active:
+        raise ConvergenceError(f"{name(active[0])} not Cauchy at depth {max_depth}",
+                               last_delta=None if last is None else float(last[0]), depth=max_depth)
+    return out
+
+
+def m_riccati(spec, z, tol=1e-10):
+    """m-function by the descending corner recursion: M_1 of :func:`jost_chain`."""
+    return jost_chain(spec, z, 0, tol)[1]
 
 
 # Blocks one stacked banded solve holds at most (a point deeper than this is
@@ -218,7 +268,7 @@ def _corner_blocks(spec, zs, n_blocks):
     return np.concatenate([m for m, _ in parts]), [f for _, flags in parts for f in flags]
 
 
-def m_resolvent(spec, z, n_blocks=None, tol=1e-10, max_blocks=2**17, initial_blocks=64):
+def m_resolvent(spec, z, n_blocks=None, tol=1e-10):
     """m-function as the corner block of the banded-truncation resolvent.
 
     Independent oracle for :func:`m_riccati`: same limit, different
@@ -226,98 +276,68 @@ def m_resolvent(spec, z, n_blocks=None, tol=1e-10, max_blocks=2**17, initial_blo
     descending recursion). Truncation size doubles until Cauchy unless
     ``n_blocks`` pins it. Batch-of-one form of :func:`m_resolvent_grid`.
     """
-    return m_resolvent_grid(spec, [z], n_blocks, tol, max_blocks, initial_blocks)[0]
+    return m_resolvent_grid(spec, [z], n_blocks, tol)[0]
 
 
-def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10, max_blocks=2**17, initial_blocks=64):
+def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10):
     """:func:`m_resolvent` at every z of ``zs``; a list of ``WeylM``, in order.
 
-    Each doubling solves every point that is not yet Cauchy, stacked; a
-    point stops at the first truncation where |M - M_prev|_F < ``tol``, the
-    one it reaches on its own. Raises ConvergenceError for the first point
-    still not Cauchy at ``max_blocks``.
+    Each doubling solves every point that is not yet Cauchy, stacked, and
+    each point stops at the truncation it reaches on its own.
     """
     zs = [complex(z) for z in zs]
     bumped = [0 < z.imag < MIN_IM_Z for z in zs]
     zs = [_require_upper(complex(z.real, MIN_IM_Z) if b else z) for z, b in zip(zs, bumped)]
-    if n_blocks is not None:
-        n_blocks = int(n_blocks)
-        if n_blocks < 8:
-            raise InvalidInputError("need at least 8 blocks")
-        ms, hit_guard = _corner_blocks(spec, zs, n_blocks)
-        return [WeylM(z, m, "resolvent", n_blocks, float("nan"), b or h)
-                for z, m, b, h in zip(zs, ms, bumped, hit_guard)]
-    out = [None] * len(zs)
-    prev = [None] * len(zs)
-    last = [math.inf] * len(zs)  # latest delta of each point
-    active = list(range(len(zs)))
-    n = int(initial_blocks)
-    while n <= max_blocks and active:
-        ms, hit_guard = _corner_blocks(spec, [zs[k] for k in active], n)
-        still = []
-        for k, m, hit in zip(active, ms, hit_guard):
+
+    def solve(active, depth):
+        ms, hit_guard = _corner_blocks(spec, [zs[k] for k in active], depth)
+        for k, hit in zip(active, hit_guard):
             bumped[k] = bumped[k] or hit
-            if prev[k] is not None:
-                last[k] = matblock.frobenius_norm(m - prev[k])
-                if last[k] < tol:
-                    out[k] = WeylM(zs[k], m, "resolvent", n, float(last[k]), bumped[k])
-                    continue
-            prev[k] = m
-            still.append(k)
-        active = still
-        n *= 2
-    if active:
-        k = active[0]
-        raise ConvergenceError(
-            f"resolvent truncation not Cauchy at {max_blocks} blocks for z = {zs[k]}",
-            last_delta=float(last[k]),
-            depth=max_blocks,
-        )
-    return out
+        return ms[:, None]  # views: each corner keeps the memory order it was solved in
+
+    if n_blocks is None:
+        found = _until_cauchy(solve, len(zs), tol, INITIAL_DEPTH, RESOLVENT_MAX_DEPTH,
+                              lambda k: f"resolvent truncation for z = {zs[k]}")
+    elif int(n_blocks) < 8:
+        raise InvalidInputError("need at least 8 blocks")
+    else:
+        found = [(m, int(n_blocks), math.nan) for m in solve(range(len(zs)), int(n_blocks))]
+    return [WeylM(z, m[0], "resolvent", n, d, b) for z, (m, n, d), b in zip(zs, found, bumped)]
 
 
 # ---------------------------------------------------------------------------
 # Stable Jost blocks and identities.
 
 
-def jost_chain(spec, z, n_max, tol=1e-12, max_depth=2**18):
+def jost_chain(spec, z, n_max, tol=1e-12):
     """Square-summable solution blocks F_0..F_n_max, built stably.
 
     Uses F_k = -M_k D_{k-1} F_{k-1} with the corner-resolvent chain M_k,
     which decays like the true Jost solution instead of cancelling two
-    exponentially growing tracks. Returns (blocks, M_1 WeylM).
+    exponentially growing tracks. The descent stops when M_1 and the probe
+    block M_n_max are both Cauchy. Returns (blocks, M_1 WeylM).
     """
     z = _require_upper(z)
     n_max = int(n_max)
-    depth = 64
-    while depth < 4 * max(n_max, 1):
-        depth *= 2
-    prev = None
-    while depth <= max_depth:
-        m1, chain = _riccati_descent(spec, np.array([z]), depth, collect_to=max(n_max, 1))
-        m1, probe = m1[0], chain[max(n_max, 1)][0]
-        if prev is not None:
-            delta = max(
-                matblock.frobenius_norm(m1 - prev[0]),
-                matblock.frobenius_norm(probe - prev[1]),
-            )
-            if delta < tol:
-                break
-        prev = (m1, probe)
-        depth *= 2
-    else:
-        raise ConvergenceError(
-            f"corner chain not Cauchy at depth {max_depth}",
-            last_delta=None,
-            depth=max_depth,
-        )
+    probe = max(n_max, 1)
+    chain = None
+
+    def solve(active, depth):
+        nonlocal chain
+        m1, chain = _riccati_descent(spec, np.array([z]), depth, collect_to=probe)
+        return np.stack([m1[0], chain[probe][0]])[None]
+
+    # start at the first doubling of INITIAL_DEPTH that reaches 4 * probe
+    start = max(INITIAL_DEPTH, 1 << (4 * probe - 1).bit_length())
+    [(m, depth, delta)] = _until_cauchy(solve, 1, tol, start, RICCATI_MAX_DEPTH,
+                                        lambda _: f"riccati descent for z = {z}")
     l = spec.dim
     blocks = np.empty((n_max + 1, l, l), dtype=complex)
     blocks[0] = np.eye(l)
-    ds = models.coefficient_arrays(spec, 0, max(n_max, 1))[0]
+    ds = models.coefficient_arrays(spec, 0, probe)[0]
     for k in range(1, n_max + 1):
         blocks[k] = -chain[k][0] @ ds[k - 1] @ blocks[k - 1]
-    return blocks, WeylM(z, m1, "riccati", depth, float(delta))
+    return blocks, WeylM(z, m[0], "riccati", depth, delta)
 
 
 @dataclass
@@ -462,7 +482,7 @@ def im_m_boundary(spec, x, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
     growth exponent g (tr Im M ~ y^-g as y drops) doubles as a
     singular-support indicator. Batch-of-one form of
     :func:`im_m_boundary_grid`, so each rung's descent depth is capped at
-    the grid's 2^17 (``m_riccati`` alone goes to 2^18).
+    ``LADDER_MAX_DEPTH``, not ``m_riccati``'s ``RICCATI_MAX_DEPTH``.
     """
     return im_m_boundary_grid(spec, [x], y_ladder, tau_rel, tol)[0]
 
@@ -470,71 +490,33 @@ def im_m_boundary(spec, x, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
 # Batched ladder over an energy grid (shared by the scan engine).
 
 
-def m_riccati_rungs(spec, z, tol=1e-8, max_depth=2**17, initial_depth=64):
+def m_riccati_rungs(spec, z, tol=1e-8):
     """Riccati descent over a (rungs x energies) grid of z with depth doubling.
 
-    Each doubling runs one descent over every rung that is not yet Cauchy.
-    A rung stops at the first depth where the max over its energies of
-    |M - M_prev|_F is below ``tol``, the same depth it reaches on its own.
+    Each doubling runs one descent over every rung that is not yet Cauchy
+    (a rung is one group); a rung stops at the depth it reaches on its own.
     Returns (m of shape (rungs, energies, l, l), depths, last_deltas).
-    Raises ConvergenceError as soon as a rung's delta is not finite, or
-    when a rung is still not Cauchy at ``max_depth``.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < MIN_IM_Z):
         raise DomainError(f"need y >= {MIN_IM_Z}")
-    rungs, size = z.shape
-    l = spec.dim
-    out = np.empty((rungs, size, l, l), dtype=complex)
-    depths = np.zeros(rungs, dtype=int)
-    deltas = np.full(rungs, np.nan)
-    active = np.arange(rungs)
-    last = np.full(rungs, math.inf)  # latest delta of each active rung
-    prev = None
-    depth = int(initial_depth)
-    # a non-finite coefficient surfaces as the ConvergenceError below, not as
-    # numpy warnings on the way there
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while depth <= max_depth and active.size:
-            m, _ = _riccati_descent(spec, z[active].ravel(), depth)
-            m = m.reshape(active.size, size, l, l)
-            if prev is not None:
-                norms = np.sqrt(np.sum(np.abs(m - prev) ** 2, axis=(2, 3)))
-                delta = np.max(norms, axis=1, initial=0.0)
-                bad = ~np.isfinite(delta)
-                if np.any(bad):
-                    raise ConvergenceError(
-                        f"riccati descent not finite at depth {depth} "
-                        f"for y = {z[active[bad], 0].imag.tolist()}",
-                        last_delta=float(delta[bad][0]),
-                        depth=depth,
-                    )
-                done = delta < tol
-                out[active[done]] = m[done]
-                depths[active[done]] = depth
-                deltas[active[done]] = delta[done]
-                active, m, last = active[~done], m[~done], delta[~done]
-            prev = m
-            depth *= 2
-    if active.size:
-        raise ConvergenceError(
-            f"riccati descent not Cauchy at depth {max_depth} "
-            f"for y = {z[active, 0].imag.tolist()}",
-            last_delta=float(np.max(last)),
-            depth=max_depth,
-        )
-    return out, depths, deltas
+    shape = (z.shape[1], spec.dim, spec.dim)
+
+    def solve(active, depth):
+        return _riccati_descent(spec, z[active].ravel(), depth)[0].reshape(len(active), *shape)
+
+    ms, depths, deltas = zip(*_until_cauchy(solve, len(z), tol, INITIAL_DEPTH, LADDER_MAX_DEPTH,
+                                            lambda k: f"riccati descent for y = {z[k, 0].imag}"))
+    return np.stack(ms), np.array(depths), np.array(deltas)
 
 
-def m_riccati_grid(spec, xs, y, tol=1e-8, max_depth=2**17, initial_depth=64):
+def m_riccati_grid(spec, xs, y, tol=1e-8):
     """Vectorized riccati descent at z = x_j + iy over a whole grid.
 
     One-rung form of :func:`m_riccati_rungs`; returns (m, depth, delta).
     """
     xs = np.asarray(xs, dtype=float)
-    m, depths, deltas = m_riccati_rungs(
-        spec, (xs + 1j * y)[None, :], tol, max_depth, initial_depth
-    )
+    m, depths, deltas = m_riccati_rungs(spec, (xs + 1j * y)[None, :], tol)
     return m[0], int(depths[0]), float(deltas[0])
 
 

@@ -143,6 +143,29 @@ def test_scan_survives_poisoned_point(free1, monkeypatch):
     assert records[0].error == "" and records[2].error == ""
 
 
+def test_scan_halves_a_failing_chunk(free1, monkeypatch):
+    # one poisoned energy in 64 is isolated by halving: 1 + 2 * log2(64) runs
+    params = classify.ScanParams(l_grid=(64, 128), with_rank=False)
+    xs = np.linspace(-1.5, 1.5, 64)
+    bad = xs[37]
+    real = classify._chunk_records
+    calls = []
+
+    def records(spec, chunk, params):
+        calls.append(len(chunk))
+        if bad in chunk:
+            raise ConvergenceError("poisoned energy")
+        return real(spec, chunk, params)
+
+    monkeypatch.setattr(classify, "_chunk_records", records)
+    rows = classify.scan_energy_grid(free1, xs, params)
+    assert len(calls) <= 13
+    assert [r.x for r in rows] == xs.tolist()
+    assert [r.x for r in rows if r.error] == [bad]
+    assert rows[37].error == "ConvergenceError: poisoned energy" and rows[37].flags == ["error"]
+    assert all("error" not in r.flags for r in rows if r.x != bad)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_energy_beyond_float_range_is_an_error_row(diag01):
     # at x = 1e200 the blocks overflow within the 8 steps between rescale

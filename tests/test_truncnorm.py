@@ -131,9 +131,10 @@ def test_solve_l_matches_independent_bisection(free1):
     assert sol.l_value == pytest.approx(0.5 * (lo + hi), abs=1e-8)
 
 
-def test_solve_l_unreachable_is_reported(free1):
+def test_solve_l_unreachable_is_reported(free1, monkeypatch):
+    monkeypatch.setattr(truncnorm, "MAX_TRACK_BLOCKS", 2048)
     with pytest.raises(TargetUnreachableError) as err:
-        truncnorm.solve_l_of_y(free1, 0.0, 1e-9, max_blocks=2048)
+        truncnorm.solve_l_of_y(free1, 0.0, 1e-9)
     assert err.value.max_length == 2048
     assert err.value.attained is not None
 

@@ -440,11 +440,36 @@ def test_resolvent_breakdown_in_a_stack_bumps_only_its_point(random_bounded2, mo
         _same_weyl_m(got, weyl.m_resolvent(random_bounded2, z, n_blocks, tol=1e-9))
 
 
-def test_resolvent_grid_names_first_point_not_cauchy(random_bounded2):
+def test_resolvent_grid_names_first_point_not_cauchy(random_bounded2, monkeypatch):
     zs = [0.5 + 0.5j, 0.3 + 1e-4j, 0.6 + 1e-4j]
+    monkeypatch.setattr(weyl, "RESOLVENT_MAX_DEPTH", 256)
     with pytest.raises(ConvergenceError) as exc:
-        weyl.m_resolvent_grid(random_bounded2, zs, tol=1e-9, max_blocks=256)
+        weyl.m_resolvent_grid(random_bounded2, zs, tol=1e-9)
     assert exc.value.depth == 256 and f"z = {zs[1]}" in str(exc.value)
+
+
+def test_resolvent_non_finite_delta_names_its_depth(random_bounded2, monkeypatch):
+    real = weyl._banded_corner_block
+    depths = []
+
+    def nan_on_second_doubling(spec, zs, n):
+        depths.append(n)
+        corners = real(spec, zs, n)
+        return np.full_like(corners, np.nan) if len(depths) == 2 else corners
+
+    monkeypatch.setattr(weyl, "_banded_corner_block", nan_on_second_doubling)
+    with pytest.raises(ConvergenceError) as exc:
+        weyl.m_resolvent(random_bounded2, 0.3 + 0.01j, tol=1e-9)
+    assert exc.value.depth == depths[1] == 2 * weyl.INITIAL_DEPTH
+    assert "not finite" in str(exc.value)
+
+
+def test_jost_chain_not_cauchy_at_cap_reports_its_delta(random_bounded2, monkeypatch):
+    monkeypatch.setattr(weyl, "RICCATI_MAX_DEPTH", 1024)
+    with pytest.raises(ConvergenceError) as exc:
+        weyl.jost_chain(random_bounded2, 0.1 + 1e-3j, 25, tol=1e-300)
+    assert exc.value.depth == 1024
+    assert exc.value.last_delta is not None and math.isfinite(exc.value.last_delta)
 
 
 def _same_report(a, b):
