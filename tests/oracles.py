@@ -328,3 +328,33 @@ def limit_point_sum_reference(spec, n_terms):
     for k in range(n_terms + 1):
         terms[k] = 1.0 / float(np.linalg.svd(spec.coefficient_at(k)[0], compute_uv=False)[0])
     return float(np.sum(terms))
+
+
+def ladder_verdict_reference(y_ladder, eig_list, tau_rel, rel_change=0.2):
+    """The rank ladder's verdict at one energy, one rung at a time.
+
+    ``eig_list`` holds the ascending eigenvalues of Im M at each rung.
+    Returns (ranks, traces, stabilized rung, rank, trace growth) as the
+    per-point loop that ``weyl._ladder_verdicts`` replaced computed them.
+    """
+    ranks = []
+    for k in range(len(y_ladder)):
+        eigs = np.asarray(eig_list[k])
+        cut = tau_rel * max(float(eigs[-1]), 1e-12)
+        if k == 0:
+            ranks.append(int(np.sum(eigs > cut)))
+            continue
+        prev = np.asarray(eig_list[k - 1])
+        persists = np.abs(eigs - prev) < rel_change * np.maximum(prev, 1e-12)
+        ranks.append(int(np.sum((eigs > cut) & persists)))
+    traces = [float(np.sum(np.clip(e, 0.0, None))) for e in eig_list]
+    stabilized = None
+    for k in range(len(y_ladder) - 1, 1, -1):
+        if ranks[k] == ranks[k - 1]:
+            stabilized = k
+            break
+    logs_y = np.log(np.asarray(y_ladder))
+    logs_t = np.log(np.maximum(np.asarray(traces), 1e-300))
+    slope = float(np.polyfit(logs_y, logs_t, 1)[0])
+    rank = ranks[stabilized] if stabilized is not None else None
+    return ranks, traces, stabilized, rank, -slope

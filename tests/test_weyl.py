@@ -472,6 +472,23 @@ def test_jost_chain_not_cauchy_at_cap_reports_its_delta(random_bounded2, monkeyp
     assert exc.value.last_delta is not None and math.isfinite(exc.value.last_delta)
 
 
+def test_herglotz_check_descends_each_depth_once(random_bounded2, monkeypatch):
+    z = 0.5 + 0.01j
+    want = dataclasses.astuple(weyl.herglotz_identity_check(random_bounded2, z, n_terms=4096))
+    depths = []
+    real = weyl._riccati_descent
+
+    def counted(spec, zs, depth, collect_to=0):
+        depths.append(depth)
+        return real(spec, zs, depth, collect_to)
+
+    monkeypatch.setattr(weyl, "_riccati_descent", counted)
+    got = weyl.herglotz_identity_check(random_bounded2, z)
+    # n doubles 256 .. 4096; a fresh chain per n descended 115,712 steps
+    assert len(depths) == len(set(depths)) and sum(depths) <= 65536
+    assert dataclasses.astuple(got) == want
+
+
 def _same_report(a, b):
     for f in dataclasses.fields(weyl.JLBoundReport):
         u, v = getattr(a, f.name), getattr(b, f.name)
