@@ -21,17 +21,20 @@ chunks through ``models.coefficient_arrays``. One guard checks each
 ``WeylM`` and every rung of the rank ladder: M finite, Herglotz, symmetric.
 
 The rank ladder of a periodic model whose period p divides
-``INITIAL_DEPTH`` takes a third route, block decimation (López Sancho,
-López Sancho & Rubio 1985; block cyclic reduction of the half-line
-truncation): one Schur-complement step halves the chain of p-site cells,
-so the truncation at depth p 2^k costs k steps instead of a descent of
-p 2^k. It gives the descent's zero-seed truncation in exact arithmetic,
-at the same depths 64 2^j, and uses no transfer matrix, so the ladder
-stays independent of the Floquet oracle. Its rounding grows like
-eps / y^2 near energies where short segments of the chain resonate: at
-the free model's band centre it is 3e-11 relative at y = 1e-3 and 3e-5
-at y = 1e-6. The descent stays its oracle and the route of every other
-model and of ``m_riccati`` and ``jost_chain``.
+``INITIAL_DEPTH`` and whose cell p l is at most ``DECIMATION_MAX_CELL``
+takes a third route, block decimation (López Sancho, López Sancho &
+Rubio 1985; block cyclic reduction of the half-line truncation): one
+Schur-complement step halves the chain of p-site cells, so the
+truncation at depth p 2^k costs k steps instead of a descent of p 2^k.
+It gives the descent's zero-seed truncation in exact arithmetic, at the
+same depths 64 2^j, and uses no transfer matrix, so the ladder stays
+independent of the Floquet oracle. Its rounding grows like eps / y^2
+near energies where short segments of the chain resonate (at the free
+model's band centre, 3e-11 relative at y = 1e-3 and 3e-5 at y = 1e-6),
+so each decimated rung carries an a-posteriori rounding bound, and a
+rung whose bound exceeds ``tol`` is descended instead. The descent
+stays its oracle and the route of every other model and of
+``m_riccati`` and ``jost_chain``.
 
 Unless a truncation is pinned, every route stops by one rule,
 :func:`_until_cauchy`: the depth (descent steps, decimated sites or
@@ -66,6 +69,13 @@ INITIAL_DEPTH = 64
 RICCATI_MAX_DEPTH = 2**18
 LADDER_MAX_DEPTH = 2**17
 DECIMATION_MAX_DEPTH = 2**30
+# the widest cell (period x block size) the rank ladder decimates: its
+# working set is ~16 complex (p l)^2 blocks per point and rung, against
+# the descent's few l x l (12 MB more on a 512-point ladder at p l = 4,
+# 170 MB at 16), and at p l = 32 it is also the slower route
+DECIMATION_MAX_CELL = 4
+# the constant of the decimation's rounding bound, see _decimation
+DECIMATION_ROUNDING = 4.0
 RESOLVENT_MAX_DEPTH = 2**17
 
 
@@ -389,6 +399,9 @@ def herglotz_identity_check(spec, z, n_terms=None, tol=1e-12, max_terms=2**15):
     n = max(n, 16)
     descents = {}
     while True:
+        # a chain to n starts at depth 4 n, so shallower descents are done with
+        for depth in [d for d in descents if d < 4 * n]:
+            del descents[depth]
         blocks, m1 = _jost_chain(spec, z, n, tol, descents)
         term_norms = np.array(
             [float(np.sum(np.abs(blocks[k]) ** 2)) for k in range(n - 8, n + 1)]
@@ -514,13 +527,19 @@ def im_m_boundary(spec, x, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
     never stabilizes yields rank None and ``indeterminate``. The trace
     growth exponent g (tr Im M ~ y^-g as y drops) doubles as a
     singular-support indicator. Batch-of-one form of
-    :func:`im_m_boundary_grid`, so each rung's descent depth is capped at
-    ``LADDER_MAX_DEPTH``, not ``m_riccati``'s ``RICCATI_MAX_DEPTH``.
+    :func:`im_m_boundary_grid`, so each rung takes the route and depth cap
+    of :func:`m_riccati_rungs` (``DECIMATION_MAX_DEPTH`` by decimation,
+    else ``LADDER_MAX_DEPTH``), not ``m_riccati``'s ``RICCATI_MAX_DEPTH``.
     """
     return im_m_boundary_grid(spec, [x], y_ladder, tau_rel, tol)[0]
 
 
 # Batched ladder over an energy grid (shared by the scan engine).
+
+
+def _fro(x):
+    """|x|_F over the trailing two axes."""
+    return np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)))
 
 
 def _decimation(spec, z):
@@ -535,6 +554,16 @@ def _decimation(spec, z):
     chain of half as many cells. After k steps the surface block is the
     whole truncation at depth p 2^k reduced to its first cell, so M_1 is
     the top-left l x l block of its inverse.
+
+    Also returns ``rounding``, which maps each group to a bound on the
+    rounding error |dM|_F of its last solve at each of its points.
+    Elimination leaves a backward error of about eps g in T - z, where g is
+    the largest block norm it formed (Wilkinson's growth); that moves M by
+    at most |G e_1|^2 = |Im M| / y times as much (G = (T_N - z)^-1). g stays
+    of order |T - z| except near energies where short segments of the chain
+    resonate; there it reaches ~1/y, and the actual error grows like
+    eps / y^2. ``DECIMATION_ROUNDING`` is the constant in front of eps g
+    |Im M|_F / y.
     """
     p, l = spec.period, spec.dim
     pl = p * l
@@ -546,32 +575,51 @@ def _decimation(spec, z):
     right = np.zeros((pl, pl), dtype=complex)
     right[-l:, :l] = d[-1]
     surface = cell - z[..., None, None] * np.eye(pl)
-    # the state of the groups in ``groups``, reduced to depth ``reached``
+    # the state of the groups in ``groups``, reduced to depth ``reached``;
+    # the last entry is the largest block norm formed so far at each point
     groups, reached = list(range(len(z))), p
     state = (surface, surface, np.broadcast_to(right, surface.shape),
-             np.broadcast_to(right.T, surface.shape))
+             np.broadcast_to(right.T, surface.shape),
+             np.maximum(_fro(surface), _fro(right)))
     first_cols = np.eye(pl, l)
+    rounding = {}
 
     def solve(active, depth):
         nonlocal groups, reached, state
         rows = [groups.index(g) for g in active]
-        s, e, a, b = (x[rows] for x in state)
+        s, e, a, b, grown = (x[rows] for x in state)
         while reached < depth:
             x = np.linalg.solve(e, np.concatenate([a, b], axis=-1))
             ea, eb = x[..., :pl], x[..., pl:]
-            aeb = a @ eb
-            s, e = s - aeb, e - aeb - b @ ea
+            aeb, bea = a @ eb, b @ ea
+            s, e = s - aeb, e - aeb - bea
             a, b = a @ ea, b @ eb
+            grown = np.maximum.reduce([grown, _fro(aeb), _fro(bea), _fro(e)])
             reached *= 2
-        groups, state = list(active), (s, e, a, b)
-        return np.linalg.solve(s, np.broadcast_to(first_cols, s.shape[:-1] + (l,)))[..., :l, :]
+        groups, state = list(active), (s, e, a, b, grown)
+        m = np.linalg.solve(s, np.broadcast_to(first_cols, s.shape[:-1] + (l,)))[..., :l, :]
+        bound = DECIMATION_ROUNDING * np.finfo(float).eps * grown * _fro(m.imag) / z[active].imag
+        rounding.update(zip(active, bound))
+        return m
 
-    return solve
+    return solve, rounding
 
 
 def _decimates(spec):
     """Whether the rank ladder takes the decimation route for ``spec``."""
-    return isinstance(spec, models.PeriodicSpec) and INITIAL_DEPTH % spec.period == 0
+    return (isinstance(spec, models.PeriodicSpec) and INITIAL_DEPTH % spec.period == 0
+            and spec.period * spec.dim <= DECIMATION_MAX_CELL)
+
+
+def _descended_rungs(spec, z, tol):
+    """:func:`_until_cauchy` over the rungs of z by one Riccati descent per doubling."""
+    shape = (z.shape[1], spec.dim, spec.dim)
+
+    def solve(active, depth):
+        return _riccati_descent(spec, z[active].ravel(), depth)[0].reshape(len(active), *shape)
+
+    return _until_cauchy(solve, len(z), tol, INITIAL_DEPTH, LADDER_MAX_DEPTH,
+                         lambda k: f"riccati descent for y = {z[k, 0].imag}")
 
 
 def m_riccati_rungs(spec, z, tol=1e-8):
@@ -579,32 +627,34 @@ def m_riccati_rungs(spec, z, tol=1e-8):
 
     Each doubling advances every rung that is not yet Cauchy (a rung is one
     group); a rung stops at the depth it reaches on its own. A periodic
-    model whose period divides ``INITIAL_DEPTH`` takes the decimation
-    route (:func:`_decimation`, one step per doubling, capped at
-    ``DECIMATION_MAX_DEPTH``); every other model runs one Riccati descent
-    per doubling, capped at ``LADDER_MAX_DEPTH``. Both give the zero-seed
+    model whose period divides ``INITIAL_DEPTH`` and whose cell is at most
+    ``DECIMATION_MAX_CELL`` wide takes the decimation route
+    (:func:`_decimation`, one step per doubling, capped at
+    ``DECIMATION_MAX_DEPTH``); every other model, and every decimated rung
+    whose rounding bound exceeds ``tol``, runs one Riccati descent per
+    doubling, capped at ``LADDER_MAX_DEPTH``. Both give the zero-seed
     truncation at the same depths. Returns (m of shape (rungs, energies,
     l, l), depths, last_deltas).
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < MIN_IM_Z):
         raise DomainError(f"need y >= {MIN_IM_Z}")
-    shape = (z.shape[1], spec.dim, spec.dim)
-
     if _decimates(spec):
-        solve, cap, route = _decimation(spec, z), DECIMATION_MAX_DEPTH, "decimation"
+        solve, rounding = _decimation(spec, z)
+        rungs = _until_cauchy(solve, len(z), tol, INITIAL_DEPTH, DECIMATION_MAX_DEPTH,
+                              lambda k: f"decimation for y = {z[k, 0].imag}")
+        # a rung the rounding bound cannot vouch for is the descent's
+        redo = [k for k in range(len(z)) if np.max(rounding[k]) > tol]
+        for k, rung in zip(redo, _descended_rungs(spec, z[redo], tol)):
+            rungs[k] = rung
     else:
-        def solve(active, depth):
-            return _riccati_descent(spec, z[active].ravel(), depth)[0].reshape(len(active), *shape)
-
-        cap, route = LADDER_MAX_DEPTH, "riccati descent"
-    ms, depths, deltas = zip(*_until_cauchy(solve, len(z), tol, INITIAL_DEPTH, cap,
-                                            lambda k: f"{route} for y = {z[k, 0].imag}"))
+        rungs = _descended_rungs(spec, z, tol)
+    ms, depths, deltas = zip(*rungs)
     return np.stack(ms), np.array(depths), np.array(deltas)
 
 
 def m_riccati_grid(spec, xs, y, tol=1e-8):
-    """Vectorized riccati descent at z = x_j + iy over a whole grid.
+    """M_1 at z = x_j + iy over a whole grid, by the route of :func:`m_riccati_rungs`.
 
     One-rung form of :func:`m_riccati_rungs`; returns (m, depth, delta).
     """
