@@ -22,6 +22,9 @@ from .errors import InvalidInputError, JacobiSpecError, TrackOverflowError
 
 DEFAULT_L_GRID = tuple(2**k for k in range(8, 17))
 OVERFLOW_LOG2 = 830.0  # log2 of ~1e250; C_r beyond this is flagged unbounded
+FLOQUET_AMBIGUITY = 10.0  # see floquet_grid
+BAND_EDGE_COARSE = 2048
+BAND_EDGE_TOL = 1e-9
 
 
 def _members(spec):
@@ -174,14 +177,15 @@ class FloquetResult:
     log2_scale: int
 
 
-def floquet_grid(spec, xs, eps=1e-6, ambiguity_factor=10.0):
+def floquet_grid(spec, xs, eps=1e-6):
     """Elliptic-pair counts of the period monodromy over a vector of real x.
 
     Eigenvalues of the one-period transfer product come in (lambda,
     1/lambda) pairs; those on the unit circle (within ``eps``) mark open
-    channels, so r_flo = count/2. An odd count, or a modulus within the
-    ambiguity band of the circle, raises the band-edge flag. Returns arrays
-    (r_flo, band_edge, eigenvalue mantissas, exp2 ledger).
+    channels, so r_flo = count/2. An odd count, or a modulus off the circle
+    by at least ``eps`` but less than ``FLOQUET_AMBIGUITY`` eps, raises the
+    band-edge flag. Returns arrays (r_flo, band_edge, eigenvalue mantissas,
+    exp2 ledger).
     """
     period = getattr(spec, "period", None)
     if period is None:
@@ -193,14 +197,14 @@ def floquet_grid(spec, xs, eps=1e-6, ambiguity_factor=10.0):
     with np.errstate(divide="ignore"):
         log_mod = np.log(np.abs(lam)) + exp2[:, None] * math.log(2.0)
     dist = np.abs(np.expm1(log_mod))  # exactly | |lambda| - 1 |
-    ambiguous = np.any((dist >= eps) & (dist < ambiguity_factor * eps), axis=1)
+    ambiguous = np.any((dist >= eps) & (dist < FLOQUET_AMBIGUITY * eps), axis=1)
     count = np.sum(dist < eps, axis=1)
     return count // 2, (count % 2 == 1) | ambiguous, lam, exp2
 
 
-def floquet_multiplicity(spec, x, eps=1e-6, ambiguity_factor=10.0):
+def floquet_multiplicity(spec, x, eps=1e-6):
     """Floquet verdict at one real x (see :func:`floquet_grid`)."""
-    r_flo, edge, lam, exp2 = floquet_grid(spec, [float(x)], eps, ambiguity_factor)
+    r_flo, edge, lam, exp2 = floquet_grid(spec, [float(x)], eps)
     return FloquetResult(
         x=float(x),
         r_flo=int(r_flo[0]),
@@ -210,22 +214,23 @@ def floquet_multiplicity(spec, x, eps=1e-6, ambiguity_factor=10.0):
     )
 
 
-def floquet_band_edges(spec, lo, hi, coarse=2048, eps=1e-6, refine_tol=1e-9):
+def floquet_band_edges(spec, lo, hi, eps=1e-6):
     """Multiplicity-transition energies of a periodic family in [lo, hi].
 
-    Coarse scan then bisection, run on all transition intervals together.
+    A scan of ``BAND_EDGE_COARSE`` points, then bisection of every
+    transition interval together until it is ``BAND_EDGE_TOL`` wide.
     """
-    xs = np.linspace(float(lo), float(hi), int(coarse))
+    xs = np.linspace(float(lo), float(hi), BAND_EDGE_COARSE)
     mult = floquet_grid(spec, xs, eps)[0]
     cut = np.nonzero(np.diff(mult))[0]
     a, b, ra = xs[cut], xs[cut + 1], mult[cut]
-    live = b - a > refine_tol
+    live = b - a > BAND_EDGE_TOL
     while np.any(live):
         mid = 0.5 * (a[live] + b[live])
         same = floquet_grid(spec, mid, eps)[0] == ra[live]
         a[live] = np.where(same, mid, a[live])
         b[live] = np.where(same, b[live], mid)
-        live = b - a > refine_tol
+        live = b - a > BAND_EDGE_TOL
     return (0.5 * (a + b)).tolist()
 
 

@@ -104,8 +104,8 @@ def _resolve_params(task, given):
     if "l_grid" in params and (len(params["l_grid"]) < 2 or min(params["l_grid"]) < 2
                                or np.any(np.diff(params["l_grid"]) <= 0)):
         raise ConfigError("params.l_grid must be at least two increasing integers >= 2")
-    if "y_ladder" in params and np.any(np.diff(params["y_ladder"]) >= 0):
-        raise ConfigError("params.y_ladder must be strictly decreasing")
+    if "y_ladder" in params and (len(params["y_ladder"]) < 3 or np.any(np.diff(params["y_ladder"]) >= 0)):
+        raise ConfigError("params.y_ladder must be at least three strictly decreasing values")
     if task == "constancy" and len(params["phases"] or [None] * params["n_random_phases"]) < 2:
         raise ConfigError("constancy needs at least two phases")
     return params

@@ -34,8 +34,8 @@ def _sym_block(a, name="block"):
 
 
 # ---------------------------------------------------------------------------
-# Sampling maps for dynamically defined models. A small closed library so
-# model definitions stay serializable in run configs.
+# Sampling maps for dynamically defined models: a small closed library, each
+# kind read from a run config by :func:`sampling_map_from_config`.
 
 
 class SamplingMap:
@@ -45,12 +45,6 @@ class SamplingMap:
 
     def sample(self, theta: np.ndarray) -> np.ndarray:
         """The blocks at an (n, d) array of points, as an (n, l, l) array."""
-        raise NotImplementedError
-
-    def __call__(self, theta) -> np.ndarray:
-        return self.sample(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
-
-    def to_config(self) -> dict:
         raise NotImplementedError
 
 
@@ -67,9 +61,6 @@ class ConstantMap(SamplingMap):
 
     def sample(self, theta):
         return np.repeat(self.matrix[None], len(theta), axis=0)
-
-    def to_config(self):
-        return {"kind": "constant", "matrix": self.matrix.tolist()}
 
 
 @dataclass(frozen=True)
@@ -103,16 +94,6 @@ class CosinePolynomialMap(SamplingMap):
             out = out + amp * np.cos(2.0 * np.pi * arg)[:, None, None]
         return out
 
-    def to_config(self):
-        return {
-            "kind": "cosine",
-            "constant": self.constant.tolist(),
-            "terms": [
-                {"freq": list(freq), "amplitude": amp.tolist(), "phase": phase}
-                for freq, amp, phase in self.terms
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class PiecewiseArcMap(SamplingMap):
@@ -144,13 +125,6 @@ class PiecewiseArcMap(SamplingMap):
     def sample(self, theta):
         idx = np.searchsorted(self.breaks, theta[:, 0] % 1.0, side="right")
         return np.array(self.matrices)[np.minimum(idx, len(self.matrices) - 1)]
-
-    def to_config(self):
-        return {
-            "kind": "arcs",
-            "breaks": list(self.breaks),
-            "matrices": [m.tolist() for m in self.matrices],
-        }
 
 
 # Config sections are checked by their readers: kind -> (required, optional keys).
@@ -252,16 +226,6 @@ class ExplicitSpec:
     def supports_negative(self):
         return bool(self.left)
 
-    def to_config(self):
-        out = {
-            "kind": "explicit",
-            "extension": self.extension,
-            "pairs": [[d.tolist(), v.tolist()] for d, v in self.pairs],
-        }
-        if self.left:
-            out["left"] = [[d.tolist(), v.tolist()] for d, v in self.left]
-        return out
-
 
 @dataclass(frozen=True)
 class PeriodicSpec:
@@ -294,13 +258,6 @@ class PeriodicSpec:
         return tuple(t[idx] for t in self._table)
 
     supports_negative = True
-
-    def to_config(self):
-        return {
-            "kind": "periodic",
-            "ds": [d.tolist() for d in self.ds],
-            "vs": [v.tolist() for v in self.vs],
-        }
 
 
 def _dyadic(x: float) -> Fraction:
@@ -360,21 +317,14 @@ class DynamicalSpec:
             out[:, i] = (w + r / float(q)) % 1.0
         return out
 
-    def phase_at(self, n: int) -> np.ndarray:
-        """T^n omega (see :meth:`phases`)."""
-        return self.phases(int(n), int(n) + 1)[0]
-
     coefficient_at = _coefficient_at
 
     def coefficient_arrays(self, n0: int, n1: int):
         theta = self.phases(n0, n1)
         return self.f_d.sample(theta), self.f_v.sample(theta)
 
-    def shifted(self, m: int) -> "DynamicalSpec":
-        """The same family seen from phase T^m omega."""
-        return DynamicalSpec(self.alpha, tuple(self.phase_at(m)), self.f_d, self.f_v)
-
     def with_phase(self, omega) -> "DynamicalSpec":
+        """The family started at ``omega``; from ``phases(m, m + 1)[0]`` its n is this one's n + m."""
         return DynamicalSpec(self.alpha, omega, self.f_d, self.f_v)
 
     supports_negative = True
@@ -404,15 +354,6 @@ class DynamicalSpec:
             }
         return out
 
-    def to_config(self):
-        return {
-            "kind": "dynamical",
-            "alpha": list(self.alpha),
-            "omega": list(self.omega),
-            "f_d": self.f_d.to_config(),
-            "f_v": self.f_v.to_config(),
-        }
-
 
 @dataclass(frozen=True)
 class ReflectedSpec:
@@ -438,9 +379,6 @@ class ReflectedSpec:
     @property
     def supports_negative(self):
         return True
-
-    def to_config(self):
-        return {"kind": "reflected", "base": self.base.to_config()}
 
 
 def reflect(spec):

@@ -309,12 +309,6 @@ def dirichlet_neumann(spec, z, n_max):
     return dirichlet_neumann_grid(spec, [z], n_max)[0]
 
 
-def track_from_blocks(spec, z, blocks, kind="generic"):
-    """Wrap externally supplied blocks (e.g. a non-solution test sequence)."""
-    arr = np.asarray(blocks)
-    return SolutionTrack(spec, z, arr, np.zeros(arr.shape[0], dtype=np.int64), kind=kind)
-
-
 # ---------------------------------------------------------------------------
 # Transfer matrices and cocycles.
 
@@ -399,39 +393,24 @@ def wronskian(track_a, track_b, n, spec=None):
     return a_prev.T @ d_prev @ b_n - a_n.T @ d_prev @ b_prev
 
 
-def green_formula_residual(track_a, track_b, m, n, spec=None, *, action="eigen", z_ref=None):
+def green_formula_residual(track_a, track_b, m, n, spec=None, *, z_ref=None):
     """Defect of the summed Green identity between indices m and n.
 
-    action="eigen" (default) substitutes H(u) = z_ref * u for both tracks
-    at a single reference energy (track A's by default); the summed term
-    then cancels and the residual measures the Wronskian increment
-    W(n+1) - W(m), which vanishes exactly when both tracks solve the same
-    eigenvalue equation. action="operator" applies the true coefficient
-    action, for which the identity is algebraic in any sequences; this mode
-    exists to cross-check arbitrary block sequences against brute force.
+    Substitutes H(u) = z_ref * u for both tracks at a single reference
+    energy (track A's by default); the summed term then cancels and the
+    residual measures the Wronskian increment W(n+1) - W(m), which vanishes
+    exactly when both tracks solve the same eigenvalue equation.
     """
     spec = spec if spec is not None else track_a.spec
     m, n = int(m), int(n)
     if not (0 <= m < n):
         raise InvalidInputError("need 0 <= m < n")
-    if action not in ("eigen", "operator"):
-        raise InvalidInputError("action must be 'eigen' or 'operator'")
-    if action == "operator" and (m < 1 or n + 1 > track_a.n_max or n + 1 > track_b.n_max):
-        raise InvalidInputError("operator action needs blocks m-1 .. n+1 on both tracks")
     l = track_a.dim
     total = np.zeros((l, l), dtype=complex)
-    if action == "operator":
-        ds, vs = models.coefficient_arrays(spec, m - 1, n + 1)  # index k - m + 1 holds k
     z = _as_z(z_ref) if z_ref is not None else track_a.z
     for k in range(m, n + 1):
         a_k, b_k = track_a.block(k), track_b.block(k)
-        if action == "eigen":
-            hb, ha = z * b_k, z * a_k
-        else:
-            d_km1, d_k, v_k = ds[k - m], ds[k - m + 1], vs[k - m + 1]
-            hb = d_km1 @ track_b.block(k - 1) + d_k @ track_b.block(k + 1) + v_k @ b_k
-            ha = d_km1 @ track_a.block(k - 1) + d_k @ track_a.block(k + 1) + v_k @ a_k
-        total = total + (a_k.T @ hb - ha.T @ b_k)
+        total = total + (a_k.T @ (z * b_k) - (z * a_k).T @ b_k)
     delta_w = wronskian(track_a, track_b, n + 1, spec) - wronskian(track_a, track_b, m, spec)
     return float(matblock.frobenius_norm(total - delta_w))
 

@@ -46,10 +46,10 @@ def log2(mant, exp2):
         return np.where(m > 0, np.log2(np.where(m > 0, m, 1.0)) + exp2, -np.inf)
 
 
-def to_float(mant, exp2, *, strict: bool = True):
+def to_float(mant, exp2):
     """Materialize to float64; raises TrackOverflowError if it cannot fit."""
     e = np.asarray(exp2)
-    if strict and np.any((np.asarray(mant) != 0) & (e > _MAX_FLOAT_EXP)):
+    if np.any((np.asarray(mant) != 0) & (e > _MAX_FLOAT_EXP)):
         raise TrackOverflowError(
             "value exceeds float64 range; use the scaled (mantissa, exponent) form"
         )

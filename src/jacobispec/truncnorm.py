@@ -38,37 +38,29 @@ def _split_l(track, l_value):
     return fl, frac
 
 
-def truncated_norm_sq_scaled(track, l_value):
+def truncated_sq_scaled(track, l_value, k=None):
+    """||B||_L^2 (``k`` None) or s_k[B]_L^2 from the track's prefix sums, as
+    a scaled (mantissa, exponent) pair."""
+    if k is not None and not 1 <= int(k) <= track.dim:
+        raise InvalidInputError(f"singular index {k} outside 1..{track.dim}")
     fl, frac = _split_l(track, l_value)
-    step_m = frac * np.sum(track.sv_mant[fl + 1] ** 2)
-    step_e = 2 * int(track.exp2[fl + 1])
-    return scaling.add(track.cum_fro2_m[fl], track.cum_fro2_e[fl], step_m, step_e)
+    sq = track.sv_mant[fl + 1] ** 2
+    if k is None:
+        cum_m, cum_e, step = track.cum_fro2_m[fl], track.cum_fro2_e[fl], np.sum(sq)
+    else:
+        col = int(k) - 1
+        cum_m, cum_e, step = track.cum_sv2_m[fl, col], track.cum_sv2_e[fl, col], sq[col]
+    return scaling.add(cum_m, cum_e, frac * step, 2 * int(track.exp2[fl + 1]))
 
 
 def truncated_norm(track, l_value) -> float:
     """||B||_L with Frobenius norms per block; nondecreasing in L."""
-    m, e = truncated_norm_sq_scaled(track, l_value)
-    return float(np.sqrt(scaling.to_float(m, e)))
-
-
-def truncated_singular_sq_scaled(track, k, l_value):
-    l_dim = track.dim
-    k = int(k)
-    if not 1 <= k <= l_dim:
-        raise InvalidInputError(f"singular index {k} outside 1..{l_dim}")
-    fl, frac = _split_l(track, l_value)
-    col = k - 1
-    step_m = frac * track.sv_mant[fl + 1, col] ** 2
-    step_e = 2 * int(track.exp2[fl + 1])
-    return scaling.add(
-        track.cum_sv2_m[fl, col], track.cum_sv2_e[fl, col], step_m, step_e
-    )
+    return float(np.sqrt(scaling.to_float(*truncated_sq_scaled(track, l_value))))
 
 
 def truncated_singular(track, k, l_value) -> float:
     """s_k[B]_L, the truncated k-th singular value."""
-    m, e = truncated_singular_sq_scaled(track, k, l_value)
-    return float(np.sqrt(scaling.to_float(m, e)))
+    return float(np.sqrt(scaling.to_float(*truncated_sq_scaled(track, l_value, k))))
 
 
 @dataclass

@@ -56,7 +56,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import matblock, models, recurrence, truncnorm
 from .errors import ConvergenceError, DomainError, InvalidInputError
@@ -244,6 +243,8 @@ def _banded_corner_block(spec, zs, n_blocks):
     banded solve gives every corner; returns shape (P, l, l). The systems
     do not couple, so each corner is the one its own solve would give.
     """
+    import scipy.linalg  # here, so only the resolvent route loads scipy
+
     zs = np.asarray(zs, dtype=complex).ravel()
     l = spec.dim
     bw = 2 * l - 1
@@ -385,18 +386,26 @@ class HerglotzCheck:
     slow_decay: bool
 
 
-def herglotz_identity_check(spec, z, n_terms=None, tol=1e-12, max_terms=2**15):
+# the fewest terms the tail estimate can read (it fits the last nine), and
+# the most the sum doubles to before it reports slow decay
+HERGLOTZ_MIN_TERMS = 16
+HERGLOTZ_MAX_TERMS = 2**15
+
+
+def herglotz_identity_check(spec, z, n_terms=None, tol=1e-12):
     """Defect of D0 Im[M] D0 = Im[z] * sum_k F_k^* F_k.
 
     The sum is truncated once the geometric tail estimate drops below
-    1e-12 of the running total (or at ``n_terms`` when given); slow Jost
-    decay (z too close to the spectrum) sets the ``slow_decay`` flag.
+    1e-12 of the running total (or at ``n_terms`` when given, at least
+    ``HERGLOTZ_MIN_TERMS``); slow Jost decay (z too close to the spectrum)
+    sets the ``slow_decay`` flag.
     """
     z = _require_upper(z)
     d0 = spec.coefficient_at(0)[0]
     n = int(n_terms) if n_terms is not None else 256
+    if n < HERGLOTZ_MIN_TERMS:
+        raise InvalidInputError(f"n_terms must be >= {HERGLOTZ_MIN_TERMS}, got {n}")
     slow = False
-    n = max(n, 16)
     descents = {}
     while True:
         # a chain to n starts at depth 4 n, so shallower descents are done with
@@ -413,7 +422,7 @@ def herglotz_identity_check(spec, z, n_terms=None, tol=1e-12, max_terms=2**15):
         total_scale = max(float(np.trace(total).real), 1e-300)
         if n_terms is not None or tail <= 1e-12 * total_scale:
             break
-        if n >= max_terms:
+        if n >= HERGLOTZ_MAX_TERMS:
             slow = True
             break
         n *= 2
@@ -471,12 +480,6 @@ class BoundaryRank:
 
     def flags(self):
         return [] if not self.indeterminate else ["rank-indeterminate"]
-
-
-def _ladder_verdict(x, y_ladder, eig_list, tau_rel, depths=(), last_deltas=(), rel_change=0.2):
-    """:func:`_ladder_verdicts` at one energy; ``eig_list`` holds one eigenvalue array per rung."""
-    eigs = np.asarray(eig_list, dtype=float)[:, None]
-    return _ladder_verdicts([x], y_ladder, eigs, tau_rel, depths, last_deltas, rel_change)[0]
 
 
 def _ladder_verdicts(xs, y_ladder, eigs, tau_rel, depths=(), last_deltas=(), rel_change=0.2):
@@ -568,10 +571,10 @@ def _decimation(spec, z):
     p, l = spec.period, spec.dim
     pl = p * l
     d, v = models.coefficient_arrays(spec, 1, p + 1)
-    cell = scipy.linalg.block_diag(*v).astype(complex)
-    for k in range(p - 1):
-        cell[k * l : (k + 1) * l, (k + 1) * l : (k + 2) * l] = d[k]
-        cell[(k + 1) * l : (k + 2) * l, k * l : (k + 1) * l] = d[k]
+    cell, k = np.zeros((p, l, p, l), dtype=complex), np.arange(p)
+    cell[k, :, k] = v
+    cell[k[:-1], :, k[1:]] = cell[k[1:], :, k[:-1]] = d[:-1]
+    cell = cell.reshape(pl, pl)
     right = np.zeros((pl, pl), dtype=complex)
     right[-l:, :l] = d[-1]
     surface = cell - z[..., None, None] * np.eye(pl)
@@ -691,8 +694,9 @@ def im_m_boundary_grid(spec, xs, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e
     """:func:`im_m_boundary` over a grid, all rungs in one fused descent."""
     xs = np.asarray(xs, dtype=float)
     y_ladder = tuple(float(y) for y in y_ladder)
-    if any(b >= a for a, b in zip(y_ladder, y_ladder[1:])) or y_ladder[-1] <= 0:
-        raise InvalidInputError("y ladder must be strictly decreasing and positive")
+    # a rank needs a rung k >= 2 that repeats the rung before it
+    if len(y_ladder) < 3 or any(b >= a for a, b in zip(y_ladder, y_ladder[1:])) or y_ladder[-1] <= 0:
+        raise InvalidInputError("y ladder must be at least three strictly decreasing positive values")
     z = xs[None, :] + 1j * np.asarray(y_ladder)[:, None]
     m, depths, deltas = m_riccati_rungs(spec, z, tol=tol)
     depths = tuple(int(d) for d in depths)

@@ -109,7 +109,7 @@ def test_floquet_grid_matches_single_points(random_bounded2):
 
 
 def test_band_edges_found(diag01):
-    edges = classify.floquet_band_edges(diag01, -3.5, 3.5, coarse=512)
+    edges = classify.floquet_band_edges(diag01, -3.5, 3.5)
     assert np.allclose(sorted(edges), [-2.0, -1.0, 2.0, 3.0], atol=1e-6)
 
 

@@ -47,10 +47,10 @@ def test_dynamical_shift_compatibility():
         models.CosinePolynomialMap(np.zeros((1, 1)), (((1,), np.eye(1), 0.1),)),
     )
     for m in (1, 7, 250, -31):
-        shifted = spec.shifted(m)
+        from_m = spec.with_phase(spec.phases(m, m + 1)[0])
         for n in (-5, 0, 3, 911):
             v_direct = spec.coefficient_at(n + m)[1][0, 0]
-            v_shift = shifted.coefficient_at(n)[1][0, 0]
+            v_shift = from_m.coefficient_at(n)[1][0, 0]
             assert abs(v_direct - v_shift) <= 1e-14
 
 
@@ -171,25 +171,37 @@ def test_limit_point_bounded_random():
 
 def test_piecewise_arc_map():
     arc = models.PiecewiseArcMap((0.5, 1.0), (np.eye(1), 2 * np.eye(1)))
-    assert arc(np.array([0.2]))[0, 0] == 1.0
-    assert arc(np.array([0.7]))[0, 0] == 2.0
-    assert arc(np.array([0.5]))[0, 0] == 2.0  # arcs are [b_{i-1}, b_i)
+    values = arc.sample(np.array([[0.2], [0.7], [0.5]]))[:, 0, 0]
+    assert values.tolist() == [1.0, 2.0, 2.0]  # arcs are [b_{i-1}, b_i)
 
 
 def test_sampling_map_roundtrip():
+    # the config dict parses to the map built directly
     m = models.CosinePolynomialMap(np.zeros((2, 2)), (((1,), np.eye(2), 0.25),))
-    again = models.sampling_map_from_config(m.to_config())
-    theta = np.array([0.37])
-    assert np.allclose(m(theta), again(theta))
+    again = models.sampling_map_from_config({
+        "kind": "cosine", "constant": [[0.0, 0.0], [0.0, 0.0]],
+        "terms": [{"freq": [1], "amplitude": [[1.0, 0.0], [0.0, 1.0]], "phase": 0.25}],
+    })
+    theta = np.array([[0.37], [0.9]])
+    assert np.array_equal(m.sample(theta), again.sample(theta))
 
 
 def test_spec_config_roundtrip(random_bounded2, golden_amo):
-    for spec in (random_bounded2, golden_amo):
-        again = models.spec_from_config(spec.to_config())
-        for n in (-3, 0, 5):
-            d1, v1 = spec.coefficient_at(n)
-            d2, v2 = again.coefficient_at(n)
-            assert np.allclose(d1, d2) and np.allclose(v1, v2)
+    # each config dict parses to the model built directly, and so does its reflection
+    cases = [
+        (random_bounded2, {"kind": "periodic", "ds": [d.tolist() for d in random_bounded2.ds],
+                           "vs": [v.tolist() for v in random_bounded2.vs]}),
+        (golden_amo, {"kind": "dynamical", "alpha": [(np.sqrt(5.0) - 1.0) / 2.0], "omega": [0.0],
+                      "f_d": {"kind": "constant", "matrix": [[1.0]]},
+                      "f_v": {"kind": "cosine", "constant": [[0.0]],
+                              "terms": [{"freq": [1], "amplitude": [[0.5]]}]}}),
+    ]
+    for spec, cfg in cases:
+        for want, got in ((spec, models.spec_from_config(cfg)),
+                          (models.reflect(spec), models.spec_from_config({"kind": "reflected", "base": cfg}))):
+            for n in (-3, 0, 5):
+                for a, b in zip(want.coefficient_at(n), got.coefficient_at(n)):
+                    assert np.array_equal(a, b)
 
 
 def test_rationality_probe_flags_rational():
@@ -212,13 +224,13 @@ def test_two_torus_sampling():
         np.zeros((1, 1)), (((1, -2), 0.7 * np.eye(1), 0.125),)
     )
     spec = models.DynamicalSpec(alpha, (0.1, 0.9), models.ConstantMap(np.eye(1)), f_v)
-    theta = spec.phase_at(5)
+    theta = spec.phases(5, 6)[0]
     want = 0.7 * np.cos(2 * np.pi * (theta[0] - 2 * theta[1] + 0.125))
     assert spec.coefficient_at(5)[1][0, 0] == pytest.approx(want, abs=1e-14)
     for m in (3, -11):
-        shifted = spec.shifted(m)
+        from_m = spec.with_phase(spec.phases(m, m + 1)[0])
         for n in (0, 17):
-            assert shifted.coefficient_at(n)[1][0, 0] == pytest.approx(
+            assert from_m.coefficient_at(n)[1][0, 0] == pytest.approx(
                 spec.coefficient_at(n + m)[1][0, 0], abs=1e-13
             )
 

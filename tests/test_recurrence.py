@@ -158,14 +158,13 @@ def test_green_formula_two_energies(random_bounded2):
 
 def test_green_formula_matches_bruteforce_on_random_blocks(random_bounded2):
     rng = np.random.default_rng(12)
-    blocks = rng.normal(size=(30, 2, 2))
-    track_a = recurrence.track_from_blocks(random_bounded2, 0.4, blocks)
-    track_b = recurrence.track_from_blocks(random_bounded2, 0.4, rng.normal(size=(30, 2, 2)))
+    # two non-solution block sequences, unscaled
+    exp2 = np.zeros(30, dtype=np.int64)
+    track_a = recurrence.SolutionTrack(random_bounded2, 0.4, rng.normal(size=(30, 2, 2)), exp2)
+    track_b = recurrence.SolutionTrack(random_bounded2, 0.4, rng.normal(size=(30, 2, 2)), exp2)
     got = recurrence.green_formula_residual(track_a, track_b, 2, 20)
     want = green_sum_direct(random_bounded2, 0.4, 2, 20, track_a, track_b)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-    # operator action: the identity is algebraic, so the defect vanishes
-    assert recurrence.green_formula_residual(track_a, track_b, 2, 20, action="operator") <= 1e-10
 
 
 def test_jost_assemble_initials_and_decay(free1):
@@ -217,7 +216,7 @@ def test_jl_identity_y_terms_collapse(free1):
     blocks = np.stack([psi_x.block(n) - phi_x.block(n) @ m_mat for n in range(21)])
     res = {}
     for y in (1e-3, 1e-6):
-        f_track = recurrence.track_from_blocks(free1, complex(x, y), blocks, kind="jost")
+        f_track = recurrence.SolutionTrack(free1, complex(x, y), blocks, np.zeros(21, dtype=np.int64))
         res[y] = recurrence.jl_identity_residual(phi_x, psi_x, f_track, m_mat, x, y, 20)
         assert res[y] <= y * 1e3
     assert res[1e-6] / res[1e-3] == pytest.approx(1e-3, rel=1e-3)

@@ -60,9 +60,10 @@ def test_monotone_and_continuous_in_cutoff(random_bounded2):
 
 def test_triangle_inequality(random_bounded2):
     rng = np.random.default_rng(13)
-    a = recurrence.track_from_blocks(random_bounded2, 0.0, rng.normal(size=(20, 2, 2)))
-    b = recurrence.track_from_blocks(random_bounded2, 0.0, rng.normal(size=(20, 2, 2)))
-    ab = recurrence.track_from_blocks(random_bounded2, 0.0, a.blocks + b.blocks)
+    exp2 = np.zeros(20, dtype=np.int64)  # unscaled sequences
+    a = recurrence.SolutionTrack(random_bounded2, 0.0, rng.normal(size=(20, 2, 2)), exp2)
+    b = recurrence.SolutionTrack(random_bounded2, 0.0, rng.normal(size=(20, 2, 2)), exp2)
+    ab = recurrence.SolutionTrack(random_bounded2, 0.0, a.blocks + b.blocks, exp2)
     for l_value in (1.0, 5.5, 17.2):
         lhs = truncnorm.truncated_norm(ab, l_value)
         rhs = truncnorm.truncated_norm(a, l_value) + truncnorm.truncated_norm(b, l_value)
@@ -147,8 +148,8 @@ def test_overflowed_track_norm_raises(free1):
     with pytest.raises(TrackOverflowError):
         truncnorm.truncated_norm(phi, 1500.0)
     # scaled form stays available and is monotone
-    m, e = truncnorm.truncated_norm_sq_scaled(phi, 1500.0)
-    m2, e2 = truncnorm.truncated_norm_sq_scaled(phi, 1501.0)
+    m, e = truncnorm.truncated_sq_scaled(phi, 1500.0)
+    m2, e2 = truncnorm.truncated_sq_scaled(phi, 1501.0)
     import jacobispec.scaling as scaling
 
     assert scaling.log2(m2, e2) >= scaling.log2(m, e)

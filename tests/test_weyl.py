@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,7 +229,7 @@ def test_jl_constants_formulas(free1):
 def test_boundary_grid_guards_name_the_point(name, spoil, what, request, monkeypatch):
     spec = request.getfixturevalue(name)
     with pytest.raises(InvalidInputError):
-        weyl.im_m_boundary_grid(spec, [0.5], (0.01, 0.1))
+        weyl.im_m_boundary_grid(spec, [0.5], (0.01, 0.1, 0.001))
     real = weyl.m_riccati_rungs
 
     def spoiled(spec, z, **kw):
@@ -235,7 +239,7 @@ def test_boundary_grid_guards_name_the_point(name, spoil, what, request, monkeyp
 
     monkeypatch.setattr(weyl, "m_riccati_rungs", spoiled)
     with pytest.raises(ConvergenceError, match=f"{what} at x = 1.25, y = 0.05"):
-        weyl.im_m_boundary_grid(spec, [-1.5, 0.5, 1.25], (0.1, 0.05))
+        weyl.im_m_boundary_grid(spec, [-1.5, 0.5, 1.25], (0.1, 0.05, 0.03))
 
 
 def test_weylm_guard_rejects_non_finite_m():
@@ -284,8 +288,7 @@ def test_fused_ladder_matches_per_rung_descents(name, request):
         # rung data kept on every verdict is what the one-rung call returns
         assert all(r.depths[i] == depth and r.last_deltas[i] == delta for r in fused)
         eigs.append(np.linalg.eigvalsh(m_ref.imag))
-    for j, got in enumerate(fused):
-        ref = weyl._ladder_verdict(xs[j], ladder, [e[j] for e in eigs], 1e-3)
+    for got, ref in zip(fused, weyl._ladder_verdicts(xs, ladder, np.array(eigs), 1e-3)):
         assert (got.ranks, got.rank) == (ref.ranks, ref.rank)
         assert np.max(np.abs(np.array(got.eigenvalues) - np.array(ref.eigenvalues))) <= 1e-12
 
@@ -308,7 +311,7 @@ def test_non_finite_rung_raises_at_first_comparison():
             weyl.m_riccati_grid(_PoisonedSpec(), xs, 0.1)
         assert exc.value.depth == 128
         with pytest.raises(ConvergenceError) as exc:
-            weyl.im_m_boundary_grid(_PoisonedSpec(), xs, (0.1, 0.03))
+            weyl.im_m_boundary_grid(_PoisonedSpec(), xs, (0.1, 0.03, 0.01))
         assert exc.value.depth == 128
 
 
@@ -329,7 +332,7 @@ def test_ladder_indeterminate_on_drifting_eigenvalues():
         np.array([0.0021, 1.0]),
         np.array([0.0004, 1.0]),
     ]
-    out = weyl._ladder_verdict(0.0, weyl.DEFAULT_Y_LADDER, eig_list, tau_rel=1e-3)
+    [out] = weyl._ladder_verdicts([0.0], weyl.DEFAULT_Y_LADDER, np.array(eig_list)[:, None], tau_rel=1e-3)
     assert out.indeterminate and out.rank is None
 
 
@@ -534,3 +537,46 @@ def test_jl_bounds_grid_condition_overflow_matches_single(free1, monkeypatch):
     for x, y, got in zip(xs, ys, grid):
         assert got.status == "condition-overflow" and got.verdict is None
         _same_report(got, weyl.jl_bounds(free1, x, y))
+
+
+@pytest.mark.parametrize("ladder", [(0.1,), (0.1, 0.01)])
+def test_ladder_that_cannot_stabilise_is_rejected(diag01, ladder):
+    # a rank needs a rung k >= 2 that repeats rung k - 1: three rungs at least
+    with pytest.raises(InvalidInputError, match="at least three"):
+        weyl.im_m_boundary_grid(diag01, [0.5], ladder)
+    with pytest.raises(InvalidInputError, match="at least three"):
+        weyl.im_m_boundary(diag01, 0.5, ladder)
+
+
+def test_herglotz_check_honours_n_terms(free1):
+    # below the floor of 16 terms the check raises instead of summing 16
+    z = 0.5 + 0.5j
+    with pytest.raises(InvalidInputError, match="n_terms must be >= 16"):
+        weyl.herglotz_identity_check(free1, z, n_terms=4)
+    assert weyl.herglotz_identity_check(free1, z, n_terms=16).n_terms == 16
+
+
+_SCIPY_PROBE = """
+import sys
+import numpy as np
+import jacobispec
+from jacobispec import classify, weyl
+
+spec = jacobispec.PeriodicSpec((np.eye(2),), (np.diag([0.0, 1.0]),))
+records = classify.scan_energy_grid(spec, np.linspace(-3.0, 3.0, 4),
+                                    classify.ScanParams(l_grid=(64, 128)))
+assert all(r.r_rank is not None for r in records)
+print("scan", "scipy.linalg" in sys.modules)
+weyl.m_resolvent(spec, 0.5 + 0.1j)
+print("resolvent", "scipy.linalg" in sys.modules)
+"""
+
+
+def test_only_the_resolvent_loads_scipy():
+    # a scan of a narrow periodic model never runs the banded resolvent, so
+    # it should not pay scipy's import time and memory
+    src = str(Path(weyl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["scan", "False", "resolvent", "True"]
