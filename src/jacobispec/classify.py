@@ -8,10 +8,16 @@ The classifier decides, per energy x and per r = 1..l, whether
 stays bounded as L runs over a dyadic grid; boundedness is read off the
 log-log slope (bounded means slope near 0, exponential growth means slope
 far above 1). The largest bounded r estimates the AC multiplicity at x.
+
+The sweep buffers the forward kernel's blocks in chunks of steps, at most
+``CESARO_CHUNK_BYTES`` (256 KiB) of them, takes one singular-value call per
+chunk, and adds the chunk's rows into the sums in the order of one step at
+a time, so its results are bit for bit those of a step-by-step sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +31,8 @@ OVERFLOW_LOG2 = 830.0  # log2 of ~1e250; C_r beyond this is flagged unbounded
 FLOQUET_AMBIGUITY = 10.0  # see floquet_grid
 BAND_EDGE_COARSE = 2048
 BAND_EDGE_TOL = 1e-9
+# kernel blocks a Cesaro sweep buffers per singular-value call (256 KiB)
+CESARO_CHUNK_BYTES = 2**18
 
 
 def _members(spec):
@@ -39,7 +47,10 @@ def _cesaro_sums(spec, xs, l_grid):
     dimension, all stepped as one batch of the forward kernel. Returns
     log2_c of shape (len(l_grid), G * B, l), member-major; the trailing
     axis is ordered by descending singular index (column j holds s_{j+1}),
-    so C_r lives in column l - r.
+    so C_r lives in column l - r. Each chunk of steps (module docstring)
+    is added by ``np.add.reduce`` along the step axis in segments that end
+    where a member's ledger changes (it is folded before that row) and
+    after each checkpoint (all are folded), in the step-by-step order.
     """
     members = _members(spec)
     xs = np.asarray(xs, dtype=float)
@@ -63,6 +74,7 @@ def _cesaro_sums(spec, xs, l_grid):
     # bit as its own sweep would
     buf = np.zeros((g, 2 * batch, l))
     out = np.empty((len(l_grid), g, batch, l))
+    chunk = np.empty((max(1, CESARO_CHUNK_BYTES // (8 * l * l * ledger.size)), l, l, ledger.size))
     ck = 0
 
     def fold(sel):
@@ -71,22 +83,48 @@ def _cesaro_sums(spec, xs, l_grid):
         acc_m[sel], acc_e[sel] = scaling.add(m, e, buf[sel, batch:], e2[:, batch:])
         buf[sel] = 0.0
 
+    def account(first, count, changes):
+        # rows 0..count-1 of the chunk are steps first, first + 1, ...;
+        # changes maps a row to the ledger the kernel handed out with it
+        nonlocal ledger, ck
+        sq = matblock.batched_singular_sq(chunk[:count].transpose(0, 3, 1, 2)).reshape(count, *buf.shape)
+        ends = sorted({*changes, *(n + 1 - first for n in l_grid[ck:] if n < first + count), count})
+        a = 0
+        for b in ends:
+            if b > a:
+                sq[a] += buf  # buf + r_a, then + r_a+1, ...: the stepwise order
+                np.add.reduce(sq[a:b], axis=0, out=buf)
+                n = first + b - 1
+                if n == l_grid[ck]:
+                    fold(slice(None))
+                    if not np.isfinite(acc_m).all():
+                        # blocks left float range between the kernel's rescale checks
+                        raise TrackOverflowError(f"Cesaro sums left float range by L = {n}")
+                    out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
+                    ck += 1
+            if b in changes:
+                fold(np.any((changes[b] != ledger).reshape(g, -1), axis=1))
+                ledger = changes[b]
+            a = b
+
     zs = np.tile(np.concatenate([xs, xs]), g)
     steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger)
-    for n, blocks, exp2 in steps:
-        if exp2 is not ledger:
-            fold(np.any((exp2 != ledger).reshape(g, -1), axis=1))
-            ledger = exp2
-        buf += matblock.batched_singular_sq(blocks).reshape(buf.shape)
-        if n == l_grid[ck]:
-            fold(slice(None))
-            if not np.isfinite(acc_m).all():
-                # blocks left float range between the kernel's rescale checks
-                raise TrackOverflowError(f"Cesaro sums left float range by L = {n}")
-            out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
-            ck += 1
-            if ck == len(l_grid):
-                return out.reshape(len(l_grid), g * batch, l)
+    for first in range(1, l_grid[-1] + 1, len(chunk)):
+        count, rows, changes, seen = min(len(chunk), l_grid[-1] + 1 - first), 0, {}, ledger
+        try:
+            for _, blocks, exp2 in itertools.islice(steps, count):
+                chunk[rows] = blocks.transpose(1, 2, 0)
+                if exp2 is not seen:
+                    changes[rows] = seen = exp2
+                rows += 1
+        except JacobiSpecError:
+            # the rows handed out before the kernel failed are added first,
+            # so a checkpoint among them fails as it would step by step
+            if rows:
+                account(first, rows, changes)
+            raise
+        account(first, count, changes)
+    return out.reshape(len(l_grid), g * batch, l)
 
 
 @dataclass

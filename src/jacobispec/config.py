@@ -11,6 +11,7 @@ reader, :func:`jacobispec.models.spec_from_config`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -57,18 +58,29 @@ def _reject_unknown(section, mapping, allowed):
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
 
 
+def _number(kind, value):
+    """``value`` as ``kind``: a float must be finite, an int integral."""
+    out = kind(value)
+    if kind is float and not math.isfinite(out):
+        raise ValueError("not a finite number")
+    if kind is int and isinstance(value, float) and out != value:
+        raise ValueError("not an integer")
+    return out
+
+
 def _x_grid(g):
     if isinstance(g, list):
-        return [float(v) for v in g]
-    if not isinstance(g, dict) or set(g) != {"start", "stop", "count"} or int(g["count"]) < 0:
+        return [_number(float, v) for v in g]
+    if not isinstance(g, dict) or set(g) != {"start", "stop", "count"} or _number(int, g["count"]) < 0:
         raise ConfigError("task needs params.x_grid: a list, or {start, stop, count >= 0}")
-    return {"start": float(g["start"]), "stop": float(g["stop"]), "count": int(g["count"])}
+    return {"start": _number(float, g["start"]), "stop": _number(float, g["stop"]),
+            "count": _number(int, g["count"])}
 
 
 # parameters with a shape of their own: value -> resolved value
 _SHAPED = {
     "x_grid": _x_grid,
-    "phases": lambda v: v and [[float(t) for t in np.atleast_1d(p)] for p in v],
+    "phases": lambda v: v and [[_number(float, t) for t in np.atleast_1d(p)] for p in v],
 }
 
 
@@ -82,9 +94,9 @@ def _coerce(name, value, default):
         if isinstance(default, (list, tuple)):
             if not isinstance(value, (list, tuple)) or not value:
                 raise TypeError("expected a non-empty list")
-            return [type(default[0])(v) for v in value]
-        return type(default)(value)
-    except (TypeError, ValueError) as exc:
+            return [_number(type(default[0]), v) for v in value]
+        return _number(type(default), value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} = {value!r} is malformed: {exc}") from exc
 
 

@@ -22,21 +22,21 @@ def normalize(mant, exp2):
     return m, np.asarray(exp2) + de
 
 
+def _shift(e_from, e):
+    """clip(e_from - e, -_MAX_FLOAT_EXP - 100, 0), as two ufunc calls."""
+    return np.maximum(np.minimum(e_from - e, 0), -_MAX_FLOAT_EXP - 100)
+
+
 def add(m1, e1, m2, e2):
     """(m1*2^e1) + (m2*2^e2) as a normalized pair.
 
     The smaller term is shifted onto the larger term's exponent; shifts
-    beyond float range underflow harmlessly to zero.
+    beyond float range underflow harmlessly to zero. Exponents must be
+    integers; the Cesaro sweep folds through here, so it calls ufuncs only.
     """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    e1 = np.asarray(e1)
-    e2 = np.asarray(e2)
     e = np.where(m1 == 0, e2, np.where(m2 == 0, e1, np.maximum(e1, e2)))
-    s1 = np.clip(e1 - e, -_MAX_FLOAT_EXP - 100, 0)
-    s2 = np.clip(e2 - e, -_MAX_FLOAT_EXP - 100, 0)
-    total = np.ldexp(m1, s1.astype(np.int64)) + np.ldexp(m2, s2.astype(np.int64))
-    return normalize(total, e)
+    m, de = np.frexp(np.ldexp(m1, _shift(e1, e)) + np.ldexp(m2, _shift(e2, e)))
+    return m, e + de
 
 
 def log2(mant, exp2):

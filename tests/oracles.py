@@ -358,3 +358,67 @@ def ladder_verdict_reference(y_ladder, eig_list, tau_rel, rel_change=0.2):
     slope = float(np.polyfit(logs_y, logs_t, 1)[0])
     rank = ranks[stabilized] if stabilized is not None else None
     return ranks, traces, stabilized, rank, -slope
+
+
+def scaling_add_reference(m1, e1, m2, e2):
+    """``scaling.add`` as first written: asarray, np.clip and astype."""
+    from jacobispec import scaling
+
+    m1 = np.asarray(m1, dtype=float)
+    m2 = np.asarray(m2, dtype=float)
+    e1 = np.asarray(e1)
+    e2 = np.asarray(e2)
+    e = np.where(m1 == 0, e2, np.where(m2 == 0, e1, np.maximum(e1, e2)))
+    s1 = np.clip(e1 - e, -1100, 0)
+    s2 = np.clip(e2 - e, -1100, 0)
+    total = np.ldexp(m1, s1.astype(np.int64)) + np.ldexp(m2, s2.astype(np.int64))
+    return scaling.normalize(total, e)
+
+
+def cesaro_sums_stepwise(spec, xs, l_grid):
+    """``classify._cesaro_sums`` one kernel step at a time.
+
+    The sweep as it was before chunking: one singular-value call per step
+    on the (N, l, l) view, added into the raw sums with ``buf +=``, and
+    folds through :func:`scaling_add_reference`. The chunked sweep must
+    reproduce it bit for bit.
+    """
+    from jacobispec import matblock, recurrence, scaling
+    from jacobispec.errors import TrackOverflowError
+
+    members = tuple(spec) if isinstance(spec, (list, tuple)) else (spec,)
+    xs = np.asarray(xs, dtype=float)
+    g, batch, l = len(members), xs.size, members[0].dim
+    eye = np.eye(l)
+    prev = np.zeros((g, 2 * batch, l, l))
+    prev[:, batch:] = eye
+    cur = np.zeros_like(prev)
+    cur[:, :batch] = eye
+    ledger = np.zeros(g * 2 * batch, dtype=np.int64)
+    acc_m = np.zeros((g, batch, l))
+    acc_e = np.zeros((g, batch, l), dtype=np.int64)
+    buf = np.zeros((g, 2 * batch, l))
+    out = np.empty((len(l_grid), g, batch, l))
+    ck = 0
+
+    def fold(sel):
+        e2 = 2 * ledger.reshape(g, 2 * batch, 1)[sel]
+        m, e = scaling_add_reference(acc_m[sel], acc_e[sel], buf[sel, :batch], e2[:, :batch])
+        acc_m[sel], acc_e[sel] = scaling_add_reference(m, e, buf[sel, batch:], e2[:, batch:])
+        buf[sel] = 0.0
+
+    zs = np.tile(np.concatenate([xs, xs]), g)
+    steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger)
+    for n, blocks, exp2 in steps:
+        if exp2 is not ledger:
+            fold(np.any((exp2 != ledger).reshape(g, -1), axis=1))
+            ledger = exp2
+        buf += matblock.batched_singular_sq(blocks).reshape(buf.shape)
+        if n == l_grid[ck]:
+            fold(slice(None))
+            if not np.isfinite(acc_m).all():
+                raise TrackOverflowError(f"Cesaro sums left float range by L = {n}")
+            out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
+            ck += 1
+            if ck == len(l_grid):
+                return out.reshape(len(l_grid), g * batch, l)

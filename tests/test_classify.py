@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from jacobispec import classify, models, recurrence
-from jacobispec.errors import ConvergenceError, InvalidInputError
+from jacobispec import classify, matblock, models, recurrence
+from jacobispec.errors import ConvergenceError, InvalidInputError, TrackOverflowError
 
-from oracles import cesaro_sums_reference, direct_recurrence
+from oracles import cesaro_sums_reference, cesaro_sums_stepwise, direct_recurrence
 
 
 def test_cesaro_free_in_band_flat(free1):
@@ -313,6 +313,68 @@ def test_chunk_size_does_not_change_results(monkeypatch, golden_amo, random_boun
     for a, b in zip(tracks, [t for pair in got[0] for t in pair] + list(got[1])):
         assert np.array_equal(a.blocks, b.blocks) and np.array_equal(a.exp2, b.exp2)
     assert np.array_equal(got[2], want[2])
+
+
+def _chunk_members(name, request):
+    if name == "amo-members":
+        amo = request.getfixturevalue("golden_amo")
+        return [m for p in (0.1, 0.6) for s in [amo.with_phase((p,))] for m in (s, models.reflect(s))]
+    return [request.getfixturevalue(name)]
+
+
+# (steps per chunk, cutoffs): with 12 steps, 5 and 100 fall inside a chunk
+# and 24 and 300 on a chunk's last step, while the rescales at n = 1 mod 8
+# land inside chunks; with 8 steps every rescale lands on a chunk's first
+# step; with 64 steps the whole grid is shorter than one chunk
+_PLACEMENTS = {
+    "checkpoints-inside-and-last": (12, (5, 24, 100, 300)),
+    "rescales-on-first-step": (8, (16, 48, 160, 512)),
+    "grid-shorter-than-chunk": (64, (5, 40)),
+}
+
+
+@pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
+@pytest.mark.parametrize(
+    "name", ["free1", "diag01", "random_bounded2", "wrap_alternating", "periodic3", "amo-members"])
+def test_chunked_sums_match_stepwise_sweep(name, placement, request, monkeypatch):
+    members = _chunk_members(name, request)
+    xs = np.linspace(-3.5, 3.5, 29)  # in-band and gap energies: members rescale
+    steps, l_grid = _PLACEMENTS[placement]
+    l = members[0].dim
+    monkeypatch.setattr(classify, "CESARO_CHUNK_BYTES", steps * 8 * l * l * 2 * len(members) * xs.size)
+    calls = []
+    real = matblock.batched_singular_sq
+    monkeypatch.setattr(matblock, "batched_singular_sq", lambda b: calls.append(len(b)) or real(b))
+    got = classify._cesaro_sums(members, xs, l_grid)
+    assert calls == [steps] * (l_grid[-1] // steps) + [l_grid[-1] % steps] * (l_grid[-1] % steps > 0)
+    assert np.array_equal(got, cesaro_sums_stepwise(members, xs, l_grid))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kernel_failure_inside_a_chunk_reports_as_stepwise(diag01):
+    # x = 1e200 leaves float range at once; step by step the sweep fails at
+    # the checkpoint L = 4, before the kernel's own check after n = 8, so a
+    # chunk that runs into that check must still add the rows it holds
+    for l_grid in ((4, 16), (16, 32)):
+        errors = []
+        for sweep in (classify._cesaro_sums, cesaro_sums_stepwise):
+            with pytest.raises(TrackOverflowError) as info:
+                sweep(diag01, [0.5, 1e200], l_grid)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+    assert errors[0] == "blocks left float range before index 9"
+
+
+def test_default_chunk_is_sized_by_the_byte_cap(monkeypatch, diag01, golden_amo):
+    # 128 energies of diag(0,1), as the benchmark scan: 32 steps of 8 KiB;
+    # four l = 1 members at 256 energies, as the benchmark constancy run:
+    # 16 steps of 16 KiB
+    calls = []
+    real = matblock.batched_singular_sq
+    monkeypatch.setattr(matblock, "batched_singular_sq", lambda b: calls.append(len(b)) or real(b))
+    classify._cesaro_sums(diag01, np.linspace(-3.5, 3.5, 128), (64, 256))
+    classify._cesaro_sums([golden_amo] * 4, np.linspace(-2.75, 2.75, 256), (16, 64))
+    assert calls == [32] * 8 + [16] * 4
 
 
 def test_constancy_reads_no_per_index_coefficients(monkeypatch, golden_amo):

@@ -401,6 +401,11 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "phases": [[0.1, 0.2], [0.3, 0.4]]}, 0),
     (FREE1, "scan", {"x_grid": [0.0], "l_grid": [64, 128], "y_ladder": [0.1]}, 0),
     (FREE1, "scan", {"x_grid": [0.0], "l_grid": [64, 128], "y_ladder": [0.1, 0.01]}, 0),
+    (FREE1, "jl-sweep", {"y_range": [float("nan"), 0.1]}, 0),
+    (FREE1, "scan", {"x_grid": [0.5, float("nan"), float("inf")]}, 0),
+    (FREE1, "jl-sweep", {"n_points": float("inf")}, 0),
+    (FREE1, "jl-sweep", {"n_points": 2.7}, 0),
+    (FREE1, "scan", {"x_grid": {"start": 0.0, "stop": 1.0, "count": 4.5}}, 0),
 ], ids=[
     "periodic-without-ds", "free-dimension-zero", "constant-map-without-matrix", "pair-without-v", "ragged-block",
     "alpha-on-periodic", "unknown-key-in-reflected-base", "reflected-base-without-vs",
@@ -409,7 +414,8 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     "one-cutoff-l-grid", "increasing-y-ladder", "decreasing-x-range", "decreasing-y-range",
     "y-ladder-below-min-im-z", "probe-on-real-axis", "probe-below-min-im-z", "one-phase",
     "one-random-phase", "constancy-on-periodic", "phases-of-wrong-dimension",
-    "one-rung-y-ladder", "two-rung-y-ladder",
+    "one-rung-y-ladder", "two-rung-y-ladder", "nan-in-y-range", "non-finite-x-grid",
+    "infinite-n-points", "fractional-n-points", "fractional-x-grid-count",
 ])
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task, params, seed):
     cfg = write_config(

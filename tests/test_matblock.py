@@ -173,6 +173,20 @@ def test_batched_singular_sq_matches_previous_formula():
         assert np.array_equal(blocks, before)  # the input is never written to
 
 
+def test_batched_singular_sq_stack_of_steps_matches_each_step():
+    # a Cesaro chunk: (C, N, 2, 2) as C steps of N blocks; one step needs the
+    # power-of-two renormalisation, another holds a block whose tiny s_2
+    # would round differently if it were renormalised with it
+    rng = np.random.default_rng(12)
+    steps = rng.normal(size=(4, 6, 2, 2))
+    steps[1, 2] *= 1e75
+    steps[2, 3] = [[8.1e-28, -1.9e-27], [0.0, 1e-156]]  # s_2^2 underflows alone
+    chunk = np.ascontiguousarray(steps.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    got = matblock.batched_singular_sq(chunk)
+    for k in range(len(steps)):
+        assert np.array_equal(got[k], matblock.batched_singular_sq(steps[k]))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batched_singular_sq_infinite_entry_does_not_recurse():
     blocks = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[1e80, 0.0], [0.0, 1.0]]])
