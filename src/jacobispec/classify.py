@@ -48,9 +48,9 @@ def _cesaro_sums(spec, xs, l_grid):
     log2_c of shape (len(l_grid), G * B, l), member-major; the trailing
     axis is ordered by descending singular index (column j holds s_{j+1}),
     so C_r lives in column l - r. Each chunk of steps (module docstring)
-    is added by ``np.add.reduce`` along the step axis in segments that end
-    where a member's ledger changes (it is folded before that row) and
-    after each checkpoint (all are folded), in the step-by-step order.
+    gets one singular-value call; its rows are then added one step at a
+    time, folding a member's sums before the row where its ledger changes
+    and all sums after each checkpoint.
     """
     members = _members(spec)
     xs = np.asarray(xs, dtype=float)
@@ -83,47 +83,38 @@ def _cesaro_sums(spec, xs, l_grid):
         acc_m[sel], acc_e[sel] = scaling.add(m, e, buf[sel, batch:], e2[:, batch:])
         buf[sel] = 0.0
 
-    def account(first, count, changes):
-        # rows 0..count-1 of the chunk are steps first, first + 1, ...;
-        # changes maps a row to the ledger the kernel handed out with it
-        nonlocal ledger, ck
-        sq = matblock.batched_singular_sq(chunk[:count].transpose(0, 3, 1, 2)).reshape(count, *buf.shape)
-        ends = sorted({*changes, *(n + 1 - first for n in l_grid[ck:] if n < first + count), count})
-        a = 0
-        for b in ends:
-            if b > a:
-                sq[a] += buf  # buf + r_a, then + r_a+1, ...: the stepwise order
-                np.add.reduce(sq[a:b], axis=0, out=buf)
-                n = first + b - 1
-                if n == l_grid[ck]:
-                    fold(slice(None))
-                    if not np.isfinite(acc_m).all():
-                        # blocks left float range between the kernel's rescale checks
-                        raise TrackOverflowError(f"Cesaro sums left float range by L = {n}")
-                    out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
-                    ck += 1
-            if b in changes:
-                fold(np.any((changes[b] != ledger).reshape(g, -1), axis=1))
-                ledger = changes[b]
-            a = b
+    def account(first, exps):
+        # rows of the chunk are steps first, first + 1, ..., each handed
+        # out with its ledger; one singular-value call, then the step body
+        nonlocal ledger, ck, buf
+        sq = matblock.batched_singular_sq(chunk[: len(exps)].transpose(0, 3, 1, 2))
+        for n, row, exp2 in zip(itertools.count(first), sq.reshape(len(exps), *buf.shape), exps):
+            if exp2 is not ledger:
+                fold(np.any((exp2 != ledger).reshape(g, -1), axis=1))
+                ledger = exp2
+            buf += row
+            if n == l_grid[ck]:
+                fold(slice(None))
+                if not np.isfinite(acc_m).all():
+                    # blocks left float range between the kernel's rescale checks
+                    raise TrackOverflowError(f"Cesaro sums left float range by L = {n}")
+                out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
+                ck += 1
 
     zs = np.tile(np.concatenate([xs, xs]), g)
     steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger)
     for first in range(1, l_grid[-1] + 1, len(chunk)):
-        count, rows, changes, seen = min(len(chunk), l_grid[-1] + 1 - first), 0, {}, ledger
+        exps = []
         try:
-            for _, blocks, exp2 in itertools.islice(steps, count):
-                chunk[rows] = blocks.transpose(1, 2, 0)
-                if exp2 is not seen:
-                    changes[rows] = seen = exp2
-                rows += 1
+            for _, blocks, exp2 in itertools.islice(steps, min(len(chunk), l_grid[-1] + 1 - first)):
+                chunk[len(exps)] = blocks.transpose(1, 2, 0)
+                exps.append(exp2)
         except JacobiSpecError:
             # the rows handed out before the kernel failed are added first,
             # so a checkpoint among them fails as it would step by step
-            if rows:
-                account(first, rows, changes)
+            account(first, exps)
             raise
-        account(first, count, changes)
+        account(first, exps)
     return out.reshape(len(l_grid), g * batch, l)
 
 

@@ -21,8 +21,6 @@ from .errors import InvalidInputError, TargetUnreachableError, TrackTooShortErro
 
 MAX_TRACK_BLOCKS = 2**24
 INITIAL_TRACK_BLOCKS = 16
-# new blocks of one extend_tracks run that grows several pairs together
-GROW_BLOCKS = 2**15
 
 
 def _split_l(track, l_value):
@@ -83,70 +81,48 @@ def solve_l_of_y(spec, x, y, *, tracks=None):
     """Find L >= 1 with 2 y ||D0^-1||_F ||psi||_L ||phi||_L = 1.
 
     Dirichlet/Neumann tracks at real ``x`` (``tracks``, or a fresh pair of
-    ``INITIAL_TRACK_BLOCKS`` blocks) are grown by doubling until the
-    integer-L product crosses the target, then the unit interval is solved
-    as a quadratic in the fractional part (affine times affine equals a
-    constant), with a Newton polish. Raises TargetUnreachableError if the
-    product cannot reach the target within ``MAX_TRACK_BLOCKS`` blocks.
-    Batch-of-one form of :func:`solve_l_of_y_grid`.
+    ``INITIAL_TRACK_BLOCKS`` blocks) are grown by doubling, both in one
+    kernel run, until the integer-L product crosses the target, then the
+    unit interval is solved as a quadratic in the fractional part (affine
+    times affine equals a constant), with a Newton polish. Raises
+    TargetUnreachableError if the product cannot reach the target within
+    ``MAX_TRACK_BLOCKS`` blocks.
     """
-    return next(solve_l_of_y_grid(spec, [x], [y], None if tracks is None else [tracks]))
-
-
-def _crossing(phi, psi, log2_target_sq):
-    """log2 of ||psi||_m^2 ||phi||_m^2 over m, and the smallest m <= n_max - 1
-    where it reaches the target (None if there is none)."""
-    prod = scaling.log2(phi.cum_fro2_m, phi.cum_fro2_e) + scaling.log2(psi.cum_fro2_m, psi.cum_fro2_e)
-    hit = np.nonzero(prod >= log2_target_sq)[0]
-    return prod, (int(hit[0]) if hit.size and hit[0] <= phi.n_max - 1 else None)
-
-
-def solve_l_of_y_grid(spec, xs, ys, pairs=None):
-    """:func:`solve_l_of_y` at every point (xs[j], ys[j]), yielded in order.
-
-    ``pairs`` holds each point's starting (phi, psi) tracks (by default one
-    kernel run to ``INITIAL_TRACK_BLOCKS``). A pair that has not crossed its
-    target is doubled in one ``extend_tracks`` run together with the later
-    pairs of its length that have not crossed theirs, up to
-    ``GROW_BLOCKS`` new blocks per run; a pair longer than that grows
-    alone. Blocks and prefix sums below a track's end do not depend on its
-    length, so every point is solved bit for bit as on its own.
-    """
-    ys = [float(y) for y in ys]
-    if min(ys, default=1.0) <= 0:
+    y = float(y)
+    if y <= 0:
         raise InvalidInputError("y must be positive")
-    d0_inv_norm = matblock.frobenius_norm(matblock.invert(spec.coefficient_at(0)[0]))
-    if pairs is None:
-        pairs = recurrence.dirichlet_neumann_grid(spec, xs, INITIAL_TRACK_BLOCKS)
-    pairs = list(pairs)
-    # want ||psi||_L ||phi||_L = 1 / (2 y ||D0^-1||), compared in log2 of squares
-    log2_sq = [2.0 * math.log2(1.0 / (2.0 * y * d0_inv_norm)) for y in ys]
-    crossing = [_crossing(*pair, t)[1] for pair, t in zip(pairs, log2_sq)]
-    for j, y in enumerate(ys):
-        while crossing[j] is None:
-            n_max = pairs[j][0].n_max
-            if n_max >= MAX_TRACK_BLOCKS:
-                prod = _crossing(*pairs[j], log2_sq[j])[0]
-                attained = 2.0 * y * d0_inv_norm * math.sqrt(2.0 ** float(prod[-2]))
-                raise TargetUnreachableError(f"cutoff equation unreachable within {MAX_TRACK_BLOCKS} "
-                                             f"blocks (attained f = {attained:.6g})",
-                                             attained=attained, max_length=MAX_TRACK_BLOCKS)
-            n_new = min(2 * n_max, MAX_TRACK_BLOCKS)
-            group = [k for k in range(j, len(pairs))
-                     if crossing[k] is None and pairs[k][0].n_max == n_max]
-            group = group[: max(1, GROW_BLOCKS // (2 * n_new))]
-            grown = recurrence.extend_tracks([t for k in group for t in pairs[k]], n_new)
-            for i, k in enumerate(group):
-                pairs[k] = tuple(grown[2 * i : 2 * i + 2])
-                crossing[k] = _crossing(*pairs[k], log2_sq[k])[1]
-        yield _solve_crossed(*pairs[j], crossing[j], y, d0_inv_norm)
-        pairs[j] = None  # a long sweep keeps only the tracks it still needs
-
-
-def _solve_crossed(phi, psi, m_idx, y, d0_inv_norm):
-    """The cutoff on [m_idx - 1, m_idx], where the product crosses the target."""
-    target = 1.0 / (2.0 * y * d0_inv_norm)
+    d0 = spec.coefficient_at(0)[0]
+    d0_inv_norm = matblock.frobenius_norm(matblock.invert(d0))
+    target = 1.0 / (2.0 * y * d0_inv_norm)  # want ||psi||_L ||phi||_L = target
     log2_target_sq = 2.0 * math.log2(target)
+
+    if tracks is not None:
+        phi, psi = tracks
+    else:
+        phi, psi = recurrence.dirichlet_neumann(spec, x, INITIAL_TRACK_BLOCKS)
+
+    def product_log2():
+        return scaling.log2(phi.cum_fro2_m, phi.cum_fro2_e) + scaling.log2(
+            psi.cum_fro2_m, psi.cum_fro2_e
+        )
+
+    while True:
+        prod = product_log2()
+        # crossing index: smallest m with ||psi||_m^2 ||phi||_m^2 >= target^2
+        hit = np.nonzero(prod >= log2_target_sq)[0]
+        if hit.size and hit[0] <= phi.n_max - 1:
+            m_idx = int(hit[0])
+            break
+        if phi.n_max >= MAX_TRACK_BLOCKS:
+            attained = 2.0 * y * d0_inv_norm * math.sqrt(2.0 ** float(prod[-2]))
+            raise TargetUnreachableError(
+                f"cutoff equation unreachable within {MAX_TRACK_BLOCKS} blocks "
+                f"(attained f = {attained:.6g})",
+                attained=attained,
+                max_length=MAX_TRACK_BLOCKS,
+            )
+        phi, psi = recurrence.extend_tracks((phi, psi), min(2 * phi.n_max, MAX_TRACK_BLOCKS))
+
     if m_idx == 0:
         # only possible if the target is non-positive at L = 1, i.e. huge y;
         # psi_1 = 0 makes the product vanish there, so return the boundary

@@ -760,9 +760,8 @@ def jl_bounds_grid(spec, xs, ys, *, m_tol=1e-9, slack=1e-9):
     """:func:`jl_bounds` at every point (xs[j], ys[j]), in order.
 
     The starting tracks of up to ``JL_TRACK_CHUNK`` points come from one
-    kernel run and their M from one :func:`m_resolvent_grid`; their
-    cutoffs come from :func:`truncnorm.solve_l_of_y_grid`, which grows the
-    tracks that need it together.
+    kernel run and their M from one :func:`m_resolvent_grid`; each point
+    then solves its own cutoff (extending its tracks when needed).
     """
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
@@ -774,13 +773,13 @@ def jl_bounds_grid(spec, xs, ys, *, m_tol=1e-9, slack=1e-9):
         cx, cy = xs[a : a + JL_TRACK_CHUNK], ys[a : a + JL_TRACK_CHUNK]
         pairs = recurrence.dirichlet_neumann_grid(spec, cx, truncnorm.INITIAL_TRACK_BLOCKS)
         ms = m_resolvent_grid(spec, [complex(x, y) for x, y in zip(cx, cy)], tol=m_tol)
-        solves = truncnorm.solve_l_of_y_grid(spec, cx, cy, pairs)
-        for x, y, solve, m_val in zip(cx, cy, solves, ms):
-            reports.append(_jl_report(spec, x, y, solve, m_val, k1, k2, slack))
+        for x, y, pair, m_val in zip(cx, cy, pairs, ms):
+            reports.append(_jl_report(spec, x, y, pair, m_val, k1, k2, slack))
     return reports
 
 
-def _jl_report(spec, x, y, solve, m_val, k1, k2, slack):
+def _jl_report(spec, x, y, tracks, m_val, k1, k2, slack):
+    solve = truncnorm.solve_l_of_y(spec, x, y, tracks=tracks)
     l_cut = solve.l_value
     l = spec.dim
     norm_phi = truncnorm.truncated_norm(solve.phi, l_cut)

@@ -162,21 +162,16 @@ def test_cutoff_solver_far_outside_spectrum(free1):
             assert sol.residual <= 1e-10
 
 
-def test_grid_grows_tracks_as_long_tracks_would(diag01, monkeypatch):
+def test_grown_tracks_solve_as_long_tracks_would(diag01):
     # in-band energies of diag(0,1) need L from a few to a few hundred
-    # blocks; grown from 16 blocks in shared runs of at most 128 new blocks
-    # (so groups split and long pairs grow alone), every point solves bit
-    # for bit as from a single pair of 1024 blocks
-    monkeypatch.setattr(truncnorm, "GROW_BLOCKS", 128)
+    # blocks; grown by doubling from INITIAL_TRACK_BLOCKS = 16, every point
+    # solves bit for bit as from a single pair of 1024 blocks
+    assert truncnorm.INITIAL_TRACK_BLOCKS == 16
     xs = np.linspace(0.2, 1.8, 9)
     ys = np.array([0.3, 2e-3, 0.05, 1e-3, 5e-3, 0.01, 8e-4, 0.1, 3e-3])
-    calls = []
-    real = recurrence.extend_tracks
-    monkeypatch.setattr(recurrence, "extend_tracks", lambda t, n: calls.append(len(t) // 2) or real(t, n))
-    grid = list(truncnorm.solve_l_of_y_grid(diag01, xs, ys))
-    assert min(calls) == 1 and max(calls) > 1  # alone past the cap, shared below it
-    assert {16, 512} <= {g.phi.n_max for g in grid}
-    for x, y, got in zip(xs, ys, grid):
+    grown = [truncnorm.solve_l_of_y(diag01, x, y) for x, y in zip(xs, ys)]
+    assert {16, 512} <= {g.phi.n_max for g in grown}
+    for x, y, got in zip(xs, ys, grown):
         want = truncnorm.solve_l_of_y(diag01, x, y, tracks=recurrence.dirichlet_neumann(diag01, x, 1024))
         assert got.l_value == want.l_value and got.residual == want.residual
         for track, other in zip(got.tracks, want.tracks):
