@@ -9,10 +9,13 @@ stays bounded as L runs over a dyadic grid; boundedness is read off the
 log-log slope (bounded means slope near 0, exponential growth means slope
 far above 1). The largest bounded r estimates the AC multiplicity at x.
 
-The sweep buffers the forward kernel's blocks in chunks of steps, at most
-``CESARO_CHUNK_BYTES`` (256 KiB) of them, takes one singular-value call per
-chunk, and adds the chunk's rows into the sums in the order of one step at
-a time, so its results are bit for bit those of a step-by-step sweep.
+The sweep buffers the forward kernel's blocks in chunks of whole rescale
+periods (8 steps), at most ``CESARO_CHUNK_BYTES`` (256 KiB) of them, and
+takes one singular-value call per chunk. The rows of each period share
+one exponent ledger, so they are summed raw, and the period sums join each
+track entry's scaled sum in one magnitude-aligned sum per chunk. That has
+the bits of folding in each period and each cutoff's piece in order, so
+an energy's sums depend neither on its batch nor on the chunk size.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ def _cesaro_sums(spec, xs, l_grid):
     log2_c of shape (len(l_grid), G * B, l), member-major; the trailing
     axis is ordered by descending singular index (column j holds s_{j+1}),
     so C_r lives in column l - r. Each chunk of steps (module docstring)
-    gets one singular-value call; its rows are then added one step at a
-    time, folding a member's sums before the row where its ledger changes
-    and all sums after each checkpoint.
+    gets one singular-value call. Each track entry (phi or psi of one
+    energy and member) keeps its own scaled sum, to which the chunk's
+    period sums are added by one :func:`scaling.add_all` call; phi and psi
+    are added at each cutoff.
     """
     members = _members(spec)
     xs = np.asarray(xs, dtype=float)
@@ -66,39 +70,40 @@ def _cesaro_sums(spec, xs, l_grid):
     cur = np.zeros_like(prev)
     cur[:, :batch] = eye
     ledger = np.zeros(g * 2 * batch, dtype=np.int64)
-    acc_m = np.zeros((g, batch, l))
-    acc_e = np.zeros((g, batch, l), dtype=np.int64)
-    # raw mantissa-scale sums since the last fold; a member's buffer is
-    # folded into its scaled accumulator when one of its own entries
-    # rescales and at each checkpoint, so every member comes out bit for
-    # bit as its own sweep would
-    buf = np.zeros((g, 2 * batch, l))
+    acc_m, acc_e = np.zeros((ledger.size, l)), np.zeros((ledger.size, l), dtype=np.int64)
     out = np.empty((len(l_grid), g, batch, l))
-    chunk = np.empty((max(1, CESARO_CHUNK_BYTES // (8 * l * l * ledger.size)), l, l, ledger.size))
+    period = recurrence._RESCALE_EVERY
+    chunk = np.empty((period * max(1, CESARO_CHUNK_BYTES // (8 * period * l * l * ledger.size)),
+                      l, l, ledger.size))
     ck = 0
 
-    def fold(sel):
-        e2 = 2 * ledger.reshape(g, 2 * batch, 1)[sel]
-        m, e = scaling.add(acc_m[sel], acc_e[sel], buf[sel, :batch], e2[:, :batch])
-        acc_m[sel], acc_e[sel] = scaling.add(m, e, buf[sel, batch:], e2[:, batch:])
-        buf[sel] = 0.0
-
     def account(first, exps):
-        # rows of the chunk are steps first, first + 1, ..., each handed
-        # out with its ledger; one singular-value call, then the step body
-        nonlocal ledger, ck, buf
-        sq = matblock.batched_singular_sq(chunk[: len(exps)].transpose(0, 3, 1, 2))
-        for n, row, exp2 in zip(itertools.count(first), sq.reshape(len(exps), *buf.shape), exps):
-            if exp2 is not ledger:
-                fold(np.any((exp2 != ledger).reshape(g, -1), axis=1))
-                ledger = exp2
-            buf += row
-            if n == l_grid[ck]:
-                fold(slice(None))
+        # rows first, first + 1, ... (first = 1 mod period) with their
+        # ledgers: one singular-value call, one sum of each period's rows (a
+        # cutoff inside a period cuts it), one scaled sum per cutoff and end
+        nonlocal acc_m, acc_e, ck
+        k = len(exps)
+        sq = matblock.batched_singular_sq(chunk[:k].transpose(0, 3, 1, 2))
+        periods = np.add.reduce(sq[: k - k % period].reshape(-1, period, *acc_m.shape), axis=1)
+        cuts = {n + 1 - first for n in l_grid[ck:] if n < first + k}
+        stops = sorted(cuts.union(min(b, k) for b in range(period, k + period, period)))
+        terms_m = np.empty((len(stops) + 1, *acc_m.shape))  # the sums so far, then the pieces
+        terms_e = np.empty(terms_m.shape, dtype=np.int64)
+        terms_m[0], terms_e[0], a, start = acc_m, acc_e, 0, 0
+        for j, b in enumerate(stops, 1):
+            assert all(exp2 is exps[a] for exp2 in exps[a:b]), "a ledger changed inside a period"
+            terms_m[j] = periods[a // period] if b - a == period else np.add.reduce(sq[a:b])
+            terms_e[j], a = 2 * exps[a][:, None], b
+            if b in cuts or b == k:
+                acc_m, acc_e = scaling.add_all(terms_m[start : j + 1], terms_e[start : j + 1])
+                terms_m[j], terms_e[j], start = acc_m, acc_e, j
+            if b in cuts:
                 if not np.isfinite(acc_m).all():
                     # blocks left float range between the kernel's rescale checks
-                    raise TrackOverflowError(f"Cesaro sums left float range by L = {n}")
-                out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
+                    raise TrackOverflowError(f"Cesaro sums left float range by L = {l_grid[ck]}")
+                m, e = (v.reshape(g, 2, batch, l) for v in (acc_m, acc_e))
+                out[ck] = scaling.log2(*scaling.add(m[:, 0], e[:, 0], m[:, 1], e[:, 1]))
+                out[ck] -= math.log2(l_grid[ck])
                 ck += 1
 
     zs = np.tile(np.concatenate([xs, xs]), g)

@@ -4,39 +4,50 @@ Solution sequences grow (or decay) exponentially outside the AC region, so
 running sums of squared norms leave float64 range long before the scans
 finish. These helpers keep (mantissa, exponent) pairs normalized and add
 them without ever materializing the full value. All functions accept
-scalars or same-shaped numpy arrays.
+scalars or same-shaped numpy arrays. The sums accept unnormalized (even
+subnormal) mantissas: a term is aligned by its magnitude, not its exponent.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import TrackOverflowError
 
 _MAX_FLOAT_EXP = 1000  # safe ldexp range for float64
+_NO_TERM = -(2**62)  # a zero term's exponent in add_all: below all others, far from overflow
 
 
 def normalize(mant, exp2):
-    """Renormalize so the mantissa sits in [1, 2) (zero stays zero)."""
+    """Renormalize so the mantissa sits in [0.5, 1) (zero stays zero)."""
     m, de = np.frexp(mant)
     return m, np.asarray(exp2) + de
 
 
-def _shift(e_from, e):
-    """clip(e_from - e, -_MAX_FLOAT_EXP - 100, 0), as two ufunc calls."""
-    return np.maximum(np.minimum(e_from - e, 0), -_MAX_FLOAT_EXP - 100)
-
-
 def add(m1, e1, m2, e2):
-    """(m1*2^e1) + (m2*2^e2) as a normalized pair.
+    """(m1*2^e1) + (m2*2^e2) as a normalized pair: :func:`add_all` of two terms."""
+    m1, e1, m2, e2 = np.broadcast_arrays(m1, e1, m2, e2)
+    return add_all(np.array([m1, m2]), np.array([e1, e2]))
 
-    The smaller term is shifted onto the larger term's exponent; shifts
-    beyond float range underflow harmlessly to zero. Exponents must be
-    integers; the Cesaro sweep folds through here, so it calls ufuncs only.
+
+def add_all(mants, exps):
+    """Sum of the terms mants[k] * 2^exps[k] along axis 0, a normalized pair.
+
+    The term of largest magnitude (frexp exponent plus exps[k]) is the
+    reference; the others are shifted onto it by powers of two, exact
+    until they underflow, and added in order, one at a time (a reduce may
+    pair them). So the bits are those of folding the terms in with
+    :func:`add` one by one. Zero terms take no part; an all-zero sum
+    keeps the last term's exponent. Exponents must be integers.
     """
-    e = np.where(m1 == 0, e2, np.where(m2 == 0, e1, np.maximum(e1, e2)))
-    m, de = np.frexp(np.ldexp(m1, _shift(e1, e)) + np.ldexp(m2, _shift(e2, e)))
-    return m, e + de
+    f, d = np.frexp(mants)
+    e = np.where(f != 0, d + exps, _NO_TERM)
+    ref = e.max(axis=0)
+    shift = np.maximum(e - ref, -_MAX_FLOAT_EXP - 100).astype(np.int32)  # ldexp's fast type
+    m, de = np.frexp(functools.reduce(np.add, np.ldexp(f, shift)))
+    return m, np.where(ref == _NO_TERM, exps[-1], ref) + de
 
 
 def log2(mant, exp2):

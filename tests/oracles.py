@@ -206,11 +206,15 @@ def cesaro_sums_reference(spec, xs, l_grid):
     """log2 C_r(L) like ``classify._cesaro_sums``, by a loop of its own.
 
     For l <= 2. Same arithmetic as the production sweep (precomputed
-    D^-1, max-abs 2^+-120 rescale every 8 steps, the same scaled sums),
-    written as one hand-rolled loop with stacked matmuls and the reference
-    singular values, so the shared stepper can be checked against it: bit
-    for bit where D = I, to rounding where the matmuls' sums may round
-    differently from the stepper's written-out products.
+    D^-1, max-abs 2^+-120 rescale every 8 steps), written as one
+    hand-rolled loop with stacked matmuls and the reference singular
+    values, so the shared stepper can be checked against it: bit for bit
+    where D = I, to rounding where the matmuls' sums may round differently
+    from the stepper's written-out products. Each track entry keeps its
+    own scaled sum; the raw sum of its rows is folded in after every
+    rescale period (n = 0 mod 8) and at each cutoff through
+    :func:`scaling_add_aligned_reference`, and the Dirichlet and Neumann
+    sums are added at the cutoffs.
     """
     from jacobispec import scaling
 
@@ -226,24 +230,22 @@ def cesaro_sums_reference(spec, xs, l_grid):
     cur = np.zeros_like(prev)
     cur[:batch] = np.eye(l)
     exp2 = np.zeros(2 * batch, dtype=np.int64)
-    acc_m = np.zeros((batch, l))
-    acc_e = np.zeros((batch, l), dtype=np.int64)
+    acc_m = np.zeros((2 * batch, l))
+    acc_e = np.zeros((2 * batch, l), dtype=np.int64)
     buf = np.zeros((2 * batch, l))
     x2 = np.concatenate([xs, xs])[:, None, None]
     out = np.empty((len(l_grid), batch, l))
 
-    def fold():
-        nonlocal acc_m, acc_e
-        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[:batch], 2 * exp2[:batch, None])
-        acc_m, acc_e = scaling.add(acc_m, acc_e, buf[batch:], 2 * exp2[batch:, None])
-        buf[:] = 0.0
-
     ck = 0
     for n in range(1, l_grid[-1] + 1):
         buf += np.abs(cur[:, :, 0]) ** 2 if l == 1 else batched_singular_sq_reference(cur)
+        if n % 8 == 0 or n == l_grid[ck]:
+            acc_m, acc_e = scaling_add_aligned_reference(acc_m, acc_e, buf, 2 * exp2[:, None])
+            buf[:] = 0.0
         if n == l_grid[ck]:
-            fold()
-            out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
+            total = scaling_add_aligned_reference(acc_m[:batch], acc_e[:batch],
+                                                  acc_m[batch:], acc_e[batch:])
+            out[ck] = scaling.log2(*total) - math.log2(n)
             ck += 1
             if ck == len(l_grid):
                 break
@@ -257,7 +259,6 @@ def cesaro_sums_reference(spec, xs, l_grid):
             )
             hot = (pair > 2.0**120) | ((pair > 0) & (pair < 2.0**-120))
             if np.any(hot):
-                fold()
                 shift = np.where(hot, np.frexp(pair)[1], 0).astype(np.int64)
                 factor = np.ldexp(1.0, -shift)[:, None, None]
                 cur, prev = cur * factor, prev * factor
@@ -375,13 +376,23 @@ def scaling_add_reference(m1, e1, m2, e2):
     return scaling.normalize(total, e)
 
 
+def scaling_add_aligned_reference(m1, e1, m2, e2):
+    """:func:`scaling_add_reference` on mantissas normalized by ``frexp``
+    first, so each term is aligned by its magnitude, not its exponent."""
+    (f1, d1), (f2, d2) = np.frexp(m1), np.frexp(m2)
+    return scaling_add_reference(f1, np.asarray(e1) + d1, f2, np.asarray(e2) + d2)
+
+
 def cesaro_sums_stepwise(spec, xs, l_grid):
     """``classify._cesaro_sums`` one kernel step at a time.
 
-    The sweep as it was before chunking: one singular-value call per step
-    on the (N, l, l) view, added into the raw sums with ``buf +=``, and
-    folds through :func:`scaling_add_reference`. The chunked sweep must
-    reproduce it bit for bit.
+    One singular-value call per step on the (N, l, l) view, added into
+    raw sums with ``buf +=``. Each track entry's raw sum is folded into
+    its scaled sum after every rescale period (n = 0 mod 8, so it never
+    spans a ledger change) and at each cutoff, through
+    :func:`scaling_add_aligned_reference`; the Dirichlet and Neumann sums
+    are added at the cutoffs. The chunked sweep must reproduce it bit for
+    bit.
     """
     from jacobispec import matblock, recurrence, scaling
     from jacobispec.errors import TrackOverflowError
@@ -395,30 +406,25 @@ def cesaro_sums_stepwise(spec, xs, l_grid):
     cur = np.zeros_like(prev)
     cur[:, :batch] = eye
     ledger = np.zeros(g * 2 * batch, dtype=np.int64)
-    acc_m = np.zeros((g, batch, l))
-    acc_e = np.zeros((g, batch, l), dtype=np.int64)
-    buf = np.zeros((g, 2 * batch, l))
+    acc_m = np.zeros((g * 2 * batch, l))
+    acc_e = np.zeros((g * 2 * batch, l), dtype=np.int64)
+    buf = np.zeros((g * 2 * batch, l))
     out = np.empty((len(l_grid), g, batch, l))
     ck = 0
-
-    def fold(sel):
-        e2 = 2 * ledger.reshape(g, 2 * batch, 1)[sel]
-        m, e = scaling_add_reference(acc_m[sel], acc_e[sel], buf[sel, :batch], e2[:, :batch])
-        acc_m[sel], acc_e[sel] = scaling_add_reference(m, e, buf[sel, batch:], e2[:, batch:])
-        buf[sel] = 0.0
 
     zs = np.tile(np.concatenate([xs, xs]), g)
     steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger)
     for n, blocks, exp2 in steps:
-        if exp2 is not ledger:
-            fold(np.any((exp2 != ledger).reshape(g, -1), axis=1))
-            ledger = exp2
         buf += matblock.batched_singular_sq(blocks).reshape(buf.shape)
+        if n % 8 == 0 or n == l_grid[ck]:
+            acc_m, acc_e = scaling_add_aligned_reference(acc_m, acc_e, buf, 2 * exp2[:, None])
+            buf[:] = 0.0
         if n == l_grid[ck]:
-            fold(slice(None))
             if not np.isfinite(acc_m).all():
                 raise TrackOverflowError(f"Cesaro sums left float range by L = {n}")
-            out[ck] = scaling.log2(acc_m, acc_e) - math.log2(n)
+            m, e = (v.reshape(g, 2, batch, l) for v in (acc_m, acc_e))
+            total = scaling_add_aligned_reference(m[:, 0], e[:, 0], m[:, 1], e[:, 1])
+            out[ck] = scaling.log2(*total) - math.log2(n)
             ck += 1
             if ck == len(l_grid):
                 return out.reshape(len(l_grid), g * batch, l)

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,10 @@ def test_scan_halves_a_failing_chunk(free1, monkeypatch):
     assert [r.x for r in rows if r.error] == [bad]
     assert rows[37].error == "ConvergenceError: poisoned energy" and rows[37].flags == ["error"]
     assert all("error" not in r.flags for r in rows if r.x != bad)
+    # each energy's sums do not depend on the batch it ran in
+    clean = real(free1, xs, params)
+    assert all((r.r_ces, r.slopes, r.flags) == (c.r_ces, c.slopes, c.flags)
+               for r, c in zip(rows, clean) if r.x != bad)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -299,12 +306,13 @@ def test_member_sweep_matches_own_sweeps(name, golden_amo, diag01, random_bounde
 
 
 def test_chunk_size_does_not_change_results(monkeypatch, golden_amo, random_bounded2):
+    members, xs = [golden_amo, models.reflect(golden_amo)], np.linspace(-3, 3, 13)
+
     def run():
         phi, psi = recurrence.dirichlet_neumann(random_bounded2, 0.3 + 0.01j, 40)
         return (recurrence.dirichlet_neumann_grid(random_bounded2, [0.37, 2.9], 300),
                 recurrence.extend_tracks((phi, psi), 301),
-                classify._cesaro_sums([golden_amo, models.reflect(golden_amo)],
-                                      np.linspace(-3, 3, 13), (16, 48, 160, 512)))
+                classify._cesaro_sums(members, xs, (5, 48, 100, 512)))
 
     want = run()
     monkeypatch.setattr(recurrence, "_CHUNK", 3)
@@ -313,6 +321,15 @@ def test_chunk_size_does_not_change_results(monkeypatch, golden_amo, random_boun
     for a, b in zip(tracks, [t for pair in got[0] for t in pair] + list(got[1])):
         assert np.array_equal(a.blocks, b.blocks) and np.array_equal(a.exp2, b.exp2)
     assert np.array_equal(got[2], want[2])
+    # nor does the Cesaro sweep's chunk of 8, 16 or 64 steps
+    calls = []
+    real = matblock.batched_singular_sq
+    monkeypatch.setattr(matblock, "batched_singular_sq", lambda b: calls.append(len(b)) or real(b))
+    for steps in (8, 16, 64):
+        monkeypatch.setattr(classify, "CESARO_CHUNK_BYTES", steps * 8 * 2 * len(members) * xs.size)
+        assert np.array_equal(classify._cesaro_sums(members, xs, (5, 48, 100, 512)), want[2])
+        assert calls.pop(0) == steps
+        calls.clear()
 
 
 def _chunk_members(name, request):
@@ -322,12 +339,12 @@ def _chunk_members(name, request):
     return [request.getfixturevalue(name)]
 
 
-# (steps per chunk, cutoffs): with 12 steps, 5 and 100 fall inside a chunk
-# and 24 and 300 on a chunk's last step, while the rescales at n = 1 mod 8
-# land inside chunks; with 8 steps every rescale lands on a chunk's first
+# (steps per chunk, cutoffs), chunks being whole rescale periods: with 16
+# steps, 5 and 100 fall inside a chunk and inside a period, 32 and 304 on a
+# chunk's last step; with 8 steps every rescale lands on a chunk's first
 # step; with 64 steps the whole grid is shorter than one chunk
 _PLACEMENTS = {
-    "checkpoints-inside-and-last": (12, (5, 24, 100, 300)),
+    "checkpoints-inside-and-last": (16, (5, 32, 100, 304)),
     "rescales-on-first-step": (8, (16, 48, 160, 512)),
     "grid-shorter-than-chunk": (64, (5, 40)),
 }
@@ -348,6 +365,45 @@ def test_chunked_sums_match_stepwise_sweep(name, placement, request, monkeypatch
     got = classify._cesaro_sums(members, xs, l_grid)
     assert calls == [steps] * (l_grid[-1] // steps) + [l_grid[-1] % steps] * (l_grid[-1] % steps > 0)
     assert np.array_equal(got, cesaro_sums_stepwise(members, xs, l_grid))
+
+
+@pytest.mark.parametrize("name", ["diag01", "random_bounded2", "periodic3", "amo-members"])
+def test_sums_do_not_depend_on_the_batch(name, request):
+    # every track entry is summed on its own, on a schedule fixed by n alone
+    members = _chunk_members(name, request)
+    xs = np.linspace(-3.5, 3.5, 29)
+    l_grid = (5, 24, 100, 300)
+    full = classify._cesaro_sums(members, xs, l_grid).reshape(len(l_grid), len(members), xs.size, -1)
+    for part in (slice(5, 17), slice(11, 12)):
+        got = classify._cesaro_sums(members, xs[part], l_grid)
+        assert np.array_equal(got, full[:, :, part].reshape(got.shape))
+
+
+def test_sums_match_exact_sum_of_kernel_rows(diag01):
+    # at this energy s_2 / s_1 of the blocks falls below 2^-500 by n = 1024;
+    # the scaled sums must still match the exact sum of the very same rows
+    x = -2.2322834645669
+    l_grid = (256, 512, 1024, 2048)
+    got = classify._cesaro_sums(diag01, [x], l_grid)[:, 0]
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    steps = recurrence.forward((diag01,), np.array([x, x]), np.array([zero, eye]),
+                               np.array([eye, zero]), 1, np.zeros(2, dtype=np.int64))
+    totals = [Fraction(0), Fraction(0)]
+    for n, blocks, exp2 in steps:
+        for row, e in zip(matblock.batched_singular_sq(blocks), exp2.tolist()):
+            for j in range(2):
+                totals[j] += Fraction(float(row[j])) * Fraction(2) ** (2 * e)
+        if n in l_grid:
+            for j, total in enumerate(totals):
+                # round the exact sum to a (mantissa, exponent) pair, then
+                # take its log2 as the sweep does
+                e2 = total.numerator.bit_length() - total.denominator.bit_length()
+                m = float(total / Fraction(2) ** e2)
+                want = (math.log2(m) + e2) - math.log2(n)
+                assert abs(got[l_grid.index(n), j] - want) <= 1e-12
+            if n == l_grid[-1]:
+                break
+    assert np.isfinite(got).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -37,6 +37,50 @@ def test_add_matches_exact_sum(a, b):
     assert_close(exact(m, e), exact(*a) + exact(*b), Fraction(1, 2**52))
 
 
+# unnormalized mantissas as the Cesaro sweep hands them over: subnormal, tiny
+# or large raw sums, at exponents far from the other term's
+raw_mantissas = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.0**-1000),
+    st.floats(min_value=2.0**-60, max_value=2.0**60),
+)
+raw_terms = st.tuples(raw_mantissas, st.integers(min_value=-1000, max_value=2100))
+
+
+@PROPERTY
+@given(raw_terms, raw_terms)
+def test_add_aligns_unnormalized_mantissas_by_magnitude(a, b):
+    m, e = scaling.add(a[0], a[1], b[0], b[1])
+    assert m == 0.0 or 0.5 <= m < 1.0
+    assert_close(exact(m, e), exact(*a) + exact(*b), Fraction(1, 2**52))
+
+
+def test_add_of_a_subnormal_mantissa_is_exact_to_rounding():
+    # 3 * 2^-1074 * 2^1960 = 3 * 2^886 against 0.739 * 2^884: aligning by
+    # the raw exponent 1960 once pushed the first term into subnormals
+    # and lost 5.8% of the sum
+    args = (0.7390851332151607, 884, 3 * 2.0**-1074, 1960)
+    m, e = scaling.add(*args)
+    assert_close(exact(m, e), exact(*args[:2]) + exact(*args[2:]), Fraction(1, 2**52))
+
+
+@PROPERTY
+@given(st.lists(raw_terms, min_size=1, max_size=12))
+def test_add_all_is_the_in_order_fold_of_add(seq):
+    mants = np.array([[m, 0.0] for m, _ in seq])
+    exps = np.array([[e, 7] for _, e in seq])
+    got_m, got_e = scaling.add_all(mants, exps)
+    fold_m, fold_e = mants[0], exps[0]
+    for m, e in zip(mants[1:], exps[1:]):
+        fold_m, fold_e = scaling.add(fold_m, fold_e, m, e)
+    if len(seq) == 1:
+        fold_m, fold_e = scaling.normalize(fold_m, fold_e)
+    assert np.array_equal(got_m, fold_m) and np.array_equal(got_e[0], fold_e[0])
+    assert got_m[1] == 0.0 and got_e[1] == 7  # an all-zero sum keeps the last exponent
+    total = sum((exact(m, e) for m, e in seq), Fraction(0))
+    assert_close(exact(got_m[0], got_e[0]), total, Fraction(len(seq), 2**52))
+
+
 def test_add_matches_previous_formula():
     # scalars, zeros on either side, and exponent gaps beyond +-1100, where
     # the smaller term is shifted out of float range
