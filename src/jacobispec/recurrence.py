@@ -46,26 +46,21 @@ class SolutionTrack:
     Carries per-step singular values of the stored mantissas, the exponent
     ledger, and running truncated-norm accumulators (cumulative sums of
     squared Frobenius norms and squared singular values, in scaled form).
+    ``sums`` takes these from :func:`_truncation_sums` of a stack the track
+    belongs to; without it the track computes its own.
     """
 
-    def __init__(self, spec, z, blocks, exp2, kind="generic"):
+    def __init__(self, spec, z, blocks, exp2, kind="generic", sums=None):
         self.spec = spec
         self.z = _as_z(z)
         self.kind = kind
         self.blocks = blocks
         self.exp2 = exp2
         self.overflow_scaled = bool(np.any(exp2 != 0))
-        sv_sq = matblock.batched_singular_sq(blocks)
-        self.sv_mant = np.sqrt(sv_sq)
-        l = sv_sq.shape[1]
-        # one pass over the shared 2 * exp2 ledger: columns 0..l-1 hold the
-        # squared singular values, column l their sum (the squared Frobenius
-        # norm); truncation sums start at n = 1, index m holds sum over 1..m
-        tm = np.concatenate((sv_sq, np.sum(sv_sq, axis=1, keepdims=True)), axis=1)
-        tm[0] = 0.0
-        te = np.repeat(2 * exp2[:, None], l + 1, axis=1)
-        te[0] = 0
-        cum_m, cum_e = scaling.cumulative(tm, te)
+        if sums is None:
+            sums = (a[:, 0] for a in _truncation_sums(blocks[:, None], exp2[:, None]))
+        self.sv_mant, cum_m, cum_e = sums
+        l = self.sv_mant.shape[1]
         self.cum_sv2_m, self.cum_sv2_e = cum_m[:, :l], cum_e[:, :l]
         self.cum_fro2_m, self.cum_fro2_e = cum_m[:, l], cum_e[:, l]
 
@@ -251,6 +246,33 @@ def _propagate(spec, zs, n_start, n_stop, b_prev, b_cur, exp2):
     return blocks, exps
 
 
+def _truncation_sums(blocks, exp2):
+    """Singular values and truncation sums of T tracks side by side.
+
+    ``blocks`` (n+1, T, l, l) and ``exp2`` (n+1, T) hold the tracks.
+    Returns the singular-value mantissas (n+1, T, l) and the scaled
+    running sums (n+1, T, l+1) from one :func:`matblock.batched_singular_sq`
+    and one :func:`scaling.cumulative` call: columns 0..l-1 hold the squared
+    singular values, column l their sum (the squared Frobenius norm), all
+    on the track's 2 * exp2 ledger; sums start at n = 1, so index m holds
+    the sum over 1..m. Each track's sums are the ones it would get alone.
+    """
+    n1, count, l = blocks.shape[0], blocks.shape[1], blocks.shape[-1]
+    sv_sq = matblock.batched_singular_sq(blocks.reshape(-1, l, l)).reshape(n1, count, l)
+    tm = np.concatenate((sv_sq, np.sum(sv_sq, axis=2, keepdims=True)), axis=2)
+    tm[0] = 0.0
+    te = np.repeat(2 * exp2[:, :, None], l + 1, axis=2)
+    te[0] = 0
+    return (np.sqrt(sv_sq), *scaling.cumulative(tm, te))
+
+
+def _tracks(spec, zs, kinds, blocks, exp2):
+    """One SolutionTrack per column of stacked ``blocks`` (n+1, T, l, l)."""
+    sums = _truncation_sums(blocks, exp2)
+    return [SolutionTrack(spec, z, blocks[:, k], exp2[:, k], kind, [a[:, k] for a in sums])
+            for k, (z, kind) in enumerate(zip(zs, kinds))]
+
+
 def extend_tracks(tracks, n_new):
     """Tracks continued to block n_new, all in one kernel run.
 
@@ -267,20 +289,19 @@ def extend_tracks(tracks, n_new):
     b_prev = np.stack([t.blocks[-2] for t in tracks])
     b_prev = np.ldexp(1.0, np.maximum(shift, -1074))[:, None, None] * b_prev
     b_cur = np.stack([t.blocks[-1] for t in tracks])
-    zs = np.array([t.z for t in tracks])
-    blocks, exps = _propagate(tracks[0].spec, zs, n_max, n_new, b_prev, b_cur, e_last)
-    return [
-        SolutionTrack(t.spec, t.z, np.concatenate((t.blocks[:-1], blocks[:, k])),
-                      np.concatenate((t.exp2[:-1], exps[:, k])), kind=t.kind)
-        for k, t in enumerate(tracks)
-    ]
+    zs = [t.z for t in tracks]
+    blocks, exps = _propagate(tracks[0].spec, np.array(zs), n_max, n_new, b_prev, b_cur, e_last)
+    blocks = np.concatenate((np.stack([t.blocks[:-1] for t in tracks], axis=1), blocks))
+    exps = np.concatenate((np.stack([t.exp2[:-1] for t in tracks], axis=1), exps))
+    return _tracks(tracks[0].spec, zs, [t.kind for t in tracks], blocks, exps)
 
 
 def dirichlet_neumann_grid(spec, zs, n_max):
     """Dirichlet (0, I) and Neumann (I, 0) solutions up to n_max at every z.
 
     Returns a list of (phi, psi), one pair per energy of ``zs``; all 2N
-    tracks run as one batch of the kernel. A batch holding any non-real
+    tracks run as one batch of the kernel and take their truncation sums
+    from one :func:`_truncation_sums` call. A batch holding any non-real
     energy runs in complex arithmetic.
     """
     if n_max < 2:
@@ -295,13 +316,9 @@ def dirichlet_neumann_grid(spec, zs, n_max):
     blocks, exps = _propagate(spec, np.repeat(np.array(zs, dtype=dtype), 2), 1, n_max, b0, b1, exp2)
     blocks = np.concatenate((b0[None], blocks))
     exps = np.concatenate((exp2[None], exps))
-    return [
-        tuple(
-            SolutionTrack(spec, z, blocks[:, 2 * j + k], exps[:, 2 * j + k], kind=kind)
-            for k, kind in enumerate(("dirichlet", "neumann"))
-        )
-        for j, z in enumerate(zs)
-    ]
+    tracks = _tracks(spec, [z for z in zs for _ in (0, 1)], ("dirichlet", "neumann") * len(zs),
+                     blocks, exps)
+    return list(zip(tracks[0::2], tracks[1::2]))
 
 
 def dirichlet_neumann(spec, z, n_max):

@@ -67,47 +67,78 @@ def to_float(mant, exp2):
     return np.ldexp(mant, np.clip(e, -_MAX_FLOAT_EXP - 100, _MAX_FLOAT_EXP + 100).astype(np.int64))
 
 
+def _join(prior_m, prior_e, raw, seg_e, seg_zero):
+    """A normalized prior sum plus raw * 2^seg_e, at one reference exponent.
+
+    The reference is the larger of the two exponents (the prior's when the
+    segment ``seg_zero`` adds nothing, the segment's when there is no
+    prior), lowered where it would take the term of larger magnitude below
+    2^-_MAX_FLOAT_EXP, so an unnormalized (even subnormal) mantissa is
+    aligned by its magnitude, as in :func:`add_all`.
+    """
+    ref = np.where(prior_m == 0, seg_e, np.where(seg_zero, prior_e, np.maximum(prior_e, seg_e)))
+    f, d = np.frexp(raw)
+    mag = np.maximum(np.where(prior_m != 0, prior_e, _NO_TERM), np.where(f != 0, seg_e + d, _NO_TERM))
+    ref = np.where(mag > _NO_TERM, np.minimum(ref, mag + _MAX_FLOAT_EXP), ref)
+    low = -_MAX_FLOAT_EXP - 100
+    pm = np.ldexp(prior_m, np.clip(prior_e - ref, low, 0).astype(np.int32))
+    return pm + np.ldexp(raw, np.clip(seg_e - ref, low, -low).astype(np.int32)), ref
+
+
 def cumulative(terms_mant, terms_exp):
-    """Running sums of scaled terms along axis 0.
+    """Running sums of scaled terms along axis 0, each element on its own.
 
     Returns (mants, exps) with the same shape as the inputs;
-    out[k] = sum_{j<=k} terms[j]. Exponents change rarely (only at rescale
-    events), so the accumulation runs cumsum on constant-exponent segments
-    and stitches the few segment boundaries in Python.
+    out[k] = sum_{j<=k} terms[j]. An element's exponent changes rarely
+    (only at its rescale events), so its terms are summed raw by cumsum
+    between the rows where its exponent changes (its segments), and each
+    segment joins the running total of the ones before it by :func:`_join`;
+    the last row of every segment is normalized. A change in one element
+    does not split the segment of another, so every element's sums are the
+    ones it would get alone.
     """
     tm = np.asarray(terms_mant, dtype=float)
     te = np.asarray(terms_exp)
-    n = tm.shape[0]
-    out_m = np.empty_like(tm)
-    out_e = np.empty_like(te)
+    shape, n = tm.shape, tm.shape[0]
     if n == 0:
-        return out_m, out_e
-    # segment boundaries where the exponent array changes
-    if te.ndim == 1:
-        change = np.nonzero(np.diff(te))[0] + 1
-    else:
-        change = np.nonzero(np.any(np.diff(te, axis=0), axis=tuple(range(1, te.ndim))))[0] + 1
-    starts = np.concatenate(([0], change))
-    stops = np.concatenate((change, [n]))
-    prior_m = np.zeros(tm.shape[1:]) if tm.ndim > 1 else 0.0
-    prior_e = np.zeros(te.shape[1:], dtype=te.dtype) if te.ndim > 1 else te.dtype.type(0)
-    for a, b in zip(starts, stops):
-        seg_e = te[a]
-        seg_cum = np.cumsum(tm[a:b], axis=0)
-        # fold the running total into this segment's scale (or keep the
-        # prior scale when it dominates, so nothing overflows); as in add(),
-        # a zero sum has no scale, since taking its exponent could push the
-        # other sum into subnormals
-        ref_e = np.where(
-            prior_m == 0, seg_e, np.where(seg_cum[-1] == 0, prior_e, np.maximum(prior_e, seg_e))
-        )
-        pm = np.ldexp(prior_m, np.clip(prior_e - ref_e, -_MAX_FLOAT_EXP - 100, 0).astype(np.int64))
-        shift = np.clip(seg_e - ref_e, -_MAX_FLOAT_EXP - 100, 0).astype(np.int64)
-        out_m[a:b] = pm + np.ldexp(seg_cum, shift)
-        out_e[a:b] = ref_e
-        prior_m = out_m[b - 1]
-        prior_e = out_e[b - 1]
-        prior_m, prior_e = normalize(prior_m, prior_e)
-        out_m[b - 1] = prior_m
-        out_e[b - 1] = prior_e
-    return out_m, out_e
+        return np.empty_like(tm), np.empty_like(te)
+    tm, te = tm.reshape(n, -1), te.reshape(n, -1)
+    start = np.ones(te.shape, dtype=bool)  # first row of a segment
+    np.not_equal(te[1:], te[:-1], out=start[1:])
+    # raw segment sums: one cumsum between the rows where any segment
+    # starts, the others' sums carried across (the bits of an unbroken cumsum)
+    raw = tm.copy()
+    cuts = [0, *(np.flatnonzero(start[1:].any(axis=1)) + 1).tolist(), n]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if a:
+            np.add(raw[a], raw[a - 1], out=raw[a], where=~start[a])
+        np.cumsum(raw[a:b], axis=0, out=raw[a:b])
+    # segments column by column, in row order: their first and last rows
+    cols, first = np.nonzero(start.T)
+    last = np.append(first[1:] - 1, n - 1)
+    last[np.append(cols[1:] != cols[:-1], True)] = n - 1
+    counts = start.sum(axis=0)
+    ordinal = np.arange(cols.size) - (np.cumsum(counts) - counts)[cols]
+    total_zero = raw[last, cols] == 0
+    # the prior of each segment is the normalized end of the one before it
+    prior_m = np.zeros(cols.size)
+    prior_e = np.zeros(cols.size, dtype=te.dtype)
+    for k in range(1, int(ordinal.max()) + 1):
+        prev = np.flatnonzero(ordinal == k) - 1
+        end = _join(prior_m[prev], prior_e[prev], raw[last[prev], cols[prev]],
+                    te[first[prev], cols[prev]], total_zero[prev])
+        prior_m[prev + 1], prior_e[prev + 1] = normalize(*end)
+    # an element of its column's first segment has no prior: :func:`_join`
+    # gives it its raw sum (plus 0.0) unless that is below
+    # 2^-(_MAX_FLOAT_EXP + 1), so only the others are joined, which keeps
+    # the temporaries small
+    out_m = np.add(raw, 0.0, out=raw)
+    out_e = te.copy()
+    tiny = 2.0 ** -(_MAX_FLOAT_EXP + 1)
+    later = np.arange(n)[:, None] > last[ordinal == 0]
+    rows, at = np.nonzero(later | ((raw < tiny) & (raw > -tiny) & (raw != 0)))
+    seg = np.searchsorted(cols * n + first, at * n + rows, side="right") - 1
+    out_m[rows, at], out_e[rows, at] = _join(prior_m[seg], prior_e[seg], raw[rows, at],
+                                             te[rows, at], total_zero[seg])
+    out_m[last, cols], out_e[last, cols] = normalize(out_m[last, cols], out_e[last, cols])
+    return out_m.reshape(shape), out_e.reshape(shape)

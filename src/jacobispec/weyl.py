@@ -10,7 +10,9 @@ Two independent routes compute the same l-by-l Herglotz matrix M(z):
   truncation of the half-line operator, via LAPACK banded LU. The
   truncations of many points sit block-diagonally, uncoupled, in one band
   matrix, so one LAPACK call solves them all, and each corner comes out
-  bit for bit as its own solve would give it. A stack holds at most
+  bit for bit as its own solve would give it. The band is written
+  straight into the storage of LAPACK's ``gbsv`` (``gtsv`` for l = 1),
+  called in place, without scipy's copies and checks. A stack holds at most
   ``_STACK_BLOCKS`` blocks: its band, right-hand side and solution grow
   with points times truncation, and uncapped stacks of a whole sweep
   chunk at its deepest doubling cost several MB of peak memory.
@@ -48,6 +50,13 @@ the Jost chain's M_1 and probe block); a group stops at the first
 doubling where the largest |M - M_prev|_F over its blocks is below
 ``tol``. A delta that is not finite, or a group still not Cauchy at the
 cap, raises ConvergenceError with the depth and the group's last delta.
+
+The truncated-norm bounds (:func:`jl_bounds_grid`) run a sweep in chunks
+of points: one :func:`m_resolvent_grid` gives a chunk's M and one
+:func:`truncnorm.solve_l_grid` its cutoffs, from Dirichlet/Neumann tracks
+built in one kernel run; the report fields of the points that cross
+together come out at once, and their tracks are dropped; k1 and k2 are
+computed once per sweep.
 """
 
 from __future__ import annotations
@@ -95,10 +104,6 @@ class WeylM:
     @property
     def frobenius_norm(self):
         return matblock.frobenius_norm(self.m)
-
-    @property
-    def operator_norm(self):
-        return matblock.operator_norm(self.m)
 
 
 def _require_upper(z):
@@ -242,30 +247,46 @@ def _banded_corner_block(spec, zs, n_blocks):
     band matrix, with no coupling entries between them, and one LAPACK
     banded solve gives every corner; returns shape (P, l, l). The systems
     do not couple, so each corner is the one its own solve would give.
+    The band is written straight into the storage of LAPACK's ``gbsv``
+    (``gtsv``'s three diagonals for l = 1), which is solved in place; a
+    non-finite band raises ValueError, a singular one LinAlgError.
     """
-    import scipy.linalg  # here, so only the resolvent route loads scipy
+    from scipy.linalg import lapack  # here, so only the resolvent route loads scipy
 
     zs = np.asarray(zs, dtype=complex).ravel()
     l = spec.dim
-    bw = 2 * l - 1
-    ab = np.zeros((2 * bw + 1, zs.size * n_blocks * l), dtype=complex)
+    size = zs.size * n_blocks * l
     d, v = models.coefficient_arrays(spec, 1, n_blocks + 1)
     diag = v[None] - zs[:, None, None, None] * np.eye(l)
     # D_n couples block n to n + 1; the last block of each system couples to none
     lower = np.zeros((n_blocks, l, l))
     lower[:-1] = d[:-1]
-    upper = np.roll(lower, 1, axis=0)
-    # LAPACK's diag-ordered band storage: entry (row, col) at ab[bw + row - col, col];
-    # band[r, p, n, j] is column j of block n of system p
-    band = ab.reshape(2 * bw + 1, zs.size, n_blocks, l)
-    for i in range(l):
-        for j in range(l):
-            band[bw + i - j, :, :, j] = diag[:, :, i, j]
-            band[bw + l + i - j, :, :, j] = lower[:, i, j]
-            band[bw - l + i - j, :, :, j] = upper[:, i, j]
-    rhs = np.zeros((zs.size, n_blocks * l, l), dtype=complex)
-    rhs[:, :l, :] = np.eye(l)
-    sol = scipy.linalg.solve_banded((bw, bw), ab, rhs.reshape(-1, l))
+    if not (np.isfinite(diag).all() and np.isfinite(lower).all()):
+        raise ValueError("band matrix must not contain infs or NaNs")
+    # right-hand sides in Fortran order: I on the first block of every system
+    rhs = np.zeros((l, zs.size, n_blocks * l), dtype=complex)
+    rhs[np.arange(l), :, np.arange(l)] = 1.0
+    rhs = rhs.reshape(l, size).T
+    if l == 1:
+        off = np.tile(lower.ravel(), zs.size)[:-1].astype(complex)
+        *_, sol, info = lapack.zgtsv(off, diag.ravel(), off.copy(), rhs, overwrite_dl=1,
+                                     overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    else:
+        # gbsv's storage (2 kl + ku + 1 rows, kl = ku = 2 l - 1, Fortran
+        # order): entry (row, col) at ab[2 kl + row - col, col];
+        # band[p, n, j] is column j of block n of system p
+        bw = 2 * l - 1
+        store = np.zeros((size, 3 * bw + 1), dtype=complex)
+        band = store.reshape(zs.size, n_blocks, l, 3 * bw + 1)
+        i, j = np.indices((l, l)).reshape(2, -1)
+        band[:, :, j, 2 * bw + i - j] = diag[:, :, i, j]
+        band[:, :, j, 2 * bw + l + i - j] = lower[:, i, j]
+        band[:, :, j, 2 * bw - l + i - j] = np.roll(lower, 1, axis=0)[:, i, j]
+        _, _, sol, info = lapack.zgbsv(bw, bw, store.T, rhs, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the LAPACK banded solve")
     return sol.reshape(zs.size, n_blocks * l, l)[:, :l, :]
 
 
@@ -719,7 +740,6 @@ class JLBoundReport:
     k1: float
     k2: float
     m_norm: float
-    m_operator_norm: float
     verdict: bool | None
     status: str = "ok"  # ok | condition-overflow
     solver_residual: float = float("nan")
@@ -759,9 +779,12 @@ def jl_bounds(spec, x, y, *, m_tol=1e-9, slack=1e-9):
 def jl_bounds_grid(spec, xs, ys, *, m_tol=1e-9, slack=1e-9):
     """:func:`jl_bounds` at every point (xs[j], ys[j]), in order.
 
-    The starting tracks of up to ``JL_TRACK_CHUNK`` points come from one
-    kernel run and their M from one :func:`m_resolvent_grid`; each point
-    then solves its own cutoff (extending its tracks when needed).
+    k1 and k2 are computed once. The starting tracks of up to
+    ``JL_TRACK_CHUNK`` points come from one kernel run, their M from one
+    :func:`m_resolvent_grid` and their cutoffs from one
+    :func:`truncnorm.solve_l_grid`; the report fields of the points that
+    cross together are computed at once (squares on Python floats, as in
+    truncnorm), and their tracks dropped.
     """
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
@@ -771,40 +794,45 @@ def jl_bounds_grid(spec, xs, ys, *, m_tol=1e-9, slack=1e-9):
     reports = []
     for a in range(0, len(xs), JL_TRACK_CHUNK):
         cx, cy = xs[a : a + JL_TRACK_CHUNK], ys[a : a + JL_TRACK_CHUNK]
-        pairs = recurrence.dirichlet_neumann_grid(spec, cx, truncnorm.INITIAL_TRACK_BLOCKS)
         ms = m_resolvent_grid(spec, [complex(x, y) for x, y in zip(cx, cy)], tol=m_tol)
-        for x, y, pair, m_val in zip(cx, cy, pairs, ms):
-            reports.append(_jl_report(spec, x, y, pair, m_val, k1, k2, slack))
+        chunk = [None] * len(cx)
+        for idx, solves in truncnorm.solve_l_grid(spec, cx, cy):
+            wave = _jl_reports(spec, [cx[j] for j in idx], [cy[j] for j in idx], solves,
+                               [ms[j] for j in idx], k1, k2, slack)
+            for j, report in zip(idx, wave):
+                chunk[j] = report
+            del solves  # their tracks go before the next point grows
+        reports += chunk
     return reports
 
 
-def _jl_report(spec, x, y, tracks, m_val, k1, k2, slack):
-    solve = truncnorm.solve_l_of_y(spec, x, y, tracks=tracks)
-    l_cut = solve.l_value
-    l = spec.dim
-    norm_phi = truncnorm.truncated_norm(solve.phi, l_cut)
-    norm_psi = truncnorm.truncated_norm(solve.psi, l_cut)
+def _jl_reports(spec, xs, ys, solves, ms, k1, k2, slack):
+    def squares(values):
+        return np.array([v**2 for v in values.tolist()])
+
+    norm_phi = np.array([s.phi_norm for s in solves])
+    norm_psi = np.array([s.psi_norm for s in solves])
+    s_l_phi = truncnorm.truncated_values([s.phi for s in solves], [s.l_value for s in solves],
+                                         spec.dim)
+    m_norm = np.array([m.frobenius_norm for m in ms])
     ratio = norm_psi / norm_phi
-    s_l_phi = truncnorm.truncated_singular(solve.phi, l, l_cut)
-    report = JLBoundReport(
-        x=x,
-        y=y,
-        l_cutoff=l_cut,
-        ratio=ratio,
-        condition_term=float("nan"),
-        k1=k1,
-        k2=k2,
-        m_norm=m_val.frobenius_norm,
-        m_operator_norm=m_val.operator_norm,
-        verdict=None,
-        solver_residual=solve.residual,
-    )
-    if s_l_phi**2 < 1e-300:
-        report.status = "condition-overflow"
-        return report
-    report.condition_term = norm_phi**2 / s_l_phi**2
+    s_l_sq = squares(s_l_phi)
+    starved = s_l_sq < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = np.where(starved, math.nan, squares(norm_phi) / s_l_sq)
     lower = k1 * ratio
-    upper = k2 * ratio * report.condition_term
-    report.verdict = bool(lower <= report.m_norm + slack and report.m_norm <= upper + slack)
-    report.extras = {"lower": lower, "upper": upper}
-    return report
+    upper = k2 * ratio * condition
+    verdict = (lower <= m_norm + slack) & (m_norm <= upper + slack)
+    reports = []
+    for j, (x, y, solve) in enumerate(zip(xs, ys, solves)):
+        report = JLBoundReport(x=x, y=y, l_cutoff=solve.l_value, ratio=float(ratio[j]),
+                               condition_term=float(condition[j]), k1=k1, k2=k2,
+                               m_norm=float(m_norm[j]), verdict=None,
+                               solver_residual=solve.residual)
+        if starved[j]:
+            report.status = "condition-overflow"
+        else:
+            report.verdict = bool(verdict[j])
+            report.extras = {"lower": float(lower[j]), "upper": float(upper[j])}
+        reports.append(report)
+    return reports

@@ -428,3 +428,120 @@ def cesaro_sums_stepwise(spec, xs, l_grid):
             ck += 1
             if ck == len(l_grid):
                 return out.reshape(len(l_grid), g * batch, l)
+
+
+def truncated_sq_reference(track, l_value, k=None):
+    """||B||_L^2 (``k`` None) or s_k[B]_L^2 of one track, as a scaled pair,
+    read entry by entry off its prefix sums."""
+    from jacobispec import scaling
+
+    fl = int(math.floor(l_value))
+    frac = l_value - fl
+    sq = track.sv_mant[fl + 1] ** 2
+    if k is None:
+        cum_m, cum_e, step = track.cum_fro2_m[fl], track.cum_fro2_e[fl], np.sum(sq)
+    else:
+        col = int(k) - 1
+        cum_m, cum_e, step = track.cum_sv2_m[fl, col], track.cum_sv2_e[fl, col], sq[col]
+    return scaling.add(cum_m, cum_e, frac * step, 2 * int(track.exp2[fl + 1]))
+
+
+def _truncated_reference(track, l_value, k=None):
+    from jacobispec import scaling
+
+    return float(np.sqrt(scaling.to_float(*truncated_sq_reference(track, l_value, k))))
+
+
+def solve_l_of_y_reference(spec, x, y, tracks):
+    """The cutoff solve one point at a time, with scalar arithmetic.
+
+    Doubles the point's own pair of ``tracks`` (one ``extend_tracks`` call
+    per doubling) until the integer-L product crosses the target, then
+    solves the quadratic on [m-1, m] with a Newton polish. Returns
+    (L, phi, psi, residual, target, status).
+    """
+    from jacobispec import matblock, recurrence, scaling, truncnorm
+    from jacobispec.errors import TargetUnreachableError
+
+    d0 = spec.coefficient_at(0)[0]
+    d0_inv_norm = matblock.frobenius_norm(matblock.invert(d0))
+    target = 1.0 / (2.0 * y * d0_inv_norm)
+    log2_target_sq = 2.0 * math.log2(target)
+    phi, psi = tracks
+    while True:
+        prod = scaling.log2(phi.cum_fro2_m, phi.cum_fro2_e) + scaling.log2(
+            psi.cum_fro2_m, psi.cum_fro2_e)
+        hit = np.nonzero(prod >= log2_target_sq)[0]
+        if hit.size and hit[0] <= phi.n_max - 1:
+            m_idx = int(hit[0])
+            break
+        if phi.n_max >= truncnorm.MAX_TRACK_BLOCKS:
+            attained = 2.0 * y * d0_inv_norm * math.sqrt(2.0 ** float(prod[-2]))
+            raise TargetUnreachableError("cutoff equation unreachable", attained=attained,
+                                         max_length=truncnorm.MAX_TRACK_BLOCKS)
+        phi, psi = recurrence.extend_tracks(
+            (phi, psi), min(2 * phi.n_max, truncnorm.MAX_TRACK_BLOCKS))
+    if m_idx == 0:
+        return 1.0, phi, psi, float("nan"), target, "boundary"
+
+    def factor(track):
+        a_m, a_e = track.cum_fro2_m[m_idx - 1], track.cum_fro2_e[m_idx - 1]
+        b_m = float(np.sum(track.sv_mant[m_idx] ** 2))
+        b_e = 2 * int(track.exp2[m_idx])
+        q_log2 = float(scaling.log2(*scaling.add(a_m, a_e, b_m, b_e)))
+
+        def rel(m_val, e_val):
+            lg = scaling.log2(m_val, e_val)
+            return float(2.0 ** (lg - q_log2)) if np.isfinite(lg) else 0.0
+
+        return q_log2, rel(a_m, a_e), rel(b_m, b_e)
+
+    q1_log2, a1, b1 = factor(psi)
+    q2_log2, a2, b2 = factor(phi)
+    rhs = 2.0 ** (log2_target_sq - q1_log2 - q2_log2)
+    qa = b1 * b2
+    qb = a1 * b2 + a2 * b1
+    qc = a1 * a2 - rhs
+    if qa > 0:
+        disc = max(qb * qb - 4.0 * qa * qc, 0.0)
+        t = (2.0 * max(-qc, 0.0)) / (qb + math.sqrt(disc)) if qb + math.sqrt(disc) > 0 else 0.0
+    elif qb > 0:
+        t = max(-qc, 0.0) / qb
+    else:
+        t = 0.0
+    for _ in range(3):
+        g = (a1 + b1 * t) * (a2 + b2 * t) - rhs
+        dg = b1 * (a2 + b2 * t) + b2 * (a1 + b1 * t)
+        if dg <= 0:
+            break
+        t -= g / dg
+    t = min(max(t, 0.0), 1.0)
+    l_value = max((m_idx - 1) + t, 1.0)
+    residual = abs(2.0 * y * d0_inv_norm * _truncated_reference(psi, l_value)
+                   * _truncated_reference(phi, l_value) - 1.0)
+    return float(l_value), phi, psi, float(residual), target, "ok"
+
+
+def jl_report_reference(spec, x, y, tracks, m_val, k1, k2, slack, starved=False):
+    """One ``weyl.JLBoundReport`` from :func:`solve_l_of_y_reference`,
+    point by point; ``starved`` sets s_l[phi]_L = 0, which must give a
+    condition-overflow report."""
+    from jacobispec import weyl
+
+    l_cut, phi, psi, residual, _, _ = solve_l_of_y_reference(spec, x, y, tracks)
+    norm_phi = _truncated_reference(phi, l_cut)
+    norm_psi = _truncated_reference(psi, l_cut)
+    ratio = norm_psi / norm_phi
+    s_l_phi = 0.0 if starved else _truncated_reference(phi, l_cut, spec.dim)
+    report = weyl.JLBoundReport(x=x, y=y, l_cutoff=l_cut, ratio=ratio, condition_term=float("nan"),
+                                k1=k1, k2=k2, m_norm=m_val.frobenius_norm, verdict=None,
+                                solver_residual=residual)
+    if s_l_phi**2 < 1e-300:
+        report.status = "condition-overflow"
+        return report
+    report.condition_term = norm_phi**2 / s_l_phi**2
+    lower = k1 * ratio
+    upper = k2 * ratio * report.condition_term
+    report.verdict = bool(lower <= report.m_norm + slack and report.m_norm <= upper + slack)
+    report.extras = {"lower": lower, "upper": upper}
+    return report

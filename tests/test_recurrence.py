@@ -376,3 +376,19 @@ def test_truncation_sums_match_two_cumulative_passes(name, request):
         for got, want in ((track.cum_fro2_m, fro_m), (track.cum_fro2_e, fro_e),
                           (track.cum_sv2_m, sv_m), (track.cum_sv2_e, sv_e)):
             assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["free1", "random_bounded2"])
+def test_stacked_track_sums_are_each_tracks_own(name, request):
+    # one kernel run and one cumulative pass for all tracks, whose ledgers
+    # change at different indices: a change in one track must not split
+    # the running sums of another
+    spec = request.getfixturevalue(name)
+    tracks = [t for pair in recurrence.dirichlet_neumann_grid(spec, [0.37, 3.2, 9.0, 40.0, 1e5], 300)
+              for t in pair]
+    changes = {tuple(np.flatnonzero(np.diff(t.exp2)) + 1) for t in tracks}
+    assert len(changes) >= 4
+    for track in tracks:
+        alone = recurrence.SolutionTrack(spec, track.z, track.blocks.copy(), track.exp2.copy())
+        for attr in ("sv_mant", "cum_sv2_m", "cum_sv2_e", "cum_fro2_m", "cum_fro2_e"):
+            assert np.array_equal(getattr(track, attr), getattr(alone, attr)), attr

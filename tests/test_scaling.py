@@ -98,8 +98,10 @@ def test_add_matches_previous_formula():
 
 
 @PROPERTY
-@given(st.lists(terms, min_size=1, max_size=40))
+@given(st.lists(raw_terms, min_size=1, max_size=40))
 def test_cumulative_matches_exact_running_sums(seq):
+    # unnormalized and subnormal mantissas, as for add: a running sum joins a
+    # segment at a far larger exponent without being shifted out of range
     tm = np.array([m for m, _ in seq])
     te = np.array([e for _, e in seq], dtype=np.int64)
     out_m, out_e = scaling.cumulative(tm, te)
@@ -108,3 +110,26 @@ def test_cumulative_matches_exact_running_sums(seq):
         total += exact(m, e)
         # every partial sum rounds at most once per term folded in
         assert_close(exact(out_m[k], out_e[k]), total, Fraction(2 * (k + 1), 2**52))
+
+
+def test_cumulative_of_a_subnormal_mantissa_is_exact_to_rounding():
+    # the add case above as a running sum: aligning the second segment by its
+    # raw exponent 1960 once pushed the first term into subnormals
+    m, e = scaling.cumulative(np.array([0.7390851332151607, 3 * 2.0**-1074]), np.array([884, 1960]))
+    assert_close(exact(m[1], e[1]), exact(0.7390851332151607, 884) + exact(3 * 2.0**-1074, 1960),
+                 Fraction(1, 2**52))
+
+
+@PROPERTY
+@given(st.lists(st.lists(raw_terms, min_size=3, max_size=3), min_size=1, max_size=30))
+def test_stacked_cumulative_is_each_column_alone(rows):
+    # three columns with their own exponent ledgers: a change in one column
+    # must not split another column's running sum
+    tm = np.array([[m for m, _ in row] for row in rows])
+    te = np.array([[e for _, e in row] for row in rows], dtype=np.int64)
+    te[1::2, 1] = te[0:-1:2, 1]  # column 1 keeps each exponent for two rows
+    te[:, 2] = te[0, 2]  # column 2 never changes
+    got_m, got_e = scaling.cumulative(tm, te)
+    for c in range(3):
+        want_m, want_e = scaling.cumulative(tm[:, c], te[:, c])
+        assert np.array_equal(got_m[:, c], want_m) and np.array_equal(got_e[:, c], want_e)

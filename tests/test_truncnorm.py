@@ -1,3 +1,6 @@
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -177,3 +180,38 @@ def test_grown_tracks_solve_as_long_tracks_would(diag01):
         for track, other in zip(got.tracks, want.tracks):
             assert truncnorm.truncated_singular(track, 2, got.l_value) == truncnorm.truncated_singular(
                 other, 2, got.l_value)
+
+
+def test_grid_grows_within_its_budget_and_drops_crossed_points(diag01, monkeypatch):
+    # the points above need 16 to 512 blocks; under a 512-block budget the
+    # first doublings run stacked and the deeper points double alone, one
+    # point run to its end before the next; every point solves as it does
+    # alone, and the grid keeps no track of a point once it has yielded it
+    xs = np.linspace(0.2, 1.8, 9)
+    ys = np.array([0.3, 2e-3, 0.05, 1e-3, 5e-3, 0.01, 8e-4, 0.1, 3e-3])
+    alone = [truncnorm.solve_l_of_y(diag01, x, y) for x, y in zip(xs, ys)]
+    monkeypatch.setattr(truncnorm, "GROW_BLOCKS", 512)
+    calls = []
+    real = recurrence.extend_tracks
+
+    def spy(tracks, n_new):
+        calls.append(([t.z for t in tracks[: len(tracks) // 2]], n_new))
+        return real(tracks, n_new)
+
+    monkeypatch.setattr(recurrence, "extend_tracks", spy)
+    got, refs, dropped = {}, [], []
+    for idx, results in truncnorm.solve_l_grid(diag01, xs, ys):
+        dropped.append(all(ref() is None for ref in refs))
+        refs = [weakref.ref(t) for res in results for t in res.tracks]
+        got.update({j: (r.l_value, r.residual, r.phi_norm, r.psi_norm, r.phi.n_max)
+                    for j, r in zip(idx, results)})
+        del results
+    assert len(dropped) > 2 and all(dropped)
+    assert sorted(got) == list(range(len(xs)))
+    for j, want in enumerate(alone):
+        assert got[j] == (want.l_value, want.residual, want.phi_norm, want.psi_norm,
+                          want.phi.n_max)
+    assert all(len(zs) == 1 or 2 * len(zs) * n_new <= 512 for zs, n_new in calls)
+    assert any(len(zs) > 1 for zs, _ in calls) and max(n for _, n in calls) == 512
+    runs = [z for z, _ in itertools.groupby(zs[0] for zs, _ in calls if len(zs) == 1)]
+    assert len(runs) == len(set(runs)) > 1

@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from jacobispec import matblock, models, recurrence, weyl
+from jacobispec import matblock, models, recurrence, truncnorm, weyl
 from jacobispec.errors import ConvergenceError, DomainError, InvalidInputError
 
-from oracles import banded_corner_block_reference, dense_halfline_matrix, riccati_grid_direct
+from oracles import (banded_corner_block_reference, dense_halfline_matrix, jl_report_reference,
+                     riccati_grid_direct)
 
 
 def m_free_exact(z):
@@ -336,15 +339,21 @@ def test_ladder_indeterminate_on_drifting_eigenvalues():
     assert out.indeterminate and out.rank is None
 
 
+def _starve_smallest_singular(monkeypatch, xs=None):
+    """Make the batched reader give s_l[phi]_L = 0 at the points of ``xs`` (all if None)."""
+    real = truncnorm.truncated_values
+
+    def starved(tracks, l_values, k=None):
+        out = real(tracks, l_values, k)
+        if k == tracks[0].dim:
+            out[[xs is None or t.z in xs for t in tracks]] = 0.0
+        return out
+
+    monkeypatch.setattr(truncnorm, "truncated_values", starved)
+
+
 def test_jl_bounds_condition_overflow_status(free1, monkeypatch):
-    from jacobispec import truncnorm as tn
-
-    real = tn.truncated_singular
-
-    def starved(track, k, l_value):
-        return 0.0 if k == track.dim else real(track, k, l_value)
-
-    monkeypatch.setattr(weyl.truncnorm, "truncated_singular", starved)
+    _starve_smallest_singular(monkeypatch)
     rep = weyl.jl_bounds(free1, 0.3, 0.1)
     assert rep.status == "condition-overflow"
     assert rep.verdict is None
@@ -384,6 +393,18 @@ def test_banded_corner_block_matches_reference_loop(name, request):
                 assert np.array_equal(got[k], refs[k])
 
 
+@pytest.mark.parametrize("name", ["free1", "diag01"])
+def test_banded_corner_block_rejects_singular_and_non_finite_bands(name, request):
+    # z = 0 is an eigenvalue of the 9-block truncation of the free chain (and
+    # of diag(0,1)'s first channel), so the band is singular; a NaN potential
+    # at n = 5 makes it non-finite
+    spec = request.getfixturevalue(name)
+    with pytest.raises(np.linalg.LinAlgError):
+        weyl._banded_corner_block(spec, [0.3 + 0.1j, 0.0], 9)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        weyl._banded_corner_block(_PoisonedSpec(), [0.5 + 0.1j], 9)
+
+
 def _same_weyl_m(a, b):
     for f in dataclasses.fields(weyl.WeylM):
         u, v = getattr(a, f.name), getattr(b, f.name)
@@ -401,17 +422,14 @@ _RESOLVENT_ZS = [0.37 + 0.05j, -1.4 + 0.02j, 2.6 + 0.8j, 4.5 + 5e-9j, 0.9 + 0.00
 
 @pytest.mark.parametrize("n_blocks", [None, 96])
 def test_resolvent_grid_matches_single_points(random_bounded2, monkeypatch, n_blocks):
-    import scipy.linalg
-
     stacks = []  # (points, blocks) of every banded solve
-    real = scipy.linalg.solve_banded
+    real = weyl._banded_corner_block
 
-    def spy(l_and_u, ab, b, **kw):
-        l = b.shape[1]  # each point's right-hand side is I on its first block
-        stacks.append((int(np.count_nonzero(np.any(b != 0, axis=1))) // l, b.shape[0] // l))
-        return real(l_and_u, ab, b, **kw)
+    def spy(spec, zs, n):
+        stacks.append((len(zs), len(zs) * n))
+        return real(spec, zs, n)
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", spy)
+    monkeypatch.setattr(weyl, "_banded_corner_block", spy)
     grid = weyl.m_resolvent_grid(random_bounded2, _RESOLVENT_ZS, n_blocks, tol=1e-9)
     monkeypatch.undo()
     assert any(points > 1 for points, _ in stacks)
@@ -524,19 +542,60 @@ def test_jl_bounds_grid_matches_single_points(name, request, monkeypatch):
 
 
 def test_jl_bounds_grid_condition_overflow_matches_single(free1, monkeypatch):
-    from jacobispec import truncnorm as tn
-
-    real = tn.truncated_singular
-
-    def starved(track, k, l_value):
-        return 0.0 if k == track.dim else real(track, k, l_value)
-
-    monkeypatch.setattr(weyl.truncnorm, "truncated_singular", starved)
+    _starve_smallest_singular(monkeypatch)
     xs, ys = [0.3, 1.1, -0.4], [0.1, 0.05, 0.2]
     grid = weyl.jl_bounds_grid(free1, xs, ys)
     for x, y, got in zip(xs, ys, grid):
         assert got.status == "condition-overflow" and got.verdict is None
         _same_report(got, weyl.jl_bounds(free1, x, y))
+
+
+def test_jl_bounds_grid_drops_the_tracks_of_crossed_points(diag01, monkeypatch):
+    # diag(0,1) at these points needs 16 to 512 blocks: when any point's
+    # tracks grow, no track of a point already solved is alive
+    xs = np.linspace(0.2, 1.8, 9)
+    ys = [0.3, 2e-3, 0.05, 1e-3, 5e-3, 0.01, 8e-4, 0.1, 3e-3]
+    refs, alive = [], []
+    solved, extend = truncnorm._solved, recurrence.extend_tracks
+
+    def solved_spy(phis, psis, *rest):
+        refs.extend(weakref.ref(t) for t in (*phis, *psis))
+        return solved(phis, psis, *rest)
+
+    def extend_spy(tracks, n_new):
+        alive.append(sum(ref() is not None for ref in refs))
+        return extend(tracks, n_new)
+
+    monkeypatch.setattr(truncnorm, "_solved", solved_spy)
+    monkeypatch.setattr(recurrence, "extend_tracks", extend_spy)
+    weyl.jl_bounds_grid(diag01, xs, ys)
+    assert len(alive) > 2 and not any(alive)
+    assert len(refs) == 2 * len(xs)
+
+
+@pytest.mark.parametrize("name", ["free1", "random_bounded2"])
+def test_jl_bounds_grid_matches_the_per_point_route(name, request, monkeypatch):
+    # y = 0.001 grows the tracks past 16 blocks; at x = 1e5 the Dirichlet
+    # track rescales inside its first 16 blocks and the Neumann track does
+    # not; the point at x = -0.4 is starved into condition-overflow; 40
+    # random points give array arithmetic that rounds unlike the scalar
+    # route (numpy's array power, say) a chance to show
+    spec = request.getfixturevalue(name)
+    rng = np.random.default_rng(8)
+    xs = [0.3, 1e5, -0.4, 1.1, 2.5, *rng.uniform(-3.0, 3.0, 40).tolist()]
+    ys = [0.001, 0.1, 0.2, 0.05, 0.03, *np.exp(rng.uniform(np.log(0.005), 0.0, 40)).tolist()]
+    _starve_smallest_singular(monkeypatch, xs=[-0.4])
+    grid = weyl.jl_bounds_grid(spec, xs, ys)
+    _, k1, k2 = weyl.jl_constants(spec)
+    for x, y, got in zip(xs, ys, grid):
+        pair = recurrence.dirichlet_neumann(spec, x, truncnorm.INITIAL_TRACK_BLOCKS)
+        if x == 1e5:
+            assert pair[0].exp2[-1] > 0 and not pair[1].exp2.any()
+        m_val = weyl.m_resolvent(spec, complex(x, y), tol=1e-9)
+        _same_report(got, jl_report_reference(spec, x, y, pair, m_val, k1, k2, 1e-9,
+                                              starved=x == -0.4))
+    assert grid[0].l_cutoff > truncnorm.INITIAL_TRACK_BLOCKS
+    assert [r.status for r in grid] == ["ok", "ok", "condition-overflow"] + ["ok"] * 42
 
 
 @pytest.mark.parametrize("ladder", [(0.1,), (0.1, 0.01)])
@@ -560,8 +619,12 @@ _SCIPY_PROBE = """
 import sys
 import numpy as np
 import jacobispec
-from jacobispec import classify, weyl
+from jacobispec import classify, config, models, weyl
 
+# the set-up of a jl-sweep run: read the config, build and validate the model
+cfg = config.load_config(sys.argv[1])
+models.validate_model(models.spec_from_config(cfg.model), int(cfg.params.get("window", 100)))
+print("setup", "scipy.linalg" in sys.modules)
 spec = jacobispec.PeriodicSpec((np.eye(2),), (np.diag([0.0, 1.0]),))
 records = classify.scan_energy_grid(spec, np.linspace(-3.0, 3.0, 4),
                                     classify.ScanParams(l_grid=(64, 128)))
@@ -572,11 +635,16 @@ print("resolvent", "scipy.linalg" in sys.modules)
 """
 
 
-def test_only_the_resolvent_loads_scipy():
-    # a scan of a narrow periodic model never runs the banded resolvent, so
-    # it should not pay scipy's import time and memory
+def test_only_the_resolvent_loads_scipy(tmp_path):
+    # a jl-sweep's set-up and a scan of a narrow periodic model never run the
+    # banded resolvent, so they should not pay scipy's import time and memory
+    cfg = tmp_path / "jl.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "model": {"kind": "periodic", "ds": [[[1.0, 0.2], [0.2, 0.9]]], "vs": [[[0.0, 0.1], [0.1, 0.5]]]},
+        "task": "jl-sweep", "params": {"n_points": 4}, "seed": 3,
+    }), encoding="utf-8")
     src = str(Path(weyl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(cfg)], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["scan", "False", "resolvent", "True"]
+    assert out.stdout.split() == ["setup", "False", "scan", "False", "resolvent", "True"]
