@@ -9,18 +9,18 @@ stays bounded as L runs over a dyadic grid; boundedness is read off the
 log-log slope (bounded means slope near 0, exponential growth means slope
 far above 1). The largest bounded r estimates the AC multiplicity at x.
 
-The sweep buffers the forward kernel's blocks in chunks of whole rescale
-periods (8 steps), at most ``CESARO_CHUNK_BYTES`` (256 KiB) of them, and
-takes one singular-value call per chunk. The rows of each period share
-one exponent ledger, so they are summed raw, and the period sums join each
-track entry's scaled sum in one magnitude-aligned sum per chunk. That has
-the bits of folding in each period and each cutoff's piece in order, so
-an energy's sums depend neither on its batch nor on the chunk size.
+The forward kernel writes the sweep's blocks into one chunk buffer of
+whole rescale periods (8 steps), at most ``CESARO_CHUNK_BYTES`` (256 KiB),
+that every chunk reuses, and the sweep takes one singular-value call per
+chunk. The rows of each period share one exponent ledger, so they are
+summed raw, and the period sums join each track entry's scaled sum in one
+magnitude-aligned sum per chunk. That has the bits of folding in each
+period and each cutoff's piece in order, so an energy's sums depend
+neither on its batch nor on the chunk size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -107,19 +107,14 @@ def _cesaro_sums(spec, xs, l_grid):
                 ck += 1
 
     zs = np.tile(np.concatenate([xs, xs]), g)
-    steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger)
-    for first in range(1, l_grid[-1] + 1, len(chunk)):
-        exps = []
-        try:
-            for _, blocks, exp2 in itertools.islice(steps, min(len(chunk), l_grid[-1] + 1 - first)):
-                chunk[len(exps)] = blocks.transpose(1, 2, 0)
-                exps.append(exp2)
-        except JacobiSpecError:
-            # the rows handed out before the kernel failed are added first,
-            # so a checkpoint among them fails as it would step by step
-            account(first, exps)
-            raise
+    steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger,
+                               l_grid[-1], chunk)
+    first = 1
+    # a failing step first hands out the rows before it, so a checkpoint
+    # among them fails as it would step by step
+    for exps in steps:
         account(first, exps)
+        first += len(exps)
     return out.reshape(len(l_grid), g * batch, l)
 
 

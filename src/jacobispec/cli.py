@@ -9,9 +9,10 @@ parameters from ``RunConfig.params``, already checked, coerced and
 defaulted from ``config.TASK_PARAMS``; the model section is checked by
 ``models.spec_from_config``. Malformed input of either kind is a config
 error with one ``config error:`` line on stderr. Exit codes: 0 ok,
-2 config/schema error, 3 model validation failure, 4 non-convergence,
-5 a scan wrote error rows (the CSV and report are still written; the
-report counts the error rows by exception type).
+1 any other library error (such as a ``constancy`` run whose blocks leave
+float range), 2 config/schema error, 3 model validation failure,
+4 non-convergence, 5 a scan wrote error rows (the CSV and report are
+still written; the report counts the error rows by exception type).
 
 ``--threads`` (and ``run_config(threads=...)``) is accepted and ignored:
 every task runs in one thread, with the energy grid as one wide batch,

@@ -9,14 +9,14 @@ every Cesaro sweep runs on. The kernel holds a batch of N blocks
 component-major, as one (l, l, N) array whose [i, j] row carries entry
 (i, j) of every block: for l <= 2 a block product is then a few
 elementwise operations on length-N rows instead of N small matmuls. Each
-B_n is handed out as an (N, l, l) view of that array. Outside the AC
-region solutions grow exponentially, so blocks are kept as a float
-mantissa plus a power-of-two exponent: every 8 steps (at absolute indices
-n = 0 mod 8) the sliding pair is checked, and once its largest entry
-leaves [2^-120, 2^120] both blocks are shifted by a power of two and the
-shift is recorded. Norms and singular values are exact in this
-(mantissa, exponent) representation; plain-float accessors raise
-TrackOverflowError once a value no longer fits.
+B_n is written as one row of a (K, l, l, N) buffer of the caller's, K rows
+at a time. Outside the AC region solutions grow exponentially, so blocks
+are kept as a float mantissa plus a power-of-two exponent: every 8 steps
+(at absolute indices n = 0 mod 8) the sliding pair is checked, and once
+its largest entry leaves [2^-120, 2^120] both blocks are shifted by a
+power of two and the shift is recorded. Norms and singular values are
+exact in this (mantissa, exponent) representation; plain-float accessors
+raise TrackOverflowError once a value no longer fits.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import matblock, models, scaling
-from .errors import DomainError, InvalidInputError, SingularBlockError, TrackOverflowError
+from .errors import (DomainError, InvalidInputError, JacobiSpecError, SingularBlockError,
+                     TrackOverflowError)
 
 # Largest entries are kept within 2^+-120, checked every 8 steps; this keeps
 # every intermediate of the closed-form singular values finite for per-step
@@ -169,81 +170,78 @@ def _product(m, b):
     return out
 
 
-def forward(specs, zs, b_prev, b_cur, n_start, exp2):
-    """Step the recurrence forward for a batch of energies.
+def forward(specs, zs, b_prev, b_cur, n_start, exp2, n_stop, out):
+    """Step the recurrence for a batch of energies into the caller's buffer.
 
     ``zs`` holds N energies; ``b_prev``/``b_cur`` are the (N, l, l) blocks
     n_start - 1 and n_start, entry j at scale 2**exp2[j] (int64 ledger).
     ``specs`` is a tuple of G member models of one dimension: the batch
     splits into G equal contiguous groups, and group g steps with the
     coefficients of specs[g].
-    Yields (n, B_n mantissas, ledger) for n = n_start, n_start + 1, ...
-    without end; a step is only taken when the next item is requested.
-    B_{n+1} = D_n^-1 (z B_n - V_n B_n - D_{n-1} B_{n-1}), carried in the
-    component-major layout of the module docstring and yielded as an
-    (N, l, l) view; a yielded block is never written to again. Coefficients
-    are read in chunks of up to _CHUNK steps through
-    :func:`models.coefficient_arrays`, D^-1 from one stacked inverse; a
-    singular D_n raises SingularBlockError at the step that needs D_n^-1.
-    At an index where every member has D = I the products with D_{n-1} and
-    D_n^-1 are skipped (exact, as 1.0 * x = x). After the step from an
-    index n = 0 mod 8 the pair is shifted by :func:`_pow2_shift` of its
-    largest entry, and TrackOverflowError is raised if an entry is no
-    longer finite (growth beyond float range within 8 steps, or NaN). The
-    ledger array is replaced, never mutated, at each shift, so a caller
-    detects a rescale by identity.
+    B_{n+1} = D_n^-1 (z B_n - V_n B_n - D_{n-1} B_{n-1}); B_n_start ..
+    B_n_stop are written into ``out``, a (K, l, l, N) component-major
+    buffer, K rows at a time. After each fill the generator yields the
+    list of its rows' ledgers; the next fill starts again at row 0 once
+    the next item is requested. Coefficients are read in chunks of up to
+    _CHUNK steps through :func:`models.coefficient_arrays`, D^-1 from one
+    stacked inverse; a singular D_n raises SingularBlockError at the step
+    that needs D_n^-1. At an index where every member has D = I the
+    products with D_{n-1} and D_n^-1 are skipped (exact, as 1.0 * x = x).
+    After the step from an index n = 0 mod 8 the pair is shifted by
+    :func:`_pow2_shift` of its largest entry, and TrackOverflowError is
+    raised if an entry is no longer finite (growth beyond float range
+    within 8 steps, or NaN). A failing step first yields the rows written
+    before it. The ledger array is replaced, never mutated, at each shift,
+    so the rows of a rescale period share one ledger and a caller detects
+    a rescale by identity.
     """
     g, l = len(specs), b_cur.shape[-1]
     zz = np.asarray(zs).reshape(g, -1)
     b_prev, b_cur = (np.ascontiguousarray(b.transpose(1, 2, 0)).reshape(l, l, *zz.shape)
                      for b in (b_prev, b_cur))
-    n, size = n_start, 8
-    while True:
-        # chunks double up to _CHUNK, so a short run reads little ahead
-        size = min(2 * size, _CHUNK)
-        d, v = (np.stack(arrays, axis=1) for arrays in zip(*(
-            models.coefficient_arrays(spec, n - 1, n + size) for spec in specs)))
-        d_inv = _inverses(d[1:])
-        plain = np.all(d == np.eye(l), axis=(1, 2, 3)).tolist()
-        # (steps, l, l, 1, G, 1): [k, j, i] is entry (i, j) of every member
-        d, d_inv, v = (np.ascontiguousarray(a.transpose(0, 3, 2, 1))[:, :, :, None, :, None]
-                       for a in (d, d_inv, v))
-        for k in range(size):
-            yield n, b_cur.reshape(l, l, -1).transpose(2, 0, 1), exp2
-            if k == len(d_inv):
-                raise SingularBlockError(f"D_{n} is singular, recurrence stops")
-            t = zz * b_cur
-            t -= _product(v[k + 1], b_cur)
-            t -= b_prev if plain[k] else _product(d[k], b_prev)
-            b_prev, b_cur = b_cur, t if plain[k + 1] else _product(d_inv[k], t)
-            if n % _RESCALE_EVERY == 0:
-                pair = np.abs(np.concatenate((b_prev, b_cur)).reshape(2 * l * l, -1))
-                mags = pair.max(axis=0)
-                if not np.isfinite(mags).all():
-                    raise TrackOverflowError(f"blocks left float range before index {n + 1}")
-                shift = _pow2_shift(mags)
-                if shift is not None:
-                    factor = np.ldexp(1.0, -shift).reshape(zz.shape)
-                    # B_{n+1} is not handed out yet, B_n is: only B_n gets a new array
-                    b_cur *= factor
-                    b_prev = b_prev * factor
-                    exp2 = exp2 + shift
-            n += 1
-
-
-def _propagate(spec, zs, n_start, n_stop, b_prev, b_cur, exp2):
-    """Blocks n_start..n_stop of every batch entry from :func:`forward`.
-
-    Returns mantissas of shape (count, N, l, l) and exponents (count, N).
-    """
-    count = n_stop - n_start + 1
-    blocks = np.empty((count,) + b_cur.shape, dtype=b_cur.dtype)
-    exps = np.empty((count, b_cur.shape[0]), dtype=np.int64)
-    steps = forward((spec,), zs, b_prev, b_cur, n_start, exp2)
-    for i, (_, b, e) in zip(range(count), steps):
-        blocks[i] = b
-        exps[i] = e
-    return blocks, exps
+    n, size, ledgers = n_start, 8, []
+    try:
+        while True:
+            # chunks double up to _CHUNK, so a short run reads little ahead
+            size = min(2 * size, _CHUNK, n_stop + 1 - n)
+            d, v = (np.stack(arrays, axis=1) for arrays in zip(*(
+                models.coefficient_arrays(spec, n - 1, n + size) for spec in specs)))
+            d_inv = _inverses(d[1:])
+            plain = np.all(d == np.eye(l), axis=(1, 2, 3)).tolist()
+            # (steps, l, l, 1, G, 1): [k, j, i] is entry (i, j) of every member
+            d, d_inv, v = (np.ascontiguousarray(a.transpose(0, 3, 2, 1))[:, :, :, None, :, None]
+                           for a in (d, d_inv, v))
+            for k in range(size):
+                out[len(ledgers)] = b_cur.reshape(l, l, -1)
+                ledgers.append(exp2)
+                if n == n_stop or len(ledgers) == len(out):
+                    yield ledgers
+                    if n == n_stop:
+                        return
+                    ledgers = []
+                if k == len(d_inv):
+                    raise SingularBlockError(f"D_{n} is singular, recurrence stops")
+                t = zz * b_cur
+                t -= _product(v[k + 1], b_cur)
+                t -= b_prev if plain[k] else _product(d[k], b_prev)
+                b_prev, b_cur = b_cur, t if plain[k + 1] else _product(d_inv[k], t)
+                if n % _RESCALE_EVERY == 0:
+                    pair = np.abs(np.concatenate((b_prev, b_cur)).reshape(2 * l * l, -1))
+                    mags = pair.max(axis=0)
+                    if not np.isfinite(mags).all():
+                        raise TrackOverflowError(f"blocks left float range before index {n + 1}")
+                    shift = _pow2_shift(mags)
+                    if shift is not None:
+                        factor = np.ldexp(1.0, -shift).reshape(zz.shape)
+                        # B_n may still be the caller's b_cur: it gets a new array
+                        b_cur *= factor
+                        b_prev = b_prev * factor
+                        exp2 = exp2 + shift
+                n += 1
+    except JacobiSpecError:
+        if ledgers:
+            yield ledgers
+        raise
 
 
 def _truncation_sums(blocks, exp2):
@@ -266,10 +264,21 @@ def _truncation_sums(blocks, exp2):
     return (np.sqrt(sv_sq), *scaling.cumulative(tm, te))
 
 
-def _tracks(spec, zs, kinds, blocks, exp2):
-    """One SolutionTrack per column of stacked ``blocks`` (n+1, T, l, l)."""
-    sums = _truncation_sums(blocks, exp2)
-    return [SolutionTrack(spec, z, blocks[:, k], exp2[:, k], kind, [a[:, k] for a in sums])
+def _continued(spec, zs, kinds, blocks, exp2, n_new):
+    """One SolutionTrack per column of rows ``blocks`` (m+1, T, l, l) on
+    ledgers ``exp2`` (m+1, T), continued to block n_new by one kernel run
+    from the last two rows (row m - 1 shifted onto row m's ledger)."""
+    m, count, l = blocks.shape[0] - 1, blocks.shape[1], blocks.shape[-1]
+    rows = np.empty((n_new + 1, l, l, count), dtype=blocks.dtype)
+    rows[:m] = blocks[:m].transpose(0, 2, 3, 1)
+    exps = np.empty((n_new + 1, count), dtype=np.int64)
+    exps[:m] = exp2[:m]
+    b_prev = np.ldexp(1.0, np.maximum(exp2[m - 1] - exp2[m], -1074))[:, None, None] * blocks[m - 1]
+    for ledgers in forward((spec,), zs, b_prev, blocks[m], m, exp2[m], n_new, rows[m:]):
+        exps[m : m + len(ledgers)] = ledgers
+    blocks = rows.transpose(0, 3, 1, 2)
+    sums = _truncation_sums(blocks, exps)
+    return [SolutionTrack(spec, z, blocks[:, k], exps[:, k], kind, [a[:, k] for a in sums])
             for k, (z, kind) in enumerate(zip(zs, kinds))]
 
 
@@ -281,19 +290,11 @@ def extend_tracks(tracks, n_new):
     n_new would. Tracks that already reach n_new are returned as they are.
     """
     n_new = int(n_new)
-    n_max = tracks[0].n_max
-    if n_new <= n_max:
+    if n_new <= tracks[0].n_max:
         return list(tracks)
-    e_last = np.array([t.exp2[-1] for t in tracks])
-    shift = np.array([t.exp2[-2] for t in tracks]) - e_last
-    b_prev = np.stack([t.blocks[-2] for t in tracks])
-    b_prev = np.ldexp(1.0, np.maximum(shift, -1074))[:, None, None] * b_prev
-    b_cur = np.stack([t.blocks[-1] for t in tracks])
-    zs = [t.z for t in tracks]
-    blocks, exps = _propagate(tracks[0].spec, np.array(zs), n_max, n_new, b_prev, b_cur, e_last)
-    blocks = np.concatenate((np.stack([t.blocks[:-1] for t in tracks], axis=1), blocks))
-    exps = np.concatenate((np.stack([t.exp2[:-1] for t in tracks], axis=1), exps))
-    return _tracks(tracks[0].spec, zs, [t.kind for t in tracks], blocks, exps)
+    return _continued(tracks[0].spec, np.array([t.z for t in tracks]), [t.kind for t in tracks],
+                      np.stack([t.blocks for t in tracks], axis=1),
+                      np.stack([t.exp2 for t in tracks], axis=1), n_new)
 
 
 def dirichlet_neumann_grid(spec, zs, n_max):
@@ -309,15 +310,12 @@ def dirichlet_neumann_grid(spec, zs, n_max):
     zs = [_as_z(z) for z in zs]
     l = spec.dim
     dtype = complex if any(isinstance(z, complex) for z in zs) else float
-    b0 = np.zeros((2 * len(zs), l, l), dtype=dtype)
-    b1 = np.zeros_like(b0)
-    b0[1::2] = b1[0::2] = np.eye(l)  # entry 2j is phi_j, entry 2j + 1 is psi_j
-    exp2 = np.zeros(2 * len(zs), dtype=np.int64)
-    blocks, exps = _propagate(spec, np.repeat(np.array(zs, dtype=dtype), 2), 1, n_max, b0, b1, exp2)
-    blocks = np.concatenate((b0[None], blocks))
-    exps = np.concatenate((exp2[None], exps))
-    tracks = _tracks(spec, [z for z in zs for _ in (0, 1)], ("dirichlet", "neumann") * len(zs),
-                     blocks, exps)
+    # rows B_0, B_1 on a zero ledger; entry 2j is phi_j, entry 2j + 1 is psi_j
+    head = np.zeros((2, 2 * len(zs), l, l), dtype=dtype)
+    head[0, 1::2] = head[1, 0::2] = np.eye(l)
+    tracks = _continued(spec, np.repeat(np.array(zs, dtype=dtype), 2),
+                        ("dirichlet", "neumann") * len(zs), head,
+                        np.zeros((2, 2 * len(zs)), dtype=np.int64), n_max)
     return list(zip(tracks[0::2], tracks[1::2]))
 
 

@@ -76,12 +76,6 @@ def truncated_values(tracks, l_values, k=None):
     return np.sqrt(scaling.to_float(*truncated_sq_batch(tracks, l_values, k)))
 
 
-def truncated_sq_scaled(track, l_value, k=None):
-    """||B||_L^2 (``k`` None) or s_k[B]_L^2 of one track, as a scaled pair."""
-    m, e = truncated_sq_batch([track], [l_value], k)
-    return m[0], e[0]
-
-
 def truncated_norm(track, l_value) -> float:
     """||B||_L with Frobenius norms per block; nondecreasing in L."""
     return float(truncated_values([track], [l_value])[0])

@@ -386,13 +386,13 @@ def scaling_add_aligned_reference(m1, e1, m2, e2):
 def cesaro_sums_stepwise(spec, xs, l_grid):
     """``classify._cesaro_sums`` one kernel step at a time.
 
-    One singular-value call per step on the (N, l, l) view, added into
-    raw sums with ``buf +=``. Each track entry's raw sum is folded into
-    its scaled sum after every rescale period (n = 0 mod 8, so it never
-    spans a ledger change) and at each cutoff, through
-    :func:`scaling_add_aligned_reference`; the Dirichlet and Neumann sums
-    are added at the cutoffs. The chunked sweep must reproduce it bit for
-    bit.
+    One singular-value call per step on the (N, l, l) view of a one-row
+    kernel buffer, added into raw sums with ``buf +=``. Each track entry's
+    raw sum is folded into its scaled sum after every rescale period
+    (n = 0 mod 8, so it never spans a ledger change) and at each cutoff,
+    through :func:`scaling_add_aligned_reference`; the Dirichlet and
+    Neumann sums are added at the cutoffs. The chunked sweep must
+    reproduce it bit for bit.
     """
     from jacobispec import matblock, recurrence, scaling
     from jacobispec.errors import TrackOverflowError
@@ -413,9 +413,11 @@ def cesaro_sums_stepwise(spec, xs, l_grid):
     ck = 0
 
     zs = np.tile(np.concatenate([xs, xs]), g)
-    steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger)
-    for n, blocks, exp2 in steps:
-        buf += matblock.batched_singular_sq(blocks).reshape(buf.shape)
+    row = np.empty((1, l, l, zs.size))  # a buffer of one row: one fill per step
+    steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger,
+                               l_grid[-1], row)
+    for n, (exp2,) in enumerate(steps, 1):
+        buf += matblock.batched_singular_sq(row[0].transpose(2, 0, 1)).reshape(buf.shape)
         if n % 8 == 0 or n == l_grid[ck]:
             acc_m, acc_e = scaling_add_aligned_reference(acc_m, acc_e, buf, 2 * exp2[:, None])
             buf[:] = 0.0

@@ -314,13 +314,28 @@ def test_chunk_size_does_not_change_results(monkeypatch, golden_amo, random_boun
                 recurrence.extend_tracks((phi, psi), 301),
                 classify._cesaro_sums(members, xs, (5, 48, 100, 512)))
 
-    want = run()
+    def kernel(k):
+        # B_1 .. B_300 of every member's energies through a buffer of k rows
+        zs = np.tile(xs, len(members))
+        buf, rows, exps = np.empty((k, 1, 1, zs.size)), [], []
+        for fill in recurrence.forward(members, zs, np.zeros((zs.size, 1, 1)), np.ones((zs.size, 1, 1)),
+                                       1, np.zeros(zs.size, dtype=np.int64), 300, buf):
+            rows.append(buf[: len(fill)].copy())
+            exps += fill
+        return np.concatenate(rows), np.array(exps)
+
+    want, want_kernel = run(), kernel(300)
+    assert np.any(want_kernel[1])  # the rows rescale
     monkeypatch.setattr(recurrence, "_CHUNK", 3)
     got = run()
     tracks = [t for pair in want[0] for t in pair] + list(want[1])
     for a, b in zip(tracks, [t for pair in got[0] for t in pair] + list(got[1])):
         assert np.array_equal(a.blocks, b.blocks) and np.array_equal(a.exp2, b.exp2)
     assert np.array_equal(got[2], want[2])
+    # nor does the kernel's buffer of 1, 8, 13 or all rows
+    for k in (1, 8, 13, 300):
+        rows, exps = kernel(k)
+        assert np.array_equal(rows, want_kernel[0]) and np.array_equal(exps, want_kernel[1])
     # nor does the Cesaro sweep's chunk of 8, 16 or 64 steps
     calls = []
     real = matblock.batched_singular_sq
@@ -386,11 +401,12 @@ def test_sums_match_exact_sum_of_kernel_rows(diag01):
     l_grid = (256, 512, 1024, 2048)
     got = classify._cesaro_sums(diag01, [x], l_grid)[:, 0]
     eye, zero = np.eye(2), np.zeros((2, 2))
+    buf = np.empty((1, 2, 2, 2))
     steps = recurrence.forward((diag01,), np.array([x, x]), np.array([zero, eye]),
-                               np.array([eye, zero]), 1, np.zeros(2, dtype=np.int64))
+                               np.array([eye, zero]), 1, np.zeros(2, dtype=np.int64), l_grid[-1], buf)
     totals = [Fraction(0), Fraction(0)]
-    for n, blocks, exp2 in steps:
-        for row, e in zip(matblock.batched_singular_sq(blocks), exp2.tolist()):
+    for n, (exp2,) in enumerate(steps, 1):
+        for row, e in zip(matblock.batched_singular_sq(buf[0].transpose(2, 0, 1)), exp2.tolist()):
             for j in range(2):
                 totals[j] += Fraction(float(row[j])) * Fraction(2) ** (2 * e)
         if n in l_grid:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jacobispec import matblock, recurrence, scaling, truncnorm, weyl
-from jacobispec.errors import DomainError, InvalidInputError
+from jacobispec.errors import DomainError, InvalidInputError, TrackOverflowError
 
 from oracles import green_sum_direct, propagate_reference
 
@@ -334,8 +334,9 @@ def test_singular_block_raises_at_the_step_that_needs_it():
 @pytest.mark.parametrize("names", [("free1",), ("diag01",), ("random_bounded2",), ("periodic3",),
                                    ("diag01", "random_bounded2")])
 def test_forward_never_writes_a_yielded_block_or_ledger(names, request):
-    # the kernel updates temporaries in place; none of them may be a block
-    # or a ledger it has already handed out
+    # the kernel updates temporaries in place; none of them may be a ledger
+    # it has already handed out or one of the caller's inputs, and a buffer
+    # of 7 rows refilled across rescales must hand out the rows of one fill
     specs = tuple(request.getfixturevalue(name) for name in names)
     l = specs[0].dim
     zs = np.tile([3.5, -2.9, 0.4, 0.3 + 0.2j], len(specs))
@@ -343,19 +344,37 @@ def test_forward_never_writes_a_yielded_block_or_ledger(names, request):
     b_cur = np.zeros_like(b_prev)
     b_prev[1::2] = b_cur[0::2] = np.eye(l)
     start = np.zeros(zs.size, dtype=np.int64)
-    steps = recurrence.forward(specs, zs, b_prev, b_cur, 1, start)
-    kept, ledgers = [], {}
-    for n, blocks, exp2 in steps:
-        kept.append((blocks, blocks.copy()))
-        ledgers.setdefault(id(exp2), (exp2, exp2.copy()))
-        if n == 320:
-            break
-    for _ in zip(range(200), steps):  # step on past more rescales
-        pass
+    kept = [(b, b.copy()) for b in (b_prev, b_cur)]
+    whole = np.empty((520, l, l, zs.size), dtype=complex)
+    (want,) = recurrence.forward(specs, zs, b_prev, b_cur, 1, start, 520, whole)
+    buf = np.empty((7, l, l, zs.size), dtype=complex)
+    rows, row_exps, ledgers = [], [], {}
+    for exps in recurrence.forward(specs, zs, b_prev, b_cur, 1, start, 520, buf):
+        rows.append(buf[: len(exps)].copy())
+        row_exps += exps
+        for exp2 in exps:
+            ledgers.setdefault(id(exp2), (exp2, exp2.copy()))
     assert len(ledgers) > 3  # rescales replaced the ledger
     assert not np.any(start)
     for got, copy in list(ledgers.values()) + kept:
         assert np.array_equal(got, copy)
+    assert np.array_equal(np.concatenate(rows), whole) and np.array_equal(row_exps, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_forward_hands_out_the_rows_before_a_failing_step(diag01):
+    # at x = 1e200 the blocks leave float range at once; the check after the
+    # step from n = 8 fails on B_9, so B_1 .. B_8 go out before the error
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    for k in (1, 16):
+        buf = np.empty((k, 2, 2, 2))
+        steps = recurrence.forward((diag01,), np.array([1e200, 1e200]), np.array([zero, eye]),
+                                   np.array([eye, zero]), 1, np.zeros(2, dtype=np.int64), 64, buf)
+        fills = []
+        with pytest.raises(TrackOverflowError, match="before index 9"):
+            for exps in steps:
+                fills.append(len(exps))
+        assert fills == ([1] * 8 if k == 1 else [8])
 
 
 @pytest.mark.parametrize("name", ["free1", "random_bounded2", "periodic3"])

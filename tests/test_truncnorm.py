@@ -151,8 +151,8 @@ def test_overflowed_track_norm_raises(free1):
     with pytest.raises(TrackOverflowError):
         truncnorm.truncated_norm(phi, 1500.0)
     # scaled form stays available and is monotone
-    m, e = truncnorm.truncated_sq_scaled(phi, 1500.0)
-    m2, e2 = truncnorm.truncated_sq_scaled(phi, 1501.0)
+    m, e = truncnorm.truncated_sq_batch([phi], [1500.0])
+    m2, e2 = truncnorm.truncated_sq_batch([phi], [1501.0])
     import jacobispec.scaling as scaling
 
     assert scaling.log2(m2, e2) >= scaling.log2(m, e)
