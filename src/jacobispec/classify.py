@@ -110,11 +110,12 @@ def _cesaro_sums(spec, xs, l_grid):
     steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger,
                                l_grid[-1], chunk)
     first = 1
-    # a failing step first hands out the rows before it, so a checkpoint
-    # among them fails as it would step by step
-    for exps in steps:
-        account(first, exps)
-        first += len(exps)
+    # a failing step first hands out the rows before it, so a checkpoint among
+    # them fails as it would step by step; out-of-range values raise, not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for exps in steps:
+            account(first, exps)
+            first += len(exps)
     return out.reshape(len(l_grid), g * batch, l)
 
 

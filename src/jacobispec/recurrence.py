@@ -183,9 +183,10 @@ def forward(specs, zs, b_prev, b_cur, n_start, exp2, n_stop, out):
     buffer, K rows at a time. After each fill the generator yields the
     list of its rows' ledgers; the next fill starts again at row 0 once
     the next item is requested. Coefficients are read in chunks of up to
-    _CHUNK steps through :func:`models.coefficient_arrays`, D^-1 from one
-    stacked inverse; a singular D_n raises SingularBlockError at the step
-    that needs D_n^-1. At an index where every member has D = I the
+    _CHUNK steps, none past n_stop, through
+    :func:`models.coefficient_arrays`, D^-1 from one stacked inverse; a
+    singular D_n raises SingularBlockError at the step that needs D_n^-1.
+    At an index where every member has D = I the
     products with D_{n-1} and D_n^-1 are skipped (exact, as 1.0 * x = x).
     After the step from an index n = 0 mod 8 the pair is shifted by
     :func:`_pow2_shift` of its largest entry, and TrackOverflowError is
@@ -199,11 +200,10 @@ def forward(specs, zs, b_prev, b_cur, n_start, exp2, n_stop, out):
     zz = np.asarray(zs).reshape(g, -1)
     b_prev, b_cur = (np.ascontiguousarray(b.transpose(1, 2, 0)).reshape(l, l, *zz.shape)
                      for b in (b_prev, b_cur))
-    n, size, ledgers = n_start, 8, []
+    n, ledgers = n_start, []
     try:
         while True:
-            # chunks double up to _CHUNK, so a short run reads little ahead
-            size = min(2 * size, _CHUNK, n_stop + 1 - n)
+            size = min(_CHUNK, n_stop + 1 - n)
             d, v = (np.stack(arrays, axis=1) for arrays in zip(*(
                 models.coefficient_arrays(spec, n - 1, n + size) for spec in specs)))
             d_inv = _inverses(d[1:])
@@ -274,8 +274,9 @@ def _continued(spec, zs, kinds, blocks, exp2, n_new):
     exps = np.empty((n_new + 1, count), dtype=np.int64)
     exps[:m] = exp2[:m]
     b_prev = np.ldexp(1.0, np.maximum(exp2[m - 1] - exp2[m], -1074))[:, None, None] * blocks[m - 1]
-    for ledgers in forward((spec,), zs, b_prev, blocks[m], m, exp2[m], n_new, rows[m:]):
-        exps[m : m + len(ledgers)] = ledgers
+    with np.errstate(over="ignore", invalid="ignore"):  # the rescale check raises instead
+        for ledgers in forward((spec,), zs, b_prev, blocks[m], m, exp2[m], n_new, rows[m:]):
+            exps[m : m + len(ledgers)] = ledgers
     blocks = rows.transpose(0, 3, 1, 2)
     sums = _truncation_sums(blocks, exps)
     return [SolutionTrack(spec, z, blocks[:, k], exps[:, k], kind, [a[:, k] for a in sums])

@@ -102,14 +102,12 @@ class SolveLResult:
         return self.phi, self.psi
 
 
-def solve_l_of_y(spec, x, y, *, tracks=None):
+def solve_l_of_y(spec, x, y):
     """Find L >= 1 with 2 y ||D0^-1||_F ||psi||_L ||phi||_L = 1.
 
-    Batch-of-one form of :func:`solve_l_grid`; ``tracks`` is a
-    Dirichlet/Neumann pair at ``x`` to start from.
+    Batch-of-one form of :func:`solve_l_grid`.
     """
-    waves = solve_l_grid(spec, [x], [y], pairs=None if tracks is None else [tracks])
-    return next(waves)[1][0]
+    return next(solve_l_grid(spec, [x], [y]))[1][0]
 
 
 def _crossings(phis, psis, log2_target_sq):
@@ -149,7 +147,7 @@ def _grow(phis, psis, group):
         phis[j], psis[j] = phi, psi
 
 
-def solve_l_grid(spec, xs, ys, *, pairs=None):
+def solve_l_grid(spec, xs, ys):
     """:func:`solve_l_of_y` at every point (xs[j], ys[j]).
 
     A generator: yields (indices, results) each time some points cross
@@ -157,12 +155,12 @@ def solve_l_grid(spec, xs, ys, *, pairs=None):
     ``indices[i]``, and keeps no track of a point it has yielded, so a
     caller that reads and drops them holds few tracks at once.
 
-    Each point starts from its Dirichlet/Neumann pair at real x (``pairs``,
-    all of one length, or fresh ones of ``INITIAL_TRACK_BLOCKS`` blocks
-    from one kernel run). Until its integer-L product crosses the target,
-    a point's tracks double; points that have not crossed double together
-    in one :func:`recurrence.extend_tracks` call while their stack holds
-    at most ``GROW_BLOCKS`` blocks, and past that each point doubles alone
+    Each point starts from its Dirichlet/Neumann pair at real x, of
+    ``INITIAL_TRACK_BLOCKS`` blocks, all from one kernel run. Until its
+    integer-L product crosses the target, a point's tracks double; points
+    that have not crossed double together in one
+    :func:`recurrence.extend_tracks` call while their stack holds at most
+    ``GROW_BLOCKS`` blocks, and past that each point doubles alone
     until it crosses, before the next starts. Every point ends at the
     length it would reach alone. The unit interval [m-1, m] of the
     crossing is then solved for the crossed points at once as a quadratic
@@ -177,10 +175,8 @@ def solve_l_grid(spec, xs, ys, *, pairs=None):
     if not ys:
         return
     d0_inv_norm = matblock.frobenius_norm(matblock.invert(spec.coefficient_at(0)[0]))
-    if pairs is None:
-        pairs = recurrence.dirichlet_neumann_grid(spec, xs, INITIAL_TRACK_BLOCKS)
-    phis, psis = (list(ts) for ts in zip(*pairs))
-    del pairs
+    phis, psis = (list(ts) for ts in zip(*recurrence.dirichlet_neumann_grid(
+        spec, xs, INITIAL_TRACK_BLOCKS)))
     y = np.array(ys)
     target = 1.0 / (2.0 * y * d0_inv_norm)  # want ||psi||_L ||phi||_L = target
     log2_target_sq = np.array([2.0 * math.log2(t) for t in target.tolist()])

@@ -10,17 +10,19 @@ Two independent routes compute the same l-by-l Herglotz matrix M(z):
   truncation of the half-line operator, via LAPACK banded LU. The
   truncations of many points sit block-diagonally, uncoupled, in one band
   matrix, so one LAPACK call solves them all, and each corner comes out
-  bit for bit as its own solve would give it. The band is written
-  straight into the storage of LAPACK's ``gbsv`` (``gtsv`` for l = 1),
-  called in place, without scipy's copies and checks. A stack holds at most
+  bit for bit as its own solve would give it. The band is written once,
+  one strided slice per block entry, into the storage of LAPACK's
+  ``gbsv`` (``gtsv`` reads its three diagonals from it for l = 1), solved
+  in place without scipy's copies and checks; the corners are copied out,
+  so no solution outlives its stack. A stack holds at most
   ``_STACK_BLOCKS`` blocks: its band, right-hand side and solution grow
   with points times truncation, and uncapped stacks of a whole sweep
   chunk at its deepest doubling cost several MB of peak memory.
 
 Both equal the Green block G(1,1;z) in exact arithmetic; their agreement
 is the package's primary cross-check. The descent reads coefficients in
-chunks through ``models.coefficient_arrays``. One guard checks each
-``WeylM`` and every rung of the rank ladder: M finite, Herglotz, symmetric.
+chunks through ``models.coefficient_arrays``. One guard call checks every
+M a resolvent grid, Jost chain or rank ladder made: finite, Herglotz, symmetric.
 
 The rank ladder of a periodic model whose period p divides
 ``INITIAL_DEPTH`` and whose cell p l is at most ``DECIMATION_MAX_CELL``
@@ -89,7 +91,7 @@ RESOLVENT_MAX_DEPTH = 2**17
 
 @dataclass
 class WeylM:
-    """An m-function value with its convergence metadata."""
+    """An m-function value with its convergence metadata, checked by its route's guard."""
 
     z: complex
     m: np.ndarray
@@ -97,9 +99,6 @@ class WeylM:
     depth: int
     last_delta: float
     bumped: bool = False  # Im z was raised to the domain floor or past a solve breakdown
-
-    def __post_init__(self):
-        _im_m_eigenvalues(self.m[None], np.array([self.z]), (self.depth,), (self.last_delta,))
 
     @property
     def frobenius_norm(self):
@@ -247,9 +246,11 @@ def _banded_corner_block(spec, zs, n_blocks):
     band matrix, with no coupling entries between them, and one LAPACK
     banded solve gives every corner; returns shape (P, l, l). The systems
     do not couple, so each corner is the one its own solve would give.
-    The band is written straight into the storage of LAPACK's ``gbsv``
-    (``gtsv``'s three diagonals for l = 1), which is solved in place; a
-    non-finite band raises ValueError, a singular one LinAlgError.
+    The band is written in LAPACK ``gbsv`` storage, one strided slice per
+    block entry, and solved in place (``gtsv`` reads its three diagonals
+    from it for l = 1); a non-finite band raises ValueError, a singular one
+    LinAlgError. The corners are copied out in the memory order they were
+    solved in, so the solution goes with the call.
     """
     from scipy.linalg import lapack  # here, so only the resolvent route loads scipy
 
@@ -257,37 +258,31 @@ def _banded_corner_block(spec, zs, n_blocks):
     l = spec.dim
     size = zs.size * n_blocks * l
     d, v = models.coefficient_arrays(spec, 1, n_blocks + 1)
-    diag = v[None] - zs[:, None, None, None] * np.eye(l)
-    # D_n couples block n to n + 1; the last block of each system couples to none
-    lower = np.zeros((n_blocks, l, l))
-    lower[:-1] = d[:-1]
-    if not (np.isfinite(diag).all() and np.isfinite(lower).all()):
+    # gbsv storage (Fortran order, kl = ku = 2 l - 1): entry (row, col) at
+    # ab[2 kl + row - col, col]; band[p, n, j] is column j of block n of
+    # system p. D_n couples block n to n + 1, a system's last block to none
+    bw = 2 * l - 1
+    store = np.zeros((size, 3 * bw + 1), dtype=complex)
+    band = store.reshape(zs.size, n_blocks, l, 3 * bw + 1)
+    for i, j in np.ndindex(l, l):
+        band[:, :, j, 2 * bw + i - j] = v[:, i, j] - zs[:, None] * float(i == j)
+        band[:, :-1, j, 2 * bw + l + i - j] = d[:-1, i, j]
+        band[:, 1:, j, 2 * bw - l + i - j] = d[:-1, i, j]
+    del d, v
+    if not np.isfinite(store).all():
         raise ValueError("band matrix must not contain infs or NaNs")
     # right-hand sides in Fortran order: I on the first block of every system
-    rhs = np.zeros((l, zs.size, n_blocks * l), dtype=complex)
-    rhs[np.arange(l), :, np.arange(l)] = 1.0
-    rhs = rhs.reshape(l, size).T
+    rhs = np.zeros((size, l), dtype=complex, order="F")
+    rhs.reshape(zs.size, n_blocks * l, l)[:, np.arange(l), np.arange(l)] = 1.0
     if l == 1:
-        off = np.tile(lower.ravel(), zs.size)[:-1].astype(complex)
-        *_, sol, info = lapack.zgtsv(off, diag.ravel(), off.copy(), rhs, overwrite_dl=1,
-                                     overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        *_, sol, info = lapack.zgtsv(store[:-1, 3], store[:, 2], store[1:, 1], rhs, overwrite_b=1)
     else:
-        # gbsv's storage (2 kl + ku + 1 rows, kl = ku = 2 l - 1, Fortran
-        # order): entry (row, col) at ab[2 kl + row - col, col];
-        # band[p, n, j] is column j of block n of system p
-        bw = 2 * l - 1
-        store = np.zeros((size, 3 * bw + 1), dtype=complex)
-        band = store.reshape(zs.size, n_blocks, l, 3 * bw + 1)
-        i, j = np.indices((l, l)).reshape(2, -1)
-        band[:, :, j, 2 * bw + i - j] = diag[:, :, i, j]
-        band[:, :, j, 2 * bw + l + i - j] = lower[:, i, j]
-        band[:, :, j, 2 * bw - l + i - j] = np.roll(lower, 1, axis=0)[:, i, j]
         _, _, sol, info = lapack.zgbsv(bw, bw, store.T, rhs, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of the LAPACK banded solve")
-    return sol.reshape(zs.size, n_blocks * l, l)[:, :l, :]
+    return sol.reshape(zs.size, n_blocks * l, l)[:, :l, :].copy(order="K")
 
 
 def _corner_block_guarded(spec, zs, n_blocks):
@@ -330,9 +325,12 @@ def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10):
     """:func:`m_resolvent` at every z of ``zs``; a list of ``WeylM``, in order.
 
     Each doubling solves every point that is not yet Cauchy, stacked, and
-    each point stops at the truncation it reaches on its own.
+    each point stops at the truncation it reaches on its own; one
+    :func:`_im_m_eigenvalues` call guards every M.
     """
     zs = [complex(z) for z in zs]
+    if not zs:
+        return []
     bumped = [0 < z.imag < MIN_IM_Z for z in zs]
     zs = [_require_upper(complex(z.real, MIN_IM_Z) if b else z) for z, b in zip(zs, bumped)]
 
@@ -349,6 +347,8 @@ def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10):
         raise InvalidInputError("need at least 8 blocks")
     else:
         found = [(m, int(n_blocks), math.nan) for m in solve(range(len(zs)), int(n_blocks))]
+    ms, depths, deltas = zip(*found)
+    _im_m_eigenvalues(np.concatenate(ms), np.array(zs), depths, deltas)
     return [WeylM(z, m[0], "resolvent", n, d, b) for z, (m, n, d), b in zip(zs, found, bumped)]
 
 
@@ -390,6 +390,7 @@ def _jost_chain(spec, z, n_max, tol, descents):
     start = max(INITIAL_DEPTH, 1 << (4 * probe - 1).bit_length())
     [(m, depth, delta)] = _until_cauchy(solve, 1, tol, start, RICCATI_MAX_DEPTH,
                                         lambda _: f"riccati descent for z = {z}")
+    _im_m_eigenvalues(m[:1], np.array([z]), (depth,), (delta,))
     l = spec.dim
     blocks = np.empty((n_max + 1, l, l), dtype=complex)
     blocks[0] = np.eye(l)

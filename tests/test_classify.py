@@ -173,7 +173,6 @@ def test_scan_halves_a_failing_chunk(free1, monkeypatch):
                for r, c in zip(rows, clean) if r.x != bad)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_energy_beyond_float_range_is_an_error_row(diag01):
     # at x = 1e200 the blocks overflow within the 8 steps between rescale
     # checks; the kernel raises at the next check instead of summing inf
@@ -183,7 +182,6 @@ def test_energy_beyond_float_range_is_an_error_row(diag01):
     assert records[1].error.startswith("TrackOverflowError") and "error" in records[1].flags
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sums_beyond_float_range_before_first_rescale_check_are_an_error_row(diag01):
     # with L <= 8 the checkpoints come before the kernel's first rescale
     # check (after the step from n = 8); the sums there are no longer finite

@@ -357,6 +357,31 @@ def test_scan_with_error_rows_exits_nonzero(tmp_path, monkeypatch):
     assert "error rows: 1 (ConvergenceError: 1)" in (out / "report.txt").read_text()
 
 
+DIAG01 = {"kind": "periodic", "ds": [[[1.0, 0.0], [0.0, 1.0]]], "vs": [[[0.0, 0.0], [0.0, 1.0]]]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scan_energy_beyond_float_range_costs_one_row(tmp_path):
+    # the blocks at x = 1e200 leave float range within 8 steps: the scan
+    # writes one TrackOverflowError row, lets no numpy warning out, and
+    # writes every other row as the scan without that energy does
+    xs = [-1.0, 0.5, 1.0e200, 2.5]
+    rows, reports = {}, {}
+    for name, grid in (("poisoned", xs), ("clean", xs[:2] + xs[3:])):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, f"{name}.yaml", {
+            "model": DIAG01, "task": "scan", "output": {"dir": str(out)},
+            "params": {"x_grid": grid, "l_grid": [256, 512, 1024]},
+        })
+        code = cli.run_config(cfg)
+        assert code == (cli.EXIT_ROWS_FAILED if name == "poisoned" else cli.EXIT_OK)
+        rows[name] = (out / "scan.csv").read_text().strip().splitlines()
+        reports[name] = (out / "report.txt").read_text()
+    assert "error rows: 1 (TrackOverflowError: 1)" in reports["poisoned"]
+    assert rows["poisoned"][3].endswith(",error")
+    assert rows["poisoned"][:3] + rows["poisoned"][4:] == rows["clean"]
+
+
 GOLDEN_AMO = {
     "kind": "dynamical",
     "alpha": [0.6180339887498949],
@@ -505,3 +530,15 @@ def test_readme_configs_parse():
     for block in blocks:
         cfg = config.parse_config(yaml.safe_load(block))
         models.spec_from_config(cfg.model)
+
+
+def test_readme_library_example_runs():
+    import re
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"## Library example\n\n```python\n(.*?)```", readme, flags=re.S)
+    names = {}
+    exec(block, names)
+    assert np.max(np.abs(names["m"].m - names["m2"].m)) <= 1e-9
+    assert names["r"] == names["r_oracle"] == 2
+    assert names["rep"].verdict is True

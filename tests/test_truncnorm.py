@@ -7,7 +7,7 @@ import pytest
 from jacobispec import recurrence, truncnorm
 from jacobispec.errors import InvalidInputError, TargetUnreachableError, TrackTooShortError
 
-from oracles import truncated_norm_direct, truncated_singular_direct
+from oracles import solve_l_of_y_reference, truncated_norm_direct, truncated_singular_direct
 
 
 def test_dirichlet_at_unit_cutoff(free2):
@@ -175,7 +175,8 @@ def test_grown_tracks_solve_as_long_tracks_would(diag01):
     grown = [truncnorm.solve_l_of_y(diag01, x, y) for x, y in zip(xs, ys)]
     assert {16, 512} <= {g.phi.n_max for g in grown}
     for x, y, got in zip(xs, ys, grown):
-        want = truncnorm.solve_l_of_y(diag01, x, y, tracks=recurrence.dirichlet_neumann(diag01, x, 1024))
+        want = truncnorm.SolveLResult(*solve_l_of_y_reference(
+            diag01, x, y, recurrence.dirichlet_neumann(diag01, x, 1024)))
         assert got.l_value == want.l_value and got.residual == want.residual
         for track, other in zip(got.tracks, want.tracks):
             assert truncnorm.truncated_singular(track, 2, got.l_value) == truncnorm.truncated_singular(

@@ -245,9 +245,13 @@ def test_boundary_grid_guards_name_the_point(name, spoil, what, request, monkeyp
         weyl.im_m_boundary_grid(spec, [-1.5, 0.5, 1.25], (0.1, 0.05, 0.03))
 
 
-def test_weylm_guard_rejects_non_finite_m():
+def test_weylm_guard_rejects_non_finite_m(random_bounded2, monkeypatch):
+    def nan_corners(spec, zs, n_blocks):
+        return np.full((len(zs), spec.dim, spec.dim), np.nan, dtype=complex)
+
+    monkeypatch.setattr(weyl, "_banded_corner_block", nan_corners)
     with pytest.raises(ConvergenceError, match="M is not finite at x = 0.3, y = 0.1"):
-        weyl.WeylM(0.3 + 0.1j, np.full((2, 2), np.nan), "riccati", 64, 0.0)
+        weyl.m_resolvent_grid(random_bounded2, [0.3 + 0.1j], 64)
 
 
 @pytest.mark.parametrize(
@@ -459,6 +463,44 @@ def test_resolvent_breakdown_in_a_stack_bumps_only_its_point(random_bounded2, mo
     assert [got.bumped for got in grid] == [False, True, False]
     for z, got in zip(zs, grid):
         _same_weyl_m(got, weyl.m_resolvent(random_bounded2, z, n_blocks, tol=1e-9))
+
+
+def test_resolvent_grid_guards_once_per_call(random_bounded2, monkeypatch):
+    sizes = []
+    real = weyl._im_m_eigenvalues
+
+    def spy(m, *args):
+        sizes.append(len(m))
+        return real(m, *args)
+
+    monkeypatch.setattr(weyl, "_im_m_eigenvalues", spy)
+    weyl.m_resolvent_grid(random_bounded2, _RESOLVENT_ZS, 96, tol=1e-9)
+    assert sizes == [len(_RESOLVENT_ZS)]
+    assert weyl.m_resolvent_grid(random_bounded2, []) == [] and len(sizes) == 1
+
+
+def test_resolvent_grid_holds_one_solve_at_a_time(random_bounded2):
+    # past _STACK_BLOCKS every point is its own stack; a stack's solution
+    # goes once its corners are copied out, so the grid peaks at one solve
+    import tracemalloc
+
+    from scipy.linalg import lapack  # noqa: F401  (loaded before tracing)
+
+    zs = np.linspace(-1.5, 1.5, 8) + 0.05j
+    n_blocks = 16384
+    assert n_blocks > weyl._STACK_BLOCKS
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: weyl._banded_corner_block(random_bounded2, zs[:1], n_blocks))
+    grid = peak(lambda: weyl.m_resolvent_grid(random_bounded2, zs, n_blocks))
+    assert grid <= 1.2 * one, (grid / 2**20, one / 2**20)
 
 
 def test_resolvent_grid_names_first_point_not_cauchy(random_bounded2, monkeypatch):
