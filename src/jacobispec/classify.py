@@ -128,7 +128,6 @@ class CesaroProfile:
     l_grid: tuple
     log2_c: np.ndarray  # (len(l_grid), l); column r-1 belongs to C_r
     slopes: np.ndarray  # (l,)
-    intercepts: np.ndarray
     overflow: np.ndarray  # (l,) bool
 
 
@@ -136,11 +135,8 @@ def _fit_profiles(xs, log2_c, l_grid, dim):
     logs = np.log2(np.asarray(l_grid, dtype=float))
     xbar = logs.mean()
     denom = float(np.sum((logs - xbar) ** 2))
-    # zero sums fit as flat; belt-and-braces against any stray non-finite
-    y = np.clip(np.nan_to_num(log2_c, nan=0.0, posinf=1e9, neginf=-1074.0), -1074.0, None)
-    ybar = y.mean(axis=0)
-    slopes = np.einsum("g,gbl->bl", logs - xbar, y - ybar) / denom
-    intercepts = ybar - slopes * xbar
+    # every sum is finite (a non-finite one raises) and >= 1 / L, as s^2[phi_1] = 1
+    slopes = np.einsum("g,gbl->bl", logs - xbar, log2_c - log2_c.mean(axis=0)) / denom
     overflow = np.any(log2_c > OVERFLOW_LOG2, axis=0)
     profiles = []
     for j, x in enumerate(np.atleast_1d(xs)):
@@ -152,7 +148,6 @@ def _fit_profiles(xs, log2_c, l_grid, dim):
                 l_grid=tuple(l_grid),
                 log2_c=log2_c[:, j, ::-1].copy(),
                 slopes=slopes[j, ::-1].copy(),
-                intercepts=intercepts[j, ::-1].copy(),
                 overflow=overflow[j, ::-1].copy(),
             )
         )
@@ -476,7 +471,6 @@ def constancy_experiment(spec, phases, x_grid, params=None):
             pairwise[(i, j)] = {
                 "agreement": agree,
                 "n_joint_determinate": n_joint,
-                "n_indeterminate": int(np.sum(~joint)),
                 "sym_diff_by_even": by_even,
             }
     return ConstancyReport(

@@ -260,11 +260,6 @@ class PeriodicSpec:
     supports_negative = True
 
 
-def _dyadic(x: float) -> Fraction:
-    # Every float is an exact dyadic rational; Fraction preserves it.
-    return Fraction(float(x))
-
-
 @dataclass(frozen=True)
 class DynamicalSpec:
     """Coefficients sampled along a torus-rotation orbit.
@@ -289,7 +284,7 @@ class DynamicalSpec:
             raise InvalidInputError("f_D and f_V must produce blocks of equal size")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "_alpha_frac", tuple(_dyadic(a) for a in alpha))
+        object.__setattr__(self, "_alpha_frac", tuple(Fraction(a) for a in alpha))
 
     @property
     def torus_dim(self):

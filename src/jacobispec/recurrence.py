@@ -57,7 +57,6 @@ class SolutionTrack:
         self.kind = kind
         self.blocks = blocks
         self.exp2 = exp2
-        self.overflow_scaled = bool(np.any(exp2 != 0))
         if sums is None:
             sums = (a[:, 0] for a in _truncation_sums(blocks[:, None], exp2[:, None]))
         self.sv_mant, cum_m, cum_e = sums
@@ -79,50 +78,12 @@ class SolutionTrack:
             raise InvalidInputError(f"index {n} outside track range 0..{self.n_max}")
         return n
 
-    def block_scaled(self, n):
-        n = self._check(n)
-        return self.blocks[n], int(self.exp2[n])
-
     def block(self, n):
-        mant, e = self.block_scaled(n)
+        n = self._check(n)
+        mant, e = self.blocks[n], int(self.exp2[n])
         if e > 1000 and np.any(mant != 0):
             raise TrackOverflowError(f"block {n} exceeds float range (exp2 = {e})")
         return np.ldexp(1.0, max(e, -1074)) * mant if e else mant.copy()
-
-    def singular_values_at(self, n):
-        n = self._check(n)
-        e = int(self.exp2[n])
-        if e > 1000:
-            raise TrackOverflowError(f"singular values at {n} exceed float range")
-        return self.sv_mant[n] * np.ldexp(1.0, max(e, -1074))
-
-    def frobenius_norm_at(self, n):
-        return float(np.sqrt(np.sum(self.singular_values_at(n) ** 2)))
-
-    def recurrence_residual(self, n):
-        """Relative defect of the recurrence at interior index n.
-
-        Computed at the local scale (largest block exponent of the triple),
-        so it is meaningful even deep inside the overflow-scaled regime.
-        """
-        n = self._check(n)
-        if not 1 <= n <= self.n_max - 1:
-            raise InvalidInputError("residual needs an interior index")
-        (d_prev, d_n), (_, v_n) = models.coefficient_arrays(self.spec, n - 1, n + 1)
-        e_ref = int(max(self.exp2[n - 1 : n + 2]))
-        parts = []
-        for k in (n - 1, n, n + 1):
-            shift = int(self.exp2[k]) - e_ref
-            parts.append(np.ldexp(1.0, max(shift, -1074)) * self.blocks[k])
-        b_prev, b_cur, b_next = parts
-        defect = d_n @ b_next + d_prev @ b_prev + (v_n - self.z * np.eye(self.dim)) @ b_cur
-        scale = max(
-            matblock.frobenius_norm(d_n @ b_next),
-            matblock.frobenius_norm(d_prev @ b_prev),
-            matblock.frobenius_norm(b_cur) * (abs(self.z) + matblock.frobenius_norm(v_n)),
-            1e-300,
-        )
-        return matblock.frobenius_norm(defect) / scale
 
     def extended(self, n_new):
         """A longer track continuing this one (self is left untouched)."""
@@ -332,9 +293,9 @@ def dirichlet_neumann(spec, z, n_max):
 def transfer_step(d_n, d_prev, v_n, z):
     """One-step propagator [[D_n^-1 (z - V_n), -D_n^-1], [D_n, 0]].
 
-    ``d_prev`` does not enter the matrix itself (the previous coefficient
-    only appears through the propagated vector); it is accepted so callers
-    can pair the step with :func:`lift_pair`.
+    ``d_prev`` does not enter the matrix itself: it only appears in the
+    vector the step acts on, (u_n, D_{n-1} u_{n-1}); it is accepted so a
+    caller passes the coefficients of that vector and of the step together.
     """
     return _transfer_steps(d_n, v_n, np.array([_as_z(z)]))[0]
 
@@ -350,13 +311,6 @@ def _transfer_steps(d_n, v_n, zs):
     out[:, :l, l:] = -d_inv
     out[:, l:, :l] = d_n
     return out
-
-
-def lift_pair(u_n, u_prev, d_prev):
-    """Stack (u_n, D_{n-1} u_{n-1}) into the 2l-row vector the cocycle acts on."""
-    u_n = np.atleast_2d(u_n)
-    u_prev = np.atleast_2d(u_prev)
-    return np.concatenate((u_n, np.asarray(d_prev) @ u_prev), axis=0)
 
 
 def cocycle_product(spec, z, n):

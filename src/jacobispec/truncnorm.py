@@ -88,14 +88,12 @@ def truncated_singular(track, k, l_value) -> float:
 
 @dataclass
 class SolveLResult:
-    l_value: float
+    l_value: float  # the cutoff L(y) of one point
     phi: recurrence.SolutionTrack
     psi: recurrence.SolutionTrack
-    residual: float
-    target: float
-    status: str = "ok"  # ok | boundary
-    phi_norm: float = math.nan  # ||phi||_L and ||psi||_L at the solved cutoff
-    psi_norm: float = math.nan
+    residual: float  # |2 y ||D0^-1||_F ||psi||_L ||phi||_L - 1|
+    phi_norm: float  # ||phi||_L and ||psi||_L at the solved cutoff
+    psi_norm: float
 
     @property
     def tracks(self):
@@ -165,13 +163,14 @@ def solve_l_grid(spec, xs, ys):
     length it would reach alone. The unit interval [m-1, m] of the
     crossing is then solved for the crossed points at once as a quadratic
     in the fractional part (affine times affine equals a constant), with a
-    Newton polish, and ||phi||_L and ||psi||_L are read at the root. Raises
-    TargetUnreachableError, for the first such point, if a product cannot
-    reach its target within ``MAX_TRACK_BLOCKS`` blocks.
+    Newton polish, and ||phi||_L and ||psi||_L are read at the root. A
+    non-finite x or y, or y <= 0, raises InvalidInputError before any track
+    is built; a product that cannot reach its target within
+    ``MAX_TRACK_BLOCKS`` blocks raises TargetUnreachableError.
     """
-    ys = [float(y) for y in ys]
-    if any(y <= 0 for y in ys):
-        raise InvalidInputError("y must be positive")
+    xs, ys = [float(x) for x in xs], [float(y) for y in ys]
+    if not all(math.isfinite(x) for x in xs) or not all(0 < y < math.inf for y in ys):
+        raise InvalidInputError("need finite x and finite y > 0")
     if not ys:
         return
     d0_inv_norm = matblock.frobenius_norm(matblock.invert(spec.coefficient_at(0)[0]))
@@ -204,7 +203,7 @@ def solve_l_grid(spec, xs, ys):
         done = group[~left].tolist()
         if done:
             yield done, _solved([phis[j] for j in done], [psis[j] for j in done], m_idx[~left],
-                                y[done], d0_inv_norm, target[done], log2_target_sq[done])
+                                y[done], d0_inv_norm, log2_target_sq[done])
             for j in done:
                 phis[j] = psis[j] = None
         group = group[left]
@@ -214,30 +213,20 @@ def solve_l_grid(spec, xs, ys):
             pending.append((group, True))
 
 
-def _solved(phis, psis, m_idx, y, d0_inv_norm, target, log2_target_sq):
+def _solved(phis, psis, m_idx, y, d0_inv_norm, log2_target_sq):
     """``SolveLResult`` of every point whose product crosses at ``m_idx``."""
-    # m = 0 is only possible if the target is non-positive at L = 1, i.e.
-    # huge y; psi_1 = 0 makes the product vanish there: the boundary L = 1
-    l_value = np.ones(len(phis))
-    inner = np.flatnonzero(m_idx > 0)
-    if inner.size:
-        l_value[inner] = _interval_roots(
-            [psis[j] for j in inner], [phis[j] for j in inner], m_idx[inner], log2_target_sq[inner]
-        )
+    l_value = _interval_roots(psis, phis, m_idx, log2_target_sq)
     phi_norm = truncated_values(phis, l_value)
     psi_norm = truncated_values(psis, l_value)
     residual = np.abs(2.0 * y * d0_inv_norm * psi_norm * phi_norm - 1.0)
-    return [
-        SolveLResult(lv, phi, psi, r if m > 0 else math.nan, tg, "ok" if m > 0 else "boundary", fp, fq)
-        for lv, phi, psi, r, tg, m, fp, fq in zip(
-            l_value.tolist(), phis, psis, residual.tolist(), target.tolist(), m_idx.tolist(),
-            phi_norm.tolist(), psi_norm.tolist())
-    ]
+    return [SolveLResult(*fields) for fields in zip(
+        l_value.tolist(), phis, psis, residual.tolist(), phi_norm.tolist(), psi_norm.tolist())]
 
 
 def _interval_roots(psis, phis, m_idx, log2_target_sq):
     """L in [m-1, m] with ||psi||_L^2 ||phi||_L^2 = target^2 at every point.
 
+    Every m is at least 2 (the sums start at n = 1 and psi_1 = 0), so L >= 1.
     Factors on [m-1, m]: (a1 + b1 t)(a2 + b2 t) = target^2, t in [0, 1];
     each factor is rescaled by its own magnitude so the quadratic has O(1)
     coefficients regardless of how unbalanced phi and psi have grown.
@@ -266,5 +255,4 @@ def _interval_roots(psis, phis, m_idx, log2_target_sq):
             t = np.where(live, t - g / dg, t)
     t = clip0(t)
     t = np.where(1.0 < t, 1.0, t)
-    l_value = (m_idx - 1) + t
-    return np.where(l_value < 1.0, 1.0, l_value)
+    return (m_idx - 1) + t

@@ -23,6 +23,8 @@ Both equal the Green block G(1,1;z) in exact arithmetic; their agreement
 is the package's primary cross-check. The descent reads coefficients in
 chunks through ``models.coefficient_arrays``. One guard call checks every
 M a resolvent grid, Jost chain or rank ladder made: finite, Herglotz, symmetric.
+Every route first checks z with :func:`_require_upper`, and a z that is not
+finite with Im z >= ``MIN_IM_Z`` raises DomainError; none is moved into the domain.
 
 The rank ladder of a periodic model whose period p divides
 ``INITIAL_DEPTH`` and whose cell p l is at most ``DECIMATION_MAX_CELL``
@@ -95,10 +97,9 @@ class WeylM:
 
     z: complex
     m: np.ndarray
-    method: str
     depth: int
     last_delta: float
-    bumped: bool = False  # Im z was raised to the domain floor or past a solve breakdown
+    bumped: bool = False  # a banded-solve breakdown was retried with Im z raised by MIN_IM_Z
 
     @property
     def frobenius_norm(self):
@@ -106,10 +107,12 @@ class WeylM:
 
 
 def _require_upper(z):
-    z = complex(z)
-    if z.imag < MIN_IM_Z:
-        raise DomainError(f"need Im z >= {MIN_IM_Z}, got {z.imag}")
-    return z
+    """``z`` (scalar or array) if finite with Im z >= ``MIN_IM_Z``, else DomainError."""
+    zs = np.asarray(z, dtype=complex)
+    bad = ~(np.isfinite(zs) & (zs.imag >= MIN_IM_Z))
+    if bad.any():
+        raise DomainError(f"need finite z with Im z >= {MIN_IM_Z}, got z = {zs[bad][0]}")
+    return complex(z) if zs.ndim == 0 else zs
 
 
 # Upper-triangle components of a complex-symmetric block for l <= 2.
@@ -328,11 +331,10 @@ def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10):
     each point stops at the truncation it reaches on its own; one
     :func:`_im_m_eigenvalues` call guards every M.
     """
-    zs = [complex(z) for z in zs]
+    zs = _require_upper([complex(z) for z in zs]).tolist()
     if not zs:
         return []
-    bumped = [0 < z.imag < MIN_IM_Z for z in zs]
-    zs = [_require_upper(complex(z.real, MIN_IM_Z) if b else z) for z, b in zip(zs, bumped)]
+    bumped = [False] * len(zs)
 
     def solve(active, depth):
         ms, hit_guard = _corner_blocks(spec, [zs[k] for k in active], depth)
@@ -349,7 +351,7 @@ def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10):
         found = [(m, int(n_blocks), math.nan) for m in solve(range(len(zs)), int(n_blocks))]
     ms, depths, deltas = zip(*found)
     _im_m_eigenvalues(np.concatenate(ms), np.array(zs), depths, deltas)
-    return [WeylM(z, m[0], "resolvent", n, d, b) for z, (m, n, d), b in zip(zs, found, bumped)]
+    return [WeylM(z, m[0], n, d, b) for z, (m, n, d), b in zip(zs, found, bumped)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ def _jost_chain(spec, z, n_max, tol, descents):
     ds = models.coefficient_arrays(spec, 0, probe)[0]
     for k in range(1, n_max + 1):
         blocks[k] = -chain[k][0] @ ds[k - 1] @ blocks[k - 1]
-    return blocks, WeylM(z, m[0], "riccati", depth, delta)
+    return blocks, WeylM(z, m[0], depth, delta)
 
 
 @dataclass
@@ -661,9 +663,7 @@ def m_riccati_rungs(spec, z, tol=1e-8):
     truncation at the same depths. Returns (m of shape (rungs, energies,
     l, l), depths, last_deltas).
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag < MIN_IM_Z):
-        raise DomainError(f"need y >= {MIN_IM_Z}")
+    z = _require_upper(z)
     if _decimates(spec):
         solve, rounding = _decimation(spec, z)
         rungs = _until_cauchy(solve, len(z), tol, INITIAL_DEPTH, DECIMATION_MAX_DEPTH,
@@ -719,7 +719,8 @@ def im_m_boundary_grid(spec, xs, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e
     # a rank needs a rung k >= 2 that repeats the rung before it
     if len(y_ladder) < 3 or any(b >= a for a, b in zip(y_ladder, y_ladder[1:])) or y_ladder[-1] <= 0:
         raise InvalidInputError("y ladder must be at least three strictly decreasing positive values")
-    z = xs[None, :] + 1j * np.asarray(y_ladder)[:, None]
+    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part, which the domain check rejects
+        z = xs[None, :] + 1j * np.asarray(y_ladder)[:, None]
     m, depths, deltas = m_riccati_rungs(spec, z, tol=tol)
     depths = tuple(int(d) for d in depths)
     deltas = tuple(float(d) for d in deltas)

@@ -547,3 +547,58 @@ def jl_report_reference(spec, x, y, tracks, m_val, k1, k2, slack, starved=False)
     report.verdict = bool(lower <= report.m_norm + slack and report.m_norm <= upper + slack)
     report.extras = {"lower": lower, "upper": upper}
     return report
+
+
+# ---------------------------------------------------------------------------
+# Checking tools on solution tracks.
+
+
+def lift_pair(u_n, u_prev, d_prev):
+    """Stack (u_n, D_{n-1} u_{n-1}) into the 2l-row vector the cocycle acts on."""
+    u_n = np.atleast_2d(u_n)
+    u_prev = np.atleast_2d(u_prev)
+    return np.concatenate((u_n, np.asarray(d_prev) @ u_prev), axis=0)
+
+
+def singular_values_at(track, n):
+    """Singular values of block n of ``track`` as plain floats."""
+    from jacobispec.errors import TrackOverflowError
+
+    n = track._check(n)
+    e = int(track.exp2[n])
+    if e > 1000:
+        raise TrackOverflowError(f"singular values at {n} exceed float range")
+    return track.sv_mant[n] * np.ldexp(1.0, max(e, -1074))
+
+
+def frobenius_norm_at(track, n):
+    return float(np.sqrt(np.sum(singular_values_at(track, n) ** 2)))
+
+
+def recurrence_residual(track, n):
+    """Relative defect of the recurrence on ``track`` at interior index n.
+
+    Computed at the local scale (largest block exponent of the triple),
+    so it is meaningful even deep inside the overflow-scaled regime.
+    """
+    from jacobispec import matblock, models
+    from jacobispec.errors import InvalidInputError
+
+    n = track._check(n)
+    if not 1 <= n <= track.n_max - 1:
+        raise InvalidInputError("residual needs an interior index")
+    (d_prev, d_n), (_, v_n) = models.coefficient_arrays(track.spec, n - 1, n + 1)
+    e_ref = int(max(track.exp2[n - 1 : n + 2]))
+    parts = []
+    for k in (n - 1, n, n + 1):
+        shift = int(track.exp2[k]) - e_ref
+        parts.append(np.ldexp(1.0, max(shift, -1074)) * track.blocks[k])
+    b_prev, b_cur, b_next = parts
+    defect = d_n @ b_next + d_prev @ b_prev + (v_n - track.z * np.eye(track.dim)) @ b_cur
+    scale = max(
+        matblock.frobenius_norm(d_n @ b_next),
+        matblock.frobenius_norm(d_prev @ b_prev),
+        matblock.frobenius_norm(b_cur) * (abs(track.z) + matblock.frobenius_norm(v_n)),
+        1e-300,
+    )
+    return matblock.frobenius_norm(defect) / scale

@@ -64,7 +64,6 @@ def test_classify_synthetic_all_steep():
         l_grid=(4, 8),
         log2_c=np.array([[1.0, 2.0], [3.0, 5.0]]),
         slopes=np.array([2.0, 3.0]),
-        intercepts=np.zeros(2),
         overflow=np.array([False, False]),
     )
     assert classify.classify_multiplicity(prof) == (0, False)

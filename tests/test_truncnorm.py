@@ -1,4 +1,5 @@
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -143,11 +144,22 @@ def test_solve_l_unreachable_is_reported(free1, monkeypatch):
     assert err.value.attained is not None
 
 
+@pytest.mark.parametrize("x, y", [(0.3, math.nan), (0.3, math.inf), (math.nan, 0.1)])
+def test_cutoff_solver_rejects_non_finite_input_before_any_track(random_bounded2, monkeypatch, x, y):
+    def no_track(*args):
+        raise AssertionError("built a track")
+
+    monkeypatch.setattr(recurrence, "dirichlet_neumann_grid", no_track)
+    monkeypatch.setattr(recurrence, "extend_tracks", no_track)
+    with pytest.raises(InvalidInputError):
+        truncnorm.solve_l_of_y(random_bounded2, x, y)
+
+
 def test_overflowed_track_norm_raises(free1):
     from jacobispec.errors import TrackOverflowError
 
     phi, _ = recurrence.dirichlet_neumann(free1, 3.0, 1600)
-    assert phi.overflow_scaled
+    assert phi.exp2.any()
     with pytest.raises(TrackOverflowError):
         truncnorm.truncated_norm(phi, 1500.0)
     # scaled form stays available and is monotone
@@ -175,10 +187,10 @@ def test_grown_tracks_solve_as_long_tracks_would(diag01):
     grown = [truncnorm.solve_l_of_y(diag01, x, y) for x, y in zip(xs, ys)]
     assert {16, 512} <= {g.phi.n_max for g in grown}
     for x, y, got in zip(xs, ys, grown):
-        want = truncnorm.SolveLResult(*solve_l_of_y_reference(
-            diag01, x, y, recurrence.dirichlet_neumann(diag01, x, 1024)))
-        assert got.l_value == want.l_value and got.residual == want.residual
-        for track, other in zip(got.tracks, want.tracks):
+        l_value, phi, psi, residual, _, _ = solve_l_of_y_reference(
+            diag01, x, y, recurrence.dirichlet_neumann(diag01, x, 1024))
+        assert got.l_value == l_value and got.residual == residual
+        for track, other in zip(got.tracks, (phi, psi)):
             assert truncnorm.truncated_singular(track, 2, got.l_value) == truncnorm.truncated_singular(
                 other, 2, got.l_value)
 

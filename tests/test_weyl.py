@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -81,6 +82,44 @@ def test_domain_guard(free1):
         weyl.m_riccati(free1, 0.5)
     with pytest.raises(DomainError):
         weyl.m_riccati(free1, 0.5 - 0.1j)
+
+
+# below the floor MIN_IM_Z = 1e-8, and non-finite in either part
+_OUTSIDE_DOMAIN = [4.5 + 5e-9j, complex(0.3, math.nan), complex(math.nan, 0.1), complex(0.3, math.inf)]
+_M_ROUTES = {
+    "m_riccati": weyl.m_riccati,
+    "m_resolvent": weyl.m_resolvent,
+    "m_resolvent_grid": lambda spec, z: weyl.m_resolvent_grid(spec, [0.3 + 0.1j, z]),
+    "jost_chain": lambda spec, z: weyl.jost_chain(spec, z, 8),
+    "green_block": lambda spec, z: weyl.green_block(spec, 1, 2, z),
+    "herglotz_identity_check": weyl.herglotz_identity_check,
+}
+
+
+@pytest.mark.parametrize("route", sorted(_M_ROUTES))
+@pytest.mark.parametrize("z", _OUTSIDE_DOMAIN, ids=str)
+def test_every_m_route_raises_domain_error_outside_the_domain(random_bounded2, route, z):
+    with pytest.raises(DomainError, match=f"got z = {re.escape(str(z))}"):
+        _M_ROUTES[route](random_bounded2, z)
+
+
+@pytest.mark.parametrize("xs, ladder", [
+    ([0.3], (0.1, 0.01, 5e-9)),
+    ([0.3], (math.nan, 0.1, 0.01)),
+    ([math.nan], (0.1, 0.01, 0.001)),
+    ([0.3], (math.inf, 0.1, 0.01)),
+])
+def test_rank_ladder_raises_domain_error_outside_the_domain(random_bounded2, xs, ladder):
+    with pytest.raises(DomainError):
+        weyl.im_m_boundary_grid(random_bounded2, [0.5, *xs], ladder)
+
+
+@pytest.mark.parametrize("y", [5e-9, math.nan])
+def test_jl_bounds_raises_domain_error_below_the_floor(random_bounded2, y):
+    # the report's y must be the y its M was solved at, so M is never
+    # solved at a raised y
+    with pytest.raises(DomainError):
+        weyl.jl_bounds(random_bounded2, 4.5, y)
 
 
 def test_resolvent_matches_dense_solve(random_bounded2):
@@ -420,8 +459,8 @@ def _same_weyl_m(a, b):
             assert u == v, f.name
 
 
-# in-band and far energies; 4.5 + 5e-9j, off the spectrum, sits below the domain floor
-_RESOLVENT_ZS = [0.37 + 0.05j, -1.4 + 0.02j, 2.6 + 0.8j, 4.5 + 5e-9j, 0.9 + 0.004j, -0.3 + 0.3j]
+# in-band and far energies; 4.5 + 1e-8j, off the spectrum, sits at the domain floor
+_RESOLVENT_ZS = [0.37 + 0.05j, -1.4 + 0.02j, 2.6 + 0.8j, 4.5 + 1e-8j, 0.9 + 0.004j, -0.3 + 0.3j]
 
 
 @pytest.mark.parametrize("n_blocks", [None, 96])
@@ -442,7 +481,6 @@ def test_resolvent_grid_matches_single_points(random_bounded2, monkeypatch, n_bl
         assert points == 1 or blocks <= weyl._STACK_BLOCKS
     if n_blocks is None:
         assert len({m.depth for m in grid}) > 1  # points leave the doubling one by one
-    assert grid[3].bumped and grid[3].z == 4.5 + 1e-8j
     for z, got in zip(_RESOLVENT_ZS, grid):
         _same_weyl_m(got, weyl.m_resolvent(random_bounded2, z, n_blocks, tol=1e-9))
 
