@@ -43,6 +43,14 @@ def _members(spec):
     return tuple(spec) if isinstance(spec, (list, tuple)) else (spec,)
 
 
+def check_l_grid(l_grid):
+    """``l_grid`` as a tuple of ints; InvalidInputError unless it is a valid cutoff grid."""
+    l_grid = tuple(int(v) for v in l_grid)
+    if len(l_grid) < 2 or any(b <= a for a, b in zip(l_grid, l_grid[1:])) or l_grid[0] < 2:
+        raise InvalidInputError("cutoff grid must be at least two increasing integers >= 2")
+    return l_grid
+
+
 def _cesaro_sums(spec, xs, l_grid):
     """log2 of C_r(L) on the grid, streamed over a whole energy batch.
 
@@ -59,9 +67,7 @@ def _cesaro_sums(spec, xs, l_grid):
     members = _members(spec)
     xs = np.asarray(xs, dtype=float)
     g, batch, l = len(members), xs.size, members[0].dim
-    l_grid = tuple(int(v) for v in l_grid)
-    if len(l_grid) < 2 or any(b <= a for a, b in zip(l_grid, l_grid[1:])) or l_grid[0] < 2:
-        raise InvalidInputError("cutoff grid must be at least two increasing integers >= 2")
+    l_grid = check_l_grid(l_grid)
     if batch == 0:
         return np.empty((len(l_grid), 0, l))
     eye = np.eye(l)

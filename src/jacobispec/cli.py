@@ -142,7 +142,7 @@ def _task_jl_sweep(cfg, spec, out_dir):
             "m_norm", "lower", "upper", "verdict", "status"]
     rows = [
         [rep.x, rep.y, rep.l_cutoff, rep.ratio, rep.condition_term, rep.k1, rep.k2,
-         rep.m_norm, rep.extras.get("lower"), rep.extras.get("upper"), rep.verdict,
+         rep.m_norm, rep.lower, rep.upper, rep.verdict,
          rep.status]
         for rep in reports
     ]

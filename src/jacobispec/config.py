@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import classify, weyl
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 
 _SCAN = {f.name: f.default for f in fields(classify.ScanParams)}
 
@@ -113,11 +113,12 @@ def _resolve_params(task, given):
     for key in _IM_Z & params.keys():
         if np.any(np.asarray(params[key]) < weyl.MIN_IM_Z):
             raise ConfigError(f"params.{key} must be >= {weyl.MIN_IM_Z}")
-    if "l_grid" in params and (len(params["l_grid"]) < 2 or min(params["l_grid"]) < 2
-                               or np.any(np.diff(params["l_grid"]) <= 0)):
-        raise ConfigError("params.l_grid must be at least two increasing integers >= 2")
-    if "y_ladder" in params and (len(params["y_ladder"]) < 3 or np.any(np.diff(params["y_ladder"]) >= 0)):
-        raise ConfigError("params.y_ladder must be at least three strictly decreasing values")
+    for key, check in (("l_grid", classify.check_l_grid), ("y_ladder", weyl.check_y_ladder)):
+        if key in params:
+            try:
+                check(params[key])
+            except InvalidInputError as exc:
+                raise ConfigError(f"params.{key}: {exc}") from exc
     if task == "constancy" and len(params["phases"] or [None] * params["n_random_phases"]) < 2:
         raise ConfigError("constancy needs at least two phases")
     return params

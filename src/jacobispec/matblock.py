@@ -18,6 +18,9 @@ RCOND_FLOOR = 1e-12
 # as positive semidefinite.
 PSD_EIG_TOL = 1e-10
 
+# Relative defect |A - A^t|_F / max(1, |A|_F) of a block that is_symmetric.
+SYMMETRIC_TOL = 1e-12
+
 
 def as_block(a) -> np.ndarray:
     """Coerce to a square 2-d array, rejecting non-finite entries."""
@@ -50,19 +53,19 @@ def operator_norm(a) -> float:
     return float(singular_values(a)[0])
 
 
-def psd_sqrt(a, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Unique PSD square root of a Hermitian PSD block.
 
-    Raises DomainError if the block is not Hermitian within ``eig_tol``
-    or has an eigenvalue below ``-eig_tol``.
+    Raises DomainError if the block is not Hermitian within ``PSD_EIG_TOL``
+    or has an eigenvalue below ``-PSD_EIG_TOL``.
     """
     arr = as_block(a)
     herm_defect = frobenius_norm(arr - arr.conj().T)
-    if herm_defect > eig_tol * max(1.0, frobenius_norm(arr)):
+    if herm_defect > PSD_EIG_TOL * max(1.0, frobenius_norm(arr)):
         raise DomainError(f"block is not Hermitian (defect {herm_defect:.3e})")
     sym = (arr + arr.conj().T) / 2
     w, v = np.linalg.eigh(sym)
-    if w[0] < -eig_tol:
+    if w[0] < -PSD_EIG_TOL:
         raise DomainError(f"block is not PSD (smallest eigenvalue {w[0]:.3e})")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     if arr.dtype.kind != "c":
@@ -70,14 +73,14 @@ def psd_sqrt(a, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
     return root
 
 
-def invert(a, rcond: float = RCOND_FLOOR) -> np.ndarray:
+def invert(a) -> np.ndarray:
     """Inverse of a well-conditioned block.
 
-    Raises SingularBlockError (carrying s_l) when s_l <= rcond * s_1.
+    Raises SingularBlockError (carrying s_l) when s_l <= ``RCOND_FLOOR`` * s_1.
     """
     arr = as_block(a)
     s = np.linalg.svd(arr, compute_uv=False)
-    if s[-1] <= rcond * s[0]:
+    if s[-1] <= RCOND_FLOOR * s[0]:
         raise SingularBlockError(
             f"block is numerically singular (s_l = {s[-1]:.3e}, s_1 = {s[0]:.3e})",
             smallest_singular_value=float(s[-1]),
@@ -85,9 +88,9 @@ def invert(a, rcond: float = RCOND_FLOOR) -> np.ndarray:
     return np.linalg.inv(arr)
 
 
-def is_symmetric(a, tol: float = 1e-12) -> bool:
+def is_symmetric(a) -> bool:
     arr = np.asarray(a)
-    return frobenius_norm(arr - arr.T) <= tol * max(1.0, frobenius_norm(arr))
+    return frobenius_norm(arr - arr.T) <= SYMMETRIC_TOL * max(1.0, frobenius_norm(arr))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .errors import InvalidInputError, ModelValidationError
 
 SYMMETRY_TOL = 1e-10
 MIN_SINGULAR = 1e-12
+# share of limit_point_partial_sum that its window's second half must carry
+LIMIT_POINT_TAIL_SHARE = 0.05
 
 
 def _sym_block(a, name="block"):
@@ -28,7 +30,7 @@ def _sym_block(a, name="block"):
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     arr = matblock.as_block(arr)
-    if not matblock.is_symmetric(arr, tol=1e-12):
+    if not matblock.is_symmetric(arr):
         raise InvalidInputError(f"{name} must be real symmetric")
     return arr
 
@@ -456,12 +458,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_model(spec, window: int = 100, *, min_singular: float = MIN_SINGULAR,
-                   symmetry_tol: float = SYMMETRY_TOL) -> ValidationReport:
+def validate_model(spec, window: int = 100) -> ValidationReport:
     """Check the standing hypotheses over |n| <= window.
 
     Verifies every D_n, V_n is symmetric, every D_n has smallest singular
-    value above ``min_singular``, and records the extreme singular values.
+    value above ``MIN_SINGULAR``, and records the extreme singular values.
     Raises ModelValidationError (with the report attached) on violation.
     """
     if window < 1:
@@ -474,7 +475,7 @@ def validate_model(spec, window: int = 100, *, min_singular: float = MIN_SINGULA
         np.linalg.norm(ds - ds.transpose(0, 2, 1), axis=(1, 2)),
         np.linalg.norm(vs - vs.transpose(0, 2, 1), axis=(1, 2)),
     )
-    bad = (s[:, -1] < min_singular) | (defect > symmetry_tol)
+    bad = (s[:, -1] < MIN_SINGULAR) | (defect > SYMMETRY_TOL)
     offenders = (np.flatnonzero(bad) + lo).tolist()
     report = ValidationReport(
         window=window,
@@ -495,13 +496,13 @@ def validate_model(spec, window: int = 100, *, min_singular: float = MIN_SINGULA
     return report
 
 
-def limit_point_partial_sum(spec, n_terms: int, *, tail_fraction: float = 0.05):
+def limit_point_partial_sum(spec, n_terms: int):
     """Partial sum of 1/||D_k|| over k = 0..n_terms and a divergence verdict.
 
     The sufficient condition for the limit point case needs the full series
     to diverge, which a finite window cannot prove. Decision rule: the
     verdict is "sufficient-condition-met" when the second half of the window
-    still contributes at least ``tail_fraction`` of the total (bounded
+    still contributes at least ``LIMIT_POINT_TAIL_SHARE`` of the total (bounded
     coefficients give a linearly growing sum, so the tail share stays near
     1/2; summable tails collapse to ~0). Otherwise "inconclusive".
     """
@@ -512,5 +513,5 @@ def limit_point_partial_sum(spec, n_terms: int, *, tail_fraction: float = 0.05):
     total = float(np.sum(terms))
     half = float(np.sum(terms[: (n_terms + 1) // 2]))
     tail_share = (total - half) / total if total > 0 else 0.0
-    verdict = "sufficient-condition-met" if tail_share >= tail_fraction else "inconclusive"
+    verdict = "sufficient-condition-met" if tail_share >= LIMIT_POINT_TAIL_SHARE else "inconclusive"
     return total, verdict

@@ -351,19 +351,18 @@ def cocycle_products(spec, zs, n):
 # Wronskians and the Green formula.
 
 
-def wronskian(track_a, track_b, n, spec=None):
-    """W_[A,B](n) = A_{n-1}^t D_{n-1} B_n - A_n^t D_{n-1} B_{n-1}."""
-    spec = spec if spec is not None else track_a.spec
+def wronskian(track_a, track_b, n):
+    """W_[A,B](n) = A_{n-1}^t D_{n-1} B_n - A_n^t D_{n-1} B_{n-1}, D from track A's model."""
     n = int(n)
     if n < 1:
         raise InvalidInputError("Wronskian needs n >= 1")
-    d_prev = spec.coefficient_at(n - 1)[0]
+    d_prev = track_a.spec.coefficient_at(n - 1)[0]
     a_prev, a_n = track_a.block(n - 1), track_a.block(n)
     b_prev, b_n = track_b.block(n - 1), track_b.block(n)
     return a_prev.T @ d_prev @ b_n - a_n.T @ d_prev @ b_prev
 
 
-def green_formula_residual(track_a, track_b, m, n, spec=None, *, z_ref=None):
+def green_formula_residual(track_a, track_b, m, n, *, z_ref=None):
     """Defect of the summed Green identity between indices m and n.
 
     Substitutes H(u) = z_ref * u for both tracks at a single reference
@@ -371,7 +370,6 @@ def green_formula_residual(track_a, track_b, m, n, spec=None, *, z_ref=None):
     residual measures the Wronskian increment W(n+1) - W(m), which vanishes
     exactly when both tracks solve the same eigenvalue equation.
     """
-    spec = spec if spec is not None else track_a.spec
     m, n = int(m), int(n)
     if not (0 <= m < n):
         raise InvalidInputError("need 0 <= m < n")
@@ -381,7 +379,7 @@ def green_formula_residual(track_a, track_b, m, n, spec=None, *, z_ref=None):
     for k in range(m, n + 1):
         a_k, b_k = track_a.block(k), track_b.block(k)
         total = total + (a_k.T @ (z * b_k) - (z * a_k).T @ b_k)
-    delta_w = wronskian(track_a, track_b, n + 1, spec) - wronskian(track_a, track_b, m, spec)
+    delta_w = wronskian(track_a, track_b, n + 1) - wronskian(track_a, track_b, m)
     return float(matblock.frobenius_norm(total - delta_w))
 
 
@@ -389,7 +387,7 @@ def green_formula_residual(track_a, track_b, m, n, spec=None, *, z_ref=None):
 # Jost assembly and the half-plane identity behind the subordinacy bounds.
 
 
-def jost_assemble(phi_track, psi_track, m_matrix, d0=None):
+def jost_assemble(phi_track, psi_track, m_matrix):
     """F_n = psi_n - phi_n M D_0 from same-energy tracks at Im z > 0.
 
     By the initial conditions this gives F_0 = I and F_1 = -M D_0 exactly.
@@ -405,8 +403,7 @@ def jost_assemble(phi_track, psi_track, m_matrix, d0=None):
     m_matrix = np.asarray(m_matrix)
     if m_matrix.shape != (phi_track.dim, phi_track.dim):
         raise InvalidInputError("M block has the wrong dimensions")
-    d0 = np.asarray(d0) if d0 is not None else spec.coefficient_at(0)[0]
-    md0 = m_matrix @ d0
+    md0 = m_matrix @ spec.coefficient_at(0)[0]
     n_max = min(phi_track.n_max, psi_track.n_max)
     blocks = np.empty((n_max + 1, phi_track.dim, phi_track.dim), dtype=complex)
     for k in range(n_max + 1):

@@ -10,9 +10,8 @@ and the matching condition becomes a quadratic with a unique root.
 
 Both are batched: :func:`truncated_values` reads many tracks at their own
 cutoffs at once, and :func:`solve_l_grid` solves the cutoff equation at
-many points at once, growing the tracks of the points that have not
-crossed their target in one kernel run per doubling (one point at a time
-past ``GROW_BLOCKS`` blocks) and handing each point back as soon as it
+many points at once, in stacks of points bounded by ``GROW_BLOCKS``, one
+kernel run per stack and doubling, handing each point back as soon as it
 has crossed. The single-track and single-point functions are batches of
 one. Powers and the target's log2 are taken on Python floats, point by
 point: numpy's array ``power`` and ``exp2`` round differently from the
@@ -32,15 +31,31 @@ from .errors import InvalidInputError, TargetUnreachableError, TrackTooShortErro
 
 MAX_TRACK_BLOCKS = 2**24
 INITIAL_TRACK_BLOCKS = 16
-# Blocks one stacked doubling of :func:`solve_l_grid` holds at most (two
-# tracks a point); past it every point doubles alone, one after another, so
-# a sweep holds at most one such stack more than its deepest point needs.
+# Blocks one stack of :func:`solve_l_grid` holds at most (two tracks a
+# point): a starting stack holds GROW_BLOCKS // (4 INITIAL_TRACK_BLOCKS) =
+# 64 points, and past the bound every point doubles alone, so a sweep of
+# any length holds at most one stack more than its deepest point needs.
 GROW_BLOCKS = 2**12
 
 
 def _pows(exps):
     """2.0 ** e for every entry, as Python floats (see the module docstring)."""
     return np.array([2.0**e for e in exps.tolist()])
+
+
+def _floor_terms(tracks, fl, k=None):
+    """Scaled ||B||_f^2 (``k`` None) or s_k[B]_f^2 of every ``tracks[j]`` at f =
+    ``fl[j]``, and the term of block f + 1: (sum_m, sum_e, term_m, term_e)."""
+    rows = list(zip(tracks, fl.tolist()))
+    sq = np.array([t.sv_mant[f + 1] for t, f in rows]) ** 2
+    if k is None:
+        sums = [(t.cum_fro2_m[f], t.cum_fro2_e[f]) for t, f in rows]
+        term = np.sum(sq, axis=1)
+    else:
+        sums = [(t.cum_sv2_m[f, k - 1], t.cum_sv2_e[f, k - 1]) for t, f in rows]
+        term = sq[:, k - 1]
+    sum_m, sum_e = (np.array(c) for c in zip(*sums))
+    return sum_m, sum_e, term, np.array([2 * t.exp2[f + 1] for t, f in rows])
 
 
 def truncated_sq_batch(tracks, l_values, k=None):
@@ -53,22 +68,13 @@ def truncated_sq_batch(tracks, l_values, k=None):
     if not np.all(l_values >= 1.0):
         raise InvalidInputError("truncation cutoff must be >= 1")
     fl = np.floor(l_values).astype(np.int64)
-    rows = list(zip(tracks, fl.tolist()))
-    for (t, f), l_value in zip(rows, l_values.tolist()):
+    for t, f, l_value in zip(tracks, fl.tolist(), l_values.tolist()):
         if f + 1 > t.n_max:
             raise TrackTooShortError(
                 f"cutoff {l_value} needs block {f + 1}, track ends at {t.n_max}", needed=f + 1
             )
-    sq = np.array([t.sv_mant[f + 1] for t, f in rows]) ** 2
-    if k is None:
-        cum = [(t.cum_fro2_m[f], t.cum_fro2_e[f]) for t, f in rows]
-        step = np.sum(sq, axis=1)
-    else:
-        cum = [(t.cum_sv2_m[f, int(k) - 1], t.cum_sv2_e[f, int(k) - 1]) for t, f in rows]
-        step = sq[:, int(k) - 1]
-    cum_m, cum_e = (np.array(c) for c in zip(*cum))
-    e_next = np.array([2 * t.exp2[f + 1] for t, f in rows])
-    return scaling.add(cum_m, cum_e, (l_values - fl) * step, e_next)
+    sum_m, sum_e, term_m, term_e = _floor_terms(tracks, fl, k)
+    return scaling.add(sum_m, sum_e, (l_values - fl) * term_m, term_e)
 
 
 def truncated_values(tracks, l_values, k=None):
@@ -122,11 +128,7 @@ def _crossings(phis, psis, log2_target_sq):
 def _factors(tracks, m_idx):
     """Scaled a = ||B||_{m-1}^2 and b = ||B_m||^2 of every track, and
     log2(a + b), the scale each factor of the quadratic is taken in."""
-    rows = list(zip(tracks, m_idx.tolist()))
-    a_m = np.array([t.cum_fro2_m[m - 1] for t, m in rows])
-    a_e = np.array([t.cum_fro2_e[m - 1] for t, m in rows])
-    b_m = np.sum(np.array([t.sv_mant[m] for t, m in rows]) ** 2, axis=1)
-    b_e = np.array([2 * t.exp2[m] for t, m in rows])
+    a_m, a_e, b_m, b_e = _floor_terms(tracks, m_idx - 1)
     q_log2 = scaling.log2(*scaling.add(a_m, a_e, b_m, b_e))
 
     def rel(m_val, e_val):
@@ -137,11 +139,16 @@ def _factors(tracks, m_idx):
     return q_log2, rel(a_m, a_e), rel(b_m, b_e)
 
 
-def _grow(phis, psis, group):
-    """Double the tracks of the points of ``group`` in one kernel run."""
-    n_new = min(2 * phis[group[0]].n_max, MAX_TRACK_BLOCKS)
-    grown = recurrence.extend_tracks([phis[j] for j in group] + [psis[j] for j in group], n_new)
-    for j, phi, psi in zip(group.tolist(), grown, grown[group.size:]):
+def _advance(spec, xs, phis, psis, group):
+    """Start (Dirichlet/Neumann pairs of ``INITIAL_TRACK_BLOCKS`` blocks) or
+    double the tracks of the points of ``group``, in one kernel run."""
+    if phis[group[0]] is None:
+        pairs = recurrence.dirichlet_neumann_grid(spec, [xs[j] for j in group], INITIAL_TRACK_BLOCKS)
+    else:
+        n_new = min(2 * phis[group[0]].n_max, MAX_TRACK_BLOCKS)
+        grown = recurrence.extend_tracks([phis[j] for j in group] + [psis[j] for j in group], n_new)
+        pairs = zip(grown, grown[group.size:])
+    for j, (phi, psi) in zip(group.tolist(), pairs):
         phis[j], psis[j] = phi, psi
 
 
@@ -154,19 +161,21 @@ def solve_l_grid(spec, xs, ys):
     caller that reads and drops them holds few tracks at once.
 
     Each point starts from its Dirichlet/Neumann pair at real x, of
-    ``INITIAL_TRACK_BLOCKS`` blocks, all from one kernel run. Until its
+    ``INITIAL_TRACK_BLOCKS`` blocks, in stacks of ``GROW_BLOCKS // (4
+    INITIAL_TRACK_BLOCKS)`` points, one kernel run a stack; a stack runs
+    until all its points have crossed before the next starts. Until its
     integer-L product crosses the target, a point's tracks double; points
-    that have not crossed double together in one
-    :func:`recurrence.extend_tracks` call while their stack holds at most
-    ``GROW_BLOCKS`` blocks, and past that each point doubles alone
-    until it crosses, before the next starts. Every point ends at the
-    length it would reach alone. The unit interval [m-1, m] of the
-    crossing is then solved for the crossed points at once as a quadratic
-    in the fractional part (affine times affine equals a constant), with a
-    Newton polish, and ||phi||_L and ||psi||_L are read at the root. A
-    non-finite x or y, or y <= 0, raises InvalidInputError before any track
-    is built; a product that cannot reach its target within
-    ``MAX_TRACK_BLOCKS`` blocks raises TargetUnreachableError.
+    that have not crossed double together in one kernel run while their
+    stack holds at most ``GROW_BLOCKS`` blocks, and past that each point
+    doubles alone until it crosses, before the next starts. Every point
+    ends at the length it would reach alone. The unit interval [m-1, m] of
+    the crossing is then solved for the crossed points at once as a
+    quadratic in the fractional part (affine times affine equals a
+    constant), with a Newton polish, and ||phi||_L and ||psi||_L are read
+    at the root. A non-finite x or y, a y <= 0, or a y whose target 1 / (2
+    y ||D0^-1||_F) is not a positive finite float raises InvalidInputError
+    before any track is built; a product that cannot reach its target
+    within ``MAX_TRACK_BLOCKS`` blocks raises TargetUnreachableError.
     """
     xs, ys = [float(x) for x in xs], [float(y) for y in ys]
     if not all(math.isfinite(x) for x in xs) or not all(0 < y < math.inf for y in ys):
@@ -174,19 +183,21 @@ def solve_l_grid(spec, xs, ys):
     if not ys:
         return
     d0_inv_norm = matblock.frobenius_norm(matblock.invert(spec.coefficient_at(0)[0]))
-    phis, psis = (list(ts) for ts in zip(*recurrence.dirichlet_neumann_grid(
-        spec, xs, INITIAL_TRACK_BLOCKS)))
     y = np.array(ys)
-    target = 1.0 / (2.0 * y * d0_inv_norm)  # want ||psi||_L ||phi||_L = target
+    with np.errstate(over="ignore", divide="ignore"):  # an inf or a 0 is rejected below
+        target = 1.0 / (2.0 * y * d0_inv_norm)  # want ||psi||_L ||phi||_L = target
+    if not np.all(np.isfinite(target) & (target > 0)):
+        raise InvalidInputError("cutoff target 1 / (2 y ||D0^-1||_F) out of float range")
     log2_target_sq = np.array([2.0 * math.log2(t) for t in target.tolist()])
+    phis, psis = [None] * len(ys), [None] * len(ys)
 
     # groups of points whose tracks share one length, run last in, first
-    # out; a group marked True doubles its tracks before it looks for crossings
-    pending = [(np.arange(len(ys)), False)]
+    # out; each starts or doubles its tracks, then looks for crossings
+    per = GROW_BLOCKS // (4 * INITIAL_TRACK_BLOCKS)
+    pending = [np.arange(a, min(a + per, len(ys))) for a in reversed(range(0, len(ys), per))]
     while pending:
-        group, grow = pending.pop()
-        if grow:
-            _grow(phis, psis, group)
+        group = pending.pop()
+        _advance(spec, xs, phis, psis, group)
         n_max = phis[group[0]].n_max
         m_idx, prod = _crossings([phis[j] for j in group], [psis[j] for j in group],
                                  log2_target_sq[group])
@@ -208,9 +219,9 @@ def solve_l_grid(spec, xs, ys):
                 phis[j] = psis[j] = None
         group = group[left]
         if 4 * group.size * n_max > GROW_BLOCKS:  # two tracks of 2 n_max blocks a point
-            pending += [(group[i : i + 1], True) for i in reversed(range(group.size))]
+            pending += [group[i : i + 1] for i in reversed(range(group.size))]
         elif group.size:
-            pending.append((group, True))
+            pending.append(group)
 
 
 def _solved(phis, psis, m_idx, y, d0_inv_norm, log2_target_sq):

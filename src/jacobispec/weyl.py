@@ -16,8 +16,10 @@ Two independent routes compute the same l-by-l Herglotz matrix M(z):
   in place without scipy's copies and checks; the corners are copied out,
   so no solution outlives its stack. A stack holds at most
   ``_STACK_BLOCKS`` blocks: its band, right-hand side and solution grow
-  with points times truncation, and uncapped stacks of a whole sweep
-  chunk at its deepest doubling cost several MB of peak memory.
+  with points times truncation, and uncapped stacks of a whole sweep at
+  its deepest doubling cost several MB of peak memory. A self-adjoint
+  truncation (every built-in family) has T - z nonsingular at Im z > 0,
+  so a LAPACK breakdown is raised as LinAlgError, not retried.
 
 Both equal the Green block G(1,1;z) in exact arithmetic; their agreement
 is the package's primary cross-check. The descent reads coefficients in
@@ -55,18 +57,18 @@ doubling where the largest |M - M_prev|_F over its blocks is below
 ``tol``. A delta that is not finite, or a group still not Cauchy at the
 cap, raises ConvergenceError with the depth and the group's last delta.
 
-The truncated-norm bounds (:func:`jl_bounds_grid`) run a sweep in chunks
-of points: one :func:`m_resolvent_grid` gives a chunk's M and one
-:func:`truncnorm.solve_l_grid` its cutoffs, from Dirichlet/Neumann tracks
-built in one kernel run; the report fields of the points that cross
-together come out at once, and their tracks are dropped; k1 and k2 are
-computed once per sweep.
+The truncated-norm bounds (:func:`jl_bounds_grid`) take one
+:func:`m_resolvent_grid` call for the M of a whole sweep and one
+:func:`truncnorm.solve_l_grid` pass for its cutoffs, which bounds its own
+track memory; the report fields of the points that cross together come
+out at once, and their tracks are dropped; k1 and k2 are computed once
+per sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +91,10 @@ DECIMATION_MAX_CELL = 4
 # the constant of the decimation's rounding bound, see _decimation
 DECIMATION_ROUNDING = 4.0
 RESOLVENT_MAX_DEPTH = 2**17
+# the relative move between rungs below which an eigenvalue of Im M persists
+LADDER_REL_CHANGE = 0.2
+# Cauchy tolerance of the resolvent M of the truncated-norm bounds
+JL_M_TOL = 1e-9
 
 
 @dataclass
@@ -99,7 +105,6 @@ class WeylM:
     m: np.ndarray
     depth: int
     last_delta: float
-    bumped: bool = False  # a banded-solve breakdown was retried with Im z raised by MIN_IM_Z
 
     @property
     def frobenius_norm(self):
@@ -288,31 +293,6 @@ def _banded_corner_block(spec, zs, n_blocks):
     return sol.reshape(zs.size, n_blocks * l, l)[:, :l, :].copy(order="K")
 
 
-def _corner_block_guarded(spec, zs, n_blocks):
-    """Stacked banded solve with the near-real breakdown guard.
-
-    A pivot breakdown cannot happen for Im z > 0, but if the banded LU
-    ever reports singularity, a stack is retried one point at a time and a
-    single point once with Im z bumped by the domain floor; callers see the
-    bump through the per-point flags. Returns (corners, flags).
-    """
-    try:
-        return _banded_corner_block(spec, zs, n_blocks), [False] * len(zs)
-    except np.linalg.LinAlgError:
-        if len(zs) > 1:
-            parts = [_corner_block_guarded(spec, [z], n_blocks) for z in zs]
-            return np.concatenate([m for m, _ in parts]), [flag for _, (flag,) in parts]
-        z = zs[0]
-        return _banded_corner_block(spec, [complex(z.real, z.imag + MIN_IM_Z)], n_blocks), [True]
-
-
-def _corner_blocks(spec, zs, n_blocks):
-    """Corner blocks at every z, solved in stacks of at most ``_STACK_BLOCKS`` blocks."""
-    per = max(_STACK_BLOCKS // n_blocks, 1)
-    parts = [_corner_block_guarded(spec, zs[a : a + per], n_blocks) for a in range(0, len(zs), per)]
-    return np.concatenate([m for m, _ in parts]), [f for _, flags in parts for f in flags]
-
-
 def m_resolvent(spec, z, n_blocks=None, tol=1e-10):
     """m-function as the corner block of the banded-truncation resolvent.
 
@@ -327,20 +307,19 @@ def m_resolvent(spec, z, n_blocks=None, tol=1e-10):
 def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10):
     """:func:`m_resolvent` at every z of ``zs``; a list of ``WeylM``, in order.
 
-    Each doubling solves every point that is not yet Cauchy, stacked, and
-    each point stops at the truncation it reaches on its own; one
-    :func:`_im_m_eigenvalues` call guards every M.
+    Each doubling solves every point that is not yet Cauchy, in stacks of at
+    most ``_STACK_BLOCKS`` blocks (one :func:`_banded_corner_block` call a
+    stack), and each point stops at the truncation it reaches on its own;
+    one :func:`_im_m_eigenvalues` call guards every M.
     """
     zs = _require_upper([complex(z) for z in zs]).tolist()
     if not zs:
         return []
-    bumped = [False] * len(zs)
 
     def solve(active, depth):
-        ms, hit_guard = _corner_blocks(spec, [zs[k] for k in active], depth)
-        for k, hit in zip(active, hit_guard):
-            bumped[k] = bumped[k] or hit
-        return ms[:, None]  # views: each corner keeps the memory order it was solved in
+        per = max(_STACK_BLOCKS // depth, 1)
+        stacks = [[zs[k] for k in active[a : a + per]] for a in range(0, len(active), per)]
+        return np.concatenate([_banded_corner_block(spec, s, depth) for s in stacks])[:, None]
 
     if n_blocks is None:
         found = _until_cauchy(solve, len(zs), tol, INITIAL_DEPTH, RESOLVENT_MAX_DEPTH,
@@ -351,7 +330,7 @@ def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10):
         found = [(m, int(n_blocks), math.nan) for m in solve(range(len(zs)), int(n_blocks))]
     ms, depths, deltas = zip(*found)
     _im_m_eigenvalues(np.concatenate(ms), np.array(zs), depths, deltas)
-    return [WeylM(z, m[0], n, d, b) for z, (m, n, d), b in zip(zs, found, bumped)]
+    return [WeylM(z, m[0], n, d) for z, (m, n, d) in zip(zs, found)]
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +485,19 @@ class BoundaryRank:
         return [] if not self.indeterminate else ["rank-indeterminate"]
 
 
-def _ladder_verdicts(xs, y_ladder, eigs, tau_rel, depths=(), last_deltas=(), rel_change=0.2):
+def _ladder_verdicts(xs, y_ladder, eigs, tau_rel, depths=(), last_deltas=()):
     """One ``BoundaryRank`` per energy from the ascending eigenvalues of Im M,
     shape (rungs, energies, l).
 
     An eigenvalue is retained at rung k when it clears the relative cut
-    AND persists (< 20% move) from the previous rung; eigenvalues heading
-    to zero with y shrink by ~ y_k/y_{k-1} per rung and drop out even
-    though they stay comparable to each other, which is what makes the
-    rank-0 region detectable at finite y.
+    AND persists (moves by less than ``LADDER_REL_CHANGE``, 20%) from the
+    previous rung; eigenvalues heading to zero with y shrink by ~
+    y_k/y_{k-1} per rung and drop out even though they stay comparable to
+    each other, which is what makes the rank-0 region detectable at finite y.
     """
     cut = tau_rel * np.maximum(eigs[..., -1:], 1e-12)
     kept = eigs > cut
-    kept[1:] &= np.abs(eigs[1:] - eigs[:-1]) < rel_change * np.maximum(eigs[:-1], 1e-12)
+    kept[1:] &= np.abs(eigs[1:] - eigs[:-1]) < LADDER_REL_CHANGE * np.maximum(eigs[:-1], 1e-12)
     ranks = np.sum(kept, axis=-1)
     traces = np.sum(np.clip(eigs, 0.0, None), axis=-1)
     # the last rung k >= 2 whose rank repeats the rung before it
@@ -712,13 +691,19 @@ def _im_m_eigenvalues(m, z, depths, deltas):
     return eigs
 
 
+def check_y_ladder(y_ladder):
+    """``y_ladder`` as a tuple of floats; InvalidInputError unless it is a valid
+    ladder (a rank needs a rung k >= 2 that repeats the rung before it)."""
+    y_ladder = tuple(float(y) for y in y_ladder)
+    if len(y_ladder) < 3 or any(b >= a for a, b in zip(y_ladder, y_ladder[1:])) or y_ladder[-1] <= 0:
+        raise InvalidInputError("y ladder must be at least three strictly decreasing positive values")
+    return y_ladder
+
+
 def im_m_boundary_grid(spec, xs, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
     """:func:`im_m_boundary` over a grid, all rungs in one fused descent."""
     xs = np.asarray(xs, dtype=float)
-    y_ladder = tuple(float(y) for y in y_ladder)
-    # a rank needs a rung k >= 2 that repeats the rung before it
-    if len(y_ladder) < 3 or any(b >= a for a, b in zip(y_ladder, y_ladder[1:])) or y_ladder[-1] <= 0:
-        raise InvalidInputError("y ladder must be at least three strictly decreasing positive values")
+    y_ladder = check_y_ladder(y_ladder)
     with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part, which the domain check rejects
         z = xs[None, :] + 1j * np.asarray(y_ladder)[:, None]
     m, depths, deltas = m_riccati_rungs(spec, z, tol=tol)
@@ -745,7 +730,8 @@ class JLBoundReport:
     verdict: bool | None
     status: str = "ok"  # ok | condition-overflow
     solver_residual: float = float("nan")
-    extras: dict = field(default_factory=dict)
+    lower: float | None = None  # k1 * ratio; None on a condition-overflow point
+    upper: float | None = None  # k2 * ratio * condition_term; None there too
 
 
 def jl_constants(spec):
@@ -761,50 +747,39 @@ def jl_constants(spec):
     return b, k1, k2
 
 
-# Points whose Dirichlet/Neumann tracks are built in one kernel run; bounds
-# the track memory of a long sweep.
-JL_TRACK_CHUNK = 64
-
-
-def jl_bounds(spec, x, y, *, m_tol=1e-9, slack=1e-9):
+def jl_bounds(spec, x, y, *, slack=1e-9):
     """Evaluate k1 * ratio <= ||M||_F <= k2 * ratio * condition_term at (x, y).
 
     ratio = ||psi||_L / ||phi||_L and condition_term = ||phi||_L^2 /
     s_l[phi]_L^2 at the matched cutoff L(y); ||M||_F comes from the
-    resolvent route. A vanishing truncated smallest singular value marks
-    the report ``condition-overflow`` and skips the verdict. Batch-of-one
-    form of :func:`jl_bounds_grid`.
+    resolvent route, Cauchy to ``JL_M_TOL``. A vanishing truncated smallest
+    singular value marks the report ``condition-overflow`` and skips the
+    verdict. Batch-of-one form of :func:`jl_bounds_grid`.
     """
-    return jl_bounds_grid(spec, [x], [y], m_tol=m_tol, slack=slack)[0]
+    return jl_bounds_grid(spec, [x], [y], slack=slack)[0]
 
 
-def jl_bounds_grid(spec, xs, ys, *, m_tol=1e-9, slack=1e-9):
+def jl_bounds_grid(spec, xs, ys, *, slack=1e-9):
     """:func:`jl_bounds` at every point (xs[j], ys[j]), in order.
 
-    k1 and k2 are computed once. The starting tracks of up to
-    ``JL_TRACK_CHUNK`` points come from one kernel run, their M from one
-    :func:`m_resolvent_grid` and their cutoffs from one
-    :func:`truncnorm.solve_l_grid`; the report fields of the points that
-    cross together are computed at once (squares on Python floats, as in
-    truncnorm), and their tracks dropped.
+    k1 and k2 are computed once, every M by one :func:`m_resolvent_grid`
+    call and every cutoff by one :func:`truncnorm.solve_l_grid` pass; the
+    report fields of the points that cross together are computed at once
+    (squares on Python floats, as in truncnorm), and their tracks dropped.
     """
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     if len(xs) != len(ys):
         raise InvalidInputError("need one y per x")
     _, k1, k2 = jl_constants(spec)
-    reports = []
-    for a in range(0, len(xs), JL_TRACK_CHUNK):
-        cx, cy = xs[a : a + JL_TRACK_CHUNK], ys[a : a + JL_TRACK_CHUNK]
-        ms = m_resolvent_grid(spec, [complex(x, y) for x, y in zip(cx, cy)], tol=m_tol)
-        chunk = [None] * len(cx)
-        for idx, solves in truncnorm.solve_l_grid(spec, cx, cy):
-            wave = _jl_reports(spec, [cx[j] for j in idx], [cy[j] for j in idx], solves,
-                               [ms[j] for j in idx], k1, k2, slack)
-            for j, report in zip(idx, wave):
-                chunk[j] = report
-            del solves  # their tracks go before the next point grows
-        reports += chunk
+    ms = m_resolvent_grid(spec, [complex(x, y) for x, y in zip(xs, ys)], tol=JL_M_TOL)
+    reports = [None] * len(xs)
+    for idx, solves in truncnorm.solve_l_grid(spec, xs, ys):
+        wave = _jl_reports(spec, [xs[j] for j in idx], [ys[j] for j in idx], solves,
+                           [ms[j] for j in idx], k1, k2, slack)
+        for j, report in zip(idx, wave):
+            reports[j] = report
+        del solves  # their tracks go before the next point grows
     return reports
 
 
@@ -835,6 +810,6 @@ def _jl_reports(spec, xs, ys, solves, ms, k1, k2, slack):
             report.status = "condition-overflow"
         else:
             report.verdict = bool(verdict[j])
-            report.extras = {"lower": float(lower[j]), "upper": float(upper[j])}
+            report.lower, report.upper = float(lower[j]), float(upper[j])
         reports.append(report)
     return reports

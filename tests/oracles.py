@@ -545,7 +545,7 @@ def jl_report_reference(spec, x, y, tracks, m_val, k1, k2, slack, starved=False)
     lower = k1 * ratio
     upper = k2 * ratio * report.condition_term
     report.verdict = bool(lower <= report.m_norm + slack and report.m_norm <= upper + slack)
-    report.extras = {"lower": lower, "upper": upper}
+    report.lower, report.upper = lower, upper
     return report
 
 

@@ -286,6 +286,21 @@ def test_convergence_failure_exit_code(tmp_path, monkeypatch):
     assert cli.main(["run", str(cfg)]) == 4
 
 
+def test_jl_sweep_with_cutoff_target_out_of_float_range_is_one_error_line(tmp_path, capsys):
+    # 2 y ||D0^-1||_F overflows for every y of the range: an InvalidInputError
+    # before any track, with no numpy warning on the way
+    cfg = write_config(
+        tmp_path, "jl.yaml",
+        {"model": FREE1, "task": "jl-sweep", "params": {"n_points": 3, "y_range": [1.0e308, 1.5e308]},
+         "output": {"dir": str(tmp_path / "out")}},
+    )
+    assert cli.run_config(cfg) == 1
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cutoff target")
+    assert "Traceback" not in err
+
+
 def test_report_embeds_resolved_overrides(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(

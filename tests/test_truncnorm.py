@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -144,7 +145,9 @@ def test_solve_l_unreachable_is_reported(free1, monkeypatch):
     assert err.value.attained is not None
 
 
-@pytest.mark.parametrize("x, y", [(0.3, math.nan), (0.3, math.inf), (math.nan, 0.1)])
+# 1e308 overflows 2 y ||D0^-1||_F and 1e-310 makes the target 1 / (2 y ||D0^-1||_F) inf
+@pytest.mark.parametrize("x, y", [(0.3, math.nan), (0.3, math.inf), (math.nan, 0.1),
+                                  (0.3, 1e308), (0.3, 1e-310)])
 def test_cutoff_solver_rejects_non_finite_input_before_any_track(random_bounded2, monkeypatch, x, y):
     def no_track(*args):
         raise AssertionError("built a track")
@@ -153,6 +156,8 @@ def test_cutoff_solver_rejects_non_finite_input_before_any_track(random_bounded2
     monkeypatch.setattr(recurrence, "extend_tracks", no_track)
     with pytest.raises(InvalidInputError):
         truncnorm.solve_l_of_y(random_bounded2, x, y)
+    with pytest.raises(InvalidInputError):
+        next(truncnorm.solve_l_grid(random_bounded2, [0.1, x], [0.1, y]))
 
 
 def test_overflowed_track_norm_raises(free1):
@@ -228,3 +233,31 @@ def test_grid_grows_within_its_budget_and_drops_crossed_points(diag01, monkeypat
     assert any(len(zs) > 1 for zs, _ in calls) and max(n for _, n in calls) == 512
     runs = [z for z, _ in itertools.groupby(zs[0] for zs, _ in calls if len(zs) == 1)]
     assert len(runs) == len(set(runs)) > 1
+
+
+def test_grid_starts_its_points_in_bounded_stacks(diag01, monkeypatch):
+    # the starting pairs of a long sweep come in stacks of GROW_BLOCKS //
+    # (4 INITIAL_TRACK_BLOCKS) = 64 points, so the first wave arrives after
+    # one stack, not after the whole sweep's tracks
+    sizes = []
+    real = recurrence.dirichlet_neumann_grid
+
+    def spy(spec, xs, n_max):
+        sizes.append(len(xs))
+        return real(spec, xs, n_max)
+
+    monkeypatch.setattr(recurrence, "dirichlet_neumann_grid", spy)
+    xs = np.linspace(0.2, 1.8, 8192)
+    waves = truncnorm.solve_l_grid(diag01, xs, np.full(xs.size, 0.05))
+    tracemalloc.start()
+    try:
+        idx, results = next(waves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(idx) > 0
+    assert peak <= 4 * 2**20
+    assert sizes == [64]
+    for _ in waves:
+        pass
+    assert sizes == [64] * 128

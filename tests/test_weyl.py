@@ -402,24 +402,6 @@ def test_jl_bounds_condition_overflow_status(free1, monkeypatch):
     assert rep.verdict is None
 
 
-def test_resolvent_breakdown_guard_bumps_and_flags(free1, monkeypatch):
-    calls = {"n": 0}
-    real = weyl._banded_corner_block
-
-    def flaky(spec, z, n_blocks):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise np.linalg.LinAlgError("forced pivot breakdown")
-        return real(spec, z, n_blocks)
-
-    assert weyl.m_resolvent(free1, 0.5 + 0.1j, n_blocks=128).bumped is False
-    monkeypatch.setattr(weyl, "_banded_corner_block", flaky)
-    out = weyl.m_resolvent(free1, 0.5 + 0.1j, n_blocks=128)
-    assert out.bumped is True
-    # pinned truncation, so only ballpark agreement with the limit value
-    assert abs(out.m[0, 0] - m_free_exact(0.5 + 0.1j)) <= 1e-4
-
-
 @pytest.mark.parametrize("name", ["random_bounded2", "golden_amo", "periodic3"])
 def test_banded_corner_block_matches_reference_loop(name, request):
     # golden_amo (l = 1) goes through LAPACK's tridiagonal solver, the others
@@ -485,22 +467,22 @@ def test_resolvent_grid_matches_single_points(random_bounded2, monkeypatch, n_bl
         _same_weyl_m(got, weyl.m_resolvent(random_bounded2, z, n_blocks, tol=1e-9))
 
 
-@pytest.mark.parametrize("n_blocks", [None, 96])
-def test_resolvent_breakdown_in_a_stack_bumps_only_its_point(random_bounded2, monkeypatch, n_blocks):
-    zs = _RESOLVENT_ZS[:3]
+def test_resolvent_breakdown_propagates(random_bounded2, monkeypatch):
+    # no retry: a breakdown in any stack reaches the caller as LinAlgError
     real = weyl._banded_corner_block
+    zs = _RESOLVENT_ZS[:3]
 
     def breaks_at_second_point(spec, stack, n):
-        # any stack holding zs[1] breaks down; with Im z bumped it solves
         if zs[1] in [complex(z) for z in stack]:
             raise np.linalg.LinAlgError("forced pivot breakdown")
         return real(spec, stack, n)
 
     monkeypatch.setattr(weyl, "_banded_corner_block", breaks_at_second_point)
-    grid = weyl.m_resolvent_grid(random_bounded2, zs, n_blocks, tol=1e-9)
-    assert [got.bumped for got in grid] == [False, True, False]
-    for z, got in zip(zs, grid):
-        _same_weyl_m(got, weyl.m_resolvent(random_bounded2, z, n_blocks, tol=1e-9))
+    for n_blocks in (None, 96):
+        with pytest.raises(np.linalg.LinAlgError, match="forced pivot breakdown"):
+            weyl.m_resolvent_grid(random_bounded2, zs, n_blocks, tol=1e-9)
+    with pytest.raises(np.linalg.LinAlgError, match="forced pivot breakdown"):
+        weyl.jl_bounds_grid(random_bounded2, [z.real for z in zs], [z.imag for z in zs])
 
 
 def test_resolvent_grid_guards_once_per_call(random_bounded2, monkeypatch):
@@ -613,7 +595,7 @@ _JL_POINTS = {
 def test_jl_bounds_grid_matches_single_points(name, request, monkeypatch):
     spec = request.getfixturevalue(name)
     xs, ys = _JL_POINTS[name]
-    monkeypatch.setattr(weyl, "JL_TRACK_CHUNK", 3)  # 7 points run as 3 + 3 + 1
+    monkeypatch.setattr(truncnorm, "GROW_BLOCKS", 192)  # 7 points start as 3 + 3 + 1
     grid = weyl.jl_bounds_grid(spec, xs, ys)
     assert len(grid) == len(xs)
     assert grid[-1].l_cutoff > 256
