@@ -174,6 +174,9 @@ def parse_config(raw) -> RunConfig:
     params = _resolve_params(task, raw.get("params") or {})
     output = raw.get("output") or {}
     _reject_unknown("output", output, _OUTPUT_KEYS)
+    seed = _coerce("seed", raw.get("seed", 0), 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return RunConfig(
         model=raw["model"],
         task=task,
@@ -183,5 +186,5 @@ def parse_config(raw) -> RunConfig:
             "csv": output.get("csv", f"{task.replace('-', '_')}.csv"),
             "report": output.get("report", "report.txt"),
         },
-        seed=_coerce("seed", raw.get("seed", 0), 0),
+        seed=seed,
     )

@@ -111,7 +111,7 @@ def batched_singular_sq(blocks: np.ndarray) -> np.ndarray:
     Closed forms for l = 1 and l = 2 (via trace/determinant of A* A, with
     the small value recovered stably from the determinant); eigvalsh of
     A* A for larger l. Any strides are accepted, e.g. a moveaxis view.
-    A (C, N, l, l) stack gives the bits of C calls on its (N, l, l) stacks.
+    Every block gets the bits it would get alone, in any stack of any shape.
     """
     blocks = np.asarray(blocks)
     l = blocks.shape[-1]
@@ -128,12 +128,12 @@ def batched_singular_sq(blocks: np.ndarray) -> np.ndarray:
         safe_t = t
         if not 1e-138 <= t.min(initial=1.0) <= t.max(initial=1.0) <= 1e139:
             amax = np.abs(blocks).max(axis=(-2, -1))
-            if np.any((amax > 1e70) & (amax < np.inf)) or np.any((amax > 0) & (amax < 1e-70)):
-                if blocks.ndim > 3:  # stack by stack, as the docstring says
-                    return np.stack([batched_singular_sq(b) for b in blocks])
-                # renormalize by an exact power of two so det products stay
-                # finite; a block with an inf entry has no scale to take out
-                _, e = np.frexp(amax)
+            far = ((amax > 1e70) & (amax < np.inf)) | ((amax > 0) & (amax < 1e-70))
+            if far.any():
+                # renormalize each far block by an exact power of two so det
+                # products stay finite; the others (an inf block has no scale
+                # to take out) are scaled by 2^0, exactly
+                e = np.where(far, np.frexp(amax)[1], 0)
                 factor = np.ldexp(1.0, -e)
                 scaled = blocks * factor[..., None, None]
                 return batched_singular_sq(scaled) * np.ldexp(np.ones_like(amax), 2 * e)[..., None]

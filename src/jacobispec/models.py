@@ -300,18 +300,20 @@ class DynamicalSpec:
         """T^n omega for n0 <= n < n1, an (n1 - n0, torus_dim) array.
 
         alpha_i = p/q with q a power of two: for q <= 2^64, n*p mod q is
-        exact in uint64 wraparound, as q divides 2^64; a larger q falls back
-        to Python ints. Dividing by q is exact, so no phase drifts.
+        exact in uint64 wraparound, as q divides 2^64, and so is dividing by
+        q; a larger q (beyond float range for alpha below ~2^-971) falls
+        back to Python ints and their correctly rounded true division. So
+        no phase drifts.
         """
         n = np.arange(n0, n1, dtype=np.int64).astype(np.uint64)
         out = np.empty((n.size, self.torus_dim))
         for i, (w, af) in enumerate(zip(self.omega, self._alpha_frac)):
             p, q = af.numerator, af.denominator
             if q <= 2**64:
-                r = (n * np.uint64(p)) & np.uint64(q - 1)
+                frac = ((n * np.uint64(p)) & np.uint64(q - 1)) / float(q)
             else:
-                r = np.array([k * p % q for k in range(n0, n1)], dtype=float)
-            out[:, i] = (w + r / float(q)) % 1.0
+                frac = np.array([k * p % q / q for k in range(n0, n1)])
+            out[:, i] = (w + frac) % 1.0
         return out
 
     coefficient_at = _coefficient_at

@@ -51,10 +51,9 @@ class SolutionTrack:
     belongs to; without it the track computes its own.
     """
 
-    def __init__(self, spec, z, blocks, exp2, kind="generic", sums=None):
+    def __init__(self, spec, z, blocks, exp2, sums=None):
         self.spec = spec
         self.z = _as_z(z)
-        self.kind = kind
         self.blocks = blocks
         self.exp2 = exp2
         if sums is None:
@@ -225,7 +224,7 @@ def _truncation_sums(blocks, exp2):
     return (np.sqrt(sv_sq), *scaling.cumulative(tm, te))
 
 
-def _continued(spec, zs, kinds, blocks, exp2, n_new):
+def _continued(spec, zs, blocks, exp2, n_new):
     """One SolutionTrack per column of rows ``blocks`` (m+1, T, l, l) on
     ledgers ``exp2`` (m+1, T), continued to block n_new by one kernel run
     from the last two rows (row m - 1 shifted onto row m's ledger)."""
@@ -240,21 +239,21 @@ def _continued(spec, zs, kinds, blocks, exp2, n_new):
             exps[m : m + len(ledgers)] = ledgers
     blocks = rows.transpose(0, 3, 1, 2)
     sums = _truncation_sums(blocks, exps)
-    return [SolutionTrack(spec, z, blocks[:, k], exps[:, k], kind, [a[:, k] for a in sums])
-            for k, (z, kind) in enumerate(zip(zs, kinds))]
+    return [SolutionTrack(spec, z, blocks[:, k], exps[:, k], [a[:, k] for a in sums])
+            for k, z in enumerate(zs)]
 
 
 def extend_tracks(tracks, n_new):
     """Tracks continued to block n_new, all in one kernel run.
 
-    The tracks share one spec and one length; each keeps its own energy,
-    kind and exponent ledger, and comes out bit for bit as a fresh run to
+    The tracks share one spec and one length; each keeps its own energy
+    and exponent ledger, and comes out bit for bit as a fresh run to
     n_new would. Tracks that already reach n_new are returned as they are.
     """
     n_new = int(n_new)
     if n_new <= tracks[0].n_max:
         return list(tracks)
-    return _continued(tracks[0].spec, np.array([t.z for t in tracks]), [t.kind for t in tracks],
+    return _continued(tracks[0].spec, np.array([t.z for t in tracks]),
                       np.stack([t.blocks for t in tracks], axis=1),
                       np.stack([t.exp2 for t in tracks], axis=1), n_new)
 
@@ -275,8 +274,7 @@ def dirichlet_neumann_grid(spec, zs, n_max):
     # rows B_0, B_1 on a zero ledger; entry 2j is phi_j, entry 2j + 1 is psi_j
     head = np.zeros((2, 2 * len(zs), l, l), dtype=dtype)
     head[0, 1::2] = head[1, 0::2] = np.eye(l)
-    tracks = _continued(spec, np.repeat(np.array(zs, dtype=dtype), 2),
-                        ("dirichlet", "neumann") * len(zs), head,
+    tracks = _continued(spec, np.repeat(np.array(zs, dtype=dtype), 2), head,
                         np.zeros((2, 2 * len(zs)), dtype=np.int64), n_max)
     return list(zip(tracks[0::2], tracks[1::2]))
 
@@ -408,7 +406,7 @@ def jost_assemble(phi_track, psi_track, m_matrix):
     blocks = np.empty((n_max + 1, phi_track.dim, phi_track.dim), dtype=complex)
     for k in range(n_max + 1):
         blocks[k] = psi_track.block(k) - phi_track.block(k) @ md0
-    return SolutionTrack(spec, phi_track.z, blocks, np.zeros(n_max + 1, dtype=np.int64), kind="jost")
+    return SolutionTrack(spec, phi_track.z, blocks, np.zeros(n_max + 1, dtype=np.int64))
 
 
 def jl_identity_residual(phi_x, psi_x, f_track, m_matrix, x, y, n_max):

@@ -101,10 +101,6 @@ class SolveLResult:
     phi_norm: float  # ||phi||_L and ||psi||_L at the solved cutoff
     psi_norm: float
 
-    @property
-    def tracks(self):
-        return self.phi, self.psi
-
 
 def solve_l_of_y(spec, x, y):
     """Find L >= 1 with 2 y ||D0^-1||_F ||psi||_L ||phi||_L = 1.
@@ -180,8 +176,6 @@ def solve_l_grid(spec, xs, ys):
     xs, ys = [float(x) for x in xs], [float(y) for y in ys]
     if not all(math.isfinite(x) for x in xs) or not all(0 < y < math.inf for y in ys):
         raise InvalidInputError("need finite x and finite y > 0")
-    if not ys:
-        return
     d0_inv_norm = matblock.frobenius_norm(matblock.invert(spec.coefficient_at(0)[0]))
     y = np.array(ys)
     with np.errstate(over="ignore", divide="ignore"):  # an inf or a 0 is rejected below

@@ -44,11 +44,10 @@ rung whose bound exceeds ``tol`` is descended instead. The descent
 stays its oracle and the route of every other model and of
 ``m_riccati`` and ``jost_chain``.
 
-Unless a truncation is pinned, every route stops by one rule,
-:func:`_until_cauchy`: the depth (descent steps, decimated sites or
-resolvent blocks) starts at ``INITIAL_DEPTH`` (for ``jost_chain``, its
-first doubling that reaches 4 n_max) and doubles up to
-``RICCATI_MAX_DEPTH`` (``m_riccati``, ``jost_chain``),
+Every route stops by one rule, :func:`_until_cauchy`: the depth (descent
+steps, decimated sites or resolvent blocks) starts at ``INITIAL_DEPTH``
+(for ``jost_chain``, its first doubling that reaches 4 n_max) and
+doubles up to ``RICCATI_MAX_DEPTH`` (``m_riccati``, ``jost_chain``),
 ``LADDER_MAX_DEPTH`` (rank ladder by descent), ``DECIMATION_MAX_DEPTH``
 (rank ladder by decimation) or ``RESOLVENT_MAX_DEPTH``. The points
 solved together form groups (a rung of the ladder, one resolvent point,
@@ -293,18 +292,18 @@ def _banded_corner_block(spec, zs, n_blocks):
     return sol.reshape(zs.size, n_blocks * l, l)[:, :l, :].copy(order="K")
 
 
-def m_resolvent(spec, z, n_blocks=None, tol=1e-10):
+def m_resolvent(spec, z, tol=1e-10):
     """m-function as the corner block of the banded-truncation resolvent.
 
     Independent oracle for :func:`m_riccati`: same limit, different
     algorithm (LAPACK banded LU with pivoting instead of the hand-rolled
-    descending recursion). Truncation size doubles until Cauchy unless
-    ``n_blocks`` pins it. Batch-of-one form of :func:`m_resolvent_grid`.
+    descending recursion). Truncation size doubles until Cauchy.
+    Batch-of-one form of :func:`m_resolvent_grid`.
     """
-    return m_resolvent_grid(spec, [z], n_blocks, tol)[0]
+    return m_resolvent_grid(spec, [z], tol)[0]
 
 
-def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10):
+def m_resolvent_grid(spec, zs, tol=1e-10):
     """:func:`m_resolvent` at every z of ``zs``; a list of ``WeylM``, in order.
 
     Each doubling solves every point that is not yet Cauchy, in stacks of at
@@ -321,13 +320,8 @@ def m_resolvent_grid(spec, zs, n_blocks=None, tol=1e-10):
         stacks = [[zs[k] for k in active[a : a + per]] for a in range(0, len(active), per)]
         return np.concatenate([_banded_corner_block(spec, s, depth) for s in stacks])[:, None]
 
-    if n_blocks is None:
-        found = _until_cauchy(solve, len(zs), tol, INITIAL_DEPTH, RESOLVENT_MAX_DEPTH,
-                              lambda k: f"resolvent truncation for z = {zs[k]}")
-    elif int(n_blocks) < 8:
-        raise InvalidInputError("need at least 8 blocks")
-    else:
-        found = [(m, int(n_blocks), math.nan) for m in solve(range(len(zs)), int(n_blocks))]
+    found = _until_cauchy(solve, len(zs), tol, INITIAL_DEPTH, RESOLVENT_MAX_DEPTH,
+                          lambda k: f"resolvent truncation for z = {zs[k]}")
     ms, depths, deltas = zip(*found)
     _im_m_eigenvalues(np.concatenate(ms), np.array(zs), depths, deltas)
     return [WeylM(z, m[0], n, d) for z, (m, n, d) in zip(zs, found)]
@@ -389,32 +383,29 @@ class HerglotzCheck:
     slow_decay: bool
 
 
-# the fewest terms the tail estimate can read (it fits the last nine), and
-# the most the sum doubles to before it reports slow decay
-HERGLOTZ_MIN_TERMS = 16
+# the terms the sum starts at, and the most it doubles to before it
+# reports slow decay
+HERGLOTZ_START_TERMS = 256
 HERGLOTZ_MAX_TERMS = 2**15
 
 
-def herglotz_identity_check(spec, z, n_terms=None, tol=1e-12):
+def herglotz_identity_check(spec, z):
     """Defect of D0 Im[M] D0 = Im[z] * sum_k F_k^* F_k.
 
-    The sum is truncated once the geometric tail estimate drops below
-    1e-12 of the running total (or at ``n_terms`` when given, at least
-    ``HERGLOTZ_MIN_TERMS``); slow Jost decay (z too close to the spectrum)
-    sets the ``slow_decay`` flag.
+    The sum starts at ``HERGLOTZ_START_TERMS`` terms and doubles until the
+    geometric tail estimate drops below 1e-12 of the running total; slow
+    Jost decay (z too close to the spectrum) sets the ``slow_decay`` flag.
     """
     z = _require_upper(z)
     d0 = spec.coefficient_at(0)[0]
-    n = int(n_terms) if n_terms is not None else 256
-    if n < HERGLOTZ_MIN_TERMS:
-        raise InvalidInputError(f"n_terms must be >= {HERGLOTZ_MIN_TERMS}, got {n}")
+    n = HERGLOTZ_START_TERMS
     slow = False
     descents = {}
     while True:
         # a chain to n starts at depth 4 n, so shallower descents are done with
         for depth in [d for d in descents if d < 4 * n]:
             del descents[depth]
-        blocks, m1 = _jost_chain(spec, z, n, tol, descents)
+        blocks, m1 = _jost_chain(spec, z, n, 1e-12, descents)
         term_norms = np.array(
             [float(np.sum(np.abs(blocks[k]) ** 2)) for k in range(n - 8, n + 1)]
         )
@@ -423,7 +414,7 @@ def herglotz_identity_check(spec, z, n_terms=None, tol=1e-12):
         total = np.einsum("kji,kjl->il", blocks[1:].conj(), blocks[1:])
         tail = term_norms[-1] * rho / (1.0 - rho) if rho < 1 else math.inf
         total_scale = max(float(np.trace(total).real), 1e-300)
-        if n_terms is not None or tail <= 1e-12 * total_scale:
+        if tail <= 1e-12 * total_scale:
             break
         if n >= HERGLOTZ_MAX_TERMS:
             slow = True
@@ -439,11 +430,11 @@ def herglotz_identity_check(spec, z, n_terms=None, tol=1e-12):
     return HerglotzCheck(float(residual), n, float(tail / total_scale if math.isfinite(tail) else math.inf), slow)
 
 
-def herglotz_identity_residual(spec, z, n_terms=None, **kw) -> float:
-    return herglotz_identity_check(spec, z, n_terms=n_terms, **kw).residual
+def herglotz_identity_residual(spec, z) -> float:
+    return herglotz_identity_check(spec, z).residual
 
 
-def green_block(spec, p, q, z, tol=1e-12):
+def green_block(spec, p, q, z):
     """G(p,q;z) = -phi_p D0^-1 F_q^t for p <= q (transposed branch above).
 
     phi is the Dirichlet track and F the square-summable Jost solution from
@@ -456,7 +447,7 @@ def green_block(spec, p, q, z, tol=1e-12):
     z = _require_upper(z)
     hi = max(p, q, 1)
     phi, _ = recurrence.dirichlet_neumann(spec, z, hi + 1)
-    f_blocks, _ = jost_chain(spec, z, hi, tol=tol)
+    f_blocks, _ = jost_chain(spec, z, hi)
     d0_inv = matblock.invert(spec.coefficient_at(0)[0])
     if p <= q:
         return -phi.block(p) @ d0_inv @ f_blocks[q].T

@@ -181,13 +181,14 @@ def batched_singular_sq_reference(blocks):
 
     The trace/determinant closed form as ``matblock.batched_singular_sq``
     first wrote it: abs()**2 terms, np.clip and np.stack, with the same
-    power-of-two renormalisation outside 1e+-70. The production form must
-    reproduce it bit for bit.
+    power-of-two renormalisation of each block outside 1e+-70. The
+    production form must reproduce it bit for bit.
     """
     blocks = np.asarray(blocks)
     amax = np.max(np.abs(blocks), axis=(-2, -1))
-    if np.any(amax > 1e70) or np.any((amax > 0) & (amax < 1e-70)):
-        _, e = np.frexp(amax)
+    far = (amax > 1e70) | ((amax > 0) & (amax < 1e-70))
+    if np.any(far):
+        e = np.where(far, np.frexp(amax)[1], 0)
         scaled = blocks * np.ldexp(1.0, -e)[..., None, None]
         return batched_singular_sq_reference(scaled) * np.ldexp(np.ones_like(amax), 2 * e)[..., None]
     a = blocks[..., 0, 0]

@@ -115,6 +115,20 @@ def test_band_edges_found(diag01):
     assert np.allclose(sorted(edges), [-2.0, -1.0, 2.0, 3.0], atol=1e-6)
 
 
+def test_scan_flags_band_edge_and_low_confidence(diag01):
+    # 1e-12 past the edge x = 2 the first channel's pair moves 1.00004e-6
+    # off the unit circle, inside the Floquet oracle's ambiguity window
+    # [eps, 10 eps); at x = 3.002, just outside the second band, the first
+    # Cesaro slope (0.33) lands in the gray zone (0.2, 0.4)
+    records = classify.scan_energy_grid(diag01, [2.0 + 1e-12, 3.002, 0.5],
+                                        classify.ScanParams(with_rank=False))
+    edge, gray, inside = records
+    assert (edge.r_flo, edge.flags) == (1, ["band-edge", "ces=flo"])
+    assert 0.2 < gray.slopes[0] < 0.4 and gray.low_confidence
+    assert (gray.r_ces, gray.flags) == (0, ["low-confidence", "ces=flo"])
+    assert (inside.r_ces, inside.r_flo, inside.flags) == (2, 2, ["ces=flo"])
+
+
 def test_scan_three_point_grid(free1):
     params = classify.ScanParams(l_grid=(256, 512, 1024, 2048), with_rank=True)
     records = classify.scan_energy_grid(free1, [-3.0, 0.0, 3.0], params)

@@ -70,6 +70,23 @@ def test_validate_task_reports_extremes(tmp_path):
     assert "sufficient-condition-met" in report
 
 
+@pytest.mark.parametrize("alpha, quotients", [
+    (0.6180339887498949, "[0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]"),
+    (1.0e-300, "[0]"),  # its denominator 2^1049 is beyond float range
+], ids=["golden", "tiny"])
+def test_validate_reports_rotation_number_probe(tmp_path, alpha, quotients):
+    cfg = write_config(
+        tmp_path, "v.yaml",
+        {"model": dict(GOLDEN_AMO, alpha=[alpha]), "task": "validate",
+         "output": {"dir": str(tmp_path / "out")}},
+    )
+    assert cli.main(["validate", str(cfg)]) == 0
+    probe = [line for line in (tmp_path / "out" / "report.txt").read_text().splitlines()
+             if line.startswith("rotation-number probe: ")]
+    assert probe == [f"rotation-number probe: {{0: {{'terminates_within_depth': "
+                     f"{quotients == '[0]'}, 'partial_quotients': {quotients}}}}}"]
+
+
 def test_validate_failure_exit_code(tmp_path):
     bad = {
         "kind": "explicit",
@@ -446,6 +463,8 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     (FREE1, "jl-sweep", {"n_points": float("inf")}, 0),
     (FREE1, "jl-sweep", {"n_points": 2.7}, 0),
     (FREE1, "scan", {"x_grid": {"start": 0.0, "stop": 1.0, "count": 4.5}}, 0),
+    (FREE1, "jl-sweep", {}, -1),
+    (GOLDEN_AMO, "constancy", {"x_grid": [0.0]}, -1),
 ], ids=[
     "periodic-without-ds", "free-dimension-zero", "constant-map-without-matrix", "pair-without-v", "ragged-block",
     "alpha-on-periodic", "unknown-key-in-reflected-base", "reflected-base-without-vs",
@@ -456,6 +475,7 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     "one-random-phase", "constancy-on-periodic", "phases-of-wrong-dimension",
     "one-rung-y-ladder", "two-rung-y-ladder", "nan-in-y-range", "non-finite-x-grid",
     "infinite-n-points", "fractional-n-points", "fractional-x-grid-count",
+    "negative-seed-jl-sweep", "negative-seed-constancy-drawn-phases",
 ])
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task, params, seed):
     cfg = write_config(

@@ -187,6 +187,17 @@ def test_batched_singular_sq_stack_of_steps_matches_each_step():
         assert np.array_equal(got[k], matblock.batched_singular_sq(steps[k]))
 
 
+def test_batched_singular_sq_block_does_not_depend_on_a_far_block():
+    # s_2^2 = 9e-322 is subnormal: rescaled along with the 1e80 block it
+    # read 9.09e-322, alone 8.99e-322
+    near = np.diag([1.5, 3e-161])
+    for far in (np.diag([1e80, 1.0]), np.diag([1e-80, 1.0])):
+        for blocks in (np.stack([near, far]), np.stack([[near], [far]]), np.stack([[near, far]])):
+            got = matblock.batched_singular_sq(blocks).reshape(2, 2)
+            assert np.array_equal(got[0], matblock.batched_singular_sq(near[None])[0])
+            assert np.array_equal(got[1], matblock.batched_singular_sq(far[None])[0])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batched_singular_sq_infinite_entry_does_not_recurse():
     blocks = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[1e80, 0.0], [0.0, 1.0]]])

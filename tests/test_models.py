@@ -329,6 +329,19 @@ def test_coefficient_arrays_exact_for_every_family(n0, n1):
                 assert np.array_equal(theta[k], _phase_reference(spec, n0 + k))
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 2.0**-1000, 5e-324])
+def test_tiny_rotation_number_phases_match_fraction_arithmetic(alpha):
+    # q = 2^1049 for alpha = 1e-300 is beyond float range; negative n puts
+    # n p mod q close to q
+    f_v = models.CosinePolynomialMap(np.zeros((1, 1)), (((1,), 0.5 * np.eye(1), 0.0),))
+    spec = models.DynamicalSpec((alpha,), (0.3,), models.ConstantMap(np.eye(1)), f_v)
+    theta = spec.phases(-5, 6)[:, 0]
+    want = [(0.3 + float(n * Fraction(alpha) % 1)) % 1.0 for n in range(-5, 6)]
+    assert np.array_equal(theta, want)
+    d, v = models.coefficient_arrays(spec, -5, 6)
+    assert np.all(np.isfinite(v))
+
+
 def test_coefficient_arrays_of_a_duck_typed_model():
     class Ramp:
         dim = 1

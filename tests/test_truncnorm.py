@@ -195,7 +195,7 @@ def test_grown_tracks_solve_as_long_tracks_would(diag01):
         l_value, phi, psi, residual, _, _ = solve_l_of_y_reference(
             diag01, x, y, recurrence.dirichlet_neumann(diag01, x, 1024))
         assert got.l_value == l_value and got.residual == residual
-        for track, other in zip(got.tracks, (phi, psi)):
+        for track, other in zip((got.phi, got.psi), (phi, psi)):
             assert truncnorm.truncated_singular(track, 2, got.l_value) == truncnorm.truncated_singular(
                 other, 2, got.l_value)
 
@@ -220,7 +220,7 @@ def test_grid_grows_within_its_budget_and_drops_crossed_points(diag01, monkeypat
     got, refs, dropped = {}, [], []
     for idx, results in truncnorm.solve_l_grid(diag01, xs, ys):
         dropped.append(all(ref() is None for ref in refs))
-        refs = [weakref.ref(t) for res in results for t in res.tracks]
+        refs = [weakref.ref(t) for res in results for t in (res.phi, res.psi)]
         got.update({j: (r.l_value, r.residual, r.phi_norm, r.psi_norm, r.phi.n_max)
                     for j, r in zip(idx, results)})
         del results

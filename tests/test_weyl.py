@@ -125,7 +125,7 @@ def test_jl_bounds_raises_domain_error_below_the_floor(random_bounded2, y):
 def test_resolvent_matches_dense_solve(random_bounded2):
     z = 0.8 + 0.3j
     n_blocks = 256
-    got = weyl.m_resolvent(random_bounded2, z, n_blocks=n_blocks).m
+    got = weyl._banded_corner_block(random_bounded2, [z], n_blocks)[0]
     big = dense_halfline_matrix(random_bounded2, n_blocks)
     l = random_bounded2.dim
     inv = np.linalg.inv(big - z * np.eye(n_blocks * l))
@@ -284,13 +284,10 @@ def test_boundary_grid_guards_name_the_point(name, spoil, what, request, monkeyp
         weyl.im_m_boundary_grid(spec, [-1.5, 0.5, 1.25], (0.1, 0.05, 0.03))
 
 
-def test_weylm_guard_rejects_non_finite_m(random_bounded2, monkeypatch):
-    def nan_corners(spec, zs, n_blocks):
-        return np.full((len(zs), spec.dim, spec.dim), np.nan, dtype=complex)
-
-    monkeypatch.setattr(weyl, "_banded_corner_block", nan_corners)
+def test_weylm_guard_rejects_non_finite_m(random_bounded2):
+    m = np.full((1, random_bounded2.dim, random_bounded2.dim), np.nan, dtype=complex)
     with pytest.raises(ConvergenceError, match="M is not finite at x = 0.3, y = 0.1"):
-        weyl.m_resolvent_grid(random_bounded2, [0.3 + 0.1j], 64)
+        weyl._im_m_eigenvalues(m, np.array([0.3 + 0.1j]), (64,), (math.nan,))
 
 
 @pytest.mark.parametrize(
@@ -365,8 +362,8 @@ def test_resolvent_cauchy_once_converged(random_bounded2):
     z = 0.7 + 0.25j
     tol = 1e-10
     converged = weyl.m_resolvent(random_bounded2, z, tol=tol)
-    doubled = weyl.m_resolvent(random_bounded2, z, n_blocks=2 * converged.depth)
-    assert fro(converged.m - doubled.m) < tol
+    doubled = weyl._banded_corner_block(random_bounded2, [z], 2 * converged.depth)[0]
+    assert fro(converged.m - doubled) < tol
 
 
 def test_ladder_indeterminate_on_drifting_eigenvalues():
@@ -445,8 +442,7 @@ def _same_weyl_m(a, b):
 _RESOLVENT_ZS = [0.37 + 0.05j, -1.4 + 0.02j, 2.6 + 0.8j, 4.5 + 1e-8j, 0.9 + 0.004j, -0.3 + 0.3j]
 
 
-@pytest.mark.parametrize("n_blocks", [None, 96])
-def test_resolvent_grid_matches_single_points(random_bounded2, monkeypatch, n_blocks):
+def test_resolvent_grid_matches_single_points(random_bounded2, monkeypatch):
     stacks = []  # (points, blocks) of every banded solve
     real = weyl._banded_corner_block
 
@@ -455,16 +451,15 @@ def test_resolvent_grid_matches_single_points(random_bounded2, monkeypatch, n_bl
         return real(spec, zs, n)
 
     monkeypatch.setattr(weyl, "_banded_corner_block", spy)
-    grid = weyl.m_resolvent_grid(random_bounded2, _RESOLVENT_ZS, n_blocks, tol=1e-9)
+    grid = weyl.m_resolvent_grid(random_bounded2, _RESOLVENT_ZS, tol=1e-9)
     monkeypatch.undo()
     assert any(points > 1 for points, _ in stacks)
     for points, blocks in stacks:
         # a stack holds at most _STACK_BLOCKS blocks, unless it is one point
         assert points == 1 or blocks <= weyl._STACK_BLOCKS
-    if n_blocks is None:
-        assert len({m.depth for m in grid}) > 1  # points leave the doubling one by one
+    assert len({m.depth for m in grid}) > 1  # points leave the doubling one by one
     for z, got in zip(_RESOLVENT_ZS, grid):
-        _same_weyl_m(got, weyl.m_resolvent(random_bounded2, z, n_blocks, tol=1e-9))
+        _same_weyl_m(got, weyl.m_resolvent(random_bounded2, z, tol=1e-9))
 
 
 def test_resolvent_breakdown_propagates(random_bounded2, monkeypatch):
@@ -478,9 +473,8 @@ def test_resolvent_breakdown_propagates(random_bounded2, monkeypatch):
         return real(spec, stack, n)
 
     monkeypatch.setattr(weyl, "_banded_corner_block", breaks_at_second_point)
-    for n_blocks in (None, 96):
-        with pytest.raises(np.linalg.LinAlgError, match="forced pivot breakdown"):
-            weyl.m_resolvent_grid(random_bounded2, zs, n_blocks, tol=1e-9)
+    with pytest.raises(np.linalg.LinAlgError, match="forced pivot breakdown"):
+        weyl.m_resolvent_grid(random_bounded2, zs, tol=1e-9)
     with pytest.raises(np.linalg.LinAlgError, match="forced pivot breakdown"):
         weyl.jl_bounds_grid(random_bounded2, [z.real for z in zs], [z.imag for z in zs])
 
@@ -494,7 +488,7 @@ def test_resolvent_grid_guards_once_per_call(random_bounded2, monkeypatch):
         return real(m, *args)
 
     monkeypatch.setattr(weyl, "_im_m_eigenvalues", spy)
-    weyl.m_resolvent_grid(random_bounded2, _RESOLVENT_ZS, 96, tol=1e-9)
+    weyl.m_resolvent_grid(random_bounded2, _RESOLVENT_ZS, tol=1e-9)
     assert sizes == [len(_RESOLVENT_ZS)]
     assert weyl.m_resolvent_grid(random_bounded2, []) == [] and len(sizes) == 1
 
@@ -506,9 +500,8 @@ def test_resolvent_grid_holds_one_solve_at_a_time(random_bounded2):
 
     from scipy.linalg import lapack  # noqa: F401  (loaded before tracing)
 
-    zs = np.linspace(-1.5, 1.5, 8) + 0.05j
-    n_blocks = 16384
-    assert n_blocks > weyl._STACK_BLOCKS
+    zs = np.linspace(-1.5, 1.5, 8) + 0.01j
+    found = []
 
     def peak(run):
         tracemalloc.start()
@@ -518,8 +511,10 @@ def test_resolvent_grid_holds_one_solve_at_a_time(random_bounded2):
         finally:
             tracemalloc.stop()
 
+    grid = peak(lambda: found.extend(weyl.m_resolvent_grid(random_bounded2, zs)))
+    n_blocks = max(m.depth for m in found)  # 8192, at x = 0.214
+    assert n_blocks > weyl._STACK_BLOCKS
     one = peak(lambda: weyl._banded_corner_block(random_bounded2, zs[:1], n_blocks))
-    grid = peak(lambda: weyl.m_resolvent_grid(random_bounded2, zs, n_blocks))
     assert grid <= 1.2 * one, (grid / 2**20, one / 2**20)
 
 
@@ -557,7 +552,9 @@ def test_jost_chain_not_cauchy_at_cap_reports_its_delta(random_bounded2, monkeyp
 
 def test_herglotz_check_descends_each_depth_once(random_bounded2, monkeypatch):
     z = 0.5 + 0.01j
-    want = dataclasses.astuple(weyl.herglotz_identity_check(random_bounded2, z, n_terms=4096))
+    monkeypatch.setattr(weyl, "HERGLOTZ_START_TERMS", 4096)
+    want = dataclasses.astuple(weyl.herglotz_identity_check(random_bounded2, z))
+    monkeypatch.undo()
     depths = []
     real = weyl._riccati_descent
 
@@ -667,14 +664,6 @@ def test_ladder_that_cannot_stabilise_is_rejected(diag01, ladder):
         weyl.im_m_boundary_grid(diag01, [0.5], ladder)
     with pytest.raises(InvalidInputError, match="at least three"):
         weyl.im_m_boundary(diag01, 0.5, ladder)
-
-
-def test_herglotz_check_honours_n_terms(free1):
-    # below the floor of 16 terms the check raises instead of summing 16
-    z = 0.5 + 0.5j
-    with pytest.raises(InvalidInputError, match="n_terms must be >= 16"):
-        weyl.herglotz_identity_check(free1, z, n_terms=4)
-    assert weyl.herglotz_identity_check(free1, z, n_terms=16).n_terms == 16
 
 
 _SCIPY_PROBE = """
