@@ -213,8 +213,9 @@ def floquet_grid(spec, xs, eps=1e-6):
 
     Eigenvalues of the one-period transfer product come in (lambda,
     1/lambda) pairs; those on the unit circle (within ``eps``) mark open
-    channels, so r_flo = count/2. An odd count, or a modulus off the circle
-    by at least ``eps`` but less than ``FLOQUET_AMBIGUITY`` eps, raises the
+    channels, so r_flo = count/2. An odd count, a modulus off the circle
+    by at least ``eps`` but less than ``FLOQUET_AMBIGUITY`` eps, or a
+    multiplier on the circle within ``eps`` of +1 or -1 raises the
     band-edge flag. Returns arrays (r_flo, band_edge, eigenvalue mantissas,
     exp2 ledger).
     """
@@ -229,8 +230,12 @@ def floquet_grid(spec, xs, eps=1e-6):
         log_mod = np.log(np.abs(lam)) + exp2[:, None] * math.log(2.0)
     dist = np.abs(np.expm1(log_mod))  # exactly | |lambda| - 1 |
     ambiguous = np.any((dist >= eps) & (dist < FLOQUET_AMBIGUITY * eps), axis=1)
-    count = np.sum(dist < eps, axis=1)
-    return count // 2, (count % 2 == 1) | ambiguous, lam, exp2
+    on = dist < eps
+    # a multiplier on the circle within eps of +-1: an (anti)periodic solution, only at an edge
+    re, im = (np.ldexp(np.where(on, part, 0.0), exp2[:, None]) for part in (lam.real, lam.imag))
+    periodic = np.any(on & (np.hypot(np.abs(re) - 1.0, im) < eps), axis=1)
+    count = np.sum(on, axis=1)
+    return count // 2, (count % 2 == 1) | ambiguous | periodic, lam, exp2
 
 
 def floquet_multiplicity(spec, x, eps=1e-6):

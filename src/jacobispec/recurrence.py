@@ -8,15 +8,18 @@ is stepped by one batched kernel, :func:`forward`, which every track and
 every Cesaro sweep runs on. The kernel holds a batch of N blocks
 component-major, as one (l, l, N) array whose [i, j] row carries entry
 (i, j) of every block: for l <= 2 a block product is then a few
-elementwise operations on length-N rows instead of N small matmuls. Each
-B_n is written as one row of a (K, l, l, N) buffer of the caller's, K rows
-at a time. Outside the AC region solutions grow exponentially, so blocks
-are kept as a float mantissa plus a power-of-two exponent: every 8 steps
-(at absolute indices n = 0 mod 8) the sliding pair is checked, and once
-its largest entry leaves [2^-120, 2^120] both blocks are shifted by a
-power of two and the shift is recorded. Norms and singular values are
-exact in this (mantissa, exponent) representation; plain-float accessors
-raise TrackOverflowError once a value no longer fits.
+elementwise operations on length-N rows instead of N small matmuls. For
+l = 1 the step is four in-place ufuncs on (G, B) arrays that take turns
+as B_{n+1}. Each B_n is written as one row of a (K, l, l, N) buffer of the
+caller's, K rows at a time. Outside the AC region solutions grow
+exponentially, so blocks are kept as a float mantissa plus a power-of-two
+exponent per member: every 8 steps (at absolute indices n = 0 mod 8) the
+sliding pair is checked, and each member whose largest entry has left
+[2^-120, 2^120] has both its blocks shifted by a power of two and the
+shift recorded; the members inside the window are not touched. Norms
+and singular values are exact in this (mantissa, exponent)
+representation; plain-float accessors raise TrackOverflowError once a
+value no longer fits.
 """
 
 from __future__ import annotations
@@ -101,17 +104,24 @@ def _inverses(d):
                 return np.linalg.inv(d[:k])
 
 
-def _pow2_shift(mags):
-    """Exponents that bring magnitudes back into [2^-120, 2^120].
+def _pow2_shift(mags, blocks, exp2):
+    """Shift the members whose largest magnitude ``mags`` left [2^-120, 2^120].
 
-    Returns the int64 frexp exponent of every positive entry of ``mags``
-    outside that range (0 for the others), or None when all are inside.
+    ``blocks`` are (entries, members) arrays. Only the hot members are
+    scaled, in place, by 2^-e, e the frexp exponent of their magnitude (0
+    for a member at 0). Returns the ledger plus e at those members as a
+    new array, or ``exp2`` itself when none is hot.
     """
-    hot = (mags > 2.0**_RESCALE_LOG2) | ((mags > 0) & (mags < 2.0**-_RESCALE_LOG2))
-    if not np.any(hot):
-        return None
-    _, e = np.frexp(mags)
-    return np.where(hot, e, 0).astype(np.int64)
+    hot = ((mags > 2.0**_RESCALE_LOG2) | (mags < 2.0**-_RESCALE_LOG2)).nonzero()[0]
+    if not hot.size:
+        return exp2
+    e = np.frexp(mags[hot])[1]
+    factor = np.ldexp(1.0, -e)
+    for row in (row for b in blocks for row in b):
+        row[hot] *= factor
+    exp2 = exp2.copy()
+    exp2[hot] += e
+    return exp2
 
 
 def _product(m, b):
@@ -140,26 +150,34 @@ def forward(specs, zs, b_prev, b_cur, n_start, exp2, n_stop, out):
     coefficients of specs[g].
     B_{n+1} = D_n^-1 (z B_n - V_n B_n - D_{n-1} B_{n-1}); B_n_start ..
     B_n_stop are written into ``out``, a (K, l, l, N) component-major
-    buffer, K rows at a time. After each fill the generator yields the
-    list of its rows' ledgers; the next fill starts again at row 0 once
-    the next item is requested. Coefficients are read in chunks of up to
-    _CHUNK steps, none past n_stop, through
-    :func:`models.coefficient_arrays`, D^-1 from one stacked inverse; a
-    singular D_n raises SingularBlockError at the step that needs D_n^-1.
-    At an index where every member has D = I the
+    buffer, K rows at a time. After each fill the generator yields the list
+    of its rows' ledgers; the next fill starts again at row 0 once the next
+    item is requested. Coefficients are read in chunks of up to _CHUNK
+    steps, none past n_stop, through :func:`models.coefficient_arrays`, D^-1
+    from one stacked inverse; a singular D_n raises SingularBlockError at
+    the step that needs D_n^-1. At an index where every member has D = I the
     products with D_{n-1} and D_n^-1 are skipped (exact, as 1.0 * x = x).
-    After the step from an index n = 0 mod 8 the pair is shifted by
-    :func:`_pow2_shift` of its largest entry, and TrackOverflowError is
-    raised if an entry is no longer finite (growth beyond float range
-    within 8 steps, or NaN). A failing step first yields the rows written
-    before it. The ledger array is replaced, never mutated, at each shift,
-    so the rows of a rescale period share one ledger and a caller detects
-    a rescale by identity.
+    For l = 1 the step is z B_n, then - V_n B_n, then - B_{n-1}
+    (or - D_{n-1} B_{n-1}), then D_n^-1 when D_n != 1, as in-place ufuncs on
+    (G, B) arrays, B_{n+1} into the one of three scratch arrays that holds
+    neither B_n nor B_{n-1}; l >= 2 takes the same steps through
+    :func:`_product`. After the step from an index n = 0 mod 8,
+    TrackOverflowError is raised if an entry of the pair is no longer finite
+    (growth beyond float range within 8 steps, or NaN); else
+    :func:`_pow2_shift` shifts the members whose largest entry left the
+    window. A failing step first yields the rows written before it. The
+    ledger array is replaced, never mutated, at each shift, so the rows of a
+    rescale period share one ledger and a caller detects a rescale by
+    identity.
     """
     g, l = len(specs), b_cur.shape[-1]
     zz = np.asarray(zs).reshape(g, -1)
-    b_prev, b_cur = (np.ascontiguousarray(b.transpose(1, 2, 0)).reshape(l, l, *zz.shape)
+    # the pair, copied as a rescale shifts it in place: (l, l, G, B), or (G, B) for l = 1
+    shape = zz.shape if l == 1 else (l, l, *zz.shape)
+    b_prev, b_cur = (np.array(b.transpose(1, 2, 0), order="C").reshape(shape)
                      for b in (b_prev, b_cur))
+    # l = 1 steps into scratch[n % 3], which is never B_n or B_{n-1}
+    scratch = [np.empty(shape, np.result_type(zz, b_prev, b_cur)) for _ in range(4 if l == 1 else 0)]
     n, ledgers = n_start, []
     try:
         while True:
@@ -168,9 +186,9 @@ def forward(specs, zs, b_prev, b_cur, n_start, exp2, n_stop, out):
                 models.coefficient_arrays(spec, n - 1, n + size) for spec in specs)))
             d_inv = _inverses(d[1:])
             plain = np.all(d == np.eye(l), axis=(1, 2, 3)).tolist()
-            # (steps, l, l, 1, G, 1): [k, j, i] is entry (i, j) of every member
-            d, d_inv, v = (np.ascontiguousarray(a.transpose(0, 3, 2, 1))[:, :, :, None, :, None]
-                           for a in (d, d_inv, v))
+            # (steps, l, l, 1, G, 1): [k, j, i] is entry (i, j) of every member; l = 1: (steps, G, 1)
+            d, d_inv, v = (np.ascontiguousarray(a.transpose(0, 3, 2, 1)).reshape(
+                len(a), *((g, 1) if l == 1 else (l, l, 1, g, 1))) for a in (d, d_inv, v))
             for k in range(size):
                 out[len(ledgers)] = b_cur.reshape(l, l, -1)
                 ledgers.append(exp2)
@@ -181,22 +199,27 @@ def forward(specs, zs, b_prev, b_cur, n_start, exp2, n_stop, out):
                     ledgers = []
                 if k == len(d_inv):
                     raise SingularBlockError(f"D_{n} is singular, recurrence stops")
-                t = zz * b_cur
-                t -= _product(v[k + 1], b_cur)
-                t -= b_prev if plain[k] else _product(d[k], b_prev)
-                b_prev, b_cur = b_cur, t if plain[k + 1] else _product(d_inv[k], t)
+                if l == 1:
+                    t, vb = scratch[n % 3], scratch[3]
+                    np.multiply(zz, b_cur, out=t)
+                    np.subtract(t, np.multiply(v[k + 1], b_cur, out=vb), out=t)
+                    np.subtract(t, b_prev if plain[k] else np.multiply(d[k], b_prev, out=vb), out=t)
+                    if not plain[k + 1]:
+                        np.multiply(d_inv[k], t, out=t)
+                else:
+                    t = zz * b_cur
+                    t -= _product(v[k + 1], b_cur)
+                    t -= b_prev if plain[k] else _product(d[k], b_prev)
+                    if not plain[k + 1]:
+                        t = _product(d_inv[k], t)
+                b_prev, b_cur = b_cur, t
                 if n % _RESCALE_EVERY == 0:
-                    pair = np.abs(np.concatenate((b_prev, b_cur)).reshape(2 * l * l, -1))
-                    mags = pair.max(axis=0)
-                    if not np.isfinite(mags).all():
+                    mags = np.maximum(np.abs(b_prev), np.abs(b_cur)).reshape(l * l, -1)
+                    mags = mags[0] if l == 1 else mags.max(axis=0)
+                    if not mags.max() < np.inf:  # NaN fails too
                         raise TrackOverflowError(f"blocks left float range before index {n + 1}")
-                    shift = _pow2_shift(mags)
-                    if shift is not None:
-                        factor = np.ldexp(1.0, -shift).reshape(zz.shape)
-                        # B_n may still be the caller's b_cur: it gets a new array
-                        b_cur *= factor
-                        b_prev = b_prev * factor
-                        exp2 = exp2 + shift
+                    pair = (b_prev.reshape(l * l, -1), b_cur.reshape(l * l, -1))
+                    exp2 = _pow2_shift(mags, pair, exp2)
                 n += 1
     except JacobiSpecError:
         if ledgers:
@@ -338,10 +361,7 @@ def cocycle_products(spec, zs, n):
     coeffs = zip(*models.coefficient_arrays(spec, 1, n)) if n > 1 else ()
     for d_k, v_k in coeffs:
         acc = _transfer_steps(d_k, v_k, zs) @ acc
-        shift = _pow2_shift(np.max(np.abs(acc), axis=(1, 2)))
-        if shift is not None:
-            acc = acc * np.ldexp(1.0, -shift)[:, None, None]
-            exp2 += shift
+        exp2 = _pow2_shift(np.max(np.abs(acc), axis=(1, 2)), (acc.reshape(zs.size, -1).T,), exp2)
     return acc, exp2
 
 

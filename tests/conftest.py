@@ -51,6 +51,14 @@ def wrap_alternating():
 
 
 @pytest.fixture(scope="session")
+def weighted1():
+    """l = 1 explicit model whose D varies and is 1 at some indices."""
+    ds = (1.0, 0.5, 1.3, 1.0, 0.8, 2.0, 1.0)
+    vs = (0.0, 0.3, -0.4, 0.1, 0.7, -0.2, 0.5)
+    return models.ExplicitSpec(tuple((np.array([[d]]), np.array([[v]])) for d, v in zip(ds, vs)))
+
+
+@pytest.fixture(scope="session")
 def periodic3():
     """Validated random period-3 l = 3 model (the general-l code paths)."""
     rng = np.random.default_rng(7)

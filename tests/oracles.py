@@ -384,6 +384,47 @@ def scaling_add_aligned_reference(m1, e1, m2, e2):
     return scaling_add_reference(f1, np.asarray(e1) + d1, f2, np.asarray(e2) + d2)
 
 
+def forward_scalar_reference(specs, zs, b_prev, b_cur, n_start, exp2, n_stop):
+    """Blocks n_start..n_stop of an l = 1 kernel batch, in plain numpy.
+
+    The arguments are those of ``recurrence.forward`` without its buffer;
+    ``b_prev``/``b_cur``/``exp2`` hold one value per energy. Each member (a
+    contiguous group of energies, as in the kernel) runs on its own, with
+    its coefficients read one index at a time: t = z B_n, t -= V_n B_n,
+    t -= D_{n-1} B_{n-1}, B_{n+1} = (1 / D_n) t, every product taken, as
+    one by 1.0 is exact. After the step from each n = 0 mod 8 the whole
+    group is multiplied by 2^-e, with e the frexp exponent of max(|B_n|,
+    |B_{n+1}|) outside [2^-120, 2^120] and 0 inside, and e joins the
+    ledger. Returns the rows and ledgers, each (n_stop - n_start + 1, N).
+    """
+    zs = np.asarray(zs)
+    groups = np.split(np.arange(zs.size), len(specs))
+    dtype = np.result_type(zs, b_prev, b_cur)
+    rows = np.empty((n_stop - n_start + 1, zs.size), dtype=dtype)
+    ledgers = np.empty(rows.shape, dtype=np.int64)
+    for spec, idx in zip(specs, groups):
+        z = zs[idx]
+        prev, cur = np.asarray(b_prev).reshape(-1)[idx], np.asarray(b_cur).reshape(-1)[idx]
+        ledger = np.asarray(exp2)[idx].copy()
+        for n in range(n_start, n_stop + 1):
+            rows[n - n_start, idx], ledgers[n - n_start, idx] = cur, ledger
+            if n == n_stop:
+                break
+            d_prev = spec.coefficient_at(n - 1)[0][0, 0]
+            d_n, v_n = (c[0, 0] for c in spec.coefficient_at(n))
+            t = z * cur
+            t -= v_n * cur
+            t -= d_prev * prev
+            prev, cur = cur, (1.0 / d_n) * t
+            if n % 8 == 0:
+                mags = np.maximum(np.abs(prev), np.abs(cur))
+                hot = (mags > 2.0**120) | ((mags > 0) & (mags < 2.0**-120))
+                e = np.where(hot, np.frexp(mags)[1], 0)
+                prev, cur = prev * np.ldexp(1.0, -e), cur * np.ldexp(1.0, -e)
+                ledger = ledger + e
+    return rows, ledgers
+
+
 def cesaro_sums_stepwise(spec, xs, l_grid):
     """``classify._cesaro_sums`` one kernel step at a time.
 

@@ -86,6 +86,17 @@ def test_floquet_diagonal_bands(diag01):
     assert classify.floquet_multiplicity(diag01, 3.5).r_flo == 0
 
 
+def test_floquet_flags_exact_band_edges(diag01):
+    # at an exact edge the parabolic pair is 1e-16 off the circle and 1.5e-8
+    # from +1 or -1: it counts as on the circle, and as an (anti)periodic
+    # solution, which occurs only at a band edge, it raises the flag
+    edges = [-2.0, -1.0, 2.0, 3.0]
+    r_flo, edge, _, _ = classify.floquet_grid(diag01, edges)
+    assert r_flo.tolist() == [1, 2, 2, 1] and edge.all()
+    assert all(classify.floquet_multiplicity(diag01, x).band_edge for x in edges)
+    assert not classify.floquet_grid(diag01, [-1.5, 0.5, 2.5])[1].any()
+
+
 def test_floquet_requires_periodic(golden_amo):
     with pytest.raises(InvalidInputError):
         classify.floquet_multiplicity(golden_amo, 0.0)

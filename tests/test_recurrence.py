@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from jacobispec import matblock, recurrence, scaling, truncnorm, weyl
+from jacobispec import matblock, models, recurrence, scaling, truncnorm, weyl
 from jacobispec.errors import DomainError, InvalidInputError, TrackOverflowError
 
-from oracles import (frobenius_norm_at, green_sum_direct, lift_pair, propagate_reference,
-                     recurrence_residual)
+from oracles import (forward_scalar_reference, frobenius_norm_at, green_sum_direct, lift_pair,
+                     propagate_reference, recurrence_residual)
 
 
 def fro(a):
@@ -332,12 +332,19 @@ def test_singular_block_raises_at_the_step_that_needs_it():
             recurrence.dirichlet_neumann(spec, 0.5, n_max)
 
 
-@pytest.mark.parametrize("names", [("free1",), ("diag01",), ("random_bounded2",), ("periodic3",),
-                                   ("diag01", "random_bounded2")])
-def test_forward_never_writes_a_yielded_block_or_ledger(names, request):
+_NEVER_WRITES = [pytest.param(names, 7, id=f"names{i}") for i, names in enumerate(
+    [("free1",), ("diag01",), ("random_bounded2",), ("periodic3",), ("diag01", "random_bounded2")])]
+_NEVER_WRITES += [pytest.param(names, k, id=f"{'-'.join(names)}-rows{k}")
+                  for names in [("free1",), ("golden_amo", "weighted1"), ("weighted1",)]
+                  for k in (1, 2, 3, 7) if (names, k) != (("free1",), 7)]
+
+
+@pytest.mark.parametrize("names, k", _NEVER_WRITES)
+def test_forward_never_writes_a_yielded_block_or_ledger(names, k, request):
     # the kernel updates temporaries in place; none of them may be a ledger
     # it has already handed out or one of the caller's inputs, and a buffer
-    # of 7 rows refilled across rescales must hand out the rows of one fill
+    # of k rows refilled across rescales must hand out the rows of one fill
+    # (for l = 1, 1 to 3 rows would alias B_n or B_{n-1} if a step wrote into a row)
     specs = tuple(request.getfixturevalue(name) for name in names)
     l = specs[0].dim
     zs = np.tile([3.5, -2.9, 0.4, 0.3 + 0.2j], len(specs))
@@ -348,7 +355,7 @@ def test_forward_never_writes_a_yielded_block_or_ledger(names, request):
     kept = [(b, b.copy()) for b in (b_prev, b_cur)]
     whole = np.empty((520, l, l, zs.size), dtype=complex)
     (want,) = recurrence.forward(specs, zs, b_prev, b_cur, 1, start, 520, whole)
-    buf = np.empty((7, l, l, zs.size), dtype=complex)
+    buf = np.empty((k, l, l, zs.size), dtype=complex)
     rows, row_exps, ledgers = [], [], {}
     for exps in recurrence.forward(specs, zs, b_prev, b_cur, 1, start, 520, buf):
         rows.append(buf[: len(exps)].copy())
@@ -363,19 +370,50 @@ def test_forward_never_writes_a_yielded_block_or_ledger(names, request):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_forward_hands_out_the_rows_before_a_failing_step(diag01):
+def test_forward_hands_out_the_rows_before_a_failing_step(diag01, free1):
     # at x = 1e200 the blocks leave float range at once; the check after the
     # step from n = 8 fails on B_9, so B_1 .. B_8 go out before the error
-    eye, zero = np.eye(2), np.zeros((2, 2))
-    for k in (1, 16):
-        buf = np.empty((k, 2, 2, 2))
-        steps = recurrence.forward((diag01,), np.array([1e200, 1e200]), np.array([zero, eye]),
-                                   np.array([eye, zero]), 1, np.zeros(2, dtype=np.int64), 64, buf)
-        fills = []
-        with pytest.raises(TrackOverflowError, match="before index 9"):
-            for exps in steps:
-                fills.append(len(exps))
-        assert fills == ([1] * 8 if k == 1 else [8])
+    for spec in (diag01, free1):
+        l = spec.dim
+        eye, zero = np.eye(l), np.zeros((l, l))
+        for k in (1, 16):
+            buf = np.empty((k, l, l, 2))
+            steps = recurrence.forward((spec,), np.array([1e200, 1e200]), np.array([zero, eye]),
+                                       np.array([eye, zero]), 1, np.zeros(2, dtype=np.int64), 64, buf)
+            fills = []
+            with pytest.raises(TrackOverflowError, match="before index 9"):
+                for exps in steps:
+                    fills.append(len(exps))
+            assert fills == ([1] * 8 if k == 1 else [8])
+
+
+def _scalar_cases(free1, golden_amo, weighted1):
+    amo = [golden_amo.with_phase((0.1,)), golden_amo.with_phase((0.6,))]
+    amo = tuple(m for s in amo for m in (s, models.reflect(s)))
+    real = np.array([3.5, -2.9, 0.4, 2.0, -2.05, 2.6])
+    return {
+        "free1": ((free1,), real),
+        "amo-members": (amo, np.tile(np.linspace(-2.75, 2.75, 6), 4)),
+        "weighted1": ((weighted1,), real),
+        "complex": ((free1, weighted1), np.tile([0.3 + 0.2j, 3.0 + 1e-3j, -2.5 + 0.5j], 2)),
+    }
+
+
+@pytest.mark.parametrize("case", ["free1", "amo-members", "weighted1", "complex"])
+def test_scalar_forward_matches_plain_numpy_stepper(case, free1, golden_amo, weighted1):
+    # the l = 1 step body against one member at a time in plain numpy, with a
+    # full-width power-of-two shift: rows and ledgers bit for bit, across rescales
+    specs, zs = _scalar_cases(free1, golden_amo, weighted1)[case]
+    b_prev, b_cur = np.zeros(zs.size), np.zeros(zs.size)
+    b_prev[1::2] = b_cur[0::2] = 1.0
+    start = np.zeros(zs.size, dtype=np.int64)
+    n_stop = 700
+    whole = np.empty((n_stop, 1, 1, zs.size), dtype=np.result_type(zs, float))
+    (ledgers,) = recurrence.forward(specs, zs, b_prev.reshape(-1, 1, 1), b_cur.reshape(-1, 1, 1),
+                                    1, start, n_stop, whole)
+    rows, want = forward_scalar_reference(specs, zs, b_prev, b_cur, 1, start, n_stop)
+    assert np.any(want)  # rescales happened
+    assert np.array_equal(whole[:, 0, 0], rows) and np.array_equal(ledgers, want)
 
 
 @pytest.mark.parametrize("name", ["free1", "random_bounded2", "periodic3"])
