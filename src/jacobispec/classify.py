@@ -12,11 +12,13 @@ far above 1). The largest bounded r estimates the AC multiplicity at x.
 The forward kernel writes the sweep's blocks into one chunk buffer of
 whole rescale periods (8 steps), at most ``CESARO_CHUNK_BYTES`` (256 KiB),
 that every chunk reuses, and the sweep takes one singular-value call per
-chunk. The rows of each period share one exponent ledger, so they are
-summed raw, and the period sums join each track entry's scaled sum in one
-magnitude-aligned sum per chunk. That has the bits of folding in each
-period and each cutoff's piece in order, so an energy's sums depend
-neither on its batch nor on the chunk size.
+chunk. The sums follow the rule of :mod:`scaling`, as the solution tracks
+do: a period's rows share one ledger and are summed raw, whole periods are
+folded in order (one magnitude-aligned sum per chunk has those bits), and a
+cutoff inside a period reads the fold before it plus the period's raw sum
+so far. A cutoff never cuts a period, so an energy's sums depend neither
+on its batch, the chunk size nor the other cutoffs, and they equal the
+phi + psi sums of its tracks bit for bit.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ def _cesaro_sums(spec, xs, l_grid):
     axis is ordered by descending singular index (column j holds s_{j+1}),
     so C_r lives in column l - r. Each chunk of steps (module docstring)
     gets one singular-value call. Each track entry (phi or psi of one
-    energy and member) keeps its own scaled sum, to which the chunk's
-    period sums are added by one :func:`scaling.add_all` call; phi and psi
-    are added at each cutoff.
+    energy and member) keeps its own scaled sum, to which the chunk's whole
+    periods are added by :func:`scaling.add_all`, split only at the periods
+    that hold a cutoff; a cutoff's read adds phi and psi.
     """
     members = _members(spec)
     xs = np.asarray(xs, dtype=float)
@@ -84,33 +86,37 @@ def _cesaro_sums(spec, xs, l_grid):
     ck = 0
 
     def account(first, exps):
-        # rows first, first + 1, ... (first = 1 mod period) with their
-        # ledgers: one singular-value call, one sum of each period's rows (a
-        # cutoff inside a period cuts it), one scaled sum per cutoff and end
+        # rows first, first + 1, ... (first = 1 mod period; whole periods but
+        # in the last fill) with their ledgers: one singular-value call, one
+        # raw sum per period, whole periods folded in order, cutoffs read
         nonlocal acc_m, acc_e, ck
         k = len(exps)
         sq = matblock.batched_singular_sq(chunk[:k].transpose(0, 3, 1, 2))
-        periods = np.add.reduce(sq[: k - k % period].reshape(-1, period, *acc_m.shape), axis=1)
-        cuts = {n + 1 - first for n in l_grid[ck:] if n < first + k}
-        stops = sorted(cuts.union(min(b, k) for b in range(period, k + period, period)))
-        terms_m = np.empty((len(stops) + 1, *acc_m.shape))  # the sums so far, then the pieces
-        terms_e = np.empty(terms_m.shape, dtype=np.int64)
-        terms_m[0], terms_e[0], a, start = acc_m, acc_e, 0, 0
-        for j, b in enumerate(stops, 1):
-            assert all(exp2 is exps[a] for exp2 in exps[a:b]), "a ledger changed inside a period"
-            terms_m[j] = periods[a // period] if b - a == period else np.add.reduce(sq[a:b])
-            terms_e[j], a = 2 * exps[a][:, None], b
-            if b in cuts or b == k:
-                acc_m, acc_e = scaling.add_all(terms_m[start : j + 1], terms_e[start : j + 1])
-                terms_m[j], terms_e[j], start = acc_m, acc_e, j
-            if b in cuts:
-                if not np.isfinite(acc_m).all():
-                    # blocks left float range between the kernel's rescale checks
-                    raise TrackOverflowError(f"Cesaro sums left float range by L = {l_grid[ck]}")
-                m, e = (v.reshape(g, 2, batch, l) for v in (acc_m, acc_e))
-                out[ck] = scaling.log2(*scaling.add(m[:, 0], e[:, 0], m[:, 1], e[:, 1]))
-                out[ck] -= math.log2(l_grid[ck])
-                ck += 1
+        whole = k // period
+        terms_m = np.empty((whole + 1, *acc_m.shape))  # the sums so far, then the periods
+        terms_e = np.empty((-(-k // period) + 1, *acc_m.shape), dtype=np.int64)
+        terms_m[0], terms_e[0], start = acc_m, acc_e, 0
+        np.add.reduce(sq[: whole * period].reshape(whole, period, *acc_m.shape), axis=1,
+                      out=terms_m[1:])
+        for j, a in enumerate(range(0, k, period), 1):
+            assert all(exp2 is exps[a] for exp2 in exps[a : a + period]), "a ledger changed inside a period"
+            terms_e[j] = 2 * exps[a][:, None]
+        while ck < len(l_grid) and l_grid[ck] < first + k:
+            b = l_grid[ck] + 1 - first
+            q = (b - 1) // period  # the cutoff's period
+            if q > start:
+                acc_m, acc_e = scaling.add_all(terms_m[start : q + 1], terms_e[start : q + 1])
+                terms_m[q], terms_e[q], start = acc_m, acc_e, q
+            m, e = scaling.add(acc_m, acc_e, np.add.reduce(sq[q * period : b]), terms_e[q + 1])
+            if not np.isfinite(m).all():
+                # blocks left float range between the kernel's rescale checks
+                raise TrackOverflowError(f"Cesaro sums left float range by L = {l_grid[ck]}")
+            m, e = (v.reshape(g, 2, batch, l) for v in (m, e))
+            out[ck] = scaling.log2(*scaling.add(m[:, 0], e[:, 0], m[:, 1], e[:, 1]))
+            out[ck] -= math.log2(l_grid[ck])
+            ck += 1
+        if whole > start:
+            acc_m, acc_e = scaling.add_all(terms_m[start:], terms_e[start : whole + 1])
 
     zs = np.tile(np.concatenate([xs, xs]), g)
     steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger,

@@ -51,7 +51,8 @@ class SolutionTrack:
     ledger, and running truncated-norm accumulators (cumulative sums of
     squared Frobenius norms and squared singular values, in scaled form).
     ``sums`` takes these from :func:`_truncation_sums` of a stack the track
-    belongs to; without it the track computes its own.
+    belongs to; without it the track computes its own. Either way the
+    ledger may change only between rescale periods.
     """
 
     def __init__(self, spec, z, blocks, exp2, sums=None):
@@ -81,11 +82,16 @@ class SolutionTrack:
         return n
 
     def block(self, n):
+        """Block n as plain floats; TrackOverflowError once its largest
+        entry, 2^e times the mantissa's, is not below 2^1024."""
         n = self._check(n)
         mant, e = self.blocks[n], int(self.exp2[n])
-        if e > 1000 and np.any(mant != 0):
+        top = np.abs(mant).max()
+        if top and np.frexp(top)[1] + e > 1024:
             raise TrackOverflowError(f"block {n} exceeds float range (exp2 = {e})")
-        return np.ldexp(1.0, max(e, -1074)) * mant if e else mant.copy()
+        if mant.dtype.kind != "c":
+            return np.ldexp(mant, e)
+        return np.ldexp(mant.real, e) + 1j * np.ldexp(mant.imag, e)
 
     def extended(self, n_new):
         """A longer track continuing this one (self is left untouched)."""
@@ -233,18 +239,32 @@ def _truncation_sums(blocks, exp2):
     ``blocks`` (n+1, T, l, l) and ``exp2`` (n+1, T) hold the tracks.
     Returns the singular-value mantissas (n+1, T, l) and the scaled
     running sums (n+1, T, l+1) from one :func:`matblock.batched_singular_sq`
-    and one :func:`scaling.cumulative` call: columns 0..l-1 hold the squared
-    singular values, column l their sum (the squared Frobenius norm), all
-    on the track's 2 * exp2 ledger; sums start at n = 1, so index m holds
-    the sum over 1..m. Each track's sums are the ones it would get alone.
+    call: columns 0..l-1 hold the squared singular values, column l their
+    sum (the squared Frobenius norm), all on the track's 2 * exp2 ledger;
+    index m holds the sum over n = 1..m. By the rule of :mod:`scaling`, the
+    rows of each rescale period (n = 1..8, 9..16, ...) are summed raw by one
+    cumsum, the period totals are folded in order, and row m adds its raw
+    partial sum to the fold before its period by one :func:`scaling.add`:
+    the bits of the Cesaro sweep's sum at cutoff m, each track's own.
+    InvalidInputError if a ledger changes inside a period.
     """
     n1, count, l = blocks.shape[0], blocks.shape[1], blocks.shape[-1]
     sv_sq = matblock.batched_singular_sq(blocks.reshape(-1, l, l)).reshape(n1, count, l)
-    tm = np.concatenate((sv_sq, np.sum(sv_sq, axis=2, keepdims=True)), axis=2)
-    tm[0] = 0.0
-    te = np.repeat(2 * exp2[:, :, None], l + 1, axis=2)
-    te[0] = 0
-    return (np.sqrt(sv_sq), *scaling.cumulative(tm, te))
+    ledger = exp2[1::_RESCALE_EVERY]
+    if np.any(exp2[1:] != np.repeat(ledger, _RESCALE_EVERY, axis=0)[: n1 - 1]):
+        raise InvalidInputError("a track's exponent ledger changes inside a rescale period")
+    # the rows 1..n as whole periods, the last one padded with zeros
+    raw = np.zeros((len(ledger) * _RESCALE_EVERY, count, l + 1))
+    raw[: n1 - 1] = np.concatenate((sv_sq, np.sum(sv_sq, axis=2, keepdims=True)), axis=2)[1:]
+    raw = np.cumsum(raw.reshape(len(ledger), _RESCALE_EVERY, count, l + 1), axis=1)
+    te = 2 * ledger[:, None, :, None]
+    fold_m, fold_e = (np.zeros((len(ledger), 1, count, l + 1), dtype=t) for t in (float, np.int64))
+    for p in range(1, len(ledger)):
+        fold_m[p], fold_e[p] = scaling.add(fold_m[p - 1], fold_e[p - 1], raw[p - 1, -1:], te[p - 1])
+    cum = [np.zeros((n1, count, l + 1), dtype=t) for t in (float, np.int64)]
+    for out, part in zip(cum, scaling.add(fold_m, fold_e, raw, te)):
+        out[1:] = part.reshape(-1, count, l + 1)[: n1 - 1]
+    return (np.sqrt(sv_sq), *cum)
 
 
 def _continued(spec, zs, blocks, exp2, n_new):

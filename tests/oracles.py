@@ -213,9 +213,10 @@ def cesaro_sums_reference(spec, xs, l_grid):
     where D = I, to rounding where the matmuls' sums may round differently
     from the stepper's written-out products. Each track entry keeps its
     own scaled sum; the raw sum of its rows is folded in after every
-    rescale period (n = 0 mod 8) and at each cutoff through
-    :func:`scaling_add_aligned_reference`, and the Dirichlet and Neumann
-    sums are added at the cutoffs.
+    rescale period (n = 0 mod 8) through
+    :func:`scaling_add_aligned_reference`. A cutoff reads the scaled sum
+    plus the raw sum of its period so far, without folding it in, and adds
+    the Dirichlet and Neumann reads.
     """
     from jacobispec import scaling
 
@@ -240,12 +241,13 @@ def cesaro_sums_reference(spec, xs, l_grid):
     ck = 0
     for n in range(1, l_grid[-1] + 1):
         buf += np.abs(cur[:, :, 0]) ** 2 if l == 1 else batched_singular_sq_reference(cur)
-        if n % 8 == 0 or n == l_grid[ck]:
+        if n % 8 == 0:
             acc_m, acc_e = scaling_add_aligned_reference(acc_m, acc_e, buf, 2 * exp2[:, None])
             buf[:] = 0.0
         if n == l_grid[ck]:
-            total = scaling_add_aligned_reference(acc_m[:batch], acc_e[:batch],
-                                                  acc_m[batch:], acc_e[batch:])
+            read_m, read_e = scaling_add_aligned_reference(acc_m, acc_e, buf, 2 * exp2[:, None])
+            total = scaling_add_aligned_reference(read_m[:batch], read_e[:batch],
+                                                  read_m[batch:], read_e[batch:])
             out[ck] = scaling.log2(*total) - math.log2(n)
             ck += 1
             if ck == len(l_grid):
@@ -362,10 +364,14 @@ def ladder_verdict_reference(y_ladder, eig_list, tau_rel, rel_change=0.2):
     return ranks, traces, stabilized, rank, -slope
 
 
+def normalize(mant, exp2):
+    """Renormalize so the mantissa sits in [0.5, 1) (zero stays zero)."""
+    m, de = np.frexp(mant)
+    return m, np.asarray(exp2) + de
+
+
 def scaling_add_reference(m1, e1, m2, e2):
     """``scaling.add`` as first written: asarray, np.clip and astype."""
-    from jacobispec import scaling
-
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
     e1 = np.asarray(e1)
@@ -374,7 +380,7 @@ def scaling_add_reference(m1, e1, m2, e2):
     s1 = np.clip(e1 - e, -1100, 0)
     s2 = np.clip(e2 - e, -1100, 0)
     total = np.ldexp(m1, s1.astype(np.int64)) + np.ldexp(m2, s2.astype(np.int64))
-    return scaling.normalize(total, e)
+    return normalize(total, e)
 
 
 def scaling_add_aligned_reference(m1, e1, m2, e2):
@@ -431,10 +437,11 @@ def cesaro_sums_stepwise(spec, xs, l_grid):
     One singular-value call per step on the (N, l, l) view of a one-row
     kernel buffer, added into raw sums with ``buf +=``. Each track entry's
     raw sum is folded into its scaled sum after every rescale period
-    (n = 0 mod 8, so it never spans a ledger change) and at each cutoff,
-    through :func:`scaling_add_aligned_reference`; the Dirichlet and
-    Neumann sums are added at the cutoffs. The chunked sweep must
-    reproduce it bit for bit.
+    (n = 0 mod 8, so it never spans a ledger change) through
+    :func:`scaling_add_aligned_reference`. A cutoff reads the scaled sum
+    plus the raw sum of its period so far, without folding it in, and adds
+    the Dirichlet and Neumann reads. The chunked sweep must reproduce it
+    bit for bit.
     """
     from jacobispec import matblock, recurrence, scaling
     from jacobispec.errors import TrackOverflowError
@@ -460,13 +467,14 @@ def cesaro_sums_stepwise(spec, xs, l_grid):
                                l_grid[-1], row)
     for n, (exp2,) in enumerate(steps, 1):
         buf += matblock.batched_singular_sq(row[0].transpose(2, 0, 1)).reshape(buf.shape)
-        if n % 8 == 0 or n == l_grid[ck]:
+        if n % 8 == 0:
             acc_m, acc_e = scaling_add_aligned_reference(acc_m, acc_e, buf, 2 * exp2[:, None])
             buf[:] = 0.0
         if n == l_grid[ck]:
-            if not np.isfinite(acc_m).all():
+            read = scaling_add_aligned_reference(acc_m, acc_e, buf, 2 * exp2[:, None])
+            if not np.isfinite(read[0]).all():
                 raise TrackOverflowError(f"Cesaro sums left float range by L = {n}")
-            m, e = (v.reshape(g, 2, batch, l) for v in (acc_m, acc_e))
+            m, e = (v.reshape(g, 2, batch, l) for v in read)
             total = scaling_add_aligned_reference(m[:, 0], e[:, 0], m[:, 1], e[:, 1])
             out[ck] = scaling.log2(*total) - math.log2(n)
             ck += 1
@@ -608,9 +616,10 @@ def singular_values_at(track, n):
 
     n = track._check(n)
     e = int(track.exp2[n])
-    if e > 1000:
+    top = track.sv_mant[n].max()
+    if top and np.frexp(top)[1] + e > 1024:
         raise TrackOverflowError(f"singular values at {n} exceed float range")
-    return track.sv_mant[n] * np.ldexp(1.0, max(e, -1074))
+    return np.ldexp(track.sv_mant[n], e)
 
 
 def frobenius_norm_at(track, n):

@@ -416,6 +416,16 @@ def test_sums_do_not_depend_on_the_batch(name, request):
         assert np.array_equal(got, full[:, :, part].reshape(got.shape))
 
 
+def test_mid_period_cutoffs_leave_the_other_cutoffs_bits(diag01):
+    # a cutoff inside a rescale period is a read of the fold before it, not
+    # a fold: adding one moves no bit of any other cutoff
+    xs = np.linspace(-3.5, 3.5, 257)
+    base = (96, 1024, 4096)
+    want = classify._cesaro_sums(diag01, xs, base)
+    got = classify._cesaro_sums(diag01, xs, (5, 37, 96, 100, 1001, 1024, 4096))
+    assert np.array_equal(got[[2, 5, 6]], want)
+
+
 def test_sums_match_exact_sum_of_kernel_rows(diag01):
     # at this energy s_2 / s_1 of the blocks falls below 2^-500 by n = 1024;
     # the scaled sums must still match the exact sum of the very same rows

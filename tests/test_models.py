@@ -186,6 +186,20 @@ def test_sampling_map_roundtrip():
     assert np.array_equal(m.sample(theta), again.sample(theta))
 
 
+def test_arc_map_from_config():
+    # the config dict parses to the map built directly; breaks must rise to
+    # 1.0 and every arc needs its block
+    m = models.PiecewiseArcMap((0.3, 1.0), (np.eye(1), 2 * np.eye(1)))
+    again = models.sampling_map_from_config({"kind": "arcs", "breaks": [0.3, 1.0],
+                                             "matrices": [[[1.0]], [[2.0]]]})
+    theta = np.array([[0.1], [0.3], [0.95]])
+    assert np.array_equal(m.sample(theta), again.sample(theta))
+    for breaks, mats in (([0.6, 0.3, 1.0], [[[1.0]]] * 3), ([0.5], [[[1.0]]]),
+                         ([0.5, 1.0], [[[1.0]]])):
+        with pytest.raises(InvalidInputError, match="arc breaks|one block per arc"):
+            models.sampling_map_from_config({"kind": "arcs", "breaks": breaks, "matrices": mats})
+
+
 def test_spec_config_roundtrip(random_bounded2, golden_amo):
     # each config dict parses to the model built directly, and so does its reflection
     cases = [

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from jacobispec import matblock, models, recurrence, scaling, truncnorm, weyl
+from jacobispec import classify, models, recurrence, scaling, truncnorm, weyl
 from jacobispec.errors import DomainError, InvalidInputError, TrackOverflowError
 
 from oracles import (forward_scalar_reference, frobenius_norm_at, green_sum_direct, lift_pair,
-                     propagate_reference, recurrence_residual)
+                     propagate_reference, recurrence_residual, singular_values_at)
 
 
 def fro(a):
@@ -416,29 +418,60 @@ def test_scalar_forward_matches_plain_numpy_stepper(case, free1, golden_amo, wei
     assert np.array_equal(whole[:, 0, 0], rows) and np.array_equal(ledgers, want)
 
 
-@pytest.mark.parametrize("name", ["free1", "random_bounded2", "periodic3"])
-def test_truncation_sums_match_two_cumulative_passes(name, request):
-    # the Frobenius and the per-singular-value sums share one cumulative
-    # pass; column by column it is the same arithmetic as a pass of its own
-    spec = request.getfixturevalue(name)
-    l = spec.dim
-    tracks = [t for z in (0.37, 3.2, 0.3 + 0.4j) for t in recurrence.dirichlet_neumann(spec, z, 700)]
-    assert any(t.exp2.any() for t in tracks)
-    for track in tracks:
-        sv_sq = matblock.batched_singular_sq(track.blocks)
-        te = np.concatenate(([np.int64(0)], 2 * track.exp2[1:]))
-        fro2 = np.concatenate(([0.0], np.sum(sv_sq, axis=1)[1:]))
-        fro_m, fro_e = scaling.cumulative(fro2, te)
-        sv2 = np.concatenate((np.zeros((1, l)), sv_sq[1:]))
-        sv_m, sv_e = scaling.cumulative(sv2, np.repeat(te[:, None], l, axis=1))
-        for got, want in ((track.cum_fro2_m, fro_m), (track.cum_fro2_e, fro_e),
-                          (track.cum_sv2_m, sv_m), (track.cum_sv2_e, sv_e)):
-            assert got.shape == want.shape and np.array_equal(got, want)
+@pytest.mark.parametrize("name", ["free1", "diag01", "random_bounded2", "periodic3", "amo-members"])
+def test_cesaro_sums_are_the_track_sums_of_phi_and_psi(name, request):
+    # one summation rule: at every cutoff, inside a rescale period or at its
+    # end, the sweep's C_r(L) is the phi + psi sum of the tracks' rows, bit
+    # for bit, through rescales of the growing energies
+    if name == "amo-members":
+        amo = [request.getfixturevalue("golden_amo").with_phase((p,)) for p in (0.1, 0.6)]
+        members = tuple(m for s in amo for m in (s, models.reflect(s)))
+    else:
+        members = (request.getfixturevalue(name),)
+    xs = np.linspace(-3.7, 3.7, 23)
+    l_grid = (5, 16, 37, 100, 256, 1000, 1001, 2048)
+    got = classify._cesaro_sums(members, xs, l_grid)
+    for g, member in enumerate(members):
+        pairs = recurrence.dirichlet_neumann_grid(member, xs, l_grid[-1])
+        assert any(phi.exp2.any() for phi, _ in pairs)
+        for j, (phi, psi) in enumerate(pairs):
+            for c, big_l in enumerate(l_grid):
+                total = scaling.add(phi.cum_sv2_m[big_l], phi.cum_sv2_e[big_l],
+                                    psi.cum_sv2_m[big_l], psi.cum_sv2_e[big_l])
+                want = scaling.log2(*total) - math.log2(big_l)
+                assert np.array_equal(got[c, g * xs.size + j], want), (member, xs[j], big_l)
+
+
+def test_a_ledger_change_inside_a_rescale_period_is_rejected(free1):
+    # the rows of a period are summed raw, so they must share one ledger;
+    # row 0 takes no part, and a change at a row n = 1 mod 8 starts a period
+    blocks = np.ones((12, 1, 1))
+    recurrence.SolutionTrack(free1, 0.0, blocks, np.array([5] + [0] * 8 + [7] * 3))
+    for row in (2, 5, 8, 10, 11):
+        exp2 = np.zeros(12, dtype=np.int64)
+        exp2[row:] = 3
+        with pytest.raises(InvalidInputError, match="inside a rescale period"):
+            recurrence.SolutionTrack(free1, 0.0, blocks, exp2)
+
+
+def test_block_is_a_plain_float_exactly_when_its_value_fits(free1):
+    # decided by the value's magnitude, not by the ledger alone
+    phi, _ = recurrence.dirichlet_neumann(free1, 50.0, 400)
+    assert int(phi.exp2[183]) == 949 and np.log2(np.abs(phi.blocks[183]).max()) + 949 > 1024
+    with pytest.raises(TrackOverflowError):
+        phi.block(183)
+    with pytest.raises(TrackOverflowError):
+        singular_values_at(phi, 183)
+    assert np.isfinite(phi.block(170)).all()
+    for exp2, mant, want in ((-1100, 2.0**100, 2.0**-1000), (1001, 2.0**-120, 2.0**881)):
+        track = recurrence.SolutionTrack(free1, 0.0, np.full((3, 1, 1), mant),
+                                         np.full(3, exp2, dtype=np.int64))
+        assert track.block(1)[0, 0] == want and singular_values_at(track, 1)[0] == want
 
 
 @pytest.mark.parametrize("name", ["free1", "random_bounded2"])
 def test_stacked_track_sums_are_each_tracks_own(name, request):
-    # one kernel run and one cumulative pass for all tracks, whose ledgers
+    # one kernel run and one summation pass for all tracks, whose ledgers
     # change at different indices: a change in one track must not split
     # the running sums of another
     spec = request.getfixturevalue(name)

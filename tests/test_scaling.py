@@ -6,9 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobispec import scaling
+from jacobispec import matblock, recurrence, scaling
 
-from oracles import scaling_add_reference
+from oracles import normalize, scaling_add_reference
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -74,7 +74,7 @@ def test_add_all_is_the_in_order_fold_of_add(seq):
     for m, e in zip(mants[1:], exps[1:]):
         fold_m, fold_e = scaling.add(fold_m, fold_e, m, e)
     if len(seq) == 1:
-        fold_m, fold_e = scaling.normalize(fold_m, fold_e)
+        fold_m, fold_e = normalize(fold_m, fold_e)
     assert np.array_equal(got_m, fold_m) and np.array_equal(got_e[0], fold_e[0])
     assert got_m[1] == 0.0 and got_e[1] == 7  # an all-zero sum keeps the last exponent
     total = sum((exact(m, e) for m, e in seq), Fraction(0))
@@ -97,39 +97,37 @@ def test_add_matches_previous_formula():
                    for a, b in zip(got, want))
 
 
+def _track_sums(roots, ledgers):
+    """Running sums of a one-track l = 1 stack whose rows 1.. hold ``roots``,
+    row n on the ledger of its rescale period, ledgers[(n - 1) // 8]; with
+    the squares the sums add, as exact rationals."""
+    blocks = np.array([0.0, *roots])[:, None, None, None]
+    exp2 = np.array([0, *(ledgers[n // 8] for n in range(len(roots)))], dtype=np.int64)[:, None]
+    _, cum_m, cum_e = recurrence._truncation_sums(blocks, exp2)
+    sq = matblock.batched_singular_sq(blocks[1:, 0])[:, 0]
+    return cum_m[:, 0, 0], cum_e[:, 0, 0], [exact(q, 2 * e) for q, e in zip(sq, exp2[1:, 0])]
+
+
 @PROPERTY
-@given(st.lists(raw_terms, min_size=1, max_size=40))
-def test_cumulative_matches_exact_running_sums(seq):
-    # unnormalized and subnormal mantissas, as for add: a running sum joins a
-    # segment at a far larger exponent without being shifted out of range
-    tm = np.array([m for m, _ in seq])
-    te = np.array([e for _, e in seq], dtype=np.int64)
-    out_m, out_e = scaling.cumulative(tm, te)
+@given(st.lists(raw_mantissas, min_size=1, max_size=40),
+       st.lists(st.integers(min_value=-500, max_value=1050), min_size=5, max_size=5))
+def test_truncation_sums_match_exact_running_sums(mants, ledgers):
+    # unnormalized and subnormal squares on ledgers that change only at rows
+    # n = 1 mod 8: a running sum joins a period at a far larger exponent
+    # without being shifted out of range
+    cum_m, cum_e, terms = _track_sums(np.sqrt(mants), ledgers)
     total = Fraction(0)
-    for k, (m, e) in enumerate(seq):
-        total += exact(m, e)
+    for k, term in enumerate(terms, 1):
+        total += term
         # every partial sum rounds at most once per term folded in
-        assert_close(exact(out_m[k], out_e[k]), total, Fraction(2 * (k + 1), 2**52))
+        assert_close(exact(cum_m[k], cum_e[k]), total, Fraction(2 * k, 2**52))
 
 
-def test_cumulative_of_a_subnormal_mantissa_is_exact_to_rounding():
-    # the add case above as a running sum: aligning the second segment by its
-    # raw exponent 1960 once pushed the first term into subnormals
-    m, e = scaling.cumulative(np.array([0.7390851332151607, 3 * 2.0**-1074]), np.array([884, 1960]))
-    assert_close(exact(m[1], e[1]), exact(0.7390851332151607, 884) + exact(3 * 2.0**-1074, 1960),
-                 Fraction(1, 2**52))
-
-
-@PROPERTY
-@given(st.lists(st.lists(raw_terms, min_size=3, max_size=3), min_size=1, max_size=30))
-def test_stacked_cumulative_is_each_column_alone(rows):
-    # three columns with their own exponent ledgers: a change in one column
-    # must not split another column's running sum
-    tm = np.array([[m for m, _ in row] for row in rows])
-    te = np.array([[e for _, e in row] for row in rows], dtype=np.int64)
-    te[1::2, 1] = te[0:-1:2, 1]  # column 1 keeps each exponent for two rows
-    te[:, 2] = te[0, 2]  # column 2 never changes
-    got_m, got_e = scaling.cumulative(tm, te)
-    for c in range(3):
-        want_m, want_e = scaling.cumulative(tm[:, c], te[:, c])
-        assert np.array_equal(got_m[:, c], want_m) and np.array_equal(got_e[:, c], want_e)
+def test_track_sum_of_a_subnormal_square_is_exact_to_rounding():
+    # the add case above as a running sum: aligning the second period by its
+    # raw exponent 1960 once pushed the first period's sum into subnormals
+    roots = np.zeros(9)
+    roots[0], roots[8] = np.sqrt(0.7390851332151607), np.sqrt(3 * 2.0**-1074)
+    cum_m, cum_e, terms = _track_sums(roots, [442, 980])
+    assert terms[8] == exact(3 * 2.0**-1074, 1960)
+    assert_close(exact(cum_m[9], cum_e[9]), sum(terms, Fraction(0)), Fraction(1, 2**52))

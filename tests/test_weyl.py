@@ -145,6 +145,16 @@ def test_herglotz_identity_random_energies(random_bounded2):
         assert weyl.herglotz_identity_residual(random_bounded2, z) <= 1e-6
 
 
+def test_herglotz_slow_decay_is_flagged_with_its_tail(free1, monkeypatch):
+    # near the spectrum the Jost terms decay too slowly for the term cap:
+    # the check stops there, flags it, and its tail estimate is the part of
+    # the identity the truncated sum misses
+    monkeypatch.setattr(weyl, "HERGLOTZ_MAX_TERMS", 512)
+    check = weyl.herglotz_identity_check(free1, 0.5 + 0.01j)
+    assert check.slow_decay and check.n_terms == 512
+    assert check.tail_estimate == pytest.approx(check.residual, rel=0.05)
+
+
 def test_green_corner_equals_m(free1, random_bounded2):
     for spec in (free1, random_bounded2):
         z = 0.25 + 0.15j
