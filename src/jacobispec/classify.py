@@ -14,11 +14,14 @@ whole rescale periods (8 steps), at most ``CESARO_CHUNK_BYTES`` (256 KiB),
 that every chunk reuses, and the sweep takes one singular-value call per
 chunk. The sums follow the rule of :mod:`scaling`, as the solution tracks
 do: a period's rows share one ledger and are summed raw, whole periods are
-folded in order (one magnitude-aligned sum per chunk has those bits), and a
-cutoff inside a period reads the fold before it plus the period's raw sum
-so far. A cutoff never cuts a period, so an energy's sums depend neither
-on its batch, the chunk size nor the other cutoffs, and they equal the
-phi + psi sums of its tracks bit for bit.
+folded in order, and a cutoff inside a period reads the fold before it
+plus the period's raw sum so far. The raw sums of whole periods are held,
+as many as fit in ``CESARO_CHUNK_BYTES``, and folded by one
+magnitude-aligned sum only when the buffer is full or a cutoff reads the
+fold; any such grouping has the bits of folding period by period. A
+cutoff never cuts a period, so an energy's sums depend neither on its
+batch, the chunk size, the fold schedule nor the other cutoffs, and they
+equal the phi + psi sums of its tracks bit for bit.
 """
 
 from __future__ import annotations
@@ -62,9 +65,13 @@ def _cesaro_sums(spec, xs, l_grid):
     axis is ordered by descending singular index (column j holds s_{j+1}),
     so C_r lives in column l - r. Each chunk of steps (module docstring)
     gets one singular-value call. Each track entry (phi or psi of one
-    energy and member) keeps its own scaled sum, to which the chunk's whole
-    periods are added by :func:`scaling.add_all`, split only at the periods
-    that hold a cutoff; a cutoff's read adds phi and psi.
+    energy and member) keeps its own scaled sum. The raw sums of whole
+    periods wait in a buffer of ``CESARO_CHUNK_BYTES // (8 l N)`` periods
+    (N track entries), across chunks; one :func:`scaling.add_all_into`
+    folds them into the scaled sums when the buffer is full or before a
+    cutoff reads them. A cutoff's read adds its period's raw partial sum,
+    then phi and psi. InvalidInputError if a period's first and last rows
+    have different ledgers.
     """
     members = _members(spec)
     xs = np.asarray(xs, dtype=float)
@@ -78,36 +85,51 @@ def _cesaro_sums(spec, xs, l_grid):
     cur = np.zeros_like(prev)
     cur[:, :batch] = eye
     ledger = np.zeros(g * 2 * batch, dtype=np.int64)
-    acc_m, acc_e = np.zeros((ledger.size, l)), np.zeros((ledger.size, l), dtype=np.int64)
     out = np.empty((len(l_grid), g, batch, l))
     period = recurrence._RESCALE_EVERY
     chunk = np.empty((period * max(1, CESARO_CHUNK_BYTES // (8 * period * l * l * ledger.size)),
                       l, l, ledger.size))
-    ck = 0
+    # row 0: each track entry's fold so far; rows 1..: the raw sums of the
+    # whole periods held since, each on its period's 2 * ledger
+    hold = max(1, CESARO_CHUNK_BYTES // (8 * l * ledger.size))
+    held_m = np.zeros((hold + 1, ledger.size, l))
+    held_e = np.zeros(held_m.shape, dtype=np.int64)
+    held = ck = 0
+
+    def fold():
+        nonlocal held
+        held_m[0], held_e[0] = scaling.add_all_into(held_m[: held + 1], held_e[: held + 1])
+        held = 0
 
     def account(first, exps):
         # rows first, first + 1, ... (first = 1 mod period; whole periods but
-        # in the last fill) with their ledgers: one singular-value call, one
-        # raw sum per period, whole periods folded in order, cutoffs read
-        nonlocal acc_m, acc_e, ck
+        # in the last fill) with their ledgers: one singular-value call; the
+        # whole periods before each cutoff's period join the held sums, which
+        # are folded when full or when a cutoff reads the fold
+        nonlocal held, ck
         k = len(exps)
         sq = matblock.batched_singular_sq(chunk[:k].transpose(0, 3, 1, 2))
-        whole = k // period
-        terms_m = np.empty((whole + 1, *acc_m.shape))  # the sums so far, then the periods
-        terms_e = np.empty((-(-k // period) + 1, *acc_m.shape), dtype=np.int64)
-        terms_m[0], terms_e[0], start = acc_m, acc_e, 0
-        np.add.reduce(sq[: whole * period].reshape(whole, period, *acc_m.shape), axis=1,
-                      out=terms_m[1:])
-        for j, a in enumerate(range(0, k, period), 1):
-            assert all(exp2 is exps[a] for exp2 in exps[a : a + period]), "a ledger changed inside a period"
-            terms_e[j] = 2 * exps[a][:, None]
-        while ck < len(l_grid) and l_grid[ck] < first + k:
-            b = l_grid[ck] + 1 - first
-            q = (b - 1) // period  # the cutoff's period
-            if q > start:
-                acc_m, acc_e = scaling.add_all(terms_m[start : q + 1], terms_e[start : q + 1])
-                terms_m[q], terms_e[q], start = acc_m, acc_e, q
-            m, e = scaling.add(acc_m, acc_e, np.add.reduce(sq[q * period : b]), terms_e[q + 1])
+        p = 0  # the chunk's periods held so far
+        while True:
+            reads = ck < len(l_grid) and l_grid[ck] < first + k
+            b = l_grid[ck] + 1 - first if reads else k
+            q = (b - 1) // period if reads else k // period  # the cutoff's period
+            while p < q:
+                n = min(q - p, hold - held)
+                np.add.reduce(sq[p * period : (p + n) * period].reshape(n, period, *held_m.shape[1:]),
+                              axis=1, out=held_m[held + 1 : held + n + 1])
+                for i, a in enumerate(range(p * period, (p + n) * period, period), held + 1):
+                    exp2 = recurrence._period_ledger(exps[a], exps[a + period - 1])
+                    np.multiply(exp2[:, None], 2, out=held_e[i])
+                held, p = held + n, p + n
+                if held == hold:
+                    fold()
+            if not reads:
+                return
+            if held:
+                fold()
+            exp2 = recurrence._period_ledger(exps[q * period], exps[b - 1])
+            m, e = scaling.add(held_m[0], held_e[0], np.add.reduce(sq[q * period : b]), 2 * exp2[:, None])
             if not np.isfinite(m).all():
                 # blocks left float range between the kernel's rescale checks
                 raise TrackOverflowError(f"Cesaro sums left float range by L = {l_grid[ck]}")
@@ -115,8 +137,6 @@ def _cesaro_sums(spec, xs, l_grid):
             out[ck] = scaling.log2(*scaling.add(m[:, 0], e[:, 0], m[:, 1], e[:, 1]))
             out[ck] -= math.log2(l_grid[ck])
             ck += 1
-        if whole > start:
-            acc_m, acc_e = scaling.add_all(terms_m[start:], terms_e[start : whole + 1])
 
     zs = np.tile(np.concatenate([xs, xs]), g)
     steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger,

@@ -233,6 +233,15 @@ def forward(specs, zs, b_prev, b_cur, n_start, exp2, n_stop, out):
         raise
 
 
+def _period_ledger(first, later):
+    """``first``, the ledger of a rescale period's first row, after checking
+    that ``later`` rows of the period carry the same; InvalidInputError if
+    not. The rows of a period are summed raw, so they must share it."""
+    if later is not first and np.any(later != first):
+        raise InvalidInputError("a track's exponent ledger changes inside a rescale period")
+    return first
+
+
 def _truncation_sums(blocks, exp2):
     """Singular values and truncation sums of T tracks side by side.
 
@@ -251,8 +260,7 @@ def _truncation_sums(blocks, exp2):
     n1, count, l = blocks.shape[0], blocks.shape[1], blocks.shape[-1]
     sv_sq = matblock.batched_singular_sq(blocks.reshape(-1, l, l)).reshape(n1, count, l)
     ledger = exp2[1::_RESCALE_EVERY]
-    if np.any(exp2[1:] != np.repeat(ledger, _RESCALE_EVERY, axis=0)[: n1 - 1]):
-        raise InvalidInputError("a track's exponent ledger changes inside a rescale period")
+    _period_ledger(np.repeat(ledger, _RESCALE_EVERY, axis=0)[: n1 - 1], exp2[1:])
     # the rows 1..n as whole periods, the last one padded with zeros
     raw = np.zeros((len(ledger) * _RESCALE_EVERY, count, l + 1))
     raw[: n1 - 1] = np.concatenate((sv_sq, np.sum(sv_sq, axis=2, keepdims=True)), axis=2)[1:]

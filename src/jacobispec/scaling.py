@@ -12,6 +12,10 @@ and in the solution tracks alike, use :func:`add` and :func:`add_all` by
 one rule: the rows of a rescale period share one exponent and are summed
 raw, whole periods are folded into the scaled sum in order, and a sum read
 inside a period adds that period's raw partial sum to the fold before it.
+When the folds happen does not matter: :func:`add_all` over any number of
+terms has the bits of folding them in one by one, so the Cesaro sweep
+folds a buffer of many periods at once, and the tracks fold period by
+period with :func:`add`.
 """
 
 from __future__ import annotations
@@ -23,23 +27,42 @@ import numpy as np
 from .errors import TrackOverflowError
 
 _MAX_FLOAT_EXP = 1000  # safe ldexp range for float64
-_NO_TERM = -(2**62)  # a zero term's exponent in add_all: below all others, far from overflow
+_INT64_MIN = np.iinfo(np.int64).min
+
+
+def _floor(ref, out=None):
+    """The lowest exponent kept by a shift onto ``ref``, 1100 below it: a
+    term further down is out of float range. No int64 wrap: a reference
+    within 1100 of the bottom of the range keeps every term."""
+    low = -_MAX_FLOAT_EXP - 100
+    out = np.maximum(ref, _INT64_MIN - low, out=out)
+    out += low
+    return out
 
 
 def add(m1, e1, m2, e2):
     """(m1*2^e1) + (m2*2^e2) as a normalized pair, broadcast elementwise.
 
     The arithmetic of :func:`add_all` on two terms, written out so that
-    no broadcast or stacked copy of the operands is made.
+    no stacked copy of the operands is made: the shifts and the sum are
+    computed in place in arrays of the broadcast shape.
     """
-    (f1, d1), (f2, d2) = np.frexp(m1), np.frexp(m2)
-    a = np.where(f1 != 0, d1 + np.asarray(e1, dtype=np.int64), _NO_TERM)
-    b = np.where(f2 != 0, d2 + np.asarray(e2, dtype=np.int64), _NO_TERM)
-    ref = np.maximum(a, b)
-    low = -_MAX_FLOAT_EXP - 100
-    m, de = np.frexp(np.ldexp(f1, np.maximum(a - ref, low).astype(np.int32))
-                     + np.ldexp(f2, np.maximum(b - ref, low).astype(np.int32)))
-    return m, np.where(ref == _NO_TERM, e2, ref) + de
+    (f1, a), (f2, b) = np.frexp(m1), np.frexp(m2)
+    a = np.add(a, e1, dtype=np.int64)
+    b = np.add(b, e2, dtype=np.int64)
+    ref = np.maximum(a, b, out=np.empty(np.broadcast(a, b).shape, np.int64))
+    # a zero term takes no part; two zero terms keep e2 (b is e2 there)
+    np.copyto(ref, a, where=f2 == 0)
+    np.copyto(ref, b, where=f1 == 0)
+    shift = np.maximum(a, _floor(ref), out=np.empty_like(ref))
+    shift -= ref
+    total = np.ldexp(f1, shift.astype(np.int32), out=np.empty(ref.shape))
+    np.maximum(b, _floor(ref, out=shift), out=shift)
+    shift -= ref
+    total += np.ldexp(f2, shift.astype(np.int32))
+    m, de = np.frexp(total, out=(total, None))
+    ref += de
+    return m[()], ref[()]  # scalars stay scalars
 
 
 def add_all(mants, exps):
@@ -47,17 +70,41 @@ def add_all(mants, exps):
 
     The term of largest magnitude (frexp exponent plus exps[k]) is the
     reference; the others are shifted onto it by powers of two, exact
-    until they underflow, and added in order, one at a time (a reduce may
-    pair them). So the bits are those of folding the terms in with
-    :func:`add` one by one. Zero terms take no part; an all-zero sum
-    keeps the last term's exponent. Exponents must be integers.
+    until they underflow, and added in order, one at a time. So the bits
+    are those of folding the terms in with :func:`add` one by one, and a
+    fold of the first terms, then of it with the rest, has the same bits
+    as one fold of them all. Zero terms take no part; an all-zero sum
+    keeps the last term's exponent. Exponents are int64 integers, exact
+    over the whole range (the terms' and the sum's own binary exponents
+    must be int64 too). The arguments are left as they are: the sum is
+    taken by :func:`add_all_into` on copies of them.
     """
-    f, d = np.frexp(mants)
-    e = np.where(f != 0, d + exps, _NO_TERM)
-    ref = e.max(axis=0)
-    shift = np.maximum(e - ref, -_MAX_FLOAT_EXP - 100).astype(np.int32)  # ldexp's fast type
-    m, de = np.frexp(functools.reduce(np.add, np.ldexp(f, shift)))
-    return m, np.where(ref == _NO_TERM, exps[-1], ref) + de
+    mants = np.array(mants, dtype=float, order="C")
+    return add_all_into(mants, np.array(np.broadcast_to(exps, mants.shape), dtype=np.int64, order="C"))
+
+
+def add_all_into(mants, exps):
+    """:func:`add_all` on terms that it overwrites: ``mants`` (float) and
+    ``exps`` (int64, of the same shape), both C-ordered, end as scratch.
+    Besides frexp's int32 exponents it allocates nothing of their size,
+    which spares a fold of many terms the page faults of fresh memory.
+    The exponents are shifted in place, and one reduce along axis 0 adds
+    the rows in order (numpy pairs the terms only of a lone sum, which is
+    folded term by term).
+    """
+    last = exps[-1].copy()
+    f, d = np.frexp(mants, out=(mants, None))
+    exps += d
+    np.copyto(exps, _INT64_MIN, where=f == 0)  # a zero term never sets the reference
+    ref = np.asarray(exps.max(axis=0))  # an array even for a lone sum
+    np.maximum(exps, _floor(ref), out=exps)
+    exps -= ref
+    np.copyto(d, exps)  # the clamped shifts fit: int32 is ldexp's fast type
+    np.ldexp(f, d, out=f)
+    m, de = np.frexp(np.add.reduce(f, axis=0) if f[0].size > 1 else functools.reduce(np.add, f))
+    ref += de
+    np.copyto(ref, last, where=m == 0)
+    return m[()], ref[()]
 
 
 def log2(mant, exp2):

@@ -5,6 +5,7 @@ hand-rolled cyclic Jacobi sweep, recurrences are recomputed with plain
 floats, truncated sums are naive loops.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -388,6 +389,37 @@ def scaling_add_aligned_reference(m1, e1, m2, e2):
     first, so each term is aligned by its magnitude, not its exponent."""
     (f1, d1), (f2, d2) = np.frexp(m1), np.frexp(m2)
     return scaling_add_reference(f1, np.asarray(e1) + d1, f2, np.asarray(e2) + d2)
+
+
+_NO_TERM = -(2**62)  # a zero term's exponent in the sentinel references below
+
+
+def scaling_add_sentinel_reference(m1, e1, m2, e2):
+    """``scaling.add`` by the sentinel formulation: each term's magnitude
+    exponent, or -2^62 for a zero term, by ``np.where`` over whole arrays;
+    shifts onto the larger, clamped at -1100 before the int32 cast; an
+    all-zero sum keeps e2. Exact while exponents stay well inside +-2^61."""
+    (f1, d1), (f2, d2) = np.frexp(m1), np.frexp(m2)
+    a = np.where(f1 != 0, d1 + np.asarray(e1, dtype=np.int64), _NO_TERM)
+    b = np.where(f2 != 0, d2 + np.asarray(e2, dtype=np.int64), _NO_TERM)
+    ref = np.maximum(a, b)
+    low = -1100
+    m, de = np.frexp(np.ldexp(f1, np.maximum(a - ref, low).astype(np.int32))
+                     + np.ldexp(f2, np.maximum(b - ref, low).astype(np.int32)))
+    return m, np.where(ref == _NO_TERM, e2, ref) + de
+
+
+def scaling_add_all_sentinel_reference(mants, exps):
+    """``scaling.add_all`` by the sentinel formulation of
+    :func:`scaling_add_sentinel_reference` on the stacked terms, which are
+    added in order by ``functools.reduce`` (never paired); an all-zero sum
+    keeps the last term's exponent."""
+    f, d = np.frexp(mants)
+    e = np.where(f != 0, d + exps, _NO_TERM)
+    ref = e.max(axis=0)
+    shift = np.maximum(e - ref, -1100).astype(np.int32)
+    m, de = np.frexp(functools.reduce(np.add, np.ldexp(f, shift)))
+    return m, np.where(ref == _NO_TERM, exps[-1], ref) + de
 
 
 def forward_scalar_reference(specs, zs, b_prev, b_cur, n_start, exp2, n_stop):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jacobispec import classify, matblock, models, recurrence
+from jacobispec import classify, matblock, models, recurrence, scaling
 from jacobispec.errors import ConvergenceError, InvalidInputError, TrackOverflowError
 
 from oracles import cesaro_sums_reference, cesaro_sums_stepwise, direct_recurrence
@@ -402,6 +402,48 @@ def test_chunked_sums_match_stepwise_sweep(name, placement, request, monkeypatch
     got = classify._cesaro_sums(members, xs, l_grid)
     assert calls == [steps] * (l_grid[-1] // steps) + [l_grid[-1] % steps] * (l_grid[-1] % steps > 0)
     assert np.array_equal(got, cesaro_sums_stepwise(members, xs, l_grid))
+
+
+@pytest.mark.parametrize("name", ["amo-members", "diag01", "random_bounded2"])
+def test_held_period_sums_fold_as_stepwise(name, request, monkeypatch):
+    # the sweep holds the raw sums of CESARO_CHUNK_BYTES // (8 l N) whole
+    # periods and folds them when it is full or when a cutoff reads the fold:
+    # 1, 2 or 16 periods, or more than the grid has. The cutoffs 5, 37 and
+    # 100 fall inside a period, 1001 on the first row of a period and, with
+    # one period a chunk, of a chunk
+    members = _chunk_members(name, request)
+    xs = np.linspace(-3.5, 3.5, 29)
+    l_grid = (5, 37, 100, 1001)
+    l, entries = members[0].dim, 2 * len(members) * xs.size
+    want = cesaro_sums_stepwise(members, xs, l_grid)
+    folds = []
+    real = scaling.add_all_into
+    monkeypatch.setattr(scaling, "add_all_into", lambda m, e: folds.append(len(m)) or real(m, e))
+    for held in (1, 2, 16, 200):
+        monkeypatch.setattr(classify, "CESARO_CHUNK_BYTES", held * 8 * l * entries)
+        folds.clear()
+        assert np.array_equal(classify._cesaro_sums(members, xs, l_grid), want)
+        assert max(folds) == min(held + 1, 114)  # a full buffer, or the longest read
+    # with the whole grid held, the only folds are the reads at 37, 100 and
+    # 1001, of the sum so far and periods 0-3, 4-11 and 12-124
+    assert folds == [5, 9, 114]
+
+
+def test_a_ledger_change_inside_a_period_is_an_error(monkeypatch, diag01):
+    # a period's rows are summed raw on one ledger, so the sweep checks that
+    # its first and last rows share it: for a whole period, and for a
+    # cutoff's part of one (a check, not an assert, so it holds under -O)
+    real = recurrence.forward
+    for l_grid, row in (((64, 128), 5), ((5, 128), 3)):
+        def forward(*args, row=row):
+            for fill, exps in enumerate(real(*args)):
+                if fill == 0:
+                    exps[row:] = [exp2 + 1 for exp2 in exps[row:]]
+                yield exps
+
+        monkeypatch.setattr(recurrence, "forward", forward)
+        with pytest.raises(InvalidInputError, match="inside a rescale period"):
+            classify._cesaro_sums(diag01, np.linspace(-1.0, 3.0, 7), l_grid)
 
 
 @pytest.mark.parametrize("name", ["diag01", "random_bounded2", "periodic3", "amo-members"])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from jacobispec import matblock, recurrence, scaling
 
-from oracles import normalize, scaling_add_reference
+from oracles import (normalize, scaling_add_all_sentinel_reference, scaling_add_reference,
+                     scaling_add_sentinel_reference)
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -95,6 +96,77 @@ def test_add_matches_previous_formula():
         got, want = scaling.add(*args), scaling_add_reference(*args)
         assert all(np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
                    for a, b in zip(got, want))
+
+
+# terms for the pair arithmetic: zero, subnormal and unnormalized
+# mantissas, at exponents close together, spread past +-1100 (a term
+# shifted out of float range) or as large as +-2^40
+pair_mantissas = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.0**-1022),
+    st.floats(min_value=2.0**-60, max_value=2.0**60),
+)
+pair_exponents = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-3000, max_value=3000),
+    st.integers(min_value=-(2**40), max_value=2**40),
+)
+pair_terms = st.tuples(pair_mantissas, pair_exponents)
+
+
+def same_bits(got, want):
+    return all(np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+               and np.shape(a) == np.shape(b) for a, b in zip(got, want))
+
+
+@PROPERTY
+@given(st.lists(pair_terms, min_size=1, max_size=20), st.integers(min_value=0, max_value=2))
+def test_add_all_matches_the_sentinel_formula(seq, zeros):
+    # stacked as a lone sum, as one sum beside an all-zero one (which keeps
+    # the last term's exponent), and with the first terms zeroed
+    mants = np.array([m for m, _ in seq])
+    exps = np.array([e for _, e in seq], dtype=np.int64)
+    mants[:zeros] = 0.0
+    cols_m = np.stack([mants, np.zeros_like(mants)], axis=1)
+    cols_e = np.stack([exps, exps[::-1]], axis=1)
+    for args in ((mants, exps), (cols_m, cols_e), (cols_m[:, :, None], cols_e[:, :, None])):
+        kept = [a.copy() for a in args]
+        assert same_bits(scaling.add_all(*args), scaling_add_all_sentinel_reference(*args))
+        assert same_bits(args, kept)  # add_all sums copies; add_all_into overwrites its terms
+
+
+@PROPERTY
+@given(st.lists(st.tuples(pair_terms, pair_terms), min_size=1, max_size=12))
+def test_add_matches_the_sentinel_formula(pairs):
+    (m1, e1), (m2, e2) = (np.array(v) for v in zip(*(a for a, _ in pairs))), \
+        (np.array(v) for v in zip(*(b for _, b in pairs)))
+    cases = [(m1, e1, m2, e2), (m1[0], int(e1[0]), m2[0], int(e2[0])),
+             # one exponent for both columns, broadcast as the sums' ledgers are
+             (np.stack([m1, m2], axis=1), np.stack([e1, e2], axis=1), np.stack([m2, m1], axis=1),
+              e2[:, None])]
+    for args in cases:
+        assert same_bits(scaling.add(*args), scaling_add_sentinel_reference(*args))
+
+
+def test_sums_are_exact_across_the_int64_exponent_range():
+    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    # a spread beyond 2^63 between two terms, a zero term far above terms
+    # below -2^62, and references within 1100 of either end of the range
+    cases = [
+        ((0.75, 2**62), (0.5, -(2**62) - 5), (0.75, 2**62)),
+        ((0.5, -(2**62) - 5), (0.75, 2**62), (0.75, 2**62)),
+        ((0.0, 0), (0.5, bottom + 2000), (0.5, bottom + 2000)),
+        ((0.5, bottom + 2000), (0.0, 0), (0.5, bottom + 2000)),
+        ((0.5, bottom + 10), (0.5, bottom + 10), (0.5, bottom + 11)),
+        ((0.75, bottom + 5), (0.5, bottom + 3), (0.875, bottom + 5)),
+        ((0.5, top - 2000), (0.5, top - 2000), (0.5, top - 1999)),
+        ((0.5, top - 2000), (0.5, bottom + 2000), (0.5, top - 2000)),
+    ]
+    for (m1, e1), (m2, e2), want in cases:
+        assert tuple(scaling.add(m1, e1, m2, e2)) == want
+        mants, exps = np.array([[m1, 0.0], [m2, 0.0]]), np.array([[e1, e1], [e2, e2]], dtype=np.int64)
+        got_m, got_e = scaling.add_all(mants, exps)
+        assert (got_m[0], got_e[0]) == want and (got_m[1], got_e[1]) == (0.0, e2)
 
 
 def _track_sums(roots, ledgers):
