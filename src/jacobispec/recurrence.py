@@ -389,7 +389,7 @@ def cocycle_products(spec, zs, n):
     coeffs = zip(*models.coefficient_arrays(spec, 1, n)) if n > 1 else ()
     for d_k, v_k in coeffs:
         acc = _transfer_steps(d_k, v_k, zs) @ acc
-        exp2 = _pow2_shift(np.max(np.abs(acc), axis=(1, 2)), (acc.reshape(zs.size, -1).T,), exp2)
+        exp2 = _pow2_shift(np.max(np.abs(acc), axis=(1, 2)), (acc.reshape(zs.size, 4 * l * l).T,), exp2)
     return acc, exp2
 
 

@@ -535,8 +535,48 @@ def im_m_boundary(spec, x, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
 
 
 def _fro(x):
-    """|x|_F over the trailing two axes."""
-    return np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)))
+    """|x|_F over the leading two axes (the entries of component-major cells)."""
+    return np.sqrt(np.sum(np.abs(x) ** 2, axis=(0, 1)))
+
+
+def _cell_product(x, y):
+    """X Y for component-major cells x (n, q, ...) and y (q, m, ...): the sum
+    over k = 0 .. q - 1, in order, of column k of X times row k of Y."""
+    out = x[:, 0, None] * y[None, 0]
+    for k in range(1, x.shape[1]):
+        out += x[:, k, None] * y[None, k]
+    return out
+
+
+def _cell_solve(a, b):
+    """A^-1 B for component-major cells a (n, n, ...) and b (n, m, ...).
+
+    Gaussian elimination with partial pivoting on [A | B], all cells at
+    once: at column k each cell's pivot is its entry of largest
+    |re| + |im| on or below the diagonal (the first of equals, as LAPACK's
+    izamax), that row swaps with row k, and the rows below subtract their
+    multiples of it; back substitution runs column by column. An exactly
+    zero pivot in any cell (a singular A) raises LinAlgError, as LAPACK's
+    gesv reports it.
+    """
+    n = len(a)
+    w = np.concatenate([a, b], axis=1)
+    for k in range(n):
+        if k + 1 < n:
+            col = w[k:, k]
+            piv = k + np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
+            for i in range(k + 1, n):
+                at = piv == i
+                if at.any():
+                    w[k, k:], w[i, k:] = np.where(at, w[i, k:], w[k, k:]), np.where(at, w[k, k:], w[i, k:])
+        if np.any(w[k, k] == 0):
+            raise np.linalg.LinAlgError("Singular matrix")
+        w[k + 1:, k + 1:] -= (w[k + 1:, k] / w[k, k])[:, None] * w[k, None, k + 1:]
+    x = w[:, n:]
+    for k in reversed(range(n)):
+        x[k] /= w[k, k]
+        x[:k] -= w[:k, k, None] * x[k][None]
+    return x
 
 
 def _decimation(spec, z):
@@ -551,6 +591,13 @@ def _decimation(spec, z):
     chain of half as many cells. After k steps the surface block is the
     whole truncation at depth p 2^k reduced to its first cell, so M_1 is
     the top-left l x l block of its inverse.
+
+    The cells of all points are held component-major, shape (p l, p l,
+    rungs, energies), and every cell operation is written out over them:
+    a product is :func:`_cell_product`, and both solves, e^-1 [a | b] and
+    s^-1 applied to the first l columns of the identity, are one Gaussian
+    elimination with partial pivoting, :func:`_cell_solve`, with no
+    per-cell LAPACK or BLAS call.
 
     Also returns ``rounding``, which maps each group to a bound on the
     rounding error |dM|_F of its last solve at each of its points.
@@ -568,36 +615,36 @@ def _decimation(spec, z):
     cell, k = np.zeros((p, l, p, l), dtype=complex), np.arange(p)
     cell[k, :, k] = v
     cell[k[:-1], :, k[1:]] = cell[k[1:], :, k[:-1]] = d[:-1]
-    cell = cell.reshape(pl, pl)
-    right = np.zeros((pl, pl), dtype=complex)
-    right[-l:, :l] = d[-1]
-    surface = cell - z[..., None, None] * np.eye(pl)
+    cell = cell.reshape(pl, pl)[..., None, None]
+    right = np.zeros((pl, pl, 1, 1), dtype=complex)
+    right[-l:, :l] = d[-1][..., None, None]
+    surface = cell - z * np.eye(pl)[..., None, None]
     # the state of the groups in ``groups``, reduced to depth ``reached``;
     # the last entry is the largest block norm formed so far at each point
     groups, reached = list(range(len(z))), p
     state = (surface, surface, np.broadcast_to(right, surface.shape),
-             np.broadcast_to(right.T, surface.shape),
+             np.broadcast_to(right.transpose(1, 0, 2, 3), surface.shape),
              np.maximum(_fro(surface), _fro(right)))
-    first_cols = np.eye(pl, l)
+    first_cols = np.eye(pl, l)[..., None, None]
     rounding = {}
 
     def solve(active, depth):
         nonlocal groups, reached, state
         rows = [groups.index(g) for g in active]
-        s, e, a, b, grown = (x[rows] for x in state)
+        s, e, a, b, grown = (x[..., rows, :] for x in state)
         while reached < depth:
-            x = np.linalg.solve(e, np.concatenate([a, b], axis=-1))
-            ea, eb = x[..., :pl], x[..., pl:]
-            aeb, bea = a @ eb, b @ ea
+            x = _cell_solve(e, np.concatenate([a, b], axis=1))
+            ea, eb = x[:, :pl], x[:, pl:]
+            aeb, bea = _cell_product(a, eb), _cell_product(b, ea)
             s, e = s - aeb, e - aeb - bea
-            a, b = a @ ea, b @ eb
+            a, b = _cell_product(a, ea), _cell_product(b, eb)
             grown = np.maximum.reduce([grown, _fro(aeb), _fro(bea), _fro(e)])
             reached *= 2
         groups, state = list(active), (s, e, a, b, grown)
-        m = np.linalg.solve(s, np.broadcast_to(first_cols, s.shape[:-1] + (l,)))[..., :l, :]
+        m = _cell_solve(s, np.broadcast_to(first_cols, (pl, l) + s.shape[2:]))[:l]
         bound = DECIMATION_ROUNDING * np.finfo(float).eps * grown * _fro(m.imag) / z[active].imag
         rounding.update(zip(active, bound))
-        return m
+        return np.ascontiguousarray(m.transpose(2, 3, 0, 1))
 
     return solve, rounding
 
@@ -639,7 +686,7 @@ def m_riccati_rungs(spec, z, tol=1e-8):
         rungs = _until_cauchy(solve, len(z), tol, INITIAL_DEPTH, DECIMATION_MAX_DEPTH,
                               lambda k: f"decimation for y = {z[k, 0].imag}")
         # a rung the rounding bound cannot vouch for is the descent's
-        redo = [k for k in range(len(z)) if np.max(rounding[k]) > tol]
+        redo = [k for k in range(len(z)) if np.max(rounding[k], initial=0.0) > tol]
         for k, rung in zip(redo, _descended_rungs(spec, z[redo], tol)):
             rungs[k] = rung
     else:

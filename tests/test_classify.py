@@ -97,6 +97,11 @@ def test_floquet_flags_exact_band_edges(diag01):
     assert not classify.floquet_grid(diag01, [-1.5, 0.5, 2.5])[1].any()
 
 
+def test_floquet_grid_on_an_empty_grid(diag01):
+    r_flo, edge, lam, exp2 = classify.floquet_grid(diag01, [])
+    assert r_flo.shape == edge.shape == exp2.shape == (0,) and lam.shape == (0, 4)
+
+
 def test_floquet_requires_periodic(golden_amo):
     with pytest.raises(InvalidInputError):
         classify.floquet_multiplicity(golden_amo, 0.0)

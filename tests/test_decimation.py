@@ -27,7 +27,20 @@ def rel_fro(a, b):
     return float(np.max(fro(a - b) / fro(b)))
 
 
-@pytest.mark.parametrize("name", ["free1", "diag01", "random_bounded2"])
+@pytest.fixture(scope="module")
+def cell3():
+    """A random period-1, l = 3 model: a decimated cell of width 3."""
+    return _random_periodic(3, 1, 3)
+
+
+@pytest.fixture(scope="module")
+def cell4():
+    """A random period-2, l = 2 model: the widest decimated cell, p l = 4."""
+    return _random_periodic(4, 2, 2)
+
+
+# every cell width the ladder decimates (1 to DECIMATION_MAX_CELL), and 16
+@pytest.mark.parametrize("name", ["free1", "diag01", "cell3", "cell4", "random_bounded2"])
 def test_decimation_matches_descent_at_equal_depth(name, request):
     spec = request.getfixturevalue(name)
     # x = 0 is on the grid: there every short free segment is resonant, the
@@ -158,6 +171,44 @@ def test_decimation_is_herglotz_symmetric_and_the_descent(seed, period, l, x, y)
     assert rel_fro(m, np.swapaxes(m, -1, -2)) <= 1e-12
     want = weyl._riccati_descent(spec, z.ravel(), weyl.INITIAL_DEPTH)[0]
     assert rel_fro(m, want) <= 1e-12
+
+
+def _component_major(a):
+    """A (..., n, m) stack as component-major cells (n, m, ...)."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+def test_cell_solve_and_product_match_lapack_and_blas(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(3, 40, n, n)) + 1j * rng.normal(size=(3, 40, n, n))
+    if n > 1:
+        # a zero leading entry in every other cell: the pivot swap is taken
+        a[:, ::2, 0, 0] = 0.0
+    b = rng.normal(size=(3, 40, n, 2 * n)) + 1j * rng.normal(size=(3, 40, n, 2 * n))
+    got = weyl._cell_solve(_component_major(a), _component_major(b))
+    assert rel_fro(np.moveaxis(got, (0, 1), (-2, -1)), np.linalg.solve(a, b)) <= 1e-12
+    got = weyl._cell_product(_component_major(a), _component_major(b))
+    assert rel_fro(np.moveaxis(got, (0, 1), (-2, -1)), a @ b) <= 1e-12
+
+
+@pytest.mark.parametrize("singular", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 2.0]]])
+def test_cell_solve_raises_on_a_singular_cell(singular):
+    # [[1, 2], [2, 4]] leaves an exact zero pivot after its row swap, and
+    # [[0, 1], [0, 2]] has no pivot in its first column at all
+    a = np.tile(np.eye(2, dtype=complex)[:, :, None], (1, 1, 5))
+    a[:, :, 3] = singular
+    with pytest.raises(np.linalg.LinAlgError):
+        weyl._cell_solve(a, np.ones((2, 1, 5), dtype=complex))
+
+
+@pytest.mark.parametrize("name", ["free1", "diag01", "cell4", "random_bounded2"])
+def test_ladder_on_an_empty_grid_is_empty(name, request):
+    # free1, diag01 and cell4 decimate, random_bounded2 is descended
+    spec = request.getfixturevalue(name)
+    assert weyl.im_m_boundary_grid(spec, []) == []
+    m, depths, deltas = weyl.m_riccati_rungs(spec, np.full((3, 0), 0.1j))
+    assert m.shape == (3, 0, spec.dim, spec.dim) and len(depths) == len(deltas) == 3
 
 
 def _assert_matches_reference(y_ladder, eigs, tau_rel=1e-3):
