@@ -12,16 +12,17 @@ far above 1). The largest bounded r estimates the AC multiplicity at x.
 The forward kernel writes the sweep's blocks into one chunk buffer of
 whole rescale periods (8 steps), at most ``CESARO_CHUNK_BYTES`` (256 KiB),
 that every chunk reuses, and the sweep takes one singular-value call per
-chunk. The sums follow the rule of :mod:`scaling`, as the solution tracks
-do: a period's rows share one ledger and are summed raw, whole periods are
-folded in order, and a cutoff inside a period reads the fold before it
-plus the period's raw sum so far. The raw sums of whole periods are held,
-as many as fit in ``CESARO_CHUNK_BYTES``, and folded by one
-magnitude-aligned sum only when the buffer is full or a cutoff reads the
-fold; any such grouping has the bits of folding period by period. A
-cutoff never cuts a period, so an energy's sums depend neither on its
-batch, the chunk size, the fold schedule nor the other cutoffs, and they
-equal the phi + psi sums of its tracks bit for bit.
+chunk. The sums follow the rule of :mod:`scaling` in the loop over rescale
+periods that the solution tracks run too: a period's rows share one
+ledger and are summed raw, a cutoff inside a period reads the fold before
+it plus the period's raw sum so far, and then the whole period is folded
+in. The raw sums of whole periods are held, as many as fit in
+``CESARO_CHUNK_BYTES``, and folded by one magnitude-aligned sum only when
+the buffer is full or a cutoff reads the fold; any such grouping has the
+bits of folding period by period. A cutoff never cuts a period, so an
+energy's sums depend neither on its batch, the chunk size, the fold
+schedule nor the other cutoffs, and they equal the phi + psi sums of its
+tracks bit for bit.
 """
 
 from __future__ import annotations
@@ -64,14 +65,16 @@ def _cesaro_sums(spec, xs, l_grid):
     log2_c of shape (len(l_grid), G * B, l), member-major; the trailing
     axis is ordered by descending singular index (column j holds s_{j+1}),
     so C_r lives in column l - r. Each chunk of steps (module docstring)
-    gets one singular-value call. Each track entry (phi or psi of one
-    energy and member) keeps its own scaled sum. The raw sums of whole
-    periods wait in a buffer of ``CESARO_CHUNK_BYTES // (8 l N)`` periods
-    (N track entries), across chunks; one :func:`scaling.add_all_into`
-    folds them into the scaled sums when the buffer is full or before a
-    cutoff reads them. A cutoff's read adds its period's raw partial sum,
-    then phi and psi. InvalidInputError if a period's first and last rows
-    have different ledgers.
+    gets one singular-value call, and then one pass per rescale period.
+    Each track entry (phi or psi of one energy and member) keeps its own
+    scaled sum. A cutoff in the period reads the fold plus the period's
+    raw partial sum by one :func:`scaling.add`, then adds phi and psi. A
+    whole period's raw sum goes into the next slot of a buffer of
+    ``CESARO_CHUNK_BYTES // (8 l N)`` periods (N track entries), held
+    across chunks; one :func:`scaling.add_all_into` folds them into the
+    scaled sums when the buffer is full or before a cutoff reads them.
+    InvalidInputError if a period's first and last rows have different
+    ledgers.
     """
     members = _members(spec)
     xs = np.asarray(xs, dtype=float)
@@ -103,40 +106,33 @@ def _cesaro_sums(spec, xs, l_grid):
 
     def account(first, exps):
         # rows first, first + 1, ... (first = 1 mod period; whole periods but
-        # in the last fill) with their ledgers: one singular-value call; the
-        # whole periods before each cutoff's period join the held sums, which
-        # are folded when full or when a cutoff reads the fold
+        # in the last fill) with their ledgers: one singular-value call, then
+        # period by period the reads of its cutoffs and, for a whole period,
+        # its raw sum into the next held slot
         nonlocal held, ck
         k = len(exps)
         sq = matblock.batched_singular_sq(chunk[:k].transpose(0, 3, 1, 2))
-        p = 0  # the chunk's periods held so far
-        while True:
-            reads = ck < len(l_grid) and l_grid[ck] < first + k
-            b = l_grid[ck] + 1 - first if reads else k
-            q = (b - 1) // period if reads else k // period  # the cutoff's period
-            while p < q:
-                n = min(q - p, hold - held)
-                np.add.reduce(sq[p * period : (p + n) * period].reshape(n, period, *held_m.shape[1:]),
-                              axis=1, out=held_m[held + 1 : held + n + 1])
-                for i, a in enumerate(range(p * period, (p + n) * period, period), held + 1):
-                    exp2 = recurrence._period_ledger(exps[a], exps[a + period - 1])
-                    np.multiply(exp2[:, None], 2, out=held_e[i])
-                held, p = held + n, p + n
+        for a in range(0, k, period):
+            r = min(a + period, k)
+            exp2 = recurrence._period_ledger(exps[a], exps[r - 1])
+            while ck < len(l_grid) and l_grid[ck] < first + r:
+                if held:
+                    fold()
+                m, e = scaling.add(held_m[0], held_e[0], np.add.reduce(sq[a : l_grid[ck] + 1 - first]),
+                                   2 * exp2[:, None])
+                if not np.isfinite(m).all():
+                    # blocks left float range between the kernel's rescale checks
+                    raise TrackOverflowError(f"Cesaro sums left float range by L = {l_grid[ck]}")
+                m, e = (v.reshape(g, 2, batch, l) for v in (m, e))
+                out[ck] = scaling.log2(*scaling.add(m[:, 0], e[:, 0], m[:, 1], e[:, 1]))
+                out[ck] -= math.log2(l_grid[ck])
+                ck += 1
+            if r - a == period:
+                held += 1
+                np.add.reduce(sq[a:r], out=held_m[held])
+                np.multiply(exp2[:, None], 2, out=held_e[held])
                 if held == hold:
                     fold()
-            if not reads:
-                return
-            if held:
-                fold()
-            exp2 = recurrence._period_ledger(exps[q * period], exps[b - 1])
-            m, e = scaling.add(held_m[0], held_e[0], np.add.reduce(sq[q * period : b]), 2 * exp2[:, None])
-            if not np.isfinite(m).all():
-                # blocks left float range between the kernel's rescale checks
-                raise TrackOverflowError(f"Cesaro sums left float range by L = {l_grid[ck]}")
-            m, e = (v.reshape(g, 2, batch, l) for v in (m, e))
-            out[ck] = scaling.log2(*scaling.add(m[:, 0], e[:, 0], m[:, 1], e[:, 1]))
-            out[ck] -= math.log2(l_grid[ck])
-            ck += 1
 
     zs = np.tile(np.concatenate([xs, xs]), g)
     steps = recurrence.forward(members, zs, prev.reshape(-1, l, l), cur.reshape(-1, l, l), 1, ledger,

@@ -222,7 +222,7 @@ def forward(specs, zs, b_prev, b_cur, n_start, exp2, n_stop, out):
                 if n % _RESCALE_EVERY == 0:
                     mags = np.maximum(np.abs(b_prev), np.abs(b_cur)).reshape(l * l, -1)
                     mags = mags[0] if l == 1 else mags.max(axis=0)
-                    if not mags.max() < np.inf:  # NaN fails too
+                    if not mags.max(initial=0.0) < np.inf:  # NaN fails too
                         raise TrackOverflowError(f"blocks left float range before index {n + 1}")
                     pair = (b_prev.reshape(l * l, -1), b_cur.reshape(l * l, -1))
                     exp2 = _pow2_shift(mags, pair, exp2)
@@ -251,28 +251,22 @@ def _truncation_sums(blocks, exp2):
     call: columns 0..l-1 hold the squared singular values, column l their
     sum (the squared Frobenius norm), all on the track's 2 * exp2 ledger;
     index m holds the sum over n = 1..m. By the rule of :mod:`scaling`, the
-    rows of each rescale period (n = 1..8, 9..16, ...) are summed raw by one
-    cumsum, the period totals are folded in order, and row m adds its raw
-    partial sum to the fold before its period by one :func:`scaling.add`:
-    the bits of the Cesaro sweep's sum at cutoff m, each track's own.
+    rescale periods (n = 1..8, 9..16, ...) are taken in order: a period's
+    rows are summed raw by one cumsum and read by one :func:`scaling.add`
+    onto the fold before it, and its last row is the fold after it. These
+    are the bits of the Cesaro sweep's sum at cutoff m, each track's own.
     InvalidInputError if a ledger changes inside a period.
     """
     n1, count, l = blocks.shape[0], blocks.shape[1], blocks.shape[-1]
     sv_sq = matblock.batched_singular_sq(blocks.reshape(-1, l, l)).reshape(n1, count, l)
-    ledger = exp2[1::_RESCALE_EVERY]
-    _period_ledger(np.repeat(ledger, _RESCALE_EVERY, axis=0)[: n1 - 1], exp2[1:])
-    # the rows 1..n as whole periods, the last one padded with zeros
-    raw = np.zeros((len(ledger) * _RESCALE_EVERY, count, l + 1))
-    raw[: n1 - 1] = np.concatenate((sv_sq, np.sum(sv_sq, axis=2, keepdims=True)), axis=2)[1:]
-    raw = np.cumsum(raw.reshape(len(ledger), _RESCALE_EVERY, count, l + 1), axis=1)
-    te = 2 * ledger[:, None, :, None]
-    fold_m, fold_e = (np.zeros((len(ledger), 1, count, l + 1), dtype=t) for t in (float, np.int64))
-    for p in range(1, len(ledger)):
-        fold_m[p], fold_e[p] = scaling.add(fold_m[p - 1], fold_e[p - 1], raw[p - 1, -1:], te[p - 1])
-    cum = [np.zeros((n1, count, l + 1), dtype=t) for t in (float, np.int64)]
-    for out, part in zip(cum, scaling.add(fold_m, fold_e, raw, te)):
-        out[1:] = part.reshape(-1, count, l + 1)[: n1 - 1]
-    return (np.sqrt(sv_sq), *cum)
+    raw = np.concatenate((sv_sq, np.sum(sv_sq, axis=2, keepdims=True)), axis=2)
+    cum_m, cum_e = (np.zeros((n1, count, l + 1), dtype=t) for t in (float, np.int64))
+    for a in range(1, n1, _RESCALE_EVERY):
+        r = min(a + _RESCALE_EVERY, n1)
+        ledger = _period_ledger(exp2[a], exp2[a:r])
+        cum_m[a:r], cum_e[a:r] = scaling.add(cum_m[a - 1], cum_e[a - 1], np.cumsum(raw[a:r], axis=0),
+                                             2 * ledger[:, None])
+    return np.sqrt(sv_sq), cum_m, cum_e
 
 
 def _continued(spec, zs, blocks, exp2, n_new):
@@ -299,10 +293,11 @@ def extend_tracks(tracks, n_new):
 
     The tracks share one spec and one length; each keeps its own energy
     and exponent ledger, and comes out bit for bit as a fresh run to
-    n_new would. Tracks that already reach n_new are returned as they are.
+    n_new would. Tracks that already reach n_new, or no tracks, are
+    returned as they are.
     """
     n_new = int(n_new)
-    if n_new <= tracks[0].n_max:
+    if not tracks or n_new <= tracks[0].n_max:
         return list(tracks)
     return _continued(tracks[0].spec, np.array([t.z for t in tracks]),
                       np.stack([t.blocks for t in tracks], axis=1),
@@ -315,7 +310,7 @@ def dirichlet_neumann_grid(spec, zs, n_max):
     Returns a list of (phi, psi), one pair per energy of ``zs``; all 2N
     tracks run as one batch of the kernel and take their truncation sums
     from one :func:`_truncation_sums` call. A batch holding any non-real
-    energy runs in complex arithmetic.
+    energy runs in complex arithmetic; no energies give an empty list.
     """
     if n_max < 2:
         raise InvalidInputError("need n_max >= 2")

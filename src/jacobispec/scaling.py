@@ -8,14 +8,15 @@ same-shaped numpy arrays. The sums accept unnormalized (even subnormal)
 mantissas: a term is aligned by its magnitude, not its exponent.
 
 Running sums of a track's squared singular values, in the Cesaro sweep
-and in the solution tracks alike, use :func:`add` and :func:`add_all` by
-one rule: the rows of a rescale period share one exponent and are summed
-raw, whole periods are folded into the scaled sum in order, and a sum read
-inside a period adds that period's raw partial sum to the fold before it.
-When the folds happen does not matter: :func:`add_all` over any number of
-terms has the bits of folding them in one by one, so the Cesaro sweep
-folds a buffer of many periods at once, and the tracks fold period by
-period with :func:`add`.
+and in the solution tracks alike, follow one rule, written as one loop
+over rescale periods: the rows of a period share one exponent and are
+summed raw, a sum read inside a period adds that period's raw partial sum
+to the fold before it with :func:`add`, and whole periods are folded into
+the scaled sum in order. When the folds happen does not matter:
+:func:`add_all_into` over any number of terms has the bits of folding them
+in one by one with :func:`add`, so the Cesaro sweep folds a held buffer
+of many periods at once, and the tracks fold period by period, the
+period's last read being the fold after it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _floor(ref, out=None):
 def add(m1, e1, m2, e2):
     """(m1*2^e1) + (m2*2^e2) as a normalized pair, broadcast elementwise.
 
-    The arithmetic of :func:`add_all` on two terms, written out so that
+    The arithmetic of :func:`add_all_into` on two terms, written out so that
     no stacked copy of the operands is made: the shifts and the sum are
     computed in place in arrays of the broadcast shape.
     """
@@ -65,7 +66,7 @@ def add(m1, e1, m2, e2):
     return m[()], ref[()]  # scalars stay scalars
 
 
-def add_all(mants, exps):
+def add_all_into(mants, exps):
     """Sum of the terms mants[k] * 2^exps[k] along axis 0, a normalized pair.
 
     The term of largest magnitude (frexp exponent plus exps[k]) is the
@@ -76,21 +77,15 @@ def add_all(mants, exps):
     as one fold of them all. Zero terms take no part; an all-zero sum
     keeps the last term's exponent. Exponents are int64 integers, exact
     over the whole range (the terms' and the sum's own binary exponents
-    must be int64 too). The arguments are left as they are: the sum is
-    taken by :func:`add_all_into` on copies of them.
-    """
-    mants = np.array(mants, dtype=float, order="C")
-    return add_all_into(mants, np.array(np.broadcast_to(exps, mants.shape), dtype=np.int64, order="C"))
+    must be int64 too).
 
-
-def add_all_into(mants, exps):
-    """:func:`add_all` on terms that it overwrites: ``mants`` (float) and
-    ``exps`` (int64, of the same shape), both C-ordered, end as scratch.
-    Besides frexp's int32 exponents it allocates nothing of their size,
-    which spares a fold of many terms the page faults of fresh memory.
-    The exponents are shifted in place, and one reduce along axis 0 adds
-    the rows in order (numpy pairs the terms only of a lone sum, which is
-    folded term by term).
+    The terms are overwritten: ``mants`` (float) and ``exps`` (int64, of
+    the same shape), both C-ordered, end as scratch. Besides frexp's int32
+    exponents the sum allocates nothing of their size, which spares a fold
+    of many terms the page faults of fresh memory. The exponents are
+    shifted in place, and one reduce along axis 0 adds the rows in order
+    (numpy pairs the terms only of a lone sum, which is folded term by
+    term).
     """
     last = exps[-1].copy()
     f, d = np.frexp(mants, out=(mants, None))

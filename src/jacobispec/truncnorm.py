@@ -61,7 +61,7 @@ def _floor_terms(tracks, fl, k=None):
 def truncated_sq_batch(tracks, l_values, k=None):
     """||B||_L^2 (``k`` None) or s_k[B]_L^2 of every ``tracks[j]`` at
     ``l_values[j]``, from the tracks' prefix sums, as a scaled (mantissa,
-    exponent) pair of arrays."""
+    exponent) pair of arrays, empty for no tracks."""
     l_values = np.asarray(l_values, dtype=float)
     if k is not None and not all(1 <= int(k) <= t.dim for t in tracks):
         raise InvalidInputError(f"singular index {k} outside 1..{tracks[0].dim}")
@@ -73,6 +73,8 @@ def truncated_sq_batch(tracks, l_values, k=None):
             raise TrackTooShortError(
                 f"cutoff {l_value} needs block {f + 1}, track ends at {t.n_max}", needed=f + 1
             )
+    if not tracks:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
     sum_m, sum_e, term_m, term_e = _floor_terms(tracks, fl, k)
     return scaling.add(sum_m, sum_e, (l_values - fl) * term_m, term_e)
 

@@ -410,7 +410,7 @@ def scaling_add_sentinel_reference(m1, e1, m2, e2):
 
 
 def scaling_add_all_sentinel_reference(mants, exps):
-    """``scaling.add_all`` by the sentinel formulation of
+    """``scaling.add_all_into`` by the sentinel formulation of
     :func:`scaling_add_sentinel_reference` on the stacked terms, which are
     added in order by ``functools.reduce`` (never paired); an all-zero sum
     keeps the last term's exponent."""

@@ -6,8 +6,9 @@ import pytest
 from jacobispec import classify, models, recurrence, scaling, truncnorm, weyl
 from jacobispec.errors import DomainError, InvalidInputError, TrackOverflowError
 
-from oracles import (forward_scalar_reference, frobenius_norm_at, green_sum_direct, lift_pair,
-                     propagate_reference, recurrence_residual, singular_values_at)
+from oracles import (cesaro_sums_stepwise, forward_scalar_reference, frobenius_norm_at,
+                     green_sum_direct, lift_pair, propagate_reference, recurrence_residual,
+                     singular_values_at)
 
 
 def fro(a):
@@ -440,6 +441,33 @@ def test_cesaro_sums_are_the_track_sums_of_phi_and_psi(name, request):
                                     psi.cum_sv2_m[big_l], psi.cum_sv2_e[big_l])
                 want = scaling.log2(*total) - math.log2(big_l)
                 assert np.array_equal(got[c, g * xs.size + j], want), (member, xs[j], big_l)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 17, 40])
+@pytest.mark.parametrize("name", ["free1", "random_bounded2", "periodic3"])
+def test_track_sums_are_the_stepwise_sweep_at_every_row(name, n, request):
+    # tracks that end before, on and after a rescale period's last row: the
+    # phi + psi sums at every row 2..n are the stepwise sweep's read at that
+    # row, bit for bit, with the larger energies rescaled at every period
+    spec = request.getfixturevalue(name)
+    xs = np.array([-3.7, 0.37, 3.2, 9.0, 40.0, 1e5])
+    rows = tuple(range(2, n + 1))
+    want = cesaro_sums_stepwise(spec, xs, rows)
+    log2_rows = np.array([math.log2(r) for r in rows])[:, None]
+    pairs = recurrence.dirichlet_neumann_grid(spec, xs, n)
+    assert n < 9 or pairs[-1][0].exp2[9] != 0
+    for j, (phi, psi) in enumerate(pairs):
+        total = scaling.add(phi.cum_sv2_m[2:], phi.cum_sv2_e[2:], psi.cum_sv2_m[2:], psi.cum_sv2_e[2:])
+        assert np.array_equal(scaling.log2(*total) - log2_rows, want[:, j]), (xs[j], n)
+
+
+def test_dirichlet_neumann_grid_of_no_energies_is_empty(free1, random_bounded2):
+    for spec in (free1, random_bounded2):
+        assert recurrence.dirichlet_neumann_grid(spec, [], 20) == []
+
+
+def test_extend_tracks_of_no_tracks_is_empty():
+    assert recurrence.extend_tracks([], 40) == []
 
 
 def test_a_ledger_change_inside_a_rescale_period_is_rejected(free1):

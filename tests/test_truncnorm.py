@@ -18,6 +18,12 @@ def test_dirichlet_at_unit_cutoff(free2):
     assert truncnorm.truncated_norm(psi, 1.0) == 0.0
 
 
+def test_truncated_values_of_no_tracks_are_empty():
+    for k in (None, 1):
+        got = truncnorm.truncated_values([], [], k)
+        assert got.shape == (0,) and got.dtype == float
+
+
 def test_fractional_cutoff_formula(random_bounded2):
     phi, _ = recurrence.dirichlet_neumann(random_bounded2, 0.9, 10)
     direct = np.sqrt(
