@@ -7,19 +7,19 @@ Two independent routes compute the same l-by-l Herglotz matrix M(z):
   M_n = ((V_n - z) - D_n M_{n+1} D_n)^-1 seeded with a Dirichlet wall
   (M = 0) at the truncation depth;
 * ``m_resolvent``: the (1,1) block of the inverse of the banded
-  truncation of the half-line operator, via LAPACK banded LU. The
-  truncations of many points sit block-diagonally, uncoupled, in one band
-  matrix, so one LAPACK call solves them all, and each corner comes out
-  bit for bit as its own solve would give it. The band is written once,
-  one strided slice per block entry, into the storage of LAPACK's
-  ``gbsv`` (``gtsv`` reads its three diagonals from it for l = 1), solved
-  in place without scipy's copies and checks; the corners are copied out,
-  so no solution outlives its stack. A stack holds at most
-  ``_STACK_BLOCKS`` blocks: its band, right-hand side and solution grow
-  with points times truncation, and uncapped stacks of a whole sweep at
-  its deepest doubling cost several MB of peak memory. A self-adjoint
-  truncation (every built-in family) has T - z nonsingular at Im z > 0,
-  so a LAPACK breakdown is raised as LinAlgError, not retried.
+  truncation of the half-line operator, via LAPACK banded LU with partial
+  pivoting. The truncations of many points sit block-diagonally,
+  uncoupled, in one band matrix, so one LAPACK call factors them all, and
+  each corner comes out bit for bit as its own factor would give it. Each
+  truncation is written in reverse block order, so its corner is the
+  bottom-right block of the inverse, and no triangular solve runs the
+  length of the band. The band is written once, one strided slice per
+  block entry, in LAPACK ``gbtrf`` storage (``gtsv`` reads its three
+  diagonals from it for l = 1) and factored in place. A stack holds at
+  most ``_STACK_BLOCKS`` blocks: its band grows with points times
+  truncation. A self-adjoint truncation (every built-in family) has T - z
+  nonsingular at Im z > 0, so a LAPACK breakdown is raised as
+  LinAlgError, not retried.
 
 Both equal the Green block G(1,1;z) in exact arithmetic; their agreement
 is the package's primary cross-check. The descent reads coefficients in
@@ -242,7 +242,7 @@ def m_riccati(spec, z, tol=1e-10):
 
 # Blocks one stacked banded solve holds at most (a point deeper than this is
 # solved alone). Uncapped, the benchmark's jl-sweep (rand8, 8 points per
-# config) raised peak RSS by 7.3 MB over per-point solves; capped, by 0.5 MB.
+# config) raised peak RSS by 6.9 MB over per-point solves; capped, by 0.1 MB.
 _STACK_BLOCKS = 2048
 
 
@@ -250,46 +250,70 @@ def _banded_corner_block(spec, zs, n_blocks):
     """(1,1) blocks of (T_N - z)^-1 for the N-block half-line truncation.
 
     The truncations at the P energies ``zs`` sit block-diagonally in one
-    band matrix, with no coupling entries between them, and one LAPACK
-    banded solve gives every corner; returns shape (P, l, l). The systems
-    do not couple, so each corner is the one its own solve would give.
-    The band is written in LAPACK ``gbsv`` storage, one strided slice per
-    block entry, and solved in place (``gtsv`` reads its three diagonals
-    from it for l = 1); a non-finite band raises ValueError, a singular one
-    LinAlgError. The corners are copied out in the memory order they were
-    solved in, so the solution goes with the call.
+    band, uncoupled, each in reverse block order (block N first), so its
+    corner is the bottom-right l x l block of the inverse; returns shape
+    (P, l, l). The right-hand sides, the last l unit vectors of each
+    system, are zero above its last block, and partial pivoting draws a
+    column's pivot and multipliers from its own block and the next (the
+    rows below stay zero), so only the last 2 l rows of the factor act on
+    them: ``gbtrs``'s forward steps are replayed on that window of every
+    system at once, and the l x l upper triangle is back-substituted. A
+    non-finite coefficient raises ValueError, a singular band LinAlgError.
     """
     from scipy.linalg import lapack  # here, so only the resolvent route loads scipy
 
     zs = np.asarray(zs, dtype=complex).ravel()
     l = spec.dim
-    size = zs.size * n_blocks * l
+    if not zs.size:
+        return np.empty((0, l, l), dtype=complex)
+    rows = n_blocks * l
     d, v = models.coefficient_arrays(spec, 1, n_blocks + 1)
-    # gbsv storage (Fortran order, kl = ku = 2 l - 1): entry (row, col) at
+    d, v = d[:-1][::-1], v[::-1]
+    if not (np.isfinite(d).all() and np.isfinite(v).all() and np.isfinite(zs).all()):
+        raise ValueError("band matrix must not contain infs or NaNs")
+    # gbtrf storage (Fortran order, kl = ku = 2 l - 1): entry (row, col) at
     # ab[2 kl + row - col, col]; band[p, n, j] is column j of block n of
-    # system p. D_n couples block n to n + 1, a system's last block to none
+    # system p, block n holding V_{N-n}. D_{N-n-1} couples block n to n + 1,
+    # a system's last block to none
     bw = 2 * l - 1
-    store = np.zeros((size, 3 * bw + 1), dtype=complex)
+    store = np.zeros((zs.size * rows, 3 * bw + 1), dtype=complex)
     band = store.reshape(zs.size, n_blocks, l, 3 * bw + 1)
     for i, j in np.ndindex(l, l):
         band[:, :, j, 2 * bw + i - j] = v[:, i, j] - zs[:, None] * float(i == j)
-        band[:, :-1, j, 2 * bw + l + i - j] = d[:-1, i, j]
-        band[:, 1:, j, 2 * bw - l + i - j] = d[:-1, i, j]
+        band[:, :-1, j, 2 * bw + l + i - j] = d[:, i, j]
+        band[:, 1:, j, 2 * bw - l + i - j] = d[:, i, j]
     del d, v
-    if not np.isfinite(store).all():
-        raise ValueError("band matrix must not contain infs or NaNs")
-    # right-hand sides in Fortran order: I on the first block of every system
-    rhs = np.zeros((size, l), dtype=complex, order="F")
-    rhs.reshape(zs.size, n_blocks * l, l)[:, np.arange(l), np.arange(l)] = 1.0
     if l == 1:
+        rhs = np.zeros((store.shape[0], 1), dtype=complex)
+        rhs[rows - 1 :: rows] = 1.0
         *_, sol, info = lapack.zgtsv(store[:-1, 3], store[:, 2], store[1:, 1], rhs, overwrite_b=1)
     else:
-        _, _, sol, info = lapack.zgbsv(bw, bw, store.T, rhs, overwrite_ab=1, overwrite_b=1)
+        _, piv, info = lapack.zgbtrf(store.T, bw, bw, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of the LAPACK banded solve")
-    return sol.reshape(zs.size, n_blocks * l, l)[:, :l, :].copy(order="K")
+    if l == 1:
+        return sol[rows - 1 :: rows, :, None].copy()
+    # the window: the last w rows of each system, and its factor columns;
+    # piv holds 0-based rows, made local to the window
+    w = min(2 * l, rows)
+    at = np.arange(zs.size)
+    fac = store.reshape(zs.size, rows, 3 * bw + 1)[:, rows - w :]
+    piv = piv.reshape(zs.size, rows)[:, rows - w :] - (at[:, None] * rows + rows - w)
+    x = np.zeros((zs.size, w, l), dtype=complex)
+    x[:, w - l :] = np.eye(l)
+    # gbtrs's forward steps on the window: a row swap, then the multipliers
+    for r in range(w - 1):
+        x[:, r], x[at, piv[:, r]] = x[at, piv[:, r]], x[:, r].copy()
+        lm = min(bw, w - 1 - r)
+        x[:, r + 1 : r + 1 + lm] -= fac[:, r, 2 * bw + 1 : 2 * bw + 1 + lm, None] * x[:, r, None]
+    # back substitution with the l x l upper triangle at the window's end
+    for k in range(w - 1, w - l - 1, -1):
+        x[:, k] /= fac[:, k, 2 * bw, None]
+        for i in range(w - l, k):
+            x[:, i] -= fac[:, k, 2 * bw + i - k, None] * x[:, k]
+    return x[:, w - l :]
 
 
 def m_resolvent(spec, z, tol=1e-10):

@@ -270,41 +270,89 @@ def cesaro_sums_reference(spec, xs, l_grid):
     return out
 
 
-def banded_corner_block_reference(spec, z, n_blocks):
-    """``weyl._banded_corner_block`` with the coefficients read block by block.
-
-    The same band storage and LAPACK solve, filled by one ``coefficient_at``
-    call and two assignments per block.
-    """
-    import scipy.linalg
-
+def _truncation_blocks(spec, z, n_blocks):
+    """V_n - z (n = 1..N) and D_n (n = 1..N-1), one ``coefficient_at`` call a block."""
     l = spec.dim
-    dim = n_blocks * l
-    bw = 2 * l - 1
-    ab = np.zeros((2 * bw + 1, dim), dtype=complex)
-    eye = np.eye(l)
     vs = np.empty((n_blocks, l, l), dtype=complex)
     ds = np.empty((max(n_blocks - 1, 0), l, l))
     for k in range(n_blocks):
         d_k, v_k = spec.coefficient_at(k + 1)
-        vs[k] = v_k - z * eye
+        vs[k] = v_k - z * np.eye(l)
         if k < n_blocks - 1:
             ds[k] = d_k
+    return vs, ds
+
+
+def _band_storage(vs, ds, rows_above):
+    """Block-tridiagonal band, diagonal blocks ``vs`` and couplings ``ds``, in
+    LAPACK band storage with ``rows_above`` rows above the diagonal row."""
+    n_blocks, l = vs.shape[:2]
+    bw = 2 * l - 1
+    ab = np.zeros((rows_above + bw + 1, n_blocks * l), dtype=complex)
     rows_l = np.arange(l)
 
     def scatter(blocks, block_row0, block_col0):
         count = blocks.shape[0]
         i = (np.arange(count)[:, None, None] + block_row0) * l + rows_l[None, :, None]
         j = (np.arange(count)[:, None, None] + block_col0) * l + rows_l[None, None, :]
-        ab[bw + i - j, j] = blocks
+        ab[rows_above + i - j, j] = blocks
 
     scatter(vs, 0, 0)
     if n_blocks > 1:
         scatter(ds.astype(complex), 0, 1)
         scatter(ds.astype(complex), 1, 0)
-    rhs = np.zeros((dim, l), dtype=complex)
-    rhs[:l, :] = eye
-    return scipy.linalg.solve_banded((bw, bw), ab, rhs)[:l, :]
+    return ab
+
+
+def banded_corner_block_top_down(spec, z, n_blocks):
+    """(1,1) block of (T_N - z)^-1 solved in block order 1..N by ``solve_banded``."""
+    import scipy.linalg
+
+    vs, ds = _truncation_blocks(spec, z, n_blocks)
+    l = spec.dim
+    bw = 2 * l - 1
+    rhs = np.zeros((n_blocks * l, l), dtype=complex)
+    rhs[:l, :] = np.eye(l)
+    return scipy.linalg.solve_banded((bw, bw), _band_storage(vs, ds, bw), rhs)[:l, :]
+
+
+def banded_corner_block_reference(spec, z, n_blocks):
+    """``weyl._banded_corner_block`` for one z, as a plain loop over one system.
+
+    The band is filled block by block in reverse order (block N first), so
+    the corner is the bottom-right block of the inverse. For l = 1 ``zgtsv``
+    solves it with the last unit vector; otherwise ``zgbtrf`` factors it,
+    every forward step of ``gbtrs`` runs on the full-length right-hand sides
+    (the last l unit vectors), and the last l rows are back-substituted.
+    """
+    from scipy.linalg import lapack
+
+    vs, ds = _truncation_blocks(spec, z, n_blocks)
+    l = spec.dim
+    bw = 2 * l - 1
+    rows = n_blocks * l
+    ab = _band_storage(vs[::-1], ds[::-1], 2 * bw)
+    if l == 1:
+        rhs = np.zeros((rows, 1), dtype=complex)
+        rhs[-1] = 1.0
+        *_, x, info = lapack.zgtsv(ab[3, :-1], ab[2], ab[1, 1:], rhs)
+        assert info == 0
+        return x[-1:]
+    lu, piv, info = lapack.zgbtrf(ab, bw, bw)
+    assert info == 0
+    b = np.zeros((rows, l), dtype=complex)
+    b[rows - l :] = np.eye(l)
+    for j in range(rows - 1):
+        b[[j, piv[j]]] = b[[piv[j], j]]
+        lm = min(bw, rows - 1 - j)
+        b[j + 1 : j + 1 + lm] -= lu[2 * bw + 1 : 2 * bw + 1 + lm, j, None] * b[j]
+    x = b[rows - l :]
+    for k in range(l - 1, -1, -1):
+        col = rows - l + k
+        x[k] /= lu[2 * bw, col]
+        for i in range(k):
+            x[i] -= lu[2 * bw + i - k, col] * x[k]
+    return x
 
 
 def validate_model_reference(spec, window, min_singular=1e-12, symmetry_tol=1e-10):

@@ -15,8 +15,8 @@ import yaml
 from jacobispec import matblock, models, recurrence, truncnorm, weyl
 from jacobispec.errors import ConvergenceError, DomainError, InvalidInputError
 
-from oracles import (banded_corner_block_reference, dense_halfline_matrix, jl_report_reference,
-                     riccati_grid_direct)
+from oracles import (banded_corner_block_reference, banded_corner_block_top_down,
+                     dense_halfline_matrix, jl_report_reference, riccati_grid_direct)
 
 
 def m_free_exact(z):
@@ -153,6 +153,23 @@ def test_herglotz_slow_decay_is_flagged_with_its_tail(free1, monkeypatch):
     check = weyl.herglotz_identity_check(free1, 0.5 + 0.01j)
     assert check.slow_decay and check.n_terms == 512
     assert check.tail_estimate == pytest.approx(check.residual, rel=0.05)
+
+
+def test_herglotz_infinite_tail_is_slow_decay(free1, monkeypatch):
+    # Jost terms that do not decay (rho >= 1) have no geometric tail: the
+    # check reads it as infinite and flags slow decay, without raising
+    z = 0.5 + 0.1j
+    m1 = weyl.m_riccati(free1, z)
+
+    def flat_chain(spec, z, n_max, tol, descents):
+        return np.ones((n_max + 1, 1, 1), dtype=complex), m1
+
+    monkeypatch.setattr(weyl, "_jost_chain", flat_chain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = weyl.herglotz_identity_check(free1, z)
+    assert check.slow_decay and check.tail_estimate == math.inf
+    assert check.n_terms == weyl.HERGLOTZ_MAX_TERMS and math.isfinite(check.residual)
 
 
 def test_green_corner_equals_m(free1, random_bounded2):
@@ -423,6 +440,27 @@ def test_banded_corner_block_matches_reference_loop(name, request):
             assert got.shape == (count, spec.dim, spec.dim)
             for k in range(count):
                 assert np.array_equal(got[k], refs[k])
+
+
+@pytest.mark.parametrize("name", ["random_bounded2", "golden_amo", "periodic3"])
+def test_banded_corner_block_near_top_down_solve(name, request):
+    # the reversed elimination moves M only in the last bits against the
+    # solve in block order 1..N; with one block the tail window of the
+    # factor is clipped at row 0, with two it is the whole system
+    spec = request.getfixturevalue(name)
+    zs = [0.37 + 0.05j, -1.4 + 0.002j, 2.6 + 0.8j, 0.1 + 1e-8j]
+    for n_blocks in (1, 2, 3, 8, 257):
+        got = weyl._banded_corner_block(spec, zs, n_blocks)
+        for k, z in enumerate(zs):
+            ref = banded_corner_block_top_down(spec, z, n_blocks)
+            assert fro(got[k] - ref) <= 1e-12 * fro(ref)
+
+
+@pytest.mark.parametrize("name", ["free1", "random_bounded2", "periodic3"])
+def test_banded_corner_block_of_no_points_is_empty(name, request):
+    spec = request.getfixturevalue(name)
+    got = weyl._banded_corner_block(spec, [], 8)
+    assert got.shape == (0, spec.dim, spec.dim) and got.dtype == complex
 
 
 @pytest.mark.parametrize("name", ["free1", "diag01"])
