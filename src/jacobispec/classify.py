@@ -8,6 +8,8 @@ The classifier decides, per energy x and per r = 1..l, whether
 stays bounded as L runs over a dyadic grid; boundedness is read off the
 log-log slope (bounded means slope near 0, exponential growth means slope
 far above 1). The largest bounded r estimates the AC multiplicity at x.
+The Floquet oracle counts multipliers within ``FLOQUET_EPS`` of the unit
+circle; agreement with it is read ``EDGE_EXCLUSION`` or more off its edges.
 
 The forward kernel writes the sweep's blocks into one chunk buffer of
 whole rescale periods (8 steps), at most ``CESARO_CHUNK_BYTES`` (256 KiB),
@@ -37,11 +39,13 @@ from .errors import InvalidInputError, JacobiSpecError, TrackOverflowError
 
 DEFAULT_L_GRID = tuple(2**k for k in range(8, 17))
 OVERFLOW_LOG2 = 830.0  # log2 of ~1e250; C_r beyond this is flagged unbounded
+FLOQUET_EPS = 1e-6  # see floquet_grid
 FLOQUET_AMBIGUITY = 10.0  # see floquet_grid
 BAND_EDGE_COARSE = 2048
 BAND_EDGE_TOL = 1e-9
 # kernel blocks a Cesaro sweep buffers per singular-value call (256 KiB)
 CESARO_CHUNK_BYTES = 2**18
+EDGE_EXCLUSION = 0.05  # see agreement_summary
 
 
 def _members(spec):
@@ -230,16 +234,16 @@ class FloquetResult:
     log2_scale: int
 
 
-def floquet_grid(spec, xs, eps=1e-6):
+def floquet_grid(spec, xs):
     """Elliptic-pair counts of the period monodromy over a vector of real x.
 
     Eigenvalues of the one-period transfer product come in (lambda,
-    1/lambda) pairs; those on the unit circle (within ``eps``) mark open
-    channels, so r_flo = count/2. An odd count, a modulus off the circle
-    by at least ``eps`` but less than ``FLOQUET_AMBIGUITY`` eps, or a
-    multiplier on the circle within ``eps`` of +1 or -1 raises the
-    band-edge flag. Returns arrays (r_flo, band_edge, eigenvalue mantissas,
-    exp2 ledger).
+    1/lambda) pairs; those on the unit circle (within ``FLOQUET_EPS``)
+    mark open channels, so r_flo = count/2. An odd count, a modulus off
+    the circle by at least ``FLOQUET_EPS`` but less than
+    ``FLOQUET_AMBIGUITY`` times it, or a multiplier on the circle within
+    ``FLOQUET_EPS`` of +1 or -1 raises the band-edge flag. Returns arrays
+    (r_flo, band_edge, eigenvalue mantissas, exp2 ledger).
     """
     period = getattr(spec, "period", None)
     if period is None:
@@ -251,18 +255,18 @@ def floquet_grid(spec, xs, eps=1e-6):
     with np.errstate(divide="ignore"):
         log_mod = np.log(np.abs(lam)) + exp2[:, None] * math.log(2.0)
     dist = np.abs(np.expm1(log_mod))  # exactly | |lambda| - 1 |
-    ambiguous = np.any((dist >= eps) & (dist < FLOQUET_AMBIGUITY * eps), axis=1)
-    on = dist < eps
-    # a multiplier on the circle within eps of +-1: an (anti)periodic solution, only at an edge
+    ambiguous = np.any((dist >= FLOQUET_EPS) & (dist < FLOQUET_AMBIGUITY * FLOQUET_EPS), axis=1)
+    on = dist < FLOQUET_EPS
+    # a multiplier on the circle near +-1: an (anti)periodic solution, only at an edge
     re, im = (np.ldexp(np.where(on, part, 0.0), exp2[:, None]) for part in (lam.real, lam.imag))
-    periodic = np.any(on & (np.hypot(np.abs(re) - 1.0, im) < eps), axis=1)
+    periodic = np.any(on & (np.hypot(np.abs(re) - 1.0, im) < FLOQUET_EPS), axis=1)
     count = np.sum(on, axis=1)
     return count // 2, (count % 2 == 1) | ambiguous | periodic, lam, exp2
 
 
-def floquet_multiplicity(spec, x, eps=1e-6):
+def floquet_multiplicity(spec, x):
     """Floquet verdict at one real x (see :func:`floquet_grid`)."""
-    r_flo, edge, lam, exp2 = floquet_grid(spec, [float(x)], eps)
+    r_flo, edge, lam, exp2 = floquet_grid(spec, [float(x)])
     return FloquetResult(
         x=float(x),
         r_flo=int(r_flo[0]),
@@ -272,20 +276,20 @@ def floquet_multiplicity(spec, x, eps=1e-6):
     )
 
 
-def floquet_band_edges(spec, lo, hi, eps=1e-6):
+def floquet_band_edges(spec, lo, hi):
     """Multiplicity-transition energies of a periodic family in [lo, hi].
 
     A scan of ``BAND_EDGE_COARSE`` points, then bisection of every
     transition interval together until it is ``BAND_EDGE_TOL`` wide.
     """
     xs = np.linspace(float(lo), float(hi), BAND_EDGE_COARSE)
-    mult = floquet_grid(spec, xs, eps)[0]
+    mult = floquet_grid(spec, xs)[0]
     cut = np.nonzero(np.diff(mult))[0]
     a, b, ra = xs[cut], xs[cut + 1], mult[cut]
     live = b - a > BAND_EDGE_TOL
     while np.any(live):
         mid = 0.5 * (a[live] + b[live])
-        same = floquet_grid(spec, mid, eps)[0] == ra[live]
+        same = floquet_grid(spec, mid)[0] == ra[live]
         a[live] = np.where(same, mid, a[live])
         b[live] = np.where(same, b[live], mid)
         live = b - a > BAND_EDGE_TOL
@@ -301,10 +305,6 @@ class ScanParams:
     l_grid: tuple = DEFAULT_L_GRID
     slope_threshold: float = 0.2
     y_ladder: tuple = weyl.DEFAULT_Y_LADDER
-    tau_rel: float = 1e-3
-    rank_tol: float = 1e-8
-    floquet_eps: float = 1e-6
-    edge_exclusion: float = 0.05
     with_rank: bool = True
     with_floquet: bool = True  # effective only for periodic models
 
@@ -327,12 +327,10 @@ def _chunk_records(spec, xs, params):
     profiles = cesaro_profiles_grid(spec, xs, params.l_grid)
     ranks = None
     if params.with_rank:
-        ranks = weyl.im_m_boundary_grid(
-            spec, xs, params.y_ladder, params.tau_rel, params.rank_tol
-        )
+        ranks = weyl.im_m_boundary_grid(spec, xs, params.y_ladder)
     r_flo = band_edge = None
     if getattr(spec, "period", None) is not None and params.with_floquet:
-        r_flo, band_edge, _, _ = floquet_grid(spec, xs, params.floquet_eps)
+        r_flo, band_edge, _, _ = floquet_grid(spec, xs)
     for j, x in enumerate(xs):
         prof = profiles[j]
         r_ces, low_conf = classify_multiplicity(prof, params.slope_threshold)
@@ -392,12 +390,13 @@ def scan_energy_grid(spec, x_grid, params=None):
     return _chunk_safe(spec, xs, params)
 
 
-def agreement_summary(records, edges=None, exclusion=0.05):
-    """Cesaro-vs-Floquet and rank-vs-Floquet agreement away from band edges."""
+def agreement_summary(records, edges=None):
+    """Cesaro-vs-Floquet and rank-vs-Floquet agreement more than
+    ``EDGE_EXCLUSION`` away from the band edges ``edges``."""
     edges = list(edges or [])
 
     def non_edge(x):
-        return all(abs(x - e) > exclusion for e in edges)
+        return all(abs(x - e) > EDGE_EXCLUSION for e in edges)
 
     eligible = [r for r in records if not r.error and non_edge(r.x) and "band-edge" not in r.flags]
     ces = [r for r in eligible if r.r_flo is not None]

@@ -7,7 +7,9 @@ One config file per run; outputs are a task CSV plus report.txt with the
 fully resolved configuration embedded for provenance. Each task reads its
 parameters from ``RunConfig.params``, already checked, coerced and
 defaulted from ``config.TASK_PARAMS``; the model section is checked by
-``models.spec_from_config``. Malformed input of either kind is a config
+``models.spec_from_config``. A scan's tolerances are the constants
+``weyl.LADDER_TOL``, ``weyl.LADDER_TAU_REL``, ``classify.FLOQUET_EPS`` and
+``classify.EDGE_EXCLUSION``. Malformed input of either kind is a config
 error with one ``config error:`` line on stderr. Exit codes: 0 ok,
 1 any other library error (such as a ``constancy`` run whose blocks leave
 float range), 2 config/schema error, 3 model validation failure,
@@ -105,10 +107,10 @@ def _task_validate(cfg, spec, out_dir):
 
 
 def _task_probe(cfg, spec, out_dir):
-    x, y, tol = cfg.params["x"], cfg.params["y"], cfg.params["m_tol"]
+    x, y = cfg.params["x"], cfg.params["y"]
     z = complex(x, y)
-    ric = weyl.m_riccati(spec, z, tol=tol)
-    res = weyl.m_resolvent(spec, z, tol=tol)
+    ric = weyl.m_riccati(spec, z)
+    res = weyl.m_resolvent(spec, z)
     entries = [(i, j) for i in range(spec.dim) for j in range(spec.dim)]
     cols = ["x", "y", "method", "depth"]
     for i, j in entries:
@@ -122,7 +124,7 @@ def _task_probe(cfg, spec, out_dir):
     _write_csv(out_dir / cfg.output["csv"], cols, rows)
     gap = float(np.sqrt(np.sum(np.abs(ric.m - res.m) ** 2)))
     body = (
-        f"probe at z = {x:.17g} + {y:.17g}i (m_tol = {tol:g})\n"
+        f"probe at z = {x:.17g} + {y:.17g}i\n"
         f"riccati depth {ric.depth}, resolvent blocks {res.depth}\n"
         f"method gap |M_riccati - M_resolvent|_F = {gap:.17g}"
     )
@@ -163,11 +165,10 @@ def _task_scan(cfg, spec, out_dir):
     records = classify.scan_energy_grid(spec, xs, params)
     emit_csv(records, out_dir / cfg.output["csv"], spec.dim)
     edges = []
-    if getattr(spec, "period", None) is not None and xs.size:
-        edges = classify.floquet_band_edges(
-            spec, float(np.min(xs)), float(np.max(xs)), eps=params.floquet_eps
-        )
-    stats = classify.agreement_summary(records, edges, params.edge_exclusion)
+    # the rows carry r_flo exactly when they ran the Floquet oracle
+    if any(rec.r_flo is not None for rec in records):
+        edges = classify.floquet_band_edges(spec, float(np.min(xs)), float(np.max(xs)))
+    stats = classify.agreement_summary(records, edges)
     body = "scan summary:\n" + "\n".join(f"  {k} = {v}" for k, v in sorted(stats.items()))
     if edges:
         body += "\nband edges: " + ", ".join(f"{e:.6f}" for e in edges)

@@ -6,7 +6,9 @@ parameter each task reads and its default: a key the declared task does not
 read is an error, each value is coerced to its default's type, and the
 resolved values (defaults filled in) are ``RunConfig.params``, which the
 tasks read and the report embeds. The model section is checked by its
-reader, :func:`jacobispec.models.spec_from_config`.
+reader, :func:`jacobispec.models.spec_from_config`. The scan's tolerances
+are module constants (``weyl.LADDER_TOL``, ``LADDER_TAU_REL``,
+``classify.FLOQUET_EPS``, ``EDGE_EXCLUSION``), not parameters.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ _SCAN = {f.name: f.default for f in fields(classify.ScanParams)}
 
 TASK_PARAMS = {
     "validate": {"window": 100},
-    "probe": {"window": 100, "x": 0.0, "y": 0.1, "m_tol": 1e-10},
+    "probe": {"window": 100, "x": 0.0, "y": 0.1},
     "jl-sweep": {"window": 100, "n_points": 100, "x_range": [-3.0, 3.0],
                  "y_range": [1e-2, 1.0], "slack": 1e-9},
     # x_grid has no default: a scan or constancy run needs one
@@ -43,10 +45,7 @@ _OUTPUT_KEYS = {"dir", "csv", "report"}
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-_POSITIVE = {
-    "window", "n_points", "slack", "m_tol", "l_grid", "slope_threshold",
-    "tau_rel", "rank_tol", "floquet_eps", "edge_exclusion",
-}
+_POSITIVE = {"window", "n_points", "slack", "l_grid", "slope_threshold"}
 _IM_Z = {"y", "y_range", "y_ladder"}  # imaginary parts: each >= weyl.MIN_IM_Z
 
 

@@ -23,6 +23,7 @@ SYMMETRY_TOL = 1e-10
 MIN_SINGULAR = 1e-12
 # share of limit_point_partial_sum that its window's second half must carry
 LIMIT_POINT_TAIL_SHARE = 0.05
+RATIONALITY_DEPTH = 20  # partial quotients the rotation-number probe expands
 
 
 def _sym_block(a, name="block"):
@@ -328,19 +329,19 @@ class DynamicalSpec:
 
     supports_negative = True
 
-    def rationality_report(self, depth: int = 20) -> dict:
+    def rationality_report(self) -> dict:
         """Continued-fraction probe of the rotation numbers.
 
         A float can never certify irrationality; this records whether the
-        expansion terminates within ``depth`` partial quotients (it does for
-        visibly rational alpha such as 1/3) so reports can flag suspect
-        orbits. Heuristic only.
+        expansion terminates within ``RATIONALITY_DEPTH`` partial quotients
+        (it does for visibly rational alpha such as 1/3) so reports can flag
+        suspect orbits. Heuristic only.
         """
         out = {}
         for i, a in enumerate(self.alpha):
             x = a
             quotients = []
-            for _ in range(depth):
+            for _ in range(RATIONALITY_DEPTH):
                 ai = int(np.floor(x))
                 quotients.append(ai)
                 frac = x - ai
@@ -348,7 +349,7 @@ class DynamicalSpec:
                     break
                 x = 1.0 / frac
             out[i] = {
-                "terminates_within_depth": len(quotients) < depth,
+                "terminates_within_depth": len(quotients) < RATIONALITY_DEPTH,
                 "partial_quotients": quotients,
             }
         return out

@@ -334,13 +334,9 @@ def dirichlet_neumann(spec, z, n_max):
 # Transfer matrices and cocycles.
 
 
-def transfer_step(d_n, d_prev, v_n, z):
-    """One-step propagator [[D_n^-1 (z - V_n), -D_n^-1], [D_n, 0]].
-
-    ``d_prev`` does not enter the matrix itself: it only appears in the
-    vector the step acts on, (u_n, D_{n-1} u_{n-1}); it is accepted so a
-    caller passes the coefficients of that vector and of the step together.
-    """
+def transfer_step(d_n, v_n, z):
+    """One-step propagator [[D_n^-1 (z - V_n), -D_n^-1], [D_n, 0]], acting on
+    the vector (u_n, D_{n-1} u_{n-1})."""
     return _transfer_steps(d_n, v_n, np.array([_as_z(z)]))[0]
 
 

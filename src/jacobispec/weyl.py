@@ -40,7 +40,7 @@ independent of the Floquet oracle. Its rounding grows like eps / y^2
 near energies where short segments of the chain resonate (at the free
 model's band centre, 3e-11 relative at y = 1e-3 and 3e-5 at y = 1e-6),
 so each decimated rung carries an a-posteriori rounding bound, and a
-rung whose bound exceeds ``tol`` is descended instead. The descent
+rung whose bound exceeds ``LADDER_TOL`` is descended instead. The descent
 stays its oracle and the route of every other model and of
 ``m_riccati`` and ``jost_chain``.
 
@@ -53,8 +53,9 @@ doubles up to ``RICCATI_MAX_DEPTH`` (``m_riccati``, ``jost_chain``),
 solved together form groups (a rung of the ladder, one resolvent point,
 the Jost chain's M_1 and probe block); a group stops at the first
 doubling where the largest |M - M_prev|_F over its blocks is below
-``tol``. A delta that is not finite, or a group still not Cauchy at the
-cap, raises ConvergenceError with the depth and the group's last delta.
+``tol``, or ``LADDER_TOL`` on the rank ladder. A delta that is not finite,
+or a group still not Cauchy at the cap, raises ConvergenceError with the
+depth and the group's last delta.
 
 The truncated-norm bounds (:func:`jl_bounds_grid`) take one
 :func:`m_resolvent_grid` call for the M of a whole sweep and one
@@ -92,6 +93,8 @@ DECIMATION_ROUNDING = 4.0
 RESOLVENT_MAX_DEPTH = 2**17
 # the relative move between rungs below which an eigenvalue of Im M persists
 LADDER_REL_CHANGE = 0.2
+LADDER_TOL = 1e-8  # Cauchy tolerance of the rank ladder's M
+LADDER_TAU_REL = 1e-3  # its rank cut, relative to the largest eigenvalue of Im M
 # Cauchy tolerance of the resolvent M of the truncated-norm bounds
 JL_M_TOL = 1e-9
 
@@ -286,7 +289,8 @@ def _banded_corner_block(spec, zs, n_blocks):
     if l == 1:
         rhs = np.zeros((store.shape[0], 1), dtype=complex)
         rhs[rows - 1 :: rows] = 1.0
-        *_, sol, info = lapack.zgtsv(store[:-1, 3], store[:, 2], store[1:, 1], rhs, overwrite_b=1)
+        off = max(store.shape[0] - 1, 1)  # f2py wants an off-diagonal entry, even on one row
+        *_, sol, info = lapack.zgtsv(store[:off, 3], store[:, 2], store[-off:, 1], rhs, overwrite_b=1)
     else:
         _, piv, info = lapack.zgbtrf(store.T, bw, bw, overwrite_ab=1)
     if info > 0:
@@ -500,17 +504,17 @@ class BoundaryRank:
         return [] if not self.indeterminate else ["rank-indeterminate"]
 
 
-def _ladder_verdicts(xs, y_ladder, eigs, tau_rel, depths=(), last_deltas=()):
+def _ladder_verdicts(xs, y_ladder, eigs, depths=(), last_deltas=()):
     """One ``BoundaryRank`` per energy from the ascending eigenvalues of Im M,
     shape (rungs, energies, l).
 
     An eigenvalue is retained at rung k when it clears the relative cut
-    AND persists (moves by less than ``LADDER_REL_CHANGE``, 20%) from the
+    ``LADDER_TAU_REL`` AND persists (moves by less than ``LADDER_REL_CHANGE``, 20%) from the
     previous rung; eigenvalues heading to zero with y shrink by ~
     y_k/y_{k-1} per rung and drop out even though they stay comparable to
     each other, which is what makes the rank-0 region detectable at finite y.
     """
-    cut = tau_rel * np.maximum(eigs[..., -1:], 1e-12)
+    cut = LADDER_TAU_REL * np.maximum(eigs[..., -1:], 1e-12)
     kept = eigs > cut
     kept[1:] &= np.abs(eigs[1:] - eigs[:-1]) < LADDER_REL_CHANGE * np.maximum(eigs[:-1], 1e-12)
     ranks = np.sum(kept, axis=-1)
@@ -539,11 +543,11 @@ def _ladder_verdicts(xs, y_ladder, eigs, tau_rel, depths=(), last_deltas=()):
     return out
 
 
-def im_m_boundary(spec, x, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
+def im_m_boundary(spec, x, y_ladder=DEFAULT_Y_LADDER):
     """Rank of Im M(x + iy) down a decreasing y ladder.
 
-    The reported rank counts eigenvalues of Im M above tau_rel times the
-    largest one at the smallest stabilized rung (same rank at two
+    The reported rank counts eigenvalues of Im M above ``LADDER_TAU_REL``
+    times the largest one at the smallest stabilized rung (same rank at two
     consecutive rungs, retained eigenvalues moving < 20%). A ladder that
     never stabilizes yields rank None and ``indeterminate``. The trace
     growth exponent g (tr Im M ~ y^-g as y drops) doubles as a
@@ -552,7 +556,7 @@ def im_m_boundary(spec, x, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
     of :func:`m_riccati_rungs` (``DECIMATION_MAX_DEPTH`` by decimation,
     else ``LADDER_MAX_DEPTH``), not ``m_riccati``'s ``RICCATI_MAX_DEPTH``.
     """
-    return im_m_boundary_grid(spec, [x], y_ladder, tau_rel, tol)[0]
+    return im_m_boundary_grid(spec, [x], y_ladder)[0]
 
 
 # Batched ladder over an energy grid (shared by the scan engine).
@@ -679,53 +683,53 @@ def _decimates(spec):
             and spec.period * spec.dim <= DECIMATION_MAX_CELL)
 
 
-def _descended_rungs(spec, z, tol):
+def _descended_rungs(spec, z):
     """:func:`_until_cauchy` over the rungs of z by one Riccati descent per doubling."""
     shape = (z.shape[1], spec.dim, spec.dim)
 
     def solve(active, depth):
         return _riccati_descent(spec, z[active].ravel(), depth)[0].reshape(len(active), *shape)
 
-    return _until_cauchy(solve, len(z), tol, INITIAL_DEPTH, LADDER_MAX_DEPTH,
+    return _until_cauchy(solve, len(z), LADDER_TOL, INITIAL_DEPTH, LADDER_MAX_DEPTH,
                          lambda k: f"riccati descent for y = {z[k, 0].imag}")
 
 
-def m_riccati_rungs(spec, z, tol=1e-8):
+def m_riccati_rungs(spec, z):
     """M_1 over a (rungs x energies) grid of z with depth doubling.
 
-    Each doubling advances every rung that is not yet Cauchy (a rung is one
-    group); a rung stops at the depth it reaches on its own. A periodic
-    model whose period divides ``INITIAL_DEPTH`` and whose cell is at most
-    ``DECIMATION_MAX_CELL`` wide takes the decimation route
-    (:func:`_decimation`, one step per doubling, capped at
-    ``DECIMATION_MAX_DEPTH``); every other model, and every decimated rung
-    whose rounding bound exceeds ``tol``, runs one Riccati descent per
-    doubling, capped at ``LADDER_MAX_DEPTH``. Both give the zero-seed
+    Each doubling advances every rung that is not yet Cauchy to
+    ``LADDER_TOL`` (a rung is one group); a rung stops at the depth it
+    reaches on its own. A periodic model whose period divides
+    ``INITIAL_DEPTH`` and whose cell is at most ``DECIMATION_MAX_CELL`` wide
+    takes the decimation route (:func:`_decimation`, one step per doubling,
+    capped at ``DECIMATION_MAX_DEPTH``); every other model, and every
+    decimated rung whose rounding bound exceeds ``LADDER_TOL``, runs one
+    Riccati descent per doubling, capped at ``LADDER_MAX_DEPTH``. Both give the zero-seed
     truncation at the same depths. Returns (m of shape (rungs, energies,
     l, l), depths, last_deltas).
     """
     z = _require_upper(z)
     if _decimates(spec):
         solve, rounding = _decimation(spec, z)
-        rungs = _until_cauchy(solve, len(z), tol, INITIAL_DEPTH, DECIMATION_MAX_DEPTH,
+        rungs = _until_cauchy(solve, len(z), LADDER_TOL, INITIAL_DEPTH, DECIMATION_MAX_DEPTH,
                               lambda k: f"decimation for y = {z[k, 0].imag}")
         # a rung the rounding bound cannot vouch for is the descent's
-        redo = [k for k in range(len(z)) if np.max(rounding[k], initial=0.0) > tol]
-        for k, rung in zip(redo, _descended_rungs(spec, z[redo], tol)):
+        redo = [k for k in range(len(z)) if np.max(rounding[k], initial=0.0) > LADDER_TOL]
+        for k, rung in zip(redo, _descended_rungs(spec, z[redo])):
             rungs[k] = rung
     else:
-        rungs = _descended_rungs(spec, z, tol)
+        rungs = _descended_rungs(spec, z)
     ms, depths, deltas = zip(*rungs)
     return np.stack(ms), np.array(depths), np.array(deltas)
 
 
-def m_riccati_grid(spec, xs, y, tol=1e-8):
+def m_riccati_grid(spec, xs, y):
     """M_1 at z = x_j + iy over a whole grid, by the route of :func:`m_riccati_rungs`.
 
     One-rung form of :func:`m_riccati_rungs`; returns (m, depth, delta).
     """
     xs = np.asarray(xs, dtype=float)
-    m, depths, deltas = m_riccati_rungs(spec, (xs + 1j * y)[None, :], tol)
+    m, depths, deltas = m_riccati_rungs(spec, (xs + 1j * y)[None, :])
     return m[0], int(depths[0]), float(deltas[0])
 
 
@@ -762,17 +766,17 @@ def check_y_ladder(y_ladder):
     return y_ladder
 
 
-def im_m_boundary_grid(spec, xs, y_ladder=DEFAULT_Y_LADDER, tau_rel=1e-3, tol=1e-8):
+def im_m_boundary_grid(spec, xs, y_ladder=DEFAULT_Y_LADDER):
     """:func:`im_m_boundary` over a grid, all rungs in one fused descent."""
     xs = np.asarray(xs, dtype=float)
     y_ladder = check_y_ladder(y_ladder)
     with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part, which the domain check rejects
         z = xs[None, :] + 1j * np.asarray(y_ladder)[:, None]
-    m, depths, deltas = m_riccati_rungs(spec, z, tol=tol)
+    m, depths, deltas = m_riccati_rungs(spec, z)
     depths = tuple(int(d) for d in depths)
     deltas = tuple(float(d) for d in deltas)
     eigs = _im_m_eigenvalues(m, z, depths, deltas)
-    return _ladder_verdicts(xs, y_ladder, eigs, tau_rel, depths, deltas)
+    return _ladder_verdicts(xs, y_ladder, eigs, depths, deltas)
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_report_embeds_resolved_overrides(tmp_path):
     assert cli.main(["run", str(cfg)]) == 0
     report = (out / "report.txt").read_text()
     assert "slope_threshold: 0.31" in report
-    assert "tau_rel: 0.001" in report  # untouched default is embedded too
+    assert "with_floquet: true" in report  # untouched default is embedded too
 
 
 def test_scan_csv_reparse_matches_records(tmp_path):
@@ -465,6 +465,12 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     (FREE1, "scan", {"x_grid": {"start": 0.0, "stop": 1.0, "count": 4.5}}, 0),
     (FREE1, "jl-sweep", {}, -1),
     (GOLDEN_AMO, "constancy", {"x_grid": [0.0]}, -1),
+    # tolerances that are module constants, not parameters
+    (FREE1, "scan", {"x_grid": [0.0], "tau_rel": 1e-3}, 0),
+    (FREE1, "scan", {"x_grid": [0.0], "rank_tol": 1e-8}, 0),
+    (FREE1, "scan", {"x_grid": [0.0], "floquet_eps": 1e-6}, 0),
+    (FREE1, "scan", {"x_grid": [0.0], "edge_exclusion": 0.05}, 0),
+    (FREE1, "probe", {"m_tol": 1e-10}, 0),
 ], ids=[
     "periodic-without-ds", "free-dimension-zero", "constant-map-without-matrix", "pair-without-v", "ragged-block",
     "alpha-on-periodic", "unknown-key-in-reflected-base", "reflected-base-without-vs",
@@ -476,6 +482,8 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     "one-rung-y-ladder", "two-rung-y-ladder", "nan-in-y-range", "non-finite-x-grid",
     "infinite-n-points", "fractional-n-points", "fractional-x-grid-count",
     "negative-seed-jl-sweep", "negative-seed-constancy-drawn-phases",
+    "tau-rel-in-scan", "rank-tol-in-scan", "floquet-eps-in-scan", "edge-exclusion-in-scan",
+    "m-tol-in-probe",
 ])
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task, params, seed):
     cfg = write_config(
@@ -528,29 +536,66 @@ def test_report_lists_resolved_defaults(tmp_path):
     assert "slack: 0.001" in (tmp_path / "jl" / "report.txt").read_text()
 
 
-def test_scan_band_edges_use_configured_eps(tmp_path, monkeypatch):
+def test_scan_rows_and_band_edges_read_floquet_eps(tmp_path, monkeypatch):
     from jacobispec import classify
 
-    seen = []
-    original = classify.floquet_band_edges
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("eps"))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(classify, "floquet_band_edges", spy)
+    # a unit-circle tolerance of 0.5 counts the free chain's multipliers at
+    # x = 2.1 (moduli 1.37 and 0.73) as open, and moves the edge inside
+    # [-3, 2.1] from -2 to -13/6, where the larger modulus is 1.5
+    monkeypatch.setattr(classify, "FLOQUET_EPS", 0.5)
+    out = tmp_path / "out"
     cfg = write_config(
         tmp_path, "scan.yaml",
         {
             "model": FREE1,
             "task": "scan",
-            "params": {"x_grid": [0.0, 1.0], "l_grid": [64, 128], "with_rank": False,
-                       "floquet_eps": 1e-7},
-            "output": {"dir": str(tmp_path / "out")},
+            "params": {"x_grid": [-3.0, 0.0, 2.1], "l_grid": [64, 128], "with_rank": False},
+            "output": {"dir": str(out)},
         },
     )
     assert cli.main(["run", str(cfg)]) == 0
-    assert seen == [1e-7]
+    rows = (out / "scan.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[-2] for row in rows] == ["0", "1", "1"]
+    assert "\nband edges: -2.166667\n" in (out / "report.txt").read_text()
+
+
+def test_scan_without_floquet_rows_skips_band_edges(tmp_path, monkeypatch):
+    from jacobispec import classify
+
+    calls = []
+    monkeypatch.setattr(classify, "floquet_band_edges", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, "scan.yaml",
+        {
+            "model": {"kind": "periodic", "ds": [[[1.0, 0.0], [0.0, 1.0]]],
+                      "vs": [[[0.0, 0.0], [0.0, 1.0]]]},
+            "task": "scan",
+            "params": {"x_grid": [-1.5, 0.5], "l_grid": [64, 128], "with_rank": False,
+                       "with_floquet": False},
+            "output": {"dir": str(out)},
+        },
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    assert calls == []
+    assert "band edges:" not in (out / "report.txt").read_text()
+
+
+def test_readme_configuration_table_matches_task_params():
+    import re
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    table = {task: {} for task in config.TASKS}
+    for key, tasks, default in re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|$", section, flags=re.M):
+        # a literal default is the cell's first code span; a parameter with none reads "none"
+        value = None if default.startswith("none") else yaml.safe_load(re.match(r"`(.*?)`", default)[1])
+        value = float(value) if isinstance(value, str) else value  # YAML reads 1e-9 as a string
+        for task in config.TASKS if tasks == "every task" else re.findall(r"`([\w-]+)`", tasks):
+            table[task][key] = value
+    want = {task: {key: list(v) if isinstance(v, tuple) else v for key, v in params.items()}
+            for task, params in config.TASK_PARAMS.items()}
+    assert table == want
 
 
 def test_readme_configs_parse():

@@ -211,11 +211,11 @@ def test_ladder_on_an_empty_grid_is_empty(name, request):
     assert m.shape == (3, 0, spec.dim, spec.dim) and len(depths) == len(deltas) == 3
 
 
-def _assert_matches_reference(y_ladder, eigs, tau_rel=1e-3):
-    got = weyl._ladder_verdicts(np.arange(eigs.shape[1]), y_ladder, eigs, tau_rel)
+def _assert_matches_reference(y_ladder, eigs):
+    got = weyl._ladder_verdicts(np.arange(eigs.shape[1]), y_ladder, eigs)
     for j, verdict in enumerate(got):
         ranks, traces, stabilized, rank, growth = ladder_verdict_reference(
-            y_ladder, list(eigs[:, j]), tau_rel
+            y_ladder, list(eigs[:, j]), 1e-3
         )
         assert np.array_equal(verdict.ranks, ranks) and verdict.rank == rank
         assert verdict.stabilized_rung == stabilized and verdict.indeterminate == (rank is None)

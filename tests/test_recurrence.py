@@ -62,14 +62,12 @@ def test_track_extension_matches_fresh_run(random_bounded2):
 
 
 def test_transfer_step_free_case():
-    alpha = recurrence.transfer_step(np.eye(1), np.eye(1), np.zeros((1, 1)), 0.0)
+    alpha = recurrence.transfer_step(np.eye(1), np.zeros((1, 1)), 0.0)
     assert np.allclose(alpha, [[0.0, -1.0], [1.0, 0.0]])
 
 
 def test_transfer_step_scalar_arithmetic():
-    alpha = recurrence.transfer_step(
-        np.array([[2.0]]), np.array([[1.0]]), np.array([[1.0]]), 3.0
-    )
+    alpha = recurrence.transfer_step(np.array([[2.0]]), np.array([[1.0]]), 3.0)
     assert np.allclose(alpha, [[1.0, -0.5], [2.0, 0.0]])
 
 
@@ -79,7 +77,7 @@ def test_transfer_step_propagates_solutions(random_bounded2):
     for n in range(1, 10):
         d_n, v_n = random_bounded2.coefficient_at(n)
         d_prev = random_bounded2.coefficient_at(n - 1)[0]
-        alpha = recurrence.transfer_step(d_n, d_prev, v_n, z)
+        alpha = recurrence.transfer_step(d_n, v_n, z)
         vec = lift_pair(phi.block(n), phi.block(n - 1), d_prev)
         out = alpha @ vec
         want = lift_pair(phi.block(n + 1), phi.block(n), d_n)

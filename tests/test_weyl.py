@@ -335,9 +335,10 @@ def test_descent_chunk_boundaries_do_not_change_results(name, request, monkeypat
     assert all(np.array_equal(a, b) for a, b in zip(got[1][1:], want[1][1:]))
 
 
-def test_riccati_grid_matches_single(random_bounded2):
+def test_riccati_grid_matches_single(random_bounded2, monkeypatch):
+    monkeypatch.setattr(weyl, "LADDER_TOL", 1e-10)
     xs = np.array([-1.0, 0.0, 2.2])
-    m_grid, _, _ = weyl.m_riccati_grid(random_bounded2, xs, 0.05, tol=1e-10)
+    m_grid, _, _ = weyl.m_riccati_grid(random_bounded2, xs, 0.05)
     for j, x in enumerate(xs):
         single = weyl.m_riccati(random_bounded2, complex(x, 0.05), tol=1e-10)
         assert fro(m_grid[j] - single.m) <= 1e-8
@@ -358,7 +359,7 @@ def test_fused_ladder_matches_per_rung_descents(name, request):
         # rung data kept on every verdict is what the one-rung call returns
         assert all(r.depths[i] == depth and r.last_deltas[i] == delta for r in fused)
         eigs.append(np.linalg.eigvalsh(m_ref.imag))
-    for got, ref in zip(fused, weyl._ladder_verdicts(xs, ladder, np.array(eigs), 1e-3)):
+    for got, ref in zip(fused, weyl._ladder_verdicts(xs, ladder, np.array(eigs))):
         assert (got.ranks, got.rank) == (ref.ranks, ref.rank)
         assert np.max(np.abs(np.array(got.eigenvalues) - np.array(ref.eigenvalues))) <= 1e-12
 
@@ -402,7 +403,7 @@ def test_ladder_indeterminate_on_drifting_eigenvalues():
         np.array([0.0021, 1.0]),
         np.array([0.0004, 1.0]),
     ]
-    [out] = weyl._ladder_verdicts([0.0], weyl.DEFAULT_Y_LADDER, np.array(eig_list)[:, None], tau_rel=1e-3)
+    [out] = weyl._ladder_verdicts([0.0], weyl.DEFAULT_Y_LADDER, np.array(eig_list)[:, None])
     assert out.indeterminate and out.rank is None
 
 
@@ -442,18 +443,22 @@ def test_banded_corner_block_matches_reference_loop(name, request):
                 assert np.array_equal(got[k], refs[k])
 
 
-@pytest.mark.parametrize("name", ["random_bounded2", "golden_amo", "periodic3"])
+@pytest.mark.parametrize("name", ["random_bounded2", "golden_amo", "periodic3", "free1"])
 def test_banded_corner_block_near_top_down_solve(name, request):
     # the reversed elimination moves M only in the last bits against the
     # solve in block order 1..N; with one block the tail window of the
-    # factor is clipped at row 0, with two it is the whole system
+    # factor is clipped at row 0, with two it is the whole system; one point
+    # of one block at l = 1 is a tridiagonal system of one row
     spec = request.getfixturevalue(name)
     zs = [0.37 + 0.05j, -1.4 + 0.002j, 2.6 + 0.8j, 0.1 + 1e-8j]
     for n_blocks in (1, 2, 3, 8, 257):
-        got = weyl._banded_corner_block(spec, zs, n_blocks)
-        for k, z in enumerate(zs):
-            ref = banded_corner_block_top_down(spec, z, n_blocks)
-            assert fro(got[k] - ref) <= 1e-12 * fro(ref)
+        for points in (zs, zs[:1]):
+            got = weyl._banded_corner_block(spec, points, n_blocks)
+            for k, z in enumerate(points):
+                ref = banded_corner_block_top_down(spec, z, n_blocks)
+                assert fro(got[k] - ref) <= 1e-12 * fro(ref)
+    if name == "free1":  # the one-block truncation of the free chain is -z
+        assert np.allclose(weyl._banded_corner_block(spec, zs[:1], 1)[0], -1 / zs[0])
 
 
 @pytest.mark.parametrize("name", ["free1", "random_bounded2", "periodic3"])
