@@ -6,8 +6,8 @@ The classifier decides, per energy x and per r = 1..l, whether
     C_r(L) = (1/L) sum_{n<=L} s_{l-r+1}^2[phi_n(x)] + s_{l-r+1}^2[psi_n(x)]
 
 stays bounded as L runs over a dyadic grid; boundedness is read off the
-log-log slope (bounded means slope near 0, exponential growth means slope
-far above 1). The largest bounded r estimates the AC multiplicity at x.
+log-log slope (bounded: slope below ``SLOPE_THRESHOLD``; exponential growth:
+slope far above 1). The largest bounded r estimates the AC multiplicity at x.
 The Floquet oracle counts multipliers within ``FLOQUET_EPS`` of the unit
 circle; agreement with it is read ``EDGE_EXCLUSION`` or more off its edges.
 
@@ -46,6 +46,8 @@ BAND_EDGE_TOL = 1e-9
 # kernel blocks a Cesaro sweep buffers per singular-value call (256 KiB)
 CESARO_CHUNK_BYTES = 2**18
 EDGE_EXCLUSION = 0.05  # see agreement_summary
+SLOPE_THRESHOLD = 0.2  # see classify_multiplicity
+N_RANDOM_PHASES = 2  # phases a constancy run draws from its seed when given none
 
 
 def _members(spec):
@@ -203,20 +205,20 @@ def cesaro_profiles_grid(spec, xs, l_grid=DEFAULT_L_GRID):
     return _fit_profiles(np.tile(xs, len(members)), log2_c, l_grid, members[0].dim)
 
 
-def classify_multiplicity(profile, slope_threshold=0.2):
+def classify_multiplicity(profile):
     """Largest r whose Cesaro mean stays bounded, with a confidence flag.
 
-    r_ces is the largest r with slope below the threshold and no overflow
-    marker (0 when none qualifies). Slopes landing in the gray zone
-    (threshold, 2*threshold) flag the verdict low-confidence.
+    r_ces is the largest r with slope below ``SLOPE_THRESHOLD`` and no
+    overflow marker (0 when none qualifies). Slopes landing in the gray
+    zone (threshold, 2*threshold) flag the verdict low-confidence.
     """
     r_ces = 0
     low_conf = False
     for r in range(1, profile.dim + 1):
         slope = float(profile.slopes[r - 1])
-        if not profile.overflow[r - 1] and slope < slope_threshold:
+        if not profile.overflow[r - 1] and slope < SLOPE_THRESHOLD:
             r_ces = r
-        if slope_threshold < slope < 2.0 * slope_threshold:
+        if SLOPE_THRESHOLD < slope < 2.0 * SLOPE_THRESHOLD:
             low_conf = True
     return r_ces, low_conf
 
@@ -303,7 +305,6 @@ def floquet_band_edges(spec, lo, hi):
 @dataclass
 class ScanParams:
     l_grid: tuple = DEFAULT_L_GRID
-    slope_threshold: float = 0.2
     y_ladder: tuple = weyl.DEFAULT_Y_LADDER
     with_rank: bool = True
     with_floquet: bool = True  # effective only for periodic models
@@ -333,7 +334,7 @@ def _chunk_records(spec, xs, params):
         r_flo, band_edge, _, _ = floquet_grid(spec, xs)
     for j, x in enumerate(xs):
         prof = profiles[j]
-        r_ces, low_conf = classify_multiplicity(prof, params.slope_threshold)
+        r_ces, low_conf = classify_multiplicity(prof)
         rec = ScanRecord(
             x=float(x),
             r_ces=r_ces,
@@ -467,7 +468,7 @@ def constancy_experiment(spec, phases, x_grid, params=None):
     members = [m for s in right for m in (s, models.reflect(s))]
     profiles = cesaro_profiles_grid(members, xs, params.l_grid)
     # (phase, side, energy) -> (r, low confidence)
-    verdicts = np.array([classify_multiplicity(p, params.slope_threshold) for p in profiles],
+    verdicts = np.array([classify_multiplicity(p) for p in profiles],
                         dtype=int).reshape(len(phases), 2, xs.size, 2)
     results = [
         PhaseClassification(

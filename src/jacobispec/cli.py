@@ -1,24 +1,23 @@
 """Batch command-line front end.
 
-    jacobispec run <config.yaml> [--threads N] [--out DIR]
+    jacobispec run <config.yaml> [--out DIR]
     jacobispec validate <config.yaml> [--out DIR]
 
 One config file per run; outputs are a task CSV plus report.txt with the
 fully resolved configuration embedded for provenance. Each task reads its
 parameters from ``RunConfig.params``, already checked, coerced and
 defaulted from ``config.TASK_PARAMS``; the model section is checked by
-``models.spec_from_config``. A scan's tolerances are the constants
+``models.spec_from_config``. Every task validates the model over |n| <=
+``models.VALIDATION_WINDOW``. A scan's tolerances are the constants
 ``weyl.LADDER_TOL``, ``weyl.LADDER_TAU_REL``, ``classify.FLOQUET_EPS`` and
-``classify.EDGE_EXCLUSION``. Malformed input of either kind is a config
-error with one ``config error:`` line on stderr. Exit codes: 0 ok,
-1 any other library error (such as a ``constancy`` run whose blocks leave
+``classify.EDGE_EXCLUSION``; scan and constancy read "bounded" off
+``classify.SLOPE_THRESHOLD``, and constancy given no phases draws
+``classify.N_RANDOM_PHASES`` from the seed. Malformed input of either kind
+is a config error with one ``config error:`` line on stderr. Exit codes: 0
+ok, 1 any other library error (such as a ``constancy`` run whose blocks leave
 float range), 2 config/schema error, 3 model validation failure,
 4 non-convergence, 5 a scan wrote error rows (the CSV and report are
 still written; the report counts the error rows by exception type).
-
-``--threads`` (and ``run_config(threads=...)``) is accepted and ignored:
-every task runs in one thread, with the energy grid as one wide batch,
-which measured faster than splitting it over threads.
 """
 
 from __future__ import annotations
@@ -95,12 +94,11 @@ def _write_report(path, cfg, body):
 
 
 def _task_validate(cfg, spec, out_dir):
-    window = cfg.params["window"]
-    report = models.validate_model(spec, window)
+    report = models.validate_model(spec, models.VALIDATION_WINDOW)
     body = "validation:\n" + report.summary()
     if hasattr(spec, "rationality_report"):
         body += f"\nrotation-number probe: {spec.rationality_report()}"
-    sums, verdict = models.limit_point_partial_sum(spec, window)
+    sums, verdict = models.limit_point_partial_sum(spec, models.VALIDATION_WINDOW)
     body += f"\nlimit-point partial sum over window = {sums:.17g} ({verdict})"
     _write_report(out_dir / cfg.output["report"], cfg, body)
     return EXIT_OK
@@ -142,12 +140,8 @@ def _task_jl_sweep(cfg, spec, out_dir):
     reports = weyl.jl_bounds_grid(spec, xs, ys, slack=p["slack"])
     cols = ["x", "y", "L", "ratio", "condition_term", "k1", "k2",
             "m_norm", "lower", "upper", "verdict", "status"]
-    rows = [
-        [rep.x, rep.y, rep.l_cutoff, rep.ratio, rep.condition_term, rep.k1, rep.k2,
-         rep.m_norm, rep.lower, rep.upper, rep.verdict,
-         rep.status]
-        for rep in reports
-    ]
+    rows = [[rep.x, rep.y, rep.l_cutoff, rep.ratio, rep.condition_term, rep.k1, rep.k2,
+             rep.m_norm, rep.lower, rep.upper, rep.verdict, rep.status] for rep in reports]
     _write_csv(out_dir / cfg.output["csv"], cols, rows)
     holds = sum(1 for rep in reports if rep.verdict)
     skipped = sum(1 for rep in reports if rep.verdict is None)
@@ -188,7 +182,7 @@ def _task_constancy(cfg, spec, out_dir):
     if not phases:
         rng = np.random.default_rng(cfg.seed)
         phases = [rng.uniform(0.0, 1.0, size=spec.torus_dim).tolist()
-                  for _ in range(cfg.params["n_random_phases"])]
+                  for _ in range(classify.N_RANDOM_PHASES)]
     report = classify.constancy_experiment(spec, phases, xs, cfg.scan_params())
     cols = ["x"]
     for i in range(len(phases)):
@@ -231,7 +225,7 @@ def run_config(config_path, *, threads=1, out_dir=None, force_task=None) -> int:
     target.mkdir(parents=True, exist_ok=True)
     try:
         if task != "validate":
-            models.validate_model(spec, cfg.params["window"])
+            models.validate_model(spec, models.VALIDATION_WINDOW)
         return _TASKS[task](cfg, spec, target)
     except ModelValidationError as exc:
         print(f"model validation failed: {exc}", file=sys.stderr)
@@ -252,11 +246,10 @@ def main(argv=None) -> int:
     for name in ("run", "validate"):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     force = "validate" if args.command == "validate" else None
-    return run_config(args.config, threads=args.threads, out_dir=args.out, force_task=force)
+    return run_config(args.config, out_dir=args.out, force_task=force)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ parameter each task reads and its default: a key the declared task does not
 read is an error, each value is coerced to its default's type, and the
 resolved values (defaults filled in) are ``RunConfig.params``, which the
 tasks read and the report embeds. The model section is checked by its
-reader, :func:`jacobispec.models.spec_from_config`. The scan's tolerances
-are module constants (``weyl.LADDER_TOL``, ``LADDER_TAU_REL``,
-``classify.FLOQUET_EPS``, ``EDGE_EXCLUSION``), not parameters.
+reader, :func:`jacobispec.models.spec_from_config`. Values no run changes
+are module constants, not parameters (``models.VALIDATION_WINDOW``, the
+scan tolerances, ``classify.SLOPE_THRESHOLD`` and ``N_RANDOM_PHASES``).
 """
 
 from __future__ import annotations
@@ -25,16 +25,13 @@ from .errors import ConfigError, InvalidInputError
 _SCAN = {f.name: f.default for f in fields(classify.ScanParams)}
 
 TASK_PARAMS = {
-    "validate": {"window": 100},
-    "probe": {"window": 100, "x": 0.0, "y": 0.1},
-    "jl-sweep": {"window": 100, "n_points": 100, "x_range": [-3.0, 3.0],
-                 "y_range": [1e-2, 1.0], "slack": 1e-9},
+    "validate": {},
+    "probe": {"x": 0.0, "y": 0.1},
+    "jl-sweep": {"n_points": 100, "x_range": [-3.0, 3.0], "y_range": [1e-2, 1.0], "slack": 1e-9},
     # x_grid has no default: a scan or constancy run needs one
-    "scan": {"window": 100, "x_grid": None, **_SCAN},
-    # phases None: draw n_random_phases phases from the seed
-    "constancy": {"window": 100, "x_grid": None, "l_grid": _SCAN["l_grid"],
-                  "slope_threshold": _SCAN["slope_threshold"], "phases": None,
-                  "n_random_phases": 2},
+    "scan": {"x_grid": None, **_SCAN},
+    # phases None: draw classify.N_RANDOM_PHASES phases from the seed
+    "constancy": {"x_grid": None, "l_grid": _SCAN["l_grid"], "phases": None},
 }
 TASKS = tuple(TASK_PARAMS)
 
@@ -45,7 +42,7 @@ _OUTPUT_KEYS = {"dir", "csv", "report"}
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-_POSITIVE = {"window", "n_points", "slack", "l_grid", "slope_threshold"}
+_POSITIVE = {"n_points", "slack", "l_grid"}
 _IM_Z = {"y", "y_range", "y_ladder"}  # imaginary parts: each >= weyl.MIN_IM_Z
 
 
@@ -118,7 +115,7 @@ def _resolve_params(task, given):
                 check(params[key])
             except InvalidInputError as exc:
                 raise ConfigError(f"params.{key}: {exc}") from exc
-    if task == "constancy" and len(params["phases"] or [None] * params["n_random_phases"]) < 2:
+    if task == "constancy" and len(params["phases"] or [None] * classify.N_RANDOM_PHASES) < 2:
         raise ConfigError("constancy needs at least two phases")
     return params
 

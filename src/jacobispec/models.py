@@ -6,7 +6,7 @@ The built-in families also give ``coefficient_arrays(n0, n1)``, the blocks of
 a whole index range computed without a per-index loop; every multi-index read
 in the package goes through :func:`coefficient_arrays`.
 All coefficient blocks are real symmetric; D_n must be invertible; these
-hypotheses are checked by :func:`validate_model`.
+hypotheses are checked by :func:`validate_model` (over ``VALIDATION_WINDOW``).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ MIN_SINGULAR = 1e-12
 # share of limit_point_partial_sum that its window's second half must carry
 LIMIT_POINT_TAIL_SHARE = 0.05
 RATIONALITY_DEPTH = 20  # partial quotients the rotation-number probe expands
+VALIDATION_WINDOW = 100  # see validate_model
 
 
 def _sym_block(a, name="block"):
@@ -461,7 +462,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_model(spec, window: int = 100) -> ValidationReport:
+def validate_model(spec, window: int = VALIDATION_WINDOW) -> ValidationReport:
     """Check the standing hypotheses over |n| <= window.
 
     Verifies every D_n, V_n is symmetric, every D_n has smallest singular

@@ -291,12 +291,14 @@ def _continued(spec, zs, blocks, exp2, n_new):
 def extend_tracks(tracks, n_new):
     """Tracks continued to block n_new, all in one kernel run.
 
-    The tracks share one spec and one length; each keeps its own energy
-    and exponent ledger, and comes out bit for bit as a fresh run to
-    n_new would. Tracks that already reach n_new, or no tracks, are
-    returned as they are.
+    The tracks must share one model object and one length
+    (InvalidInputError otherwise); each keeps its own energy and exponent
+    ledger, and comes out bit for bit as a fresh run to n_new would.
+    Tracks that already reach n_new, or no tracks, are returned as they are.
     """
     n_new = int(n_new)
+    if any(t.spec is not tracks[0].spec or t.n_max != tracks[0].n_max for t in tracks):
+        raise InvalidInputError("tracks to extend must share one model and one length")
     if not tracks or n_new <= tracks[0].n_max:
         return list(tracks)
     return _continued(tracks[0].spec, np.array([t.z for t in tracks]),
@@ -448,15 +450,15 @@ def jost_assemble(phi_track, psi_track, m_matrix):
     return SolutionTrack(spec, phi_track.z, blocks, np.zeros(n_max + 1, dtype=np.int64))
 
 
-def jl_identity_residual(phi_x, psi_x, f_track, m_matrix, x, y, n_max):
+def jl_identity_residual(phi_x, psi_x, f_track, m_matrix, y, n_max):
     """Max relative defect of the half-plane solution identity up to n_max.
 
     Checks F_n(z) against
         psi_n(x) - phi_n(x) M(z) D_0
         - i y psi_n(x) sum_{k<=n} D_0^-1 phi_k(x)^t F_k(z)
         + i y phi_n(x) sum_{k<=n} D_0^-1 psi_k(x)^t F_k(z)
-    with z = x + i y. Partial sums are Kahan-compensated. The residual at n
-    is normalized by the largest participating term norm.
+    with z = x + i y, x the energy of phi_x and psi_x. Partial sums are
+    Kahan-compensated; the residual at n is normalized by its largest term.
     """
     n_max = int(n_max)
     if n_max < 1 or n_max > min(phi_x.n_max, psi_x.n_max, f_track.n_max):

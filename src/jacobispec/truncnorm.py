@@ -63,6 +63,8 @@ def truncated_sq_batch(tracks, l_values, k=None):
     ``l_values[j]``, from the tracks' prefix sums, as a scaled (mantissa,
     exponent) pair of arrays, empty for no tracks."""
     l_values = np.asarray(l_values, dtype=float)
+    if l_values.shape != (len(tracks),):
+        raise InvalidInputError(f"need one cutoff per track, got {l_values.size} for {len(tracks)}")
     if k is not None and not all(1 <= int(k) <= t.dim for t in tracks):
         raise InvalidInputError(f"singular index {k} outside 1..{tracks[0].dim}")
     if not np.all(l_values >= 1.0):
@@ -170,12 +172,15 @@ def solve_l_grid(spec, xs, ys):
     the crossing is then solved for the crossed points at once as a
     quadratic in the fractional part (affine times affine equals a
     constant), with a Newton polish, and ||phi||_L and ||psi||_L are read
-    at the root. A non-finite x or y, a y <= 0, or a y whose target 1 / (2
-    y ||D0^-1||_F) is not a positive finite float raises InvalidInputError
-    before any track is built; a product that cannot reach its target
-    within ``MAX_TRACK_BLOCKS`` blocks raises TargetUnreachableError.
+    at the root. Unequal numbers of x and y, a non-finite x or y, a y <= 0,
+    or a y whose target 1 / (2 y ||D0^-1||_F) is not a positive finite
+    float raises InvalidInputError before any track is built; a product that
+    cannot reach its target within ``MAX_TRACK_BLOCKS`` blocks raises
+    TargetUnreachableError.
     """
     xs, ys = [float(x) for x in xs], [float(y) for y in ys]
+    if len(xs) != len(ys):
+        raise InvalidInputError(f"need one y per x, got {len(ys)} for {len(xs)}")
     if not all(math.isfinite(x) for x in xs) or not all(0 < y < math.inf for y in ys):
         raise InvalidInputError("need finite x and finite y > 0")
     d0_inv_norm = matblock.frobenius_norm(matblock.invert(spec.coefficient_at(0)[0]))

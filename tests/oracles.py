@@ -733,3 +733,29 @@ def recurrence_residual(track, n):
         1e-300,
     )
     return matblock.frobenius_norm(defect) / scale
+
+
+def ids_sturm(spec, es, n):
+    """Integrated density of states k_N(E) of the n-site Dirichlet truncation
+    (:func:`dense_halfline_matrix`) at every energy of ``es``, by Sturm counting.
+
+    Factors the truncation minus E as a block LDL^T with pivots
+    S_1 = V_1 - E and S_k = V_k - E - D_{k-1} S_{k-1}^-1 D_{k-1}; by
+    Sylvester's law of inertia the negative eigenvalues of the pivots number
+    the eigenvalues below E, and k_N(E) is that count over n l. An exactly
+    singular pivot has no rule yet: it raises ZeroDivisionError.
+    """
+    es = np.asarray(es, dtype=float)
+    l = spec.dim
+    shift = es[:, None, None] * np.eye(l)
+    count = np.zeros(es.size, dtype=np.int64)
+    coupling = 0.0  # D_{k-1} S_{k-1}^-1 D_{k-1}, none at the first site
+    for k in range(1, n + 1):
+        d_k, v_k = spec.coefficient_at(k)
+        pivot = (v_k - shift) - coupling
+        count += np.sum(np.linalg.eigvalsh(pivot) < 0.0, axis=1)
+        try:
+            coupling = d_k @ np.linalg.solve(pivot, np.broadcast_to(d_k, pivot.shape))
+        except np.linalg.LinAlgError as exc:
+            raise ZeroDivisionError(f"pivot S_{k} is exactly singular") from exc
+    return count / (n * l)

@@ -133,7 +133,7 @@ def test_criterion_05_halfplane_identity(free1, diag01):
         f_track = recurrence.jost_assemble(phi_z, psi_z, m_val.m)
         worst = max(
             worst,
-            recurrence.jl_identity_residual(phi_x, psi_x, f_track, m_val.m, x, y, 50),
+            recurrence.jl_identity_residual(phi_x, psi_x, f_track, m_val.m, y, 50),
         )
     _report(
         5,

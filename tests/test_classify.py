@@ -46,14 +46,16 @@ def test_cesaro_matches_direct_recursion(diag01):
             assert prof.log2_c[gi, r - 1] == pytest.approx(want, abs=1e-9)
 
 
-def test_classify_multiplicity_rules(diag01):
+def test_classify_multiplicity_rules(diag01, monkeypatch):
     prof, prof2 = classify.cesaro_profiles_grid(diag01, [-1.5, 0.5])
     r, low = classify.classify_multiplicity(prof)
     assert r == 1
     assert classify.classify_multiplicity(prof2)[0] == 2
     # threshold monotonicity
-    r_tight = classify.classify_multiplicity(prof, slope_threshold=0.05)[0]
-    r_loose = classify.classify_multiplicity(prof, slope_threshold=0.4)[0]
+    monkeypatch.setattr(classify, "SLOPE_THRESHOLD", 0.05)
+    r_tight = classify.classify_multiplicity(prof)[0]
+    monkeypatch.setattr(classify, "SLOPE_THRESHOLD", 0.4)
+    r_loose = classify.classify_multiplicity(prof)[0]
     assert r_tight <= r_loose
 
 

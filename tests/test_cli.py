@@ -271,6 +271,19 @@ def test_out_flag_overrides_dir(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_threads_flag_is_a_usage_error(tmp_path, capsys, command):
+    cfg = write_config(
+        tmp_path, "v.yaml",
+        {"model": FREE1, "task": "validate", "output": {"dir": str(tmp_path / "out")}},
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(cfg), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_subcommand_forces_task(tmp_path):
     cfg = write_config(
         tmp_path, "scan.yaml",
@@ -325,13 +338,13 @@ def test_report_embeds_resolved_overrides(tmp_path):
         {
             "model": FREE1,
             "task": "scan",
-            "params": {"x_grid": [0.0], "l_grid": [64, 128], "slope_threshold": 0.31},
+            "params": {"x_grid": [0.0], "l_grid": [64, 128], "with_rank": False},
             "output": {"dir": str(out)},
         },
     )
     assert cli.main(["run", str(cfg)]) == 0
     report = (out / "report.txt").read_text()
-    assert "slope_threshold: 0.31" in report
+    assert "with_rank: false" in report
     assert "with_floquet: true" in report  # untouched default is embedded too
 
 
@@ -471,6 +484,15 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     (FREE1, "scan", {"x_grid": [0.0], "floquet_eps": 1e-6}, 0),
     (FREE1, "scan", {"x_grid": [0.0], "edge_exclusion": 0.05}, 0),
     (FREE1, "probe", {"m_tol": 1e-10}, 0),
+    # settings that are module constants, not parameters
+    (FREE1, "validate", {"window": 100}, 0),
+    (FREE1, "probe", {"window": 100}, 0),
+    (FREE1, "jl-sweep", {"window": 100}, 0),
+    (FREE1, "scan", {"x_grid": [0.0], "window": 100}, 0),
+    (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "window": 100}, 0),
+    (FREE1, "scan", {"x_grid": [0.0], "slope_threshold": 0.2}, 0),
+    (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "slope_threshold": 0.2}, 0),
+    (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "n_random_phases": 2}, 0),
 ], ids=[
     "periodic-without-ds", "free-dimension-zero", "constant-map-without-matrix", "pair-without-v", "ragged-block",
     "alpha-on-periodic", "unknown-key-in-reflected-base", "reflected-base-without-vs",
@@ -483,7 +505,9 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     "infinite-n-points", "fractional-n-points", "fractional-x-grid-count",
     "negative-seed-jl-sweep", "negative-seed-constancy-drawn-phases",
     "tau-rel-in-scan", "rank-tol-in-scan", "floquet-eps-in-scan", "edge-exclusion-in-scan",
-    "m-tol-in-probe",
+    "m-tol-in-probe", "window-in-validate", "window-in-probe", "window-in-jl-sweep",
+    "window-in-scan", "window-in-constancy", "slope-threshold-in-scan",
+    "slope-threshold-in-constancy", "n-random-phases-in-constancy",
 ])
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task, params, seed):
     cfg = write_config(
@@ -520,8 +544,8 @@ def test_report_lists_resolved_defaults(tmp_path):
     )
     assert cli.main(["run", str(cfg)]) == 0
     report = (out / "report.txt").read_text()
-    assert "window: 100" in report
-    assert "n_random_phases: 2" in report
+    assert "phases: null" in report  # drawn from the seed
+    assert "window" not in report and "n_random_phases" not in report  # constants
     assert "y_ladder" not in report  # constancy does not read it
     phases = report.rsplit("\nphases: ", 1)[-1]
     assert phases.startswith("[(0.") and "float64" not in phases

@@ -205,7 +205,7 @@ def test_jl_identity_residual_small(free1, diag01):
         m_val = weyl.m_riccati(spec, z, tol=1e-13)
         phi_z, psi_z = recurrence.dirichlet_neumann(spec, z, 60)
         f_track = recurrence.jost_assemble(phi_z, psi_z, m_val.m)
-        res = recurrence.jl_identity_residual(phi_x, psi_x, f_track, m_val.m, x, y, 50)
+        res = recurrence.jl_identity_residual(phi_x, psi_x, f_track, m_val.m, y, 50)
         assert res <= 1e-8
 
 
@@ -219,7 +219,7 @@ def test_jl_identity_y_terms_collapse(free1):
     res = {}
     for y in (1e-3, 1e-6):
         f_track = recurrence.SolutionTrack(free1, complex(x, y), blocks, np.zeros(21, dtype=np.int64))
-        res[y] = recurrence.jl_identity_residual(phi_x, psi_x, f_track, m_mat, x, y, 20)
+        res[y] = recurrence.jl_identity_residual(phi_x, psi_x, f_track, m_mat, y, 20)
         assert res[y] <= y * 1e3
     assert res[1e-6] / res[1e-3] == pytest.approx(1e-3, rel=1e-3)
 
@@ -466,6 +466,20 @@ def test_dirichlet_neumann_grid_of_no_energies_is_empty(free1, random_bounded2):
 
 def test_extend_tracks_of_no_tracks_is_empty():
     assert recurrence.extend_tracks([], 40) == []
+
+
+def test_extend_tracks_needs_one_model_and_one_length(free1):
+    phi, psi = recurrence.dirichlet_neumann(free1, 0.3, 16)
+    other = recurrence.dirichlet_neumann(models.free_model(1), 0.4, 16)[0]
+    longer = recurrence.dirichlet_neumann(free1, 0.4, 24)[0]
+    for tracks in ((phi, other), (phi, longer), (longer, phi)):
+        for n_new in (32, 16):
+            with pytest.raises(InvalidInputError, match="one model and one length"):
+                recurrence.extend_tracks(tracks, n_new)
+    # tracks of one model object and one length still extend as one run
+    both = recurrence.extend_tracks((phi, psi), 32)
+    for got, want in zip(both, recurrence.dirichlet_neumann(free1, 0.3, 32)):
+        _same_track(got, want)
 
 
 def test_a_ledger_change_inside_a_rescale_period_is_rejected(free1):

@@ -166,6 +166,31 @@ def test_cutoff_solver_rejects_non_finite_input_before_any_track(random_bounded2
         next(truncnorm.solve_l_grid(random_bounded2, [0.1, x], [0.1, y]))
 
 
+@pytest.mark.parametrize("xs, ys", [([0.1, 0.2, 0.3], [0.1, 0.1]), ([0.1, 0.2], [0.1, 0.1, 0.1]),
+                                    ([], [0.1])])
+def test_cutoff_solver_rejects_unequal_lengths_before_any_track(free1, monkeypatch, xs, ys):
+    def no_track(*args):
+        raise AssertionError("built a track")
+
+    monkeypatch.setattr(recurrence, "dirichlet_neumann_grid", no_track)
+    with pytest.raises(InvalidInputError, match="one y per x"):
+        next(truncnorm.solve_l_grid(free1, xs, ys))
+
+
+def test_truncated_values_need_one_cutoff_per_track(free1):
+    phi, psi = recurrence.dirichlet_neumann(free1, 0.3, 8)
+    # one cutoff per track reads each track at its own cutoff
+    got = truncnorm.truncated_values([phi, phi], [1.5, 2.5])
+    assert got.tolist() == [truncnorm.truncated_norm(phi, 1.5), truncnorm.truncated_norm(phi, 2.5)]
+    # phi_1 = 1, phi_2 = 0.3, phi_3 = -0.91: ||phi||_2.5^2 = 1 + 0.09 + 0.5 * 0.8281
+    assert got[1] == pytest.approx(math.sqrt(1.50405), rel=1e-14)
+    for tracks, cutoffs in (([phi], [1.5, 2.5]), ([phi, psi], [1.5]), ([phi], 1.5),
+                            ([phi, psi], [[1.5, 2.5]])):
+        for k in (None, 1):
+            with pytest.raises(InvalidInputError, match="one cutoff per track"):
+                truncnorm.truncated_values(tracks, cutoffs, k)
+
+
 def test_overflowed_track_norm_raises(free1):
     from jacobispec.errors import TrackOverflowError
 
