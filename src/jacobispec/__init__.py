@@ -17,7 +17,7 @@ from .classify import (
     floquet_multiplicity,
     scan_energy_grid,
 )
-from .matblock import frobenius_norm, invert, operator_norm, psd_sqrt, singular_values
+from .matblock import frobenius_norm, invert, operator_norm, singular_values
 from .models import (
     DynamicalSpec,
     ExplicitSpec,

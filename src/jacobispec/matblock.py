@@ -1,4 +1,4 @@
-"""Dense l-by-l block kernel: norms, singular values, inverses, PSD square roots.
+"""Dense l-by-l block kernel: norms, singular values and inverses.
 
 Blocks are plain numpy arrays (real or complex, square). Everything here is
 a pure function; nothing mutates its input.
@@ -8,15 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, SingularBlockError
+from .errors import InvalidInputError, SingularBlockError
 
 # Relative floor for invert(): blocks with s_l <= RCOND_FLOOR * s_1 are
 # treated as singular.
 RCOND_FLOOR = 1e-12
-
-# Absolute eigenvalue tolerance below which a Hermitian block still counts
-# as positive semidefinite.
-PSD_EIG_TOL = 1e-10
 
 # Relative defect |A - A^t|_F / max(1, |A|_F) of a block that is_symmetric.
 SYMMETRIC_TOL = 1e-12
@@ -51,26 +47,6 @@ def singular_values(a) -> np.ndarray:
 def operator_norm(a) -> float:
     """Largest singular value (spectral norm)."""
     return float(singular_values(a)[0])
-
-
-def psd_sqrt(a) -> np.ndarray:
-    """Unique PSD square root of a Hermitian PSD block.
-
-    Raises DomainError if the block is not Hermitian within ``PSD_EIG_TOL``
-    or has an eigenvalue below ``-PSD_EIG_TOL``.
-    """
-    arr = as_block(a)
-    herm_defect = frobenius_norm(arr - arr.conj().T)
-    if herm_defect > PSD_EIG_TOL * max(1.0, frobenius_norm(arr)):
-        raise DomainError(f"block is not Hermitian (defect {herm_defect:.3e})")
-    sym = (arr + arr.conj().T) / 2
-    w, v = np.linalg.eigh(sym)
-    if w[0] < -PSD_EIG_TOL:
-        raise DomainError(f"block is not PSD (smallest eigenvalue {w[0]:.3e})")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    if arr.dtype.kind != "c":
-        root = root.real
-    return root
 
 
 def invert(a) -> np.ndarray:

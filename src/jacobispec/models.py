@@ -271,7 +271,8 @@ class DynamicalSpec:
     D_n = f_D(T^n omega), V_n = f_V(T^n omega) with T(omega) = omega + alpha
     mod 1 componentwise. The orbit is evaluated exactly: each float alpha_i
     is a dyadic rational p/q, and n*alpha_i mod 1 = (n*p mod q)/q in integer
-    arithmetic, so phases never drift.
+    arithmetic, so phases never drift. Each cosine freq of f_D and f_V has
+    one entry per torus coordinate, and an arcs map needs a 1-d torus.
     """
 
     alpha: tuple
@@ -286,6 +287,12 @@ class DynamicalSpec:
             raise InvalidInputError("alpha and omega must have the same torus dimension")
         if self.f_d.dim != self.f_v.dim:
             raise InvalidInputError("f_D and f_V must produce blocks of equal size")
+        d = len(alpha)
+        for f in (self.f_d, self.f_v):
+            if isinstance(f, PiecewiseArcMap) and d != 1:
+                raise InvalidInputError(f"an arcs map needs a 1-d torus, got {d}-d")
+            if isinstance(f, CosinePolynomialMap) and any(len(k) != d for k, _, _ in f.terms):
+                raise InvalidInputError(f"a cosine freq needs {d} entries, one per torus coordinate")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "_alpha_frac", tuple(Fraction(a) for a in alpha))

@@ -401,23 +401,23 @@ def wronskian(track_a, track_b, n):
     return a_prev.T @ d_prev @ b_n - a_n.T @ d_prev @ b_prev
 
 
-def green_formula_residual(track_a, track_b, m, n, *, z_ref=None):
+def green_formula_residual(track_a, track_b, m, n):
     """Defect of the summed Green identity between indices m and n.
 
-    Substitutes H(u) = z_ref * u for both tracks at a single reference
-    energy (track A's by default); the summed term then cancels and the
-    residual measures the Wronskian increment W(n+1) - W(m), which vanishes
-    exactly when both tracks solve the same eigenvalue equation.
+    Substitutes H(u) = z u for each track at its own energy, so the summed
+    term sum_k a_k^t (z_b b_k) - (z_a a_k)^t b_k is (z_b - z_a) sum_k
+    a_k^t b_k, and returns its Frobenius distance from the Wronskian
+    increment W(n+1) - W(m); both tracks solving their eigenvalue
+    equations makes it vanish.
     """
     m, n = int(m), int(n)
     if not (0 <= m < n):
         raise InvalidInputError("need 0 <= m < n")
     l = track_a.dim
     total = np.zeros((l, l), dtype=complex)
-    z = _as_z(z_ref) if z_ref is not None else track_a.z
     for k in range(m, n + 1):
         a_k, b_k = track_a.block(k), track_b.block(k)
-        total = total + (a_k.T @ (z * b_k) - (z * a_k).T @ b_k)
+        total = total + (a_k.T @ (track_b.z * b_k) - (track_a.z * a_k).T @ b_k)
     delta_w = wronskian(track_a, track_b, n + 1) - wronskian(track_a, track_b, m)
     return float(matblock.frobenius_norm(total - delta_w))
 

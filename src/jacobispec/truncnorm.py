@@ -10,13 +10,13 @@ and the matching condition becomes a quadratic with a unique root.
 
 Both are batched: :func:`truncated_values` reads many tracks at their own
 cutoffs at once, and :func:`solve_l_grid` solves the cutoff equation at
-many points at once, in stacks of points bounded by ``GROW_BLOCKS``, one
-kernel run per stack and doubling, handing each point back as soon as it
-has crossed. The single-track and single-point functions are batches of
-one. Powers and the target's log2 are taken on Python floats, point by
-point: numpy's array ``power`` and ``exp2`` round differently from the
-scalar ``pow`` in a few percent of inputs, and every point gets the bits
-it would get alone.
+many points at once, in stacks split by one rule bounded by
+``GROW_BLOCKS``, one kernel run per stack and doubling, handing each point
+back as soon as it has crossed. The single-track and single-point
+functions are batches of one. Powers and the target's log2 are taken on
+Python floats, point by point: numpy's array ``power`` and ``exp2`` round
+differently from the scalar ``pow`` in a few percent of inputs, and every
+point gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from .errors import InvalidInputError, TargetUnreachableError, TrackTooShortErro
 
 MAX_TRACK_BLOCKS = 2**24
 INITIAL_TRACK_BLOCKS = 16
-# Blocks one stack of :func:`solve_l_grid` holds at most (two tracks a
-# point): a starting stack holds GROW_BLOCKS // (4 INITIAL_TRACK_BLOCKS) =
-# 64 points, and past the bound every point doubles alone, so a sweep of
-# any length holds at most one stack more than its deepest point needs.
+# Blocks one stack of :func:`solve_l_grid` holds at most once it doubles
+# (two tracks a point): a stack at n_max blocks holds max(GROW_BLOCKS //
+# (4 n_max), 1) points, 64 at the start, and the points a doubling leaves
+# uncrossed are split by the same rule, so at most one sibling stack waits
+# per doubling level, whatever the length of the sweep.
 GROW_BLOCKS = 2**12
 
 
@@ -139,17 +140,23 @@ def _factors(tracks, m_idx):
     return q_log2, rel(a_m, a_e), rel(b_m, b_e)
 
 
-def _advance(spec, xs, phis, psis, group):
-    """Start (Dirichlet/Neumann pairs of ``INITIAL_TRACK_BLOCKS`` blocks) or
-    double the tracks of the points of ``group``, in one kernel run."""
-    if phis[group[0]] is None:
-        pairs = recurrence.dirichlet_neumann_grid(spec, [xs[j] for j in group], INITIAL_TRACK_BLOCKS)
-    else:
-        n_new = min(2 * phis[group[0]].n_max, MAX_TRACK_BLOCKS)
-        grown = recurrence.extend_tracks([phis[j] for j in group] + [psis[j] for j in group], n_new)
-        pairs = zip(grown, grown[group.size:])
-    for j, (phi, psi) in zip(group.tolist(), pairs):
-        phis[j], psis[j] = phi, psi
+def _advance(spec, xs, phis, psis):
+    """One stack's tracks started (Dirichlet/Neumann pairs of
+    ``INITIAL_TRACK_BLOCKS`` blocks, for no tracks yet) or doubled, in one
+    kernel run: the new (phis, psis)."""
+    if not phis:
+        pairs = recurrence.dirichlet_neumann_grid(spec, xs, INITIAL_TRACK_BLOCKS)
+        return [phi for phi, _ in pairs], [psi for _, psi in pairs]
+    grown = recurrence.extend_tracks(phis + psis, min(2 * phis[0].n_max, MAX_TRACK_BLOCKS))
+    return grown[: len(phis)], grown[len(phis) :]
+
+
+def _stacks(group, phis, psis, n_max):
+    """Points ``group`` and their tracks of ``n_max`` blocks in stacks of
+    ``max(GROW_BLOCKS // (4 n_max), 1)`` points, the first stack last."""
+    per = max(GROW_BLOCKS // (4 * n_max), 1)
+    return [(group[a : a + per], phis[a : a + per], psis[a : a + per])
+            for a in reversed(range(0, group.size, per))]
 
 
 def solve_l_grid(spec, xs, ys):
@@ -161,16 +168,15 @@ def solve_l_grid(spec, xs, ys):
     caller that reads and drops them holds few tracks at once.
 
     Each point starts from its Dirichlet/Neumann pair at real x, of
-    ``INITIAL_TRACK_BLOCKS`` blocks, in stacks of ``GROW_BLOCKS // (4
-    INITIAL_TRACK_BLOCKS)`` points, one kernel run a stack; a stack runs
-    until all its points have crossed before the next starts. Until its
-    integer-L product crosses the target, a point's tracks double; points
-    that have not crossed double together in one kernel run while their
-    stack holds at most ``GROW_BLOCKS`` blocks, and past that each point
-    doubles alone until it crosses, before the next starts. Every point
-    ends at the length it would reach alone. The unit interval [m-1, m] of
-    the crossing is then solved for the crossed points at once as a
-    quadratic in the fractional part (affine times affine equals a
+    ``INITIAL_TRACK_BLOCKS`` blocks. Points run in stacks that carry their
+    own tracks, one kernel run a stack and step, last in, first out: a
+    stack at n_max blocks holds ``max(GROW_BLOCKS // (4 n_max), 1)``
+    points. Until its integer-L product crosses the target, a point's
+    tracks double; after every step the uncrossed points of a stack are
+    split by the same rule, and the first of the new stacks runs next.
+    Every point ends at the length it would reach alone. The unit interval
+    [m-1, m] of the crossing is then solved for the crossed points at once
+    as a quadratic in the fractional part (affine times affine equals a
     constant), with a Newton polish, and ||phi||_L and ||psi||_L are read
     at the root. Unequal numbers of x and y, a non-finite x or y, a y <= 0,
     or a y whose target 1 / (2 y ||D0^-1||_F) is not a positive finite
@@ -190,18 +196,16 @@ def solve_l_grid(spec, xs, ys):
     if not np.all(np.isfinite(target) & (target > 0)):
         raise InvalidInputError("cutoff target 1 / (2 y ||D0^-1||_F) out of float range")
     log2_target_sq = np.array([2.0 * math.log2(t) for t in target.tolist()])
-    phis, psis = [None] * len(ys), [None] * len(ys)
 
-    # groups of points whose tracks share one length, run last in, first
-    # out; each starts or doubles its tracks, then looks for crossings
-    per = GROW_BLOCKS // (4 * INITIAL_TRACK_BLOCKS)
-    pending = [np.arange(a, min(a + per, len(ys))) for a in reversed(range(0, len(ys), per))]
+    # stacks of points whose tracks share one length, run last in, first
+    # out; each starts or doubles its tracks, hands back its crossed points
+    # and splits the rest by the same rule
+    pending = _stacks(np.arange(len(ys)), (), (), INITIAL_TRACK_BLOCKS)
     while pending:
-        group = pending.pop()
-        _advance(spec, xs, phis, psis, group)
-        n_max = phis[group[0]].n_max
-        m_idx, prod = _crossings([phis[j] for j in group], [psis[j] for j in group],
-                                 log2_target_sq[group])
+        group, phis, psis = pending.pop()
+        phis, psis = _advance(spec, [xs[j] for j in group.tolist()], phis, psis)
+        n_max = phis[0].n_max
+        m_idx, prod = _crossings(phis, psis, log2_target_sq[group])
         left = m_idx < 0
         if left.any() and n_max >= MAX_TRACK_BLOCKS:
             i = int(np.flatnonzero(left)[0])
@@ -212,17 +216,13 @@ def solve_l_grid(spec, xs, ys):
                 attained=attained,
                 max_length=MAX_TRACK_BLOCKS,
             )
-        done = group[~left].tolist()
+        done = np.flatnonzero(~left).tolist()
         if done:
-            yield done, _solved([phis[j] for j in done], [psis[j] for j in done], m_idx[~left],
-                                y[done], d0_inv_norm, log2_target_sq[done])
-            for j in done:
-                phis[j] = psis[j] = None
-        group = group[left]
-        if 4 * group.size * n_max > GROW_BLOCKS:  # two tracks of 2 n_max blocks a point
-            pending += [group[i : i + 1] for i in reversed(range(group.size))]
-        elif group.size:
-            pending.append(group)
+            yield group[done].tolist(), _solved([phis[i] for i in done], [psis[i] for i in done],
+                                                m_idx[done], y[group[done]], d0_inv_norm,
+                                                log2_target_sq[group[done]])
+        rest = np.flatnonzero(left).tolist()
+        pending += _stacks(group[rest], [phis[i] for i in rest], [psis[i] for i in rest], n_max)
 
 
 def _solved(phis, psis, m_idx, y, d0_inv_norm, log2_target_sq):

@@ -114,8 +114,7 @@ def green_sum_direct(spec, z, m, n, track_a, track_b):
     for k in range(m, n + 1):
         a_k = track_a.block(k)
         b_k = track_b.block(k)
-        z_ref = track_a.z
-        total = total + a_k.T @ (z_ref * b_k) - (z_ref * a_k).T @ b_k
+        total = total + a_k.T @ (track_b.z * b_k) - (track_a.z * a_k).T @ b_k
     d_m = spec.coefficient_at(m - 1)[0]
     d_n = spec.coefficient_at(n)[0]
     w_m = track_a.block(m - 1).T @ d_m @ track_b.block(m) - track_a.block(m).T @ d_m @ track_b.block(m - 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from jacobispec import cli, config
+from jacobispec import cli, config, models
 from jacobispec.classify import ScanRecord
 
 
@@ -439,6 +439,7 @@ GOLDEN_AMO = {
     },
 }
 PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
+ABSENT = object()  # a config section left out
 
 
 @pytest.mark.parametrize("model, task, params, seed", [
@@ -493,6 +494,31 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     (FREE1, "scan", {"x_grid": [0.0], "slope_threshold": 0.2}, 0),
     (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "slope_threshold": 0.2}, 0),
     (GOLDEN_AMO, "constancy", {"x_grid": [0.0], "n_random_phases": 2}, 0),
+    # torus maps that do not fit the model's torus
+    (dict(GOLDEN_AMO, f_v=dict(GOLDEN_AMO["f_v"], terms=[{"freq": [1, 1], "amplitude": [[0.5]]}])),
+     "validate", {}, 0),
+    (dict(GOLDEN_AMO, alpha=[0.6180339887498949, 0.4142135623730951], omega=[0.0, 0.0]),
+     "validate", {}, 0),
+    (dict(GOLDEN_AMO, alpha=[0.6180339887498949, 0.4142135623730951], omega=[0.0, 0.0],
+          f_v={"kind": "arcs", "breaks": [0.5, 1.0], "matrices": [[[0.0]], [[1.0]]]}),
+     "validate", {}, 0),
+    # input checks of the config reader and the model constructors
+    (FREE1, "validate", [1], 0),
+    (ABSENT, "validate", {}, 0),
+    (FREE1, ABSENT, {}, 0),
+    (FREE1, "jl-sweep", {"x_range": []}, 0),
+    (FREE1, "jl-sweep", {"n_points": 0}, 0),
+    (FREE1, "jl-sweep", {"slack": 0.0}, 0),
+    ({"kind": "periodic", "ds": [[[1.0, 2.0], [3.0, 1.0]]], "vs": [[[0.0, 0.0], [0.0, 0.0]]]},
+     "validate", {}, 0),
+    ({"kind": "banded"}, "validate", {}, 0),
+    ({"kind": "explicit", "pairs": [[[[1.0]], [[0.0]]]], "extension": "mirror"}, "validate", {}, 0),
+    ({"kind": "explicit", "pairs": []}, "validate", {}, 0),
+    ({"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]], [[0.5]]]}, "validate", {}, 0),
+    (dict(GOLDEN_AMO, omega=[0.0, 0.0]), "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_d={"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+     "validate", {}, 0),
+    ({"kind": "periodic", "ds": [[[1.0, 0.0]]], "vs": [[[0.0, 0.0]]]}, "validate", {}, 0),
 ], ids=[
     "periodic-without-ds", "free-dimension-zero", "constant-map-without-matrix", "pair-without-v", "ragged-block",
     "alpha-on-periodic", "unknown-key-in-reflected-base", "reflected-base-without-vs",
@@ -508,13 +534,16 @@ PERIODIC1 = {"kind": "periodic", "ds": [[[1.0]]], "vs": [[[0.0]]]}
     "m-tol-in-probe", "window-in-validate", "window-in-probe", "window-in-jl-sweep",
     "window-in-scan", "window-in-constancy", "slope-threshold-in-scan",
     "slope-threshold-in-constancy", "n-random-phases-in-constancy",
+    "cosine-freq-longer-than-torus", "cosine-freq-shorter-than-torus", "arcs-on-2d-torus",
+    "params-not-a-mapping", "no-model-section", "no-task-section", "empty-x-range",
+    "zero-n-points", "zero-slack", "non-symmetric-block", "unknown-model-kind",
+    "unknown-extension", "explicit-without-pairs", "more-vs-than-ds",
+    "omega-of-another-dimension", "f-d-and-f-v-of-unequal-size", "non-square-block",
 ])
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task, params, seed):
-    cfg = write_config(
-        tmp_path, "bad.yaml",
-        {"model": model, "task": task, "params": params, "seed": seed,
-         "output": {"dir": str(tmp_path / "out")}},
-    )
+    payload = {"model": model, "task": task, "params": params, "seed": seed,
+               "output": {"dir": str(tmp_path / "out")}}
+    cfg = write_config(tmp_path, "bad.yaml", {k: v for k, v in payload.items() if v is not ABSENT})
     assert cli.main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
@@ -528,6 +557,25 @@ def test_unparsable_yaml_is_one_line_config_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: config is not valid YAML: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_config_root_that_is_not_a_mapping_is_one_line_config_error(tmp_path, capsys):
+    path = tmp_path / "list.yaml"
+    path.write_text("- model\n- task\n", encoding="utf-8")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: config root must be a mapping"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_scalar_blocks_are_one_by_one_blocks(tmp_path):
+    # a number where a block goes is read as the 1 x 1 block
+    cfg = write_config(tmp_path, "scalar.yaml", {
+        "model": {"kind": "periodic", "ds": [1.0, 0.5], "vs": [0.0, 0.3]},
+        "task": "validate", "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.main(["run", str(cfg)]) == 0
+    assert "min s_l[D] = 0.5\n" in (tmp_path / "out" / "report.txt").read_text()
 
 
 def test_report_lists_resolved_defaults(tmp_path):
@@ -620,6 +668,23 @@ def test_readme_configuration_table_matches_task_params():
     want = {task: {key: list(v) if isinstance(v, tuple) else v for key, v in params.items()}
             for task, params in config.TASK_PARAMS.items()}
     assert table == want
+
+
+def test_readme_model_tables_match_the_schemas():
+    import re
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Models\n", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    table_re = r"^\| (model|map) kind \|.*\n\|.*\n((?:\|.*\n)+)"
+    row_re = r"^\| `(\w+)` \| (.*?) \| (.*?) \|$"
+    for head, rows in re.findall(table_re, section, flags=re.M):
+        table = tables[head] = {}
+        for kind, required, optional in re.findall(row_re, rows, flags=re.M):
+            # a cell's keys are its code spans outside parentheses; "none" has none
+            table[kind] = tuple(tuple(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", cell)))
+                                for cell in (required, optional))
+    assert tables == {"model": models._MODEL_SCHEMA, "map": models._MAP_SCHEMA}
 
 
 def test_readme_configs_parse():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jacobispec import matblock
-from jacobispec.errors import DomainError, InvalidInputError, SingularBlockError
+from jacobispec.errors import InvalidInputError, SingularBlockError
 
 from oracles import (
     batched_singular_sq_reference,
@@ -66,27 +66,6 @@ def test_operator_norm_dominates_random_vectors():
     lower = operator_norm_lower_bound(a, trials=10**4, seed=5)
     assert lower <= matblock.operator_norm(a) + 1e-12
     assert matblock.operator_norm(a) - lower <= 1e-3 * matblock.operator_norm(a) + 1e-3
-
-
-def test_psd_sqrt_examples():
-    assert np.allclose(matblock.psd_sqrt(np.eye(3)), np.eye(3))
-    assert np.allclose(matblock.psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-
-def test_psd_sqrt_random_psd_and_idempotence():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        c = random_block(rng, 3)
-        a = c.conj().T @ c
-        b = matblock.psd_sqrt(a)
-        assert matblock.frobenius_norm(b @ b - a) <= 1e-10 * max(1.0, matblock.frobenius_norm(a))
-        again = matblock.psd_sqrt(b @ b)
-        assert matblock.frobenius_norm(again - b) <= 1e-9 * max(1.0, matblock.frobenius_norm(b))
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(DomainError):
-        matblock.psd_sqrt(np.diag([1.0, -1.0]))
 
 
 def test_invert_examples_and_residual():

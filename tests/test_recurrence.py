@@ -148,14 +148,16 @@ def test_green_formula_same_equation(random_bounded2):
 
 
 def test_green_formula_two_energies(random_bounded2):
-    z1, z2 = 0.3, 0.55
-    phi1, _ = recurrence.dirichlet_neumann(random_bounded2, z1, 60)
-    phi2, _ = recurrence.dirichlet_neumann(random_bounded2, z2, 60)
+    # each track at its own energy: the summed term (z2 - z1) sum a^t b
+    # equals the Wronskian increment, which is far from zero
     m, n = 2, 50
-    got = recurrence.green_formula_residual(phi1, phi2, m, n, z_ref=z1)
-    total = sum(phi1.block(k).T @ phi2.block(k) for k in range(m, n + 1))
-    want = abs(z1 - z2) * fro(total)
-    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+    for z1, z2 in ((0.3, 0.55), (0.3 + 0.2j, 0.55 + 0.05j)):
+        phi1, _ = recurrence.dirichlet_neumann(random_bounded2, z1, 60)
+        phi2, _ = recurrence.dirichlet_neumann(random_bounded2, z2, 60)
+        got = recurrence.green_formula_residual(phi1, phi2, m, n)
+        delta_w = fro(recurrence.wronskian(phi1, phi2, n + 1) - recurrence.wronskian(phi1, phi2, m))
+        assert delta_w > 1.0
+        assert got <= 1e-12 * delta_w
 
 
 def test_green_formula_matches_bruteforce_on_random_blocks(random_bounded2):

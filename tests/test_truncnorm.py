@@ -266,6 +266,28 @@ def test_grid_grows_within_its_budget_and_drops_crossed_points(diag01, monkeypat
     assert len(runs) == len(set(runs)) > 1
 
 
+def test_grid_splits_every_stack_by_one_rule(diag01, monkeypatch):
+    # a stack at n_max blocks holds max(GROW_BLOCKS // (4 n_max), 1)
+    # points: under a 512-block budget, the three of these nine points
+    # still open at 64 blocks go on as a stack of two and a stack of one,
+    # so two of them double to 128 blocks at once
+    xs = np.linspace(0.2, 1.8, 9)
+    ys = np.array([0.3, 2e-3, 0.05, 1e-3, 5e-3, 0.01, 8e-4, 0.1, 3e-3])
+    monkeypatch.setattr(truncnorm, "GROW_BLOCKS", 512)
+    calls = []
+    real = recurrence.extend_tracks
+
+    def spy(tracks, n_new):
+        calls.append((len(tracks) // 2, n_new))
+        return real(tracks, n_new)
+
+    monkeypatch.setattr(recurrence, "extend_tracks", spy)
+    for _ in truncnorm.solve_l_grid(diag01, xs, ys):
+        pass
+    assert (2, 128) in calls
+    assert all(size <= max(512 // (2 * n_new), 1) for size, n_new in calls)
+
+
 def test_grid_starts_its_points_in_bounded_stacks(diag01, monkeypatch):
     # the starting pairs of a long sweep come in stacks of GROW_BLOCKS //
     # (4 INITIAL_TRACK_BLOCKS) = 64 points, so the first wave arrives after
