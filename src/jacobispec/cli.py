@@ -144,11 +144,9 @@ def _task_jl_sweep(cfg, spec, out_dir):
              rep.m_norm, rep.lower, rep.upper, rep.verdict, rep.status] for rep in reports]
     _write_csv(out_dir / cfg.output["csv"], cols, rows)
     holds = sum(1 for rep in reports if rep.verdict)
-    skipped = sum(1 for rep in reports if rep.verdict is None)
-    body = (
-        f"bound sweep: {holds}/{n} points satisfied both bounds "
-        f"({skipped} skipped as condition-overflow)"
-    )
+    skipped = Counter(rep.status for rep in reports if rep.verdict is None)
+    body = (f"bound sweep: {holds}/{n} points satisfied both bounds ({sum(skipped.values())} "
+            f"without a verdict{''.join(f'; {k}: {c}' for k, c in sorted(skipped.items()))})")
     _write_report(out_dir / cfg.output["report"], cfg, body)
     return EXIT_OK
 

@@ -3,9 +3,10 @@
 Unknown keys are rejected at every level so typos fail fast. The params
 section is checked against ``TASK_PARAMS``, the one table of every
 parameter each task reads and its default: a key the declared task does not
-read is an error, each value is coerced to its default's type, and the
-resolved values (defaults filled in) are ``RunConfig.params``, which the
-tasks read and the report embeds. The model section is checked by its
+read is an error, each value is read as its default's type (every number
+by ``models._number``, as in the model section), and the resolved values
+(defaults filled in) are ``RunConfig.params``, which the tasks read and
+the report embeds. The model section is checked by its
 reader, :func:`jacobispec.models.spec_from_config`. Values no run changes
 are module constants, not parameters (``models.VALIDATION_WINDOW``, the
 scan tolerances, ``classify.SLOPE_THRESHOLD`` and ``N_RANDOM_PHASES``).
@@ -13,7 +14,6 @@ scan tolerances, ``classify.SLOPE_THRESHOLD`` and ``N_RANDOM_PHASES``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -21,6 +21,7 @@ import yaml
 
 from . import classify, weyl
 from .errors import ConfigError, InvalidInputError
+from .models import _number, _numbers
 
 _SCAN = {f.name: f.default for f in fields(classify.ScanParams)}
 
@@ -54,16 +55,6 @@ def _reject_unknown(section, mapping, allowed):
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
 
 
-def _number(kind, value):
-    """``value`` as ``kind``: a float must be finite, an int integral."""
-    out = kind(value)
-    if kind is float and not math.isfinite(out):
-        raise ValueError("not a finite number")
-    if kind is int and isinstance(value, float) and out != value:
-        raise ValueError("not an integer")
-    return out
-
-
 def _x_grid(g):
     if isinstance(g, list):
         return [_number(float, v) for v in g]
@@ -76,7 +67,7 @@ def _x_grid(g):
 # parameters with a shape of their own: value -> resolved value
 _SHAPED = {
     "x_grid": _x_grid,
-    "phases": lambda v: v and [[_number(float, t) for t in np.atleast_1d(p)] for p in v],
+    "phases": lambda v: v and [list(_numbers(float, p)) for p in v],
 }
 
 
@@ -85,7 +76,9 @@ def _coerce(name, value, default):
     try:
         if name in _SHAPED:
             return _SHAPED[name](value)
-        if isinstance(default, bool) and not isinstance(value, bool):
+        if isinstance(default, bool):
+            if isinstance(value, bool):
+                return value
             raise TypeError("expected true or false")
         if isinstance(default, (list, tuple)):
             if not isinstance(value, (list, tuple)) or not value:

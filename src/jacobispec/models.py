@@ -11,6 +11,7 @@ hypotheses are checked by :func:`validate_model` (over ``VALIDATION_WINDOW``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +28,25 @@ RATIONALITY_DEPTH = 20  # partial quotients the rotation-number probe expands
 VALIDATION_WINDOW = 100  # see validate_model
 
 
+def _number(kind, value):
+    """``value`` as ``kind``: a bool is not a number, a float must be
+    finite, an int integral. The one reader of every scalar of a run
+    config, its ``params`` and its model section alike."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value} is a bool, not a number")
+    out = kind(value)
+    if kind is float and not math.isfinite(out):
+        raise ValueError(f"{value!r} is not a finite number")
+    if kind is int and isinstance(value, float) and out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
+def _numbers(kind, values):
+    """A number or a flat list of them, each through :func:`_number`, as a tuple."""
+    return tuple(_number(kind, v) for v in np.atleast_1d(np.asarray(values, dtype=object)))
+
+
 def _sym_block(a, name="block"):
     arr = np.array(a, dtype=float)
     if arr.ndim == 0:
@@ -39,36 +59,14 @@ def _sym_block(a, name="block"):
 
 # ---------------------------------------------------------------------------
 # Sampling maps for dynamically defined models: a small closed library, each
-# kind read from a run config by :func:`sampling_map_from_config`.
-
-
-class SamplingMap:
-    """Maps torus points (d-vectors in [0,1)) to real symmetric blocks."""
-
-    dim: int
-
-    def sample(self, theta: np.ndarray) -> np.ndarray:
-        """The blocks at an (n, d) array of points, as an (n, l, l) array."""
-        raise NotImplementedError
+# kind read from a run config by :func:`sampling_map_from_config`. A map has
+# ``dim`` and ``sample(theta)``, the blocks at an (n, d) array of torus
+# points in [0, 1) as an (n, l, l) array. A constant map is a cosine map
+# with no terms.
 
 
 @dataclass(frozen=True)
-class ConstantMap(SamplingMap):
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _sym_block(self.matrix, "constant map"))
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    def sample(self, theta):
-        return np.repeat(self.matrix[None], len(theta), axis=0)
-
-
-@dataclass(frozen=True)
-class CosinePolynomialMap(SamplingMap):
+class CosinePolynomialMap:
     """f(theta) = C0 + sum_t A_t cos(2 pi (k_t . theta + phase_t)).
 
     Every amplitude block is symmetric, so the values are symmetric for
@@ -80,11 +78,9 @@ class CosinePolynomialMap(SamplingMap):
 
     def __post_init__(self):
         object.__setattr__(self, "constant", _sym_block(self.constant, "cosine constant"))
-        cooked = []
-        for freq, amp, phase in self.terms:
-            freq = tuple(int(f) for f in np.atleast_1d(freq))
-            cooked.append((freq, _sym_block(amp, "cosine amplitude"), float(phase)))
-        object.__setattr__(self, "terms", tuple(cooked))
+        cooked = tuple((_numbers(int, k), _sym_block(amp, "cosine amplitude"), _number(float, ph))
+                       for k, amp, ph in self.terms)
+        object.__setattr__(self, "terms", cooked)
 
     @property
     def dim(self):
@@ -100,7 +96,7 @@ class CosinePolynomialMap(SamplingMap):
 
 
 @dataclass(frozen=True)
-class PiecewiseArcMap(SamplingMap):
+class PiecewiseArcMap:
     """Piecewise-constant over arcs of the 1-d torus.
 
     ``breaks`` are arc endpoints 0 < b_1 < ... < b_m = 1; arc i is
@@ -111,7 +107,7 @@ class PiecewiseArcMap(SamplingMap):
     matrices: tuple
 
     def __post_init__(self):
-        breaks = tuple(float(b) for b in self.breaks)
+        breaks = _numbers(float, self.breaks)
         if not breaks or abs(breaks[-1] - 1.0) > 1e-15 or any(
             b2 <= b1 for b1, b2 in zip((0.0,) + breaks, breaks)
         ):
@@ -158,10 +154,10 @@ def _checked_kind(section, cfg, schema):
     return kind
 
 
-def sampling_map_from_config(cfg: dict, *, section: str = "sampling map") -> SamplingMap:
+def sampling_map_from_config(cfg: dict, *, section: str = "sampling map"):
     kind = _checked_kind(section, cfg, _MAP_SCHEMA)
     if kind == "constant":
-        return ConstantMap(cfg["matrix"])
+        return CosinePolynomialMap(cfg["matrix"])
     if kind == "cosine":
         terms = cfg.get("terms", [])
         if not all(isinstance(t, dict) and {"freq", "amplitude"} <= t.keys()
@@ -277,12 +273,12 @@ class DynamicalSpec:
 
     alpha: tuple
     omega: tuple
-    f_d: SamplingMap
-    f_v: SamplingMap
+    f_d: CosinePolynomialMap | PiecewiseArcMap
+    f_v: CosinePolynomialMap | PiecewiseArcMap
 
     def __post_init__(self):
-        alpha = tuple(float(a) % 1.0 for a in np.atleast_1d(self.alpha))
-        omega = tuple(float(w) % 1.0 for w in np.atleast_1d(self.omega))
+        alpha = tuple(a % 1.0 for a in _numbers(float, self.alpha))
+        omega = tuple(w % 1.0 for w in _numbers(float, self.omega))
         if len(alpha) != len(omega):
             raise InvalidInputError("alpha and omega must have the same torus dimension")
         if self.f_d.dim != self.f_v.dim:
@@ -400,6 +396,7 @@ def reflect(spec):
 
 def free_model(l: int = 1):
     """D = I, V = 0: the constant-coefficient reference family."""
+    l = _number(int, l)
     if l < 1:
         raise InvalidInputError("model dimension must be >= 1")
     return PeriodicSpec((np.eye(l),), (np.zeros((l, l)),))
@@ -412,7 +409,7 @@ def spec_from_config(cfg: dict, *, section: str = "model"):
         return ReflectedSpec(spec_from_config(cfg["base"], section=f"{section}.base"))
     try:
         if kind == "free":
-            return free_model(int(cfg.get("dim", 1)))
+            return free_model(cfg.get("dim", 1))
         if kind == "explicit":
             pairs, left = cfg["pairs"], cfg.get("left", [])
             if not all(isinstance(p, list) and len(p) == 2 for p in [*pairs, *left]):

@@ -282,8 +282,9 @@ def _continued(spec, zs, blocks, exp2, n_new):
     with np.errstate(over="ignore", invalid="ignore"):  # the rescale check raises instead
         for ledgers in forward((spec,), zs, b_prev, blocks[m], m, exp2[m], n_new, rows[m:]):
             exps[m : m + len(ledgers)] = ledgers
-    blocks = rows.transpose(0, 3, 1, 2)
-    sums = _truncation_sums(blocks, exps)
+        blocks = rows.transpose(0, 3, 1, 2)
+        # sums beyond float range read inf; the cutoff solver's residual shows it
+        sums = _truncation_sums(blocks, exps)
     return [SolutionTrack(spec, z, blocks[:, k], exps[:, k], [a[:, k] for a in sums])
             for k, z in enumerate(zs)]
 

@@ -97,6 +97,8 @@ LADDER_TOL = 1e-8  # Cauchy tolerance of the rank ladder's M
 LADDER_TAU_REL = 1e-3  # its rank cut, relative to the largest eigenvalue of Im M
 # Cauchy tolerance of the resolvent M of the truncated-norm bounds
 JL_M_TOL = 1e-9
+# largest cutoff-solver residual a bound verdict accepts (criterion 11's bar)
+JL_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -794,9 +796,9 @@ class JLBoundReport:
     k2: float
     m_norm: float
     verdict: bool | None
-    status: str = "ok"  # ok | condition-overflow
+    status: str = "ok"  # ok | condition-overflow | cutoff-unresolved
     solver_residual: float = float("nan")
-    lower: float | None = None  # k1 * ratio; None on a condition-overflow point
+    lower: float | None = None  # k1 * ratio; None on a point without a verdict
     upper: float | None = None  # k2 * ratio * condition_term; None there too
 
 
@@ -818,9 +820,11 @@ def jl_bounds(spec, x, y, *, slack=1e-9):
 
     ratio = ||psi||_L / ||phi||_L and condition_term = ||phi||_L^2 /
     s_l[phi]_L^2 at the matched cutoff L(y); ||M||_F comes from the
-    resolvent route, Cauchy to ``JL_M_TOL``. A vanishing truncated smallest
-    singular value marks the report ``condition-overflow`` and skips the
-    verdict. Batch-of-one form of :func:`jl_bounds_grid`.
+    resolvent route, Cauchy to ``JL_M_TOL``. A report gets no verdict and no
+    bounds when the cutoff solver's residual is not within
+    ``JL_RESIDUAL_TOL`` (NaN included), status ``cutoff-unresolved``, or
+    when the truncated smallest singular value vanishes, status
+    ``condition-overflow``. Batch-of-one form of :func:`jl_bounds_grid`.
     """
     return jl_bounds_grid(spec, [x], [y], slack=slack)[0]
 
@@ -872,7 +876,9 @@ def _jl_reports(spec, xs, ys, solves, ms, k1, k2, slack):
                                condition_term=float(condition[j]), k1=k1, k2=k2,
                                m_norm=float(m_norm[j]), verdict=None,
                                solver_residual=solve.residual)
-        if starved[j]:
+        if not solve.residual <= JL_RESIDUAL_TOL:  # a NaN residual too
+            report.status = "cutoff-unresolved"
+        elif starved[j]:
             report.status = "condition-overflow"
         else:
             report.verdict = bool(verdict[j])

@@ -76,6 +76,6 @@ def periodic3():
 def golden_amo():
     """l = 1 cosine sampling with amplitude 0.5 along the golden rotation."""
     alpha = (np.sqrt(5.0) - 1.0) / 2.0
-    f_d = models.ConstantMap(np.eye(1))
+    f_d = models.CosinePolynomialMap(np.eye(1))
     f_v = models.CosinePolynomialMap(np.zeros((1, 1)), (((1,), 0.5 * np.eye(1), 0.0),))
     return models.DynamicalSpec((alpha,), (0.0,), f_d, f_v)

@@ -656,7 +656,8 @@ def solve_l_of_y_reference(spec, x, y, tracks):
 def jl_report_reference(spec, x, y, tracks, m_val, k1, k2, slack, starved=False):
     """One ``weyl.JLBoundReport`` from :func:`solve_l_of_y_reference`,
     point by point; ``starved`` sets s_l[phi]_L = 0, which must give a
-    condition-overflow report."""
+    condition-overflow report, and a solver residual above 1e-10 (or NaN)
+    must give a cutoff-unresolved one."""
     from jacobispec import weyl
 
     l_cut, phi, psi, residual, _, _ = solve_l_of_y_reference(spec, x, y, tracks)
@@ -667,14 +668,17 @@ def jl_report_reference(spec, x, y, tracks, m_val, k1, k2, slack, starved=False)
     report = weyl.JLBoundReport(x=x, y=y, l_cutoff=l_cut, ratio=ratio, condition_term=float("nan"),
                                 k1=k1, k2=k2, m_norm=m_val.frobenius_norm, verdict=None,
                                 solver_residual=residual)
-    if s_l_phi**2 < 1e-300:
+    if s_l_phi**2 >= 1e-300:
+        report.condition_term = norm_phi**2 / s_l_phi**2
+    if not residual <= 1e-10:
+        report.status = "cutoff-unresolved"
+    elif s_l_phi**2 < 1e-300:
         report.status = "condition-overflow"
-        return report
-    report.condition_term = norm_phi**2 / s_l_phi**2
-    lower = k1 * ratio
-    upper = k2 * ratio * report.condition_term
-    report.verdict = bool(lower <= report.m_norm + slack and report.m_norm <= upper + slack)
-    report.lower, report.upper = lower, upper
+    else:
+        lower = k1 * ratio
+        upper = k2 * ratio * report.condition_term
+        report.verdict = bool(lower <= report.m_norm + slack and report.m_norm <= upper + slack)
+        report.lower, report.upper = lower, upper
     return report
 
 

@@ -277,7 +277,7 @@ def test_constancy_disguised_periodic():
     # rational rotation with arc-aligned sampling: phases 0 and 1/(2q) land
     # in the same arcs, so the coefficient sequences are literally identical
     q = 4
-    f_d = models.ConstantMap(np.eye(1))
+    f_d = models.CosinePolynomialMap(np.eye(1))
     f_v = models.PiecewiseArcMap(
         (0.25, 0.5, 0.75, 1.0),
         (0.8 * np.eye(1), np.zeros((1, 1)), -0.8 * np.eye(1), np.zeros((1, 1))),

@@ -331,6 +331,28 @@ def test_jl_sweep_with_cutoff_target_out_of_float_range_is_one_error_line(tmp_pa
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x, y", [(0.3, 1e8), (1e30, 0.1)])
+def test_jl_sweep_rows_with_an_unresolved_cutoff_have_no_verdict(tmp_path, x, y):
+    # the cutoff solver leaves a residual of 1.0 at these points: each row
+    # reads cutoff-unresolved with no verdict and no bounds, and the run exits 0
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, "jl.yaml",
+        {"model": FREE1, "task": "jl-sweep",
+         "params": {"n_points": 3, "x_range": [x, x], "y_range": [y, y]}, "output": {"dir": str(out)}},
+    )
+    assert cli.run_config(cfg) == 0
+    lines = (out / "jl_sweep.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert row["status"] == "cutoff-unresolved"
+        assert row["verdict"] == row["lower"] == row["upper"] == ""
+    assert ("bound sweep: 0/3 points satisfied both bounds "
+            "(3 without a verdict; cutoff-unresolved: 3)") in (out / "report.txt").read_text()
+
+
 def test_report_embeds_resolved_overrides(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
@@ -519,6 +541,20 @@ ABSENT = object()  # a config section left out
     (dict(GOLDEN_AMO, f_d={"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
      "validate", {}, 0),
     ({"kind": "periodic", "ds": [[[1.0, 0.0]]], "vs": [[[0.0, 0.0]]]}, "validate", {}, 0),
+    # numbers of the model section and params, each read by models._number
+    ({"kind": "free", "dim": 1.5}, "validate", {}, 0),
+    ({"kind": "free", "dim": True}, "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_v=dict(GOLDEN_AMO["f_v"], terms=[{"freq": [1.5], "amplitude": [[0.5]]}])),
+     "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_v=dict(GOLDEN_AMO["f_v"], terms=[{"freq": [True], "amplitude": [[0.5]]}])),
+     "validate", {}, 0),
+    (dict(GOLDEN_AMO, omega=[float("nan")]), "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_v=dict(GOLDEN_AMO["f_v"], terms=[
+        {"freq": [1], "amplitude": [[0.5]], "phase": float("inf")}])), "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_v={"kind": "arcs", "breaks": [float("nan"), 1.0],
+                           "matrices": [[[0.0]], [[1.0]]]}), "validate", {}, 0),
+    (FREE1, "jl-sweep", {"n_points": True}, 0),
+    (FREE1, "jl-sweep", {}, True),
 ], ids=[
     "periodic-without-ds", "free-dimension-zero", "constant-map-without-matrix", "pair-without-v", "ragged-block",
     "alpha-on-periodic", "unknown-key-in-reflected-base", "reflected-base-without-vs",
@@ -539,6 +575,8 @@ ABSENT = object()  # a config section left out
     "zero-n-points", "zero-slack", "non-symmetric-block", "unknown-model-kind",
     "unknown-extension", "explicit-without-pairs", "more-vs-than-ds",
     "omega-of-another-dimension", "f-d-and-f-v-of-unequal-size", "non-square-block",
+    "fractional-dim", "bool-dim", "fractional-freq", "bool-freq", "nan-omega", "infinite-phase",
+    "nan-arc-break", "bool-n-points", "bool-seed",
 ])
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task, params, seed):
     payload = {"model": model, "task": task, "params": params, "seed": seed,

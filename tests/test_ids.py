@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from jacobispec import models
+from jacobispec import classify, models
 
 from oracles import ids_sturm
 
@@ -44,6 +44,23 @@ def test_counts_do_not_change_under_conjugation(diag01):
     es = np.linspace(-2.5, 3.5, 256) + OFFSET
     n = 1024
     assert np.array_equal(ids_sturm(rotated, es, n), ids_sturm(diag01, es, n))
+
+
+@pytest.mark.parametrize("name, min_labels", [("random_bounded2", 10), ("periodic3", 5)])
+def test_periodic_gaps_count_whole_periods(request, name, min_labels):
+    # in a gap of a period-p model, k(E) is a multiple of 1/(p l); the
+    # n-site truncation's count n l k_N(E) lies within 2 l of j n / p for an
+    # integer label j (Dirichlet boundary levels sit in the gaps). The gaps
+    # are where the Floquet oracle reads no open channel and no band edge
+    spec = request.getfixturevalue(name)
+    n, l, p = 1024, spec.dim, spec.period
+    es = np.linspace(-4.5, 4.5, 513) + OFFSET
+    r_flo, edge, _, _ = classify.floquet_grid(spec, es)
+    gaps = es[(r_flo == 0) & ~edge]
+    count = np.rint(ids_sturm(spec, gaps, n) * n * l)
+    labels = np.rint(count * p / n)
+    assert gaps.size > 100 and np.unique(labels).size >= min_labels
+    assert np.max(np.abs(count - labels * n / p)) <= 2 * l
 
 
 def test_an_exactly_singular_pivot_raises(free1):

@@ -31,7 +31,7 @@ def test_dynamical_cosine_sample():
     spec = models.DynamicalSpec(
         (alpha,),
         (0.0,),
-        models.ConstantMap(np.eye(1)),
+        models.CosinePolynomialMap(np.eye(1)),
         models.CosinePolynomialMap(np.zeros((1, 1)), (((1,), 2.0 * np.eye(1), 0.0),)),
     )
     _, v1 = spec.coefficient_at(1)
@@ -43,7 +43,7 @@ def test_dynamical_shift_compatibility():
     spec = models.DynamicalSpec(
         (alpha,),
         (0.3,),
-        models.ConstantMap(np.eye(1)),
+        models.CosinePolynomialMap(np.eye(1)),
         models.CosinePolynomialMap(np.zeros((1, 1)), (((1,), np.eye(1), 0.1),)),
     )
     for m in (1, 7, 250, -31):
@@ -175,6 +175,23 @@ def test_piecewise_arc_map():
     assert values.tolist() == [1.0, 2.0, 2.0]  # arcs are [b_{i-1}, b_i)
 
 
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("torus_dim", [1, 2])
+def test_constant_map_is_cosine_map_with_no_terms(l, torus_dim):
+    # a constant map repeats its block bit for bit at every torus point,
+    # and the config's `constant` kind builds exactly that map
+    rng = np.random.default_rng(l * 10 + torus_dim)
+    c = rng.standard_normal((l, l))
+    c = c + c.T
+    theta = rng.uniform(0.0, 1.0, (7, torus_dim))
+    built = models.sampling_map_from_config({"kind": "constant", "matrix": c.tolist()})
+    assert isinstance(built, models.CosinePolynomialMap) and built.terms == ()
+    expected = np.repeat(c[None], 7, 0)
+    for m in (models.CosinePolynomialMap(c), built):
+        values = m.sample(theta)
+        assert values.shape == expected.shape and values.tobytes() == expected.tobytes()
+
+
 def test_sampling_map_roundtrip():
     # the config dict parses to the map built directly
     m = models.CosinePolynomialMap(np.zeros((2, 2)), (((1,), np.eye(2), 0.25),))
@@ -220,13 +237,14 @@ def test_spec_config_roundtrip(random_bounded2, golden_amo):
 
 def test_rationality_probe_flags_rational():
     spec = models.DynamicalSpec(
-        (0.25,), (0.0,), models.ConstantMap(np.eye(1)), models.ConstantMap(np.zeros((1, 1)))
+        (0.25,), (0.0,),
+        models.CosinePolynomialMap(np.eye(1)), models.CosinePolynomialMap(np.zeros((1, 1))),
     )
     probe = spec.rationality_report()
     assert probe[0]["terminates_within_depth"]
     golden = models.DynamicalSpec(
         ((np.sqrt(5) - 1) / 2,), (0.0,),
-        models.ConstantMap(np.eye(1)), models.ConstantMap(np.zeros((1, 1))),
+        models.CosinePolynomialMap(np.eye(1)), models.CosinePolynomialMap(np.zeros((1, 1))),
     )
     assert not golden.rationality_report()[0]["terminates_within_depth"]
 
@@ -237,7 +255,7 @@ def test_two_torus_sampling():
     f_v = models.CosinePolynomialMap(
         np.zeros((1, 1)), (((1, -2), 0.7 * np.eye(1), 0.125),)
     )
-    spec = models.DynamicalSpec(alpha, (0.1, 0.9), models.ConstantMap(np.eye(1)), f_v)
+    spec = models.DynamicalSpec(alpha, (0.1, 0.9), models.CosinePolynomialMap(np.eye(1)), f_v)
     theta = spec.phases(5, 6)[0]
     want = 0.7 * np.cos(2 * np.pi * (theta[0] - 2 * theta[1] + 0.125))
     assert spec.coefficient_at(5)[1][0, 0] == pytest.approx(want, abs=1e-14)
@@ -308,11 +326,11 @@ def _families():
     left = ((3 * np.eye(2), 0.25 * np.eye(2)), (np.diag([2.0, 1.0]), np.eye(2)))
     specs = [
         models.DynamicalSpec((golden, np.sqrt(2) - 1), (0.1, 0.9),
-                             models.ConstantMap(np.diag([1.0, 2.0])), cos2),
-        models.DynamicalSpec((golden,), (0.3,), models.ConstantMap(np.eye(1)), arcs),
+                             models.CosinePolynomialMap(np.diag([1.0, 2.0])), cos2),
+        models.DynamicalSpec((golden,), (0.3,), models.CosinePolynomialMap(np.eye(1)), arcs),
         # a denominator above 2^64 takes the Python-int path
         models.DynamicalSpec((golden * 2.0**-20, 0.25), (0.2, 0.7),
-                             models.ConstantMap(np.eye(2)), cos2),
+                             models.CosinePolynomialMap(np.eye(2)), cos2),
         models.ExplicitSpec(pairs, extension="wrap", left=left),
         models.ExplicitSpec(pairs, extension="constant", left=left),
         models.ExplicitSpec(pairs, extension="constant"),
@@ -348,7 +366,7 @@ def test_tiny_rotation_number_phases_match_fraction_arithmetic(alpha):
     # q = 2^1049 for alpha = 1e-300 is beyond float range; negative n puts
     # n p mod q close to q
     f_v = models.CosinePolynomialMap(np.zeros((1, 1)), (((1,), 0.5 * np.eye(1), 0.0),))
-    spec = models.DynamicalSpec((alpha,), (0.3,), models.ConstantMap(np.eye(1)), f_v)
+    spec = models.DynamicalSpec((alpha,), (0.3,), models.CosinePolynomialMap(np.eye(1)), f_v)
     theta = spec.phases(-5, 6)[:, 0]
     want = [(0.3 + float(n * Fraction(alpha) % 1)) % 1.0 for n in range(-5, 6)]
     assert np.array_equal(theta, want)

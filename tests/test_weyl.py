@@ -427,6 +427,21 @@ def test_jl_bounds_condition_overflow_status(free1, monkeypatch):
     assert rep.verdict is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x, y", [(0.3, 1e8), (1e30, 0.1)])
+def test_jl_bounds_give_no_verdict_on_an_unresolved_cutoff(free1, x, y):
+    # at y = 1e8 the cutoff sits within an ulp of 1 (L - 1 ~ 2.5e-17); at
+    # x = 1e30 the track sums leave float range: the solver residual is 1.0
+    # at both, so neither point may read as a bound that fails or holds
+    got = weyl.jl_bounds(free1, x, y)
+    assert got.solver_residual == 1.0 and got.status == "cutoff-unresolved"
+    assert got.verdict is None and got.lower is None and got.upper is None
+    _, k1, k2 = weyl.jl_constants(free1)
+    pair = recurrence.dirichlet_neumann(free1, x, truncnorm.INITIAL_TRACK_BLOCKS)
+    m_val = weyl.m_resolvent(free1, complex(x, y), tol=weyl.JL_M_TOL)
+    _same_report(got, jl_report_reference(free1, x, y, pair, m_val, k1, k2, 1e-9))
+
+
 @pytest.mark.parametrize("name", ["random_bounded2", "golden_amo", "periodic3"])
 def test_banded_corner_block_matches_reference_loop(name, request):
     # golden_amo (l = 1) goes through LAPACK's tridiagonal solver, the others
