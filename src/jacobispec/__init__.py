@@ -23,7 +23,6 @@ from .models import (
     ExplicitSpec,
     PeriodicSpec,
     free_model,
-    limit_point_partial_sum,
     reflect,
     validate_model,
 )

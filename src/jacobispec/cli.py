@@ -98,8 +98,6 @@ def _task_validate(cfg, spec, out_dir):
     body = "validation:\n" + report.summary()
     if hasattr(spec, "rationality_report"):
         body += f"\nrotation-number probe: {spec.rationality_report()}"
-    sums, verdict = models.limit_point_partial_sum(spec, models.VALIDATION_WINDOW)
-    body += f"\nlimit-point partial sum over window = {sums:.17g} ({verdict})"
     _write_report(out_dir / cfg.output["report"], cfg, body)
     return EXIT_OK
 

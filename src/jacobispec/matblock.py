@@ -10,11 +10,11 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularBlockError
 
-# Relative floor for invert(): blocks with s_l <= RCOND_FLOOR * s_1 are
-# treated as singular.
+# The two rules of the paper's hypotheses (D_n, V_n self-adjoint, D_n
+# boundedly invertible), each written once: a block is singular when
+# s_l <= RCOND_FLOOR * s_1 (is_singular), asymmetric when
+# |A - A^t|_F > SYMMETRIC_TOL * max(1, |A|_F) (asymmetry).
 RCOND_FLOOR = 1e-12
-
-# Relative defect |A - A^t|_F / max(1, |A|_F) of a block that is_symmetric.
 SYMMETRIC_TOL = 1e-12
 
 
@@ -49,14 +49,27 @@ def operator_norm(a) -> float:
     return float(singular_values(a)[0])
 
 
-def invert(a) -> np.ndarray:
-    """Inverse of a well-conditioned block.
+def is_singular(s):
+    """The singular rule: s_l <= ``RCOND_FLOOR`` * s_1, for singular values
+    ``s`` sorted descending along the last axis (one block or a stack)."""
+    return s[..., -1] <= RCOND_FLOOR * s[..., 0]
 
-    Raises SingularBlockError (carrying s_l) when s_l <= ``RCOND_FLOOR`` * s_1.
+
+def asymmetry(a):
+    """|A - A^t|_F of a block or a stack (..., l, l), and the asymmetric
+    rule: that defect exceeds ``SYMMETRIC_TOL`` * max(1, |A|_F)."""
+    defect = np.linalg.norm(a - np.swapaxes(a, -1, -2), axis=(-2, -1))
+    return defect, defect > SYMMETRIC_TOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+
+
+def invert(a) -> np.ndarray:
+    """Inverse of a block that is not singular by :func:`is_singular`.
+
+    Raises SingularBlockError (carrying s_l) otherwise.
     """
     arr = as_block(a)
     s = np.linalg.svd(arr, compute_uv=False)
-    if s[-1] <= RCOND_FLOOR * s[0]:
+    if is_singular(s):
         raise SingularBlockError(
             f"block is numerically singular (s_l = {s[-1]:.3e}, s_1 = {s[0]:.3e})",
             smallest_singular_value=float(s[-1]),
@@ -65,8 +78,7 @@ def invert(a) -> np.ndarray:
 
 
 def is_symmetric(a) -> bool:
-    arr = np.asarray(a)
-    return frobenius_norm(arr - arr.T) <= SYMMETRIC_TOL * max(1.0, frobenius_norm(arr))
+    return not asymmetry(as_block(a))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ integer n (negative indices where the family supports a left half-line).
 The built-in families also give ``coefficient_arrays(n0, n1)``, the blocks of
 a whole index range computed without a per-index loop; every multi-index read
 in the package goes through :func:`coefficient_arrays`.
-All coefficient blocks are real symmetric; D_n must be invertible; these
-hypotheses are checked by :func:`validate_model` (over ``VALIDATION_WINDOW``).
+No coefficient block may be asymmetric, nor D_n singular, by the rules of
+``matblock``; :func:`validate_model` checks them over ``VALIDATION_WINDOW``.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ import numpy as np
 from . import matblock
 from .errors import InvalidInputError, ModelValidationError
 
-SYMMETRY_TOL = 1e-10
-MIN_SINGULAR = 1e-12
-# share of limit_point_partial_sum that its window's second half must carry
-LIMIT_POINT_TAIL_SHARE = 0.05
 RATIONALITY_DEPTH = 20  # partial quotients the rotation-number probe expands
 VALIDATION_WINDOW = 100  # see validate_model
 
@@ -48,7 +44,10 @@ def _numbers(kind, values):
 
 
 def _sym_block(a, name="block"):
-    arr = np.array(a, dtype=float)
+    """A number or a square nested list as a real symmetric block, each
+    entry read by :func:`_number`."""
+    cells = np.asarray(a, dtype=object)
+    arr = np.array([_number(float, c) for c in cells.ravel()]).reshape(cells.shape)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     arr = matblock.as_block(arr)
@@ -439,7 +438,7 @@ def coefficient_arrays(spec, n0: int, n1: int):
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis validation and the limit-point sufficient condition.
+# Hypothesis validation.
 
 
 @dataclass
@@ -469,8 +468,9 @@ class ValidationReport:
 def validate_model(spec, window: int = VALIDATION_WINDOW) -> ValidationReport:
     """Check the standing hypotheses over |n| <= window.
 
-    Verifies every D_n, V_n is symmetric, every D_n has smallest singular
-    value above ``MIN_SINGULAR``, and records the extreme singular values.
+    Verifies that no D_n or V_n is asymmetric by ``matblock.asymmetry`` and
+    no D_n singular by ``matblock.is_singular`` (so ``matblock.invert``
+    takes every D_n of the window), and records the extreme singular values.
     Raises ModelValidationError (with the report attached) on violation.
     """
     if window < 1:
@@ -479,11 +479,8 @@ def validate_model(spec, window: int = VALIDATION_WINDOW) -> ValidationReport:
     lo = -window if two_sided else 0
     ds, vs = coefficient_arrays(spec, lo, window + 1)
     s = np.linalg.svd(ds, compute_uv=False)
-    defect = np.maximum(
-        np.linalg.norm(ds - ds.transpose(0, 2, 1), axis=(1, 2)),
-        np.linalg.norm(vs - vs.transpose(0, 2, 1), axis=(1, 2)),
-    )
-    bad = (s[:, -1] < MIN_SINGULAR) | (defect > SYMMETRY_TOL)
+    defect, asymmetric = matblock.asymmetry(np.stack((ds, vs)))
+    bad = matblock.is_singular(s) | asymmetric.any(axis=0)
     offenders = (np.flatnonzero(bad) + lo).tolist()
     report = ValidationReport(
         window=window,
@@ -502,24 +499,3 @@ def validate_model(spec, window: int = VALIDATION_WINDOW) -> ValidationReport:
             offenders=offenders,
         )
     return report
-
-
-def limit_point_partial_sum(spec, n_terms: int):
-    """Partial sum of 1/||D_k|| over k = 0..n_terms and a divergence verdict.
-
-    The sufficient condition for the limit point case needs the full series
-    to diverge, which a finite window cannot prove. Decision rule: the
-    verdict is "sufficient-condition-met" when the second half of the window
-    still contributes at least ``LIMIT_POINT_TAIL_SHARE`` of the total (bounded
-    coefficients give a linearly growing sum, so the tail share stays near
-    1/2; summable tails collapse to ~0). Otherwise "inconclusive".
-    """
-    if n_terms < 1:
-        raise InvalidInputError("n_terms must be >= 1")
-    ds, _ = coefficient_arrays(spec, 0, n_terms + 1)
-    terms = 1.0 / np.linalg.svd(ds, compute_uv=False)[:, 0]
-    total = float(np.sum(terms))
-    half = float(np.sum(terms[: (n_terms + 1) // 2]))
-    tail_share = (total - half) / total if total > 0 else 0.0
-    verdict = "sufficient-condition-met" if tail_share >= LIMIT_POINT_TAIL_SHARE else "inconclusive"
-    return total, verdict

@@ -354,32 +354,28 @@ def banded_corner_block_reference(spec, z, n_blocks):
     return x
 
 
-def validate_model_reference(spec, window, min_singular=1e-12, symmetry_tol=1e-10):
-    """The per-index hypothesis scan: (min s_l, max s_1, max defect, offenders)."""
+def validate_model_reference(spec, window, rcond=1e-12, symmetry_tol=1e-12):
+    """The per-index hypothesis scan: (min s_l, max s_1, max defect, offenders).
+
+    An index offends when s_l[D_n] <= rcond * s_1[D_n], or when D_n or V_n
+    has |A - A^t|_F > symmetry_tol * max(1, |A|_F).
+    """
     two_sided = getattr(spec, "supports_negative", False)
     indices = range(-window, window + 1) if two_sided else range(0, window + 1)
     min_sl, max_s1, max_defect, offenders = np.inf, 0.0, 0.0, []
     for n in indices:
         d, v = spec.coefficient_at(n)
         s = np.linalg.svd(d, compute_uv=False)
-        defect = max(
-            float(np.sqrt(np.sum(np.abs(d - d.T) ** 2))),
-            float(np.sqrt(np.sum(np.abs(v - v.T) ** 2))),
-        )
-        if s[-1] < min_singular or defect > symmetry_tol:
+        asymmetric = False
+        for a in (d, v):
+            defect = float(np.sqrt(np.sum(np.abs(a - a.T) ** 2)))
+            asymmetric |= defect > symmetry_tol * max(1.0, float(np.sqrt(np.sum(np.abs(a) ** 2))))
+            max_defect = max(max_defect, defect)
+        if s[-1] <= rcond * s[0] or asymmetric:
             offenders.append(int(n))
         min_sl = min(min_sl, float(s[-1]))
         max_s1 = max(max_s1, float(s[0]))
-        max_defect = max(max_defect, defect)
     return min_sl, max_s1, max_defect, offenders
-
-
-def limit_point_sum_reference(spec, n_terms):
-    """sum_{k <= n_terms} 1/s_1[D_k], one SVD per index."""
-    terms = np.empty(n_terms + 1)
-    for k in range(n_terms + 1):
-        terms[k] = 1.0 / float(np.linalg.svd(spec.coefficient_at(k)[0], compute_uv=False)[0])
-    return float(np.sum(terms))
 
 
 def ladder_verdict_reference(y_ladder, eig_list, tau_rel, rel_change=0.2):

@@ -302,6 +302,28 @@ def test_constancy_same_phase_exact(golden_amo):
     assert repr(rep.phases) == "[(0.3,), (0.3,)]" and repr(a.phase) == "(0.3,)"
 
 
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.5])
+def test_constancy_measures_the_almost_mathieu_spectrum(lam):
+    # V_n = 2 lam cos 2 pi (omega + n alpha) along the golden rotation: the
+    # spectrum has measure |4 - 4 lam| (Avila-Krikorian) and is purely a.c.
+    # for lam < 1, so {mult = 2} has measure 4 - 4 lam; for lam > 1 there is
+    # no a.c. spectrum, and {mult = 2} is empty
+    alpha = (np.sqrt(5.0) - 1.0) / 2.0
+    f_v = models.CosinePolynomialMap(np.zeros((1, 1)), (((1,), 2.0 * lam * np.eye(1), 0.0),))
+    spec = models.DynamicalSpec((alpha,), (0.0,), models.CosinePolynomialMap(np.eye(1)), f_v)
+    edge = 2.0 + 2.0 * lam + 0.25
+    xs = np.linspace(-edge, edge, 256)
+    step = xs[1] - xs[0]
+    params = classify.ScanParams(l_grid=(128, 256, 512, 1024))
+    rep = classify.constancy_experiment(spec, [[0.1], [0.6]], xs, params)
+    for cls in rep.classifications:
+        measure = np.count_nonzero(cls.full_multiplicity == 2) * step
+        if lam < 1.0:
+            assert abs(measure - (4.0 - 4.0 * lam)) <= 2 * step, (cls.phase, measure)
+        else:
+            assert measure == 0.0, (cls.phase, measure)
+
+
 def test_constancy_needs_two_phases(golden_amo):
     with pytest.raises(InvalidInputError):
         classify.constancy_experiment(golden_amo, [[0.1]], np.array([0.0]))

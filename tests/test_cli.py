@@ -67,7 +67,7 @@ def test_validate_task_reports_extremes(tmp_path):
     assert cli.main(["run", str(cfg)]) == 0
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "min s_l[D] = 1" in report
-    assert "sufficient-condition-met" in report
+    assert "passed = True" in report
 
 
 @pytest.mark.parametrize("alpha, quotients", [
@@ -98,6 +98,34 @@ def test_validate_failure_exit_code(tmp_path):
         {"model": bad, "task": "validate", "output": {"dir": str(tmp_path / "out")}},
     )
     assert cli.main(["run", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("task, params", [
+    ("validate", {}),
+    ("scan", {"x_grid": [0.0, 1.5], "l_grid": [64, 128], "with_rank": False}),
+    ("jl-sweep", {"n_points": 2}),
+    ("probe", {"x": 0.3, "y": 0.1}),
+])
+def test_model_that_invert_rejects_fails_validation_in_every_task(tmp_path, capsys, task, params):
+    # s_l / s_1 = 1e-13: singular for matblock.invert, so every task stops at validation
+    model = {"kind": "periodic", "ds": [[[1.0e6, 0.0], [0.0, 1.0e-7]]], "vs": [[[0.0, 0.0], [0.0, 1.0]]]}
+    cfg = write_config(tmp_path, "c.yaml", {"model": model, "task": task, "params": params,
+                                            "output": {"dir": str(tmp_path / "out")}})
+    assert cli.main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("model validation failed: ")
+
+
+def test_tiny_well_conditioned_d_validates_and_scans(tmp_path):
+    # D = 1e-13 I is far below 1 but perfectly conditioned: the hypotheses hold
+    model = {"kind": "periodic", "ds": [[[1.0e-13, 0.0], [0.0, 1.0e-13]]], "vs": [[[0.0, 0.0], [0.0, 1.0]]]}
+    for task, params in (("validate", {}), ("scan", {"x_grid": [-1.0, 0.5, 2.0], "l_grid": [64, 128]})):
+        out = tmp_path / task
+        cfg = write_config(tmp_path, f"{task}.yaml", {"model": model, "task": task, "params": params,
+                                                     "output": {"dir": str(out)}})
+        assert cli.main(["run", str(cfg)]) == 0
+    rows = (tmp_path / "scan" / "scan.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and not any(row.endswith(",error") for row in rows)
 
 
 def test_schema_error_exit_code(tmp_path):
@@ -555,6 +583,19 @@ ABSENT = object()  # a config section left out
                            "matrices": [[[0.0]], [[1.0]]]}), "validate", {}, 0),
     (FREE1, "jl-sweep", {"n_points": True}, 0),
     (FREE1, "jl-sweep", {}, True),
+    # every entry of a block, by the same number rule
+    ({"kind": "periodic", "ds": [[[True]]], "vs": [[[0.0]]]}, "validate", {}, 0),
+    ({"kind": "periodic", "ds": [[[1.0, True], [True, 1.0]]], "vs": [[[0.0, 0.0], [0.0, 0.0]]]},
+     "validate", {}, 0),
+    ({"kind": "explicit", "pairs": [[[[1.0]], [[False]]]]}, "validate", {}, 0),
+    ({"kind": "explicit", "pairs": [[[[1.0]], [[0.0]]]], "left": [[[[True]], [[0.0]]]]},
+     "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_d={"kind": "constant", "matrix": [[True]]}), "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_v=dict(GOLDEN_AMO["f_v"], constant=[[False]])), "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_v=dict(GOLDEN_AMO["f_v"], terms=[{"freq": [1], "amplitude": [[True]]}])),
+     "validate", {}, 0),
+    (dict(GOLDEN_AMO, f_v={"kind": "arcs", "breaks": [0.5, 1.0], "matrices": [[[0.0]], [[True]]]}),
+     "validate", {}, 0),
 ], ids=[
     "periodic-without-ds", "free-dimension-zero", "constant-map-without-matrix", "pair-without-v", "ragged-block",
     "alpha-on-periodic", "unknown-key-in-reflected-base", "reflected-base-without-vs",
@@ -577,6 +618,8 @@ ABSENT = object()  # a config section left out
     "omega-of-another-dimension", "f-d-and-f-v-of-unequal-size", "non-square-block",
     "fractional-dim", "bool-dim", "fractional-freq", "bool-freq", "nan-omega", "infinite-phase",
     "nan-arc-break", "bool-n-points", "bool-seed",
+    "bool-block", "bool-in-float-block", "bool-explicit-v", "bool-left-d",
+    "bool-constant-matrix", "bool-cosine-constant", "bool-cosine-amplitude", "bool-arc-block",
 ])
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, model, task, params, seed):
     payload = {"model": model, "task": task, "params": params, "seed": seed,

@@ -1,5 +1,6 @@
-"""The rank ladder's decimation route against the Riccati descent, and the
-batched ladder verdict against its per-point reference."""
+"""The rank ladder's decimation route against the Riccati descent, the
+descent against the banded resolvent at equal truncation, and the batched
+ladder verdict against its per-point reference."""
 
 import numpy as np
 import pytest
@@ -171,6 +172,24 @@ def test_decimation_is_herglotz_symmetric_and_the_descent(seed, period, l, x, y)
     assert rel_fro(m, np.swapaxes(m, -1, -2)) <= 1e-12
     want = weyl._riccati_descent(spec, z.ravel(), weyl.INITIAL_DEPTH)[0]
     assert rel_fro(m, want) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=3),
+)
+def test_descent_is_the_resolvent_at_equal_truncation(seed, period, l):
+    # both routes give the (1, 1) block of (T_N - z)^-1 for the same N-block
+    # truncation: the descent from a zero seed at depth N, the resolvent by
+    # one banded factor
+    spec = _random_periodic(seed, period, l)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-3.5, 3.5, 5) + 1j * 10.0 ** rng.uniform(-2.0, 0.0, 5)
+    for n in (1, 7, 64, 257):
+        gap = rel_fro(weyl._riccati_descent(spec, z, n)[0], weyl._banded_corner_block(spec, z, n))
+        assert gap <= 1e-11, (n, gap)
 
 
 def _component_major(a):

@@ -28,7 +28,6 @@ def _cosine(freq=(1,), phase=0.0):
 
 @pytest.mark.parametrize("call, error", [
     (lambda spec: models.validate_model(spec, window=0), InvalidInputError),
-    (lambda spec: models.limit_point_partial_sum(spec, 0), InvalidInputError),
     (lambda spec: recurrence.dirichlet_neumann_grid(spec, [0.5], 1), InvalidInputError),
     (lambda spec: recurrence.cocycle_product(spec, 0.5, -1), InvalidInputError),
     (_jost_below_axis, DomainError),
@@ -44,12 +43,22 @@ def _cosine(freq=(1,), phase=0.0):
     (lambda spec: models.PiecewiseArcMap((float("nan"), 1.0), (np.eye(1), np.eye(1))), ValueError),
     (lambda spec: models.DynamicalSpec((0.3,), (float("nan"),), _cosine(), _cosine()), ValueError),
     (lambda spec: models.free_model(1.5), ValueError),
+    # and every entry of a block: a bool is not a number, alone or among floats
+    (lambda spec: models.PeriodicSpec(([[True]],), ([[0.0]],)), TypeError),
+    (lambda spec: models.PeriodicSpec(([[1.0, True], [True, 1.0]],), (np.zeros((2, 2)),)), TypeError),
+    (lambda spec: models.ExplicitSpec((([[1.0]], [[False]]),)), TypeError),
+    (lambda spec: models.ExplicitSpec(((np.eye(1), np.eye(1)),), left=(([[True]], [[0.0]]),)), TypeError),
+    (lambda spec: models.CosinePolynomialMap([[True]]), TypeError),
+    (lambda spec: models.CosinePolynomialMap(np.zeros((1, 1)), (((1,), [[True]], 0.0),)), TypeError),
+    (lambda spec: models.PiecewiseArcMap((1.0,), ([[np.bool_(True)]],)), TypeError),
 ], ids=[
-    "validation-window-zero", "limit-point-terms-zero", "dirichlet-neumann-one-block",
+    "validation-window-zero", "dirichlet-neumann-one-block",
     "negative-cocycle-index", "jost-below-real-axis", "jost-m-of-wrong-shape",
     "jl-identity-beyond-tracks", "negative-green-index", "jl-bounds-unequal-lengths",
     "constancy-on-periodic-model", "fractional-cosine-freq", "bool-cosine-freq",
     "infinite-cosine-phase", "nan-arc-break", "nan-omega", "fractional-free-dim",
+    "bool-periodic-d", "bool-in-float-block", "bool-explicit-v", "bool-left-d",
+    "bool-cosine-constant", "bool-cosine-amplitude", "numpy-bool-arc-block",
 ])
 def test_library_rejects_malformed_input(free1, call, error):
     with pytest.raises(error):

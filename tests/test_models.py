@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jacobispec import models
-from jacobispec.errors import InvalidInputError, ModelValidationError
+from jacobispec import matblock, models
+from jacobispec.errors import InvalidInputError, ModelValidationError, SingularBlockError
 
-from oracles import limit_point_sum_reference, validate_model_reference
+from oracles import validate_model_reference
 
 
 def test_free_model_coefficients(free1):
@@ -130,8 +132,6 @@ def test_validate_matches_per_index_reference(random_bounded2, golden_amo):
             min_sl, max_s1, max_defect
         )
         assert report.offenders == offenders == []
-        total, _ = models.limit_point_partial_sum(spec, window)
-        assert total == limit_point_sum_reference(spec, window)
     one, zero = np.eye(1), np.zeros((1, 1))
     singular = models.ExplicitSpec(
         ((one, zero), (zero, one), (2 * one, zero)), extension="wrap", left=((one, zero), (zero, one))
@@ -145,28 +145,40 @@ def test_validate_matches_per_index_reference(random_bounded2, golden_amo):
     assert report.offenders == [-10, -8, -6, -4, -2, 1, 4, 7, 10]
 
 
-def test_limit_point_free_model(free1):
-    total, verdict = models.limit_point_partial_sum(free1, 99)
-    assert total == pytest.approx(100.0)
-    assert verdict == "sufficient-condition-met"
-
-
-def test_limit_point_growing_coefficients_inconclusive():
-    pairs = tuple((2.0**k * np.eye(1), np.zeros((1, 1))) for k in range(40))
-    spec = models.ExplicitSpec(pairs, extension="constant")
-    total, verdict = models.limit_point_partial_sum(spec, 39)
-    assert total < 2.0
-    assert verdict == "inconclusive"
-
-
-def test_limit_point_bounded_random():
-    rng = np.random.default_rng(11)
-    pairs = tuple((float(rng.uniform(1, 3)) * np.eye(1), np.zeros((1, 1))) for _ in range(64))
-    spec = models.ExplicitSpec(pairs, extension="wrap")
-    n = 120
-    total, verdict = models.limit_point_partial_sum(spec, n)
-    assert total >= n / 3.0
-    assert verdict == "sufficient-condition-met"
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=3),
+    st.floats(min_value=0.0, max_value=15.0),
+    st.floats(min_value=-14.0, max_value=6.0),
+)
+def test_validation_fails_exactly_where_invert_raises(seed, period, l, log_cond, log_scale):
+    # D = Q diag(s) Q^t, symmetrised: |s| runs geometrically from
+    # 10^log_scale down by a condition number of 10^log_cond (for l >= 2)
+    rng = np.random.default_rng(seed)
+    ds, vs = [], []
+    for _ in range(period):
+        q, _ = np.linalg.qr(rng.normal(size=(l, l)))
+        s = 10.0 ** (log_scale - log_cond * np.linspace(0.0, 1.0, l)) * rng.choice([-1.0, 1.0], size=l)
+        d = q @ np.diag(s) @ q.T
+        v = rng.uniform(-1.0, 1.0, size=(l, l))
+        ds.append((d + d.T) / 2)
+        vs.append((v + v.T) / 2)
+    spec = models.PeriodicSpec(tuple(ds), tuple(vs))
+    window = 2 * period
+    inverts = True
+    for n in range(-window, window + 1):
+        try:
+            matblock.invert(spec.coefficient_at(n)[0])
+        except SingularBlockError:
+            inverts = False
+    try:
+        models.validate_model(spec, window)
+        validates = True
+    except ModelValidationError:
+        validates = False
+    assert validates == inverts
 
 
 def test_piecewise_arc_map():
